@@ -212,25 +212,12 @@ func BenchmarkShardedRunUntilExact1e5(b *testing.B) {
 	}
 }
 
-// Exact-stop vs polled stopping overhead: both benchmarks execute b.N
-// StableRanking interactions from the fresh start — far short of
-// convergence at either population size under the CI benchtime, so the
-// budget, not the stop condition, ends the run and ns/op measures the
-// pure per-interaction cost of each stopping discipline. The polled
-// path pays an amortized O(n)/n early-exit scan; the exact path pays
-// the touch-reporting TransitionT plus the tracker folding of
-// sim.RunUntilCondT. The acceptance claim (DESIGN.md §2.1) is that the
-// exact path stays within 5% of the polled one at both sizes; CI
-// tracks all four against BENCH_base.json and reports the ratio.
-
-func benchRunUntilPolled(b *testing.B, n int) {
-	p := stable.New(n, stable.DefaultParams())
-	r := sim.New[stable.State](p, p.InitialStates(), 1)
-	b.ResetTimer()
-	if _, err := r.RunUntil(stable.Valid, 0, int64(b.N)); err == nil {
-		b.Fatal("converged inside the benchmark window; ns/op no longer measures stopping overhead")
-	}
-}
+// Serial exact-stop overhead: b.N StableRanking interactions from the
+// fresh start — far short of convergence at either population size
+// under the CI benchtime, so the budget, not the stop condition, ends
+// the run and ns/op measures the pure per-interaction cost of
+// sim.RunUntilCondT (touch-reporting TransitionT plus tracker folding).
+// CI tracks both against BENCH_base.json.
 
 func benchRunUntilCond(b *testing.B, n int) {
 	p := stable.New(n, stable.DefaultParams())
@@ -241,10 +228,8 @@ func benchRunUntilCond(b *testing.B, n int) {
 	}
 }
 
-func BenchmarkRunUntilPolled1e3(b *testing.B) { benchRunUntilPolled(b, 1_000) }
-func BenchmarkRunUntilCond1e3(b *testing.B)   { benchRunUntilCond(b, 1_000) }
-func BenchmarkRunUntilPolled1e5(b *testing.B) { benchRunUntilPolled(b, bigN) }
-func BenchmarkRunUntilCond1e5(b *testing.B)   { benchRunUntilCond(b, bigN) }
+func BenchmarkRunUntilCond1e3(b *testing.B) { benchRunUntilCond(b, 1_000) }
+func BenchmarkRunUntilCond1e5(b *testing.B) { benchRunUntilCond(b, bigN) }
 
 // Micro-benchmarks: raw transition throughput per protocol.
 

@@ -113,8 +113,17 @@ func writeFrame(c net.Conn, timeout time.Duration, typ byte, payload []byte) err
 	return err
 }
 
+// frameChunk is readFrame's first buffer size: frames up to it are
+// read into one exact allocation, larger ones grow the buffer by
+// doubling as their bytes arrive.
+const frameChunk = 64 << 10
+
 // readFrame reads one frame. A positive timeout arms a read deadline;
-// its expiry is how the coordinator detects a dead worker.
+// its expiry is how the coordinator detects a dead worker. The length
+// header is not trusted for allocation: the buffer grows only as
+// payload bytes actually arrive, so a peer that announces a huge frame
+// and then stalls or hangs up costs memory in proportion to what it
+// sent, plus one frameChunk.
 func readFrame(c net.Conn, timeout time.Duration) (typ byte, payload []byte, err error) {
 	if timeout > 0 {
 		c.SetReadDeadline(time.Now().Add(timeout))
@@ -124,15 +133,25 @@ func readFrame(c net.Conn, timeout time.Duration) (typ byte, payload []byte, err
 	if _, err := io.ReadFull(c, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int(binary.LittleEndian.Uint32(hdr[:]))
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame length %d out of range", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c, buf); err != nil {
-		return 0, nil, err
+	buf := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		k, err := io.ReadFull(c, buf[off:])
+		off += k
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised payload bytes
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if off == n {
+			return buf[0], buf[1:], nil
+		}
+		buf = append(buf, make([]byte, min(n-off, off))...)
 	}
-	return buf[0], buf[1:], nil
 }
 
 // sendHello greets the coordinator. Workers send one on connect and

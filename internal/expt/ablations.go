@@ -84,8 +84,8 @@ func AblationCWait(opts Options) Figure {
 				params.CWait = cw
 				p := stable.New(n, params)
 				r := sim.New[stable.State](p, p.InitialStates(), seed)
-				_, err := r.RunUntil(stable.Valid, 0, budget(n, 5000))
-				return trialR{stepsResult{float64(r.Steps()), err == nil}, float64(p.Resets())}
+				steps, err := stabilize(r, budget(n, 5000))
+				return trialR{stepsResult{float64(steps), err == nil}, float64(p.Resets())}
 			}) {
 			if !t.ok {
 				continue

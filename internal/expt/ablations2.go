@@ -81,7 +81,7 @@ func AblationResetWave(opts Options) Figure {
 				// constants, from the worst-case start.
 				p2 := stable.New(n, params)
 				r2 := sim.New[stable.State](p2, p2.WorstCaseInit(), seed^0x9e15)
-				if s2, err := r2.RunUntil(stable.Valid, 0, budget(n, 5000)); err == nil {
+				if s2, err := stabilize(r2, budget(n, 5000)); err == nil {
 					out.stabilized = true
 					out.norm = float64(s2) / (float64(n) * float64(n) * math.Log2(float64(n)))
 					out.resets = float64(p2.Resets())
@@ -147,7 +147,7 @@ func AblationLEBudget(opts Options) Figure {
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, params)
 				r := sim.New[stable.State](p, p.InitialStates(), seed)
-				s, err := r.RunUntil(stable.Valid, 0, budget(n, 5000))
+				s, err := stabilize(r, budget(n, 5000))
 				return trialR{stepsResult{float64(s), err == nil},
 					float64(p.ResetsFor(stable.ReasonLEExpired)), float64(p.Resets())}
 			}) {

@@ -240,13 +240,12 @@ func (o Options) shardsFor(n int) int {
 }
 
 // runner is the single-trial engine surface the generators drive.
-// All calls except RunUntilExact are chunk-level (poll cadence ≥ n
+// All calls except RunUntilExact are chunk-level (cadence ≥ n
 // interactions), so the interface indirection never sits on a
 // per-interaction path; RunUntilExact dispatches once to the engine's
 // touch-aware loop, which devirtualizes the per-interaction work.
 type runner[S any] interface {
 	Run(k int64)
-	RunUntil(stop func(states []S) bool, checkEvery, maxSteps int64) (int64, error)
 	// RunUntilExact stops a stabilization run at the exact hitting
 	// time of the stop condition, via the incremental tracker and the
 	// protocol's touch reporting: sim.RunUntilCondT on the serial
@@ -260,18 +259,13 @@ type runner[S any] interface {
 }
 
 // exactSerial adapts sim.Runner to the runner surface, routing
-// RunUntilExact through the touch-aware exact-stop path.
+// RunUntilExact through the touch-aware exact-stop path; shard.Runner
+// has the runner surface as it is.
 type exactSerial[S any, P sim.TouchReporter[S]] struct{ *sim.Runner[S, P] }
 
 func (r exactSerial[S, P]) RunUntilExact(cond sim.Condition[S], maxSteps int64) (int64, error) {
 	return sim.RunUntilCondT(r.Runner, cond, maxSteps)
 }
-
-// exactShard adapts shard.Runner; its own RunUntilExact already has
-// the runner signature, so the adapter only exists for symmetry and
-// doc purposes (the sharded engine folds per-shard touch records into
-// the tracker at each batch barrier — see internal/sim/shard/exact.go).
-type exactShard[S any, P sim.TouchReporter[S]] struct{ *shard.Runner[S, P] }
 
 // newRunner returns the engine one trial runs on: the sharded runner
 // when the options resolve to more than one shard for this population,
@@ -284,7 +278,7 @@ type exactShard[S any, P sim.TouchReporter[S]] struct{ *shard.Runner[S, P] }
 // workers, so figures stay byte-identical either way.
 func newRunner[S any, P sim.TouchReporter[S]](o Options, workers int, p P, states []S, seed uint64) runner[S] {
 	if s := o.shardsFor(len(states)); s > 1 {
-		return exactShard[S, P]{shard.New[S](p, states, seed, s, workers)}
+		return shard.New[S](p, states, seed, s, workers)
 	}
 	return exactSerial[S, P]{sim.New[S](p, states, seed)}
 }

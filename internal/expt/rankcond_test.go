@@ -12,7 +12,7 @@ import (
 
 // TestRankCondMatchesValid wires each protocol's RankOf extractor into
 // the engine's incremental condition and checks it against the
-// protocol's own Valid predicate: RunUntilCond must stop at a
+// protocol's own Valid predicate: RunUntilCondT must stop at a
 // configuration Valid accepts, and the condition must agree with Valid
 // at every sampled point along a real run. This is the equivalence the
 // RankOf doc comments promise.
@@ -45,20 +45,20 @@ func TestRankCondMatchesValid(t *testing.T) {
 	})
 }
 
-// checkAgainstValid alternates short RunUntilCond slices with direct
+// checkAgainstValid alternates short RunUntilCondT slices with direct
 // Valid evaluations: after every slice the incremental verdict must
 // match the brute-force predicate, and the run must end accepted by
 // both.
-func checkAgainstValid[S any, P sim.Protocol[S]](t *testing.T, r *sim.Runner[S, P], cond sim.Condition[S], valid func([]S) bool, maxSteps int64) {
+func checkAgainstValid[S any, P sim.TouchReporter[S]](t *testing.T, r *sim.Runner[S, P], cond sim.Condition[S], valid func([]S) bool, maxSteps int64) {
 	t.Helper()
 	for r.Steps() < maxSteps {
 		chunk := r.Steps() + 500
 		if chunk > maxSteps {
 			chunk = maxSteps
 		}
-		_, err := r.RunUntilCond(cond, chunk)
+		_, err := sim.RunUntilCondT(r, cond, chunk)
 		if got, want := err == nil, valid(r.States()); got != want {
-			t.Fatalf("after %d interactions: RunUntilCond stopped=%v but Valid=%v", r.Steps(), got, want)
+			t.Fatalf("after %d interactions: RunUntilCondT stopped=%v but Valid=%v", r.Steps(), got, want)
 		}
 		if err == nil {
 			return // converged, and Valid agrees

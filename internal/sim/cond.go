@@ -4,9 +4,10 @@ package sim
 // Init is called once with the full configuration; after every
 // interaction Update is invoked for each of the two touched agents;
 // Done reports whether the condition currently holds. Update and Done
-// must run in O(1) (amortized) so RunUntilCond can afford to evaluate
-// the condition after every single interaction instead of rescanning
-// the population on a poll cadence.
+// must run in O(1) (amortized) so the exact stop loops (RunUntilCondT,
+// and the sharded engine's barrier fold) can afford to evaluate the
+// condition after every touching interaction instead of rescanning the
+// population on a poll cadence.
 type Condition[S any] interface {
 	Init(states []S)
 	Update(i int, states []S)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"ssrank/internal/rng"
@@ -95,56 +94,5 @@ func TestRankCondReuseAcrossInit(t *testing.T) {
 	c.Init([]int{1, 2, 3})
 	if !c.Done() {
 		t.Fatal("third Init (shrunk): valid permutation rejected")
-	}
-}
-
-func TestRunUntilCondStopsExactly(t *testing.T) {
-	// RunUntilCond must stop at the first satisfying interaction, not
-	// at a poll boundary: replay the run step by step and find the
-	// true hitting time, then compare.
-	const n = 16
-	run := func() int64 {
-		r := New[int](assign{n}, make([]int, n), 5)
-		steps, err := r.RunUntilCond(NewRankCond(0, intRank), 1_000_000)
-		if err != nil {
-			t.Fatalf("did not converge: %v", err)
-		}
-		return steps
-	}
-	exact := run()
-
-	replay := New[int](assign{n}, make([]int, n), 5)
-	var manual int64
-	for !permValid(replay.States()) {
-		replay.Step()
-		manual++
-		if manual > 1_000_000 {
-			t.Fatal("replay did not converge")
-		}
-	}
-	if exact != manual {
-		t.Fatalf("RunUntilCond stopped at %d, true hitting time %d", exact, manual)
-	}
-}
-
-func TestRunUntilCondImmediate(t *testing.T) {
-	states := []int{2, 1, 3}
-	r := New[int](assign{3}, states, 1)
-	steps, err := r.RunUntilCond(NewRankCond(0, intRank), 100)
-	if err != nil || steps != 0 {
-		t.Fatalf("already-valid start: steps=%d err=%v", steps, err)
-	}
-}
-
-func TestRunUntilCondBudget(t *testing.T) {
-	// A protocol that never ranks anyone exhausts the budget exactly.
-	r := New[int](counter{}, make([]int, 4), 1)
-	cond := NewRankCond(0, func(s *int) int { return 0 })
-	steps, err := r.RunUntilCond(cond, 777)
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	if steps != 777 {
-		t.Fatalf("steps = %d, want exactly the budget", steps)
 	}
 }

@@ -37,7 +37,7 @@
 // (initial configuration, Config) at any worker count — locked by the
 // worker-invariance and record/replay tests.
 //
-// Like netsim, the package exists for fidelity, not speed: the
+// The package exists for fidelity, not speed: the
 // message store costs two orders of magnitude more per interaction
 // than the in-place hot loop. Use it to measure what imperfect
 // communication does to stabilization, not to measure stabilization

@@ -118,40 +118,36 @@ func (f *Folder[S]) Fold(cond sim.Condition[S], recs []TouchRec[S]) int64 {
 	return -1
 }
 
-// ensureTracking allocates the per-unit recording scratch once per
-// Runner; later exact runs reuse it.
-func (r *Runner[S, P]) ensureTracking() {
-	if r.intraRecs == nil {
-		n, c := len(r.shards), len(r.classes)
-		r.intraOff = make([]int32, n)
-		r.crossOff = make([]int32, c)
-		r.intraRecs = make([][]TouchRec[S], n)
-		r.crossRecs = make([][]TouchRec[S], c)
-	}
-}
-
-// ExecBatch implements BarrierExchange in-process: the batch executes
-// on the Runner's own workers, and each unit's record slice is emitted
-// (then recycled) in canonical unit order — intra shards in shard
-// order, then cross units in tournament-round order.
+// ExecBatch executes one batch of b interactions through the phase
+// API — the in-process executor behind Run and RunUntilExact, and the
+// Runner's BarrierExchange implementation. Each phase's units run on
+// the worker pool while Run or RunUntilExact holds one (joined at the
+// phase barrier), else inline on the caller's goroutine; untracked
+// batches run the same units with recording off. When track is set,
+// each unit's record slice is emitted in canonical unit order — intra
+// shards in shard order, then cross units in tournament-round order.
 func (r *Runner[S, P]) ExecBatch(b int, track bool, emit func(recs []TouchRec[S])) error {
+	r.ClassifyBatch(b)
+	r.begin(track, false)
+	for _, phase := range r.phases {
+		if r.tasks == nil {
+			for _, u := range phase {
+				r.execUnit(u, &r.scratch)
+			}
+			continue
+		}
+		r.wg.Add(len(phase))
+		for _, u := range phase {
+			r.tasks <- u
+		}
+		r.wg.Wait() // phase barrier
+	}
+	r.FinishBatch(b)
 	if track {
-		r.ensureTracking()
-		r.tracking = true
-	}
-	r.runBatch(b)
-	r.tracking = false
-	if !track {
-		return nil
-	}
-	for s := range r.intraRecs {
-		emit(r.intraRecs[s])
-		r.intraRecs[s] = r.intraRecs[s][:0]
-	}
-	for _, round := range r.rounds {
-		for _, c := range round {
-			emit(r.crossRecs[c])
-			r.crossRecs[c] = r.crossRecs[c][:0]
+		for _, phase := range r.phases {
+			for _, u := range phase {
+				emit(r.recs[u])
+			}
 		}
 	}
 	return nil

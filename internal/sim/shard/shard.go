@@ -52,15 +52,20 @@
 // freely but must synchronize any shared mutable instrumentation
 // (stable.Protocol and aware.Protocol use atomic reset counters).
 //
+// Every batch runs through one executor, the phase API of units.go:
+// in-process on a worker pool (Run, RunUntilExact), or unit by unit
+// from outside (the distributed runtime). An untracked batch is the
+// same units with recording off.
+//
 // Unlike sim.Runner, the trajectory additionally depends on where
 // batch barriers fall: Run(k) flushes a partial batch at its end so
-// the caller may inspect states, which makes the poll cadence of
-// RunUntil / Observe part of the trajectory definition. Determinism
-// guarantees are therefore stated for a fixed call sequence — which is
-// how the experiment generators drive the engine. RunUntilExact always
-// runs full batches, so its barrier placement (and hence its
-// trajectory) is a pure function of (seed, S, budget) — no cadence
-// enters the definition.
+// the caller may inspect states, which makes the cadence of Observe
+// part of the trajectory definition. Determinism guarantees are
+// therefore stated for a fixed call sequence — which is how the
+// experiment generators drive the engine. RunUntilExact always runs
+// full batches, so its barrier placement (and hence its trajectory) is
+// a pure function of (seed, S, budget) — no cadence enters the
+// definition.
 package shard
 
 import (
@@ -167,34 +172,33 @@ type Runner[S any, P sim.TouchReporter[S]] struct {
 	// s < S is shard s's intra count, entry S+c is unit c's
 	// forward count (initiator in the lower shard), entry S+C+c its
 	// reverse count.
-	counts  []int32
-	rounds  [][]int      // tournament schedule: unit ids playable concurrently
-	scratch crossScratch // endpoint-fill buffers for the single-worker path
-	tasks   chan task
+	counts []int32
+	rounds [][]int // tournament schedule: cross-unit ids playable concurrently
+
+	// phases is the batch as the executor runs it: the intra phase (unit
+	// s = shard s's intra pairs), then one phase per tournament round
+	// (unit S+c = cross unit c). Units of one phase touch disjoint
+	// memory; phase order is the canonical application order.
+	phases  [][]int
+	scratch crossScratch // endpoint-fill buffers for units run inline
+	tasks   chan int     // the worker pool's unit queue while Run/RunUntilExact hold one
 	wg      sync.WaitGroup
 
-	// Exact-stop tracking scratch (exact.go), allocated on the first
-	// RunUntilExact. While tracking is set, applyIntra/applyCross record
-	// every touched interaction with its canonical batch position so the
-	// barrier fold can replay the batch into the stop tracker. Each unit
-	// (shard or cross class) writes only its own record slice, so
-	// recording is race-free without synchronization.
-	tracking  bool
-	intraOff  []int32 // canonical batch offset of shard s's intra pairs
-	crossOff  []int32 // canonical batch offset of class c's pairs
-	intraRecs [][]TouchRec[S]
-	crossRecs [][]TouchRec[S]
-	folder    *Folder[S] // shadow replay state for in-process exact runs
-
-	// Modified-agent collection (units.go), armed by BeginBatch for
-	// distributed workers: while collect is set, the tracked appliers
-	// additionally append every endpoint index a unit draws to the
-	// unit's private dirty slice — the worker's per-phase delta frames.
-	// Touch records alone cannot serve: a transition may mutate state
-	// without moving any condition-relevant projection.
-	collect    bool
-	dirtyIntra [][]int32
-	dirtyCross [][]int32
+	// Per-unit recording, indexed by unit id and armed per batch by
+	// BeginBatch. While tracking is set, every unit records its touched
+	// interactions with their canonical batch positions (off[u] plus the
+	// slot) so the barrier fold can replay the batch into the stop
+	// tracker (exact.go). While collect is set, every unit also logs the
+	// endpoint indices it draws — a distributed worker's per-phase delta
+	// frames; touch records alone cannot serve, since a transition may
+	// mutate state without moving any condition-relevant projection.
+	// Each unit writes only its own slices, so recording is race-free
+	// without synchronization.
+	tracking, collect bool
+	off               []int32
+	recs              [][]TouchRec[S]
+	dirty             [][]int32
+	folder            *Folder[S] // shadow replay state for in-process exact runs
 }
 
 // shardMeta is one shard: its index range [lo, hi) in the population
@@ -223,17 +227,10 @@ type classMeta struct {
 const crossChunk = 512
 
 // crossScratch is one worker's endpoint-fill buffers. Workers own
-// their scratch (the single-worker path owns one on the Runner), so
-// units may share buffers without synchronization.
+// their scratch (units run inline use the Runner's), so units may
+// share buffers without synchronization.
 type crossScratch struct {
 	as, bs [crossChunk]int32
-}
-
-// task is one unit of deterministic work inside a phase: either a
-// shard's intra pairs or a class's cross pairs.
-type task struct {
-	cross bool
-	idx   int
 }
 
 // assignOffsets gives every unit its canonical offset within the
@@ -246,14 +243,13 @@ type task struct {
 func (r *Runner[S, P]) assignOffsets() {
 	nshards, nclasses := len(r.shards), len(r.classes)
 	off := int32(0)
-	for s := 0; s < nshards; s++ {
-		r.intraOff[s] = off
-		off += r.counts[s]
-	}
-	for _, round := range r.rounds {
-		for _, c := range round {
-			r.crossOff[c] = off
-			off += r.counts[nshards+c] + r.counts[nshards+nclasses+c]
+	for _, phase := range r.phases {
+		for _, u := range phase {
+			r.off[u] = off
+			off += r.counts[u]
+			if u >= nshards {
+				off += r.counts[u+nclasses] // the unit's reverse class
+			}
 		}
 	}
 }
@@ -347,13 +343,23 @@ func New[S any, P sim.TouchReporter[S]](p P, states []S, seed uint64, shards, wo
 	}
 	r.alias = rng.NewAliasTable(weights)
 
-	// Tournament rounds over the compact class ids.
+	// Tournament rounds over the compact class ids, and the phases the
+	// executor runs: every shard's intra unit, then the rounds' cross
+	// units.
+	intra := make([]int, shards)
+	for s := range intra {
+		intra[s] = s
+	}
+	r.phases = append(r.phases, intra)
 	for _, round := range tournament(shards) {
 		ids := make([]int, len(round))
+		units := make([]int, len(round))
 		for i, c := range round {
 			ids[i] = classIndex(c/shards, c%shards, shards)
+			units[i] = shards + ids[i]
 		}
 		r.rounds = append(r.rounds, ids)
+		r.phases = append(r.phases, units)
 	}
 
 	r.batch = BatchPeriod(n)
@@ -381,13 +387,13 @@ func (r *Runner[S, P]) Snapshot() []S {
 
 // startWorkers spawns the per-call worker pool (none for a single
 // worker) and returns the function that retires it. Phase barriers
-// guarantee no task is in flight at retirement, so closing the channel
+// guarantee no unit is in flight at retirement, so closing the channel
 // suffices; an idle Runner holds no goroutines.
 func (r *Runner[S, P]) startWorkers() (stop func()) {
 	if r.workers <= 1 {
 		return func() {}
 	}
-	r.tasks = make(chan task, len(r.shards))
+	r.tasks = make(chan int, len(r.shards)) // a phase has at most S units
 	for w := 0; w < r.workers; w++ {
 		go r.worker(r.tasks)
 	}
@@ -404,139 +410,76 @@ func (r *Runner[S, P]) Run(k int64) {
 	stop := r.startWorkers()
 	defer stop()
 	for k > 0 {
-		b := int64(r.batch)
-		if b > k {
-			b = k
-		}
-		r.runBatch(int(b))
+		b := min(int64(r.batch), k)
+		r.ExecBatch(int(b), false, nil)
 		k -= b
 	}
 }
 
-// worker executes phase tasks with its own endpoint-fill scratch.
-// Every task touches memory disjoint from every other task of its
-// phase, so execution order is free.
-func (r *Runner[S, P]) worker(tasks <-chan task) {
+// worker executes units with its own endpoint-fill scratch. Every unit
+// touches memory disjoint from every other unit of its phase, so
+// execution order is free.
+func (r *Runner[S, P]) worker(units <-chan int) {
 	var scratch crossScratch
-	for t := range tasks {
-		if t.cross {
-			r.applyCross(t.idx, &scratch)
-		} else {
-			r.applyIntra(t.idx)
-		}
+	for u := range units {
+		r.execUnit(u, &scratch)
 		r.wg.Done()
 	}
 }
 
-// runBatch draws the batch's class-count multinomial and plays the
-// canonical schedule: intra phase, barrier, cross rounds. The
-// coordinator's serial work is the CountsInto histogram (one draw per
-// slot) plus O(S²) count publication — no per-pair lists, no endpoint
-// draws; workers start the instant the counts land.
-func (r *Runner[S, P]) runBatch(b int) {
-	nshards := len(r.shards)
-	nclasses := len(r.classes)
-	r.ClassifyBatch(b)
-	if r.tracking {
-		r.assignOffsets()
-	}
-
-	// Intra phase: one task per shard with work.
-	if r.workers == 1 {
-		for s := 0; s < nshards; s++ {
-			if r.counts[s] > 0 {
-				r.applyIntra(s)
-			}
-		}
+// execUnit executes unit u of the current batch: shard u's intra pairs
+// for u < S, else cross unit u−S.
+func (r *Runner[S, P]) execUnit(u int, scratch *crossScratch) {
+	if u < len(r.shards) {
+		r.ExecIntra(u)
 	} else {
-		for s := 0; s < nshards; s++ {
-			if r.counts[s] > 0 {
-				r.wg.Add(1)
-				r.tasks <- task{idx: s}
-			}
-		}
-		r.wg.Wait() // batch barrier
+		r.applyCross(u-len(r.shards), scratch)
 	}
-
-	// Cross reconciliation in tournament rounds: units of one round
-	// touch disjoint shard pairs, so they run concurrently; pairs
-	// within a unit apply in the unit stream's draw order, forward
-	// direction before reverse.
-	for _, round := range r.rounds {
-		if r.workers == 1 {
-			for _, c := range round {
-				if r.counts[nshards+c]+r.counts[nshards+nclasses+c] > 0 {
-					r.applyCross(c, &r.scratch)
-				}
-			}
-			continue
-		}
-		for _, c := range round {
-			if r.counts[nshards+c]+r.counts[nshards+nclasses+c] > 0 {
-				r.wg.Add(1)
-				r.tasks <- task{cross: true, idx: c}
-			}
-		}
-		r.wg.Wait()
-	}
-
-	r.steps += int64(b)
 }
 
-// applyIntra applies shard s's intra pairs for this batch, drawing
-// them from the shard's own stream in slot order. In tracking mode it
-// additionally records every touched interaction into the shard's
-// private record slice — no other unit writes it, so recording needs
-// no synchronization.
-func (r *Runner[S, P]) applyIntra(s int) {
+// ExecIntra executes shard s's intra pairs for the current batch,
+// drawing them from the shard's own stream in slot order (a no-op at
+// count zero). While the batch tracks, every touched interaction is
+// recorded into the shard's private record slice; while it collects,
+// every drawn endpoint is logged into the shard's dirty slice. No other
+// unit writes either, so distinct shards may execute concurrently.
+func (r *Runner[S, P]) ExecIntra(s int) {
 	sh := &r.shards[s]
 	slab := r.states[sh.lo:sh.hi]
-	if !r.tracking {
-		for cnt := int(r.counts[s]); cnt > 0; {
-			as, bs := sh.pb.Window()
-			m := cnt
-			if m > len(as) {
-				m = len(as)
-			}
-			for i := 0; i < m; i++ {
-				r.proto.Transition(&slab[as[i]], &slab[bs[i]])
-			}
-			sh.pb.Advance(m)
-			cnt -= m
-		}
-		return
-	}
-	recs := r.intraRecs[s][:0]
+	track, collect := r.tracking, r.collect
+	var recs []TouchRec[S]
 	var dirty []int32
-	if r.collect {
-		dirty = r.dirtyIntra[s][:0]
+	var pos int32
+	if track {
+		recs, pos = r.recs[s][:0], r.off[s]
 	}
-	lo, pos := int32(sh.lo), r.intraOff[s]
+	if collect {
+		dirty = r.dirty[s][:0]
+	}
+	lo := int32(sh.lo)
 	for cnt := int(r.counts[s]); cnt > 0; {
 		as, bs := sh.pb.Window()
-		m := cnt
-		if m > len(as) {
-			m = len(as)
-		}
+		m := min(cnt, len(as))
 		for i := 0; i < m; i++ {
 			a, b := as[i], bs[i]
-			ut, vt := r.proto.TransitionT(&slab[a], &slab[b])
-			if ut || vt {
-				recs = append(recs, newTouchRec(pos, ut, vt, lo+a, lo+b, slab[a], slab[b]))
+			if ut, vt := r.proto.TransitionT(&slab[a], &slab[b]); track && (ut || vt) {
+				recs = append(recs, newTouchRec(pos+int32(i), ut, vt, lo+a, lo+b, slab[a], slab[b]))
 			}
-			pos++
 		}
-		if r.collect {
+		if collect {
 			for i := 0; i < m; i++ {
 				dirty = append(dirty, lo+as[i], lo+bs[i])
 			}
 		}
+		pos += int32(m)
 		sh.pb.Advance(m)
 		cnt -= m
 	}
-	r.intraRecs[s] = recs
-	if r.collect {
-		r.dirtyIntra[s] = dirty
+	if track {
+		r.recs[s] = recs
+	}
+	if collect {
+		r.dirty[s] = dirty
 	}
 }
 
@@ -547,84 +490,57 @@ func (r *Runner[S, P]) applyIntra(s int) {
 // indices, then the chunk's transitions apply in slot order.
 // Conditioned on a directional class, two uniform slab indices are
 // exactly a uniform ordered cross pair, so no orientation draw is
-// needed. In tracking mode it records touched interactions into the
-// unit's private record slice (see applyIntra); forward pairs precede
-// reverse pairs in the canonical order.
+// needed. Recording follows ExecIntra; forward pairs precede reverse
+// pairs in the canonical order.
 func (r *Runner[S, P]) applyCross(c int, scratch *crossScratch) {
 	cl := &r.classes[c]
-	fwd := int(r.counts[len(r.shards)+c])
-	rev := int(r.counts[len(r.shards)+len(r.classes)+c])
-	if !r.tracking {
-		r.crossDir(cl, fwd, false, scratch)
-		r.crossDir(cl, rev, true, scratch)
-		return
-	}
-	recs := r.crossRecs[c][:0]
+	u := len(r.shards) + c
+	var recs []TouchRec[S]
 	var dirty []int32
-	if r.collect {
-		dirty = r.dirtyCross[c][:0]
+	var pos int32
+	if r.tracking {
+		recs, pos = r.recs[u][:0], r.off[u]
 	}
-	pos := r.crossOff[c]
-	recs, dirty, pos = r.crossDirT(cl, fwd, false, scratch, recs, dirty, pos)
-	recs, dirty, _ = r.crossDirT(cl, rev, true, scratch, recs, dirty, pos)
-	r.crossRecs[c] = recs
 	if r.collect {
-		r.dirtyCross[c] = dirty
+		dirty = r.dirty[u][:0]
+	}
+	recs, dirty, pos = r.applyDir(cl, int(r.counts[u]), false, scratch, recs, dirty, pos)
+	recs, dirty, _ = r.applyDir(cl, int(r.counts[u+len(r.classes)]), true, scratch, recs, dirty, pos)
+	if r.tracking {
+		r.recs[u] = recs
+	}
+	if r.collect {
+		r.dirty[u] = dirty
 	}
 }
 
-// crossDir applies cnt pairs of one directional class of unit cl:
-// initiator in shard s when reverse is false, in shard t when true.
-func (r *Runner[S, P]) crossDir(cl *classMeta, cnt int, reverse bool, scratch *crossScratch) {
-	for cnt > 0 {
-		m := cnt
-		if m > crossChunk {
-			m = crossChunk
-		}
-		as, bs := scratch.as[:m], scratch.bs[:m]
-		cl.us.FillInto(cl.g, as)
-		cl.ut.FillInto(cl.g, bs)
-		if reverse {
-			for i := 0; i < m; i++ {
-				r.proto.Transition(&r.states[cl.lot+bs[i]], &r.states[cl.los+as[i]])
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				r.proto.Transition(&r.states[cl.los+as[i]], &r.states[cl.lot+bs[i]])
-			}
-		}
-		cnt -= m
+// applyDir applies cnt pairs of one directional class of unit cl —
+// initiator in shard s when reverse is false, in shard t when true —
+// appending touch records from canonical position pos and endpoint
+// indices as the batch's recording modes ask.
+func (r *Runner[S, P]) applyDir(cl *classMeta, cnt int, reverse bool, scratch *crossScratch, recs []TouchRec[S], dirty []int32, pos int32) ([]TouchRec[S], []int32, int32) {
+	track, collect := r.tracking, r.collect
+	// Initiator and responder sides: slab origin and index buffer.
+	iorg, rorg, ias, ras := cl.los, cl.lot, scratch.as[:], scratch.bs[:]
+	if reverse {
+		iorg, rorg, ias, ras = rorg, iorg, ras, ias
 	}
-}
-
-// crossDirT is crossDir in tracking mode: same draws, same application
-// order, every touched interaction recorded with its canonical batch
-// position.
-func (r *Runner[S, P]) crossDirT(cl *classMeta, cnt int, reverse bool, scratch *crossScratch, recs []TouchRec[S], dirty []int32, pos int32) ([]TouchRec[S], []int32, int32) {
 	for cnt > 0 {
-		m := cnt
-		if m > crossChunk {
-			m = crossChunk
-		}
-		as, bs := scratch.as[:m], scratch.bs[:m]
-		cl.us.FillInto(cl.g, as)
-		cl.ut.FillInto(cl.g, bs)
+		m := min(cnt, crossChunk)
+		cl.us.FillInto(cl.g, scratch.as[:m])
+		cl.ut.FillInto(cl.g, scratch.bs[:m])
 		for i := 0; i < m; i++ {
-			a, b := cl.los+as[i], cl.lot+bs[i]
-			if reverse {
-				a, b = b, a
+			a, b := iorg+ias[i], rorg+ras[i]
+			if ut, vt := r.proto.TransitionT(&r.states[a], &r.states[b]); track && (ut || vt) {
+				recs = append(recs, newTouchRec(pos+int32(i), ut, vt, a, b, r.states[a], r.states[b]))
 			}
-			ut, vt := r.proto.TransitionT(&r.states[a], &r.states[b])
-			if ut || vt {
-				recs = append(recs, newTouchRec(pos, ut, vt, a, b, r.states[a], r.states[b]))
-			}
-			pos++
 		}
-		if r.collect {
+		if collect {
 			for i := 0; i < m; i++ {
-				dirty = append(dirty, cl.los+as[i], cl.lot+bs[i])
+				dirty = append(dirty, cl.los+scratch.as[i], cl.lot+scratch.bs[i])
 			}
 		}
+		pos += int32(m)
 		cnt -= m
 	}
 	return recs, dirty, pos
@@ -636,34 +552,6 @@ func (r *Runner[S, P]) crossDirT(cl *classMeta, cnt int, reverse bool, scratch *
 // specification and the anchor of the partition tests.
 func (r *Runner[S, P]) shardOf(i int) int {
 	return ((i+1)*len(r.shards) - 1) / len(r.states)
-}
-
-// RunUntil executes interactions until stop returns true, polling the
-// condition every checkEvery interactions (values < 1 poll every n
-// interactions), exactly as sim.Runner.RunUntil. It returns the number
-// of interactions executed at the first poll where the condition held.
-// If the condition does not hold within maxSteps interactions it stops
-// and returns sim.ErrBudgetExhausted. Callers measuring hitting times
-// should use RunUntilExact, which stops exactly instead of at the poll
-// cadence.
-func (r *Runner[S, P]) RunUntil(stop func(states []S) bool, checkEvery, maxSteps int64) (int64, error) {
-	if checkEvery < 1 {
-		checkEvery = int64(len(r.states))
-	}
-	if stop(r.states) {
-		return r.steps, nil
-	}
-	for r.steps < maxSteps {
-		chunk := checkEvery
-		if remaining := maxSteps - r.steps; chunk > remaining {
-			chunk = remaining
-		}
-		r.Run(chunk)
-		if stop(r.states) {
-			return r.steps, nil
-		}
-	}
-	return r.steps, sim.ErrBudgetExhausted
 }
 
 // Observe executes interactions until stop returns true or maxSteps is

@@ -228,26 +228,6 @@ func TestUniformPairLaw(t *testing.T) {
 	}
 }
 
-// TestRunUntilSemantics pins the sim.Runner-compatible contract:
-// immediate stop, poll-cadence stopping, and budget exhaustion.
-func TestRunUntilSemantics(t *testing.T) {
-	p := stable.New(64, stable.DefaultParams())
-	r := New[stable.State](p, p.InitialStates(), 5, 4, 2)
-
-	steps, err := r.RunUntil(func([]stable.State) bool { return true }, 0, 1000)
-	if err != nil || steps != 0 {
-		t.Fatalf("pre-satisfied stop: steps=%d err=%v", steps, err)
-	}
-
-	steps, err = r.RunUntil(func([]stable.State) bool { return false }, 100, 1234)
-	if err != sim.ErrBudgetExhausted {
-		t.Fatalf("expected ErrBudgetExhausted, got %v", err)
-	}
-	if steps != 1234 {
-		t.Fatalf("budget run executed %d steps, want 1234", steps)
-	}
-}
-
 // TestObserveCadence verifies Observe fires at the same step sequence
 // as sim.Runner.Observe for a matching cadence and budget.
 func TestObserveCadence(t *testing.T) {
@@ -438,10 +418,40 @@ func ksStatistic(a, b []float64) float64 {
 	return d
 }
 
+// epidemicCond is the one-way epidemic's completion as an incremental
+// Condition: it counts the members not yet infected. Infection is
+// monotone, so a touched member can only move from susceptible to
+// infected.
+type epidemicCond struct {
+	infected []bool
+	left     int
+}
+
+func (c *epidemicCond) Init(states []epidemic.State) {
+	c.infected = make([]bool, len(states))
+	c.left = 0
+	for i, s := range states {
+		c.infected[i] = s.Infected
+		if s.Member && !s.Infected {
+			c.left++
+		}
+	}
+}
+
+func (c *epidemicCond) Update(i int, states []epidemic.State) {
+	if s := states[i]; s.Member && s.Infected && !c.infected[i] {
+		c.infected[i] = true
+		c.left--
+	}
+}
+
+func (c *epidemicCond) Done() bool { return c.left == 0 }
+
 // TestStatisticalEquivalence compares stabilization-time distributions
 // between the sharded and unsharded engines at n = 10³ on the one-way
 // epidemic (its absorbing time is this repo's cheapest stabilization
-// statistic at that scale). The engines follow different trajectories
+// statistic at that scale), both stopped at the exact hitting time
+// (sim.RunUntilCondT and RunUntilExact). The engines follow different trajectories
 // by construction, so the check is distributional: a two-sample KS
 // test at α = 0.001 plus a 3-SE overlap check on the means. Seeds are
 // fixed, so the test is deterministic — it guards against law-level
@@ -454,7 +464,6 @@ func TestStatisticalEquivalence(t *testing.T) {
 	const (
 		n      = 1000
 		trials = 120
-		poll   = n / 4
 	)
 	budget := int64(100 * n * int(math.Log2(n)))
 	completion := func(trial int, sharded bool) float64 {
@@ -462,14 +471,14 @@ func TestStatisticalEquivalence(t *testing.T) {
 		states := epidemic.InitialStates(n, n)
 		if sharded {
 			r := New[epidemic.State](epidemic.Protocol{}, states, seed, 4, 2)
-			steps, err := r.RunUntil(epidemic.Done, poll, budget)
+			steps, err := r.RunUntilExact(&epidemicCond{}, budget)
 			if err != nil {
 				t.Fatalf("sharded trial %d never completed", trial)
 			}
 			return float64(steps)
 		}
 		r := sim.New[epidemic.State](epidemic.Protocol{}, states, seed)
-		steps, err := r.RunUntil(epidemic.Done, poll, budget)
+		steps, err := sim.RunUntilCondT(r, &epidemicCond{}, budget)
 		if err != nil {
 			t.Fatalf("serial trial %d never completed", trial)
 		}

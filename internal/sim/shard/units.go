@@ -6,15 +6,16 @@ import (
 	"ssrank/internal/rng"
 )
 
-// This file is the unit-level execution API of the Runner, consumed by
-// the distributed runtime (internal/dist). A distributed batch splits
-// the Runner's roles across processes: the coordinator classifies the
-// batch (ClassifyBatch) and folds the barrier, while each worker —
-// holding a full Runner as a population mirror — executes only the
-// units it owns (BeginBatch, ExecIntra/ExecCross, FinishBatch) and
-// reports its touch records, modified agents, and stream positions.
-// In-process callers never need these; Run/RunUntilExact drive whole
-// batches.
+// This file is the Runner's phase API — the one batch executor. A
+// batch is ClassifyBatch (the master's class-count draw), BeginBatch
+// (install counts, arm recording), the units of each phase
+// (ExecIntra per shard, then ExecCross per tournament round, in round
+// order), and FinishBatch. ExecBatch drives it in-process for Run and
+// RunUntilExact; the distributed runtime (internal/dist) splits it
+// across processes — the coordinator classifies the batch and folds
+// the barrier, while each worker, holding a full Runner as a
+// population mirror, executes only the units it owns and reports its
+// touch records, modified agents and stream positions.
 
 // ClassifyBatch draws one batch's class-count multinomial from the
 // master stream — the coordinator side of a distributed batch, exactly
@@ -43,55 +44,43 @@ func (r *Runner[S, P]) BeginBatch(counts []int32, track, collect bool) error {
 		return fmt.Errorf("shard: batch counts have %d classes, runner has %d", len(counts), len(r.counts))
 	}
 	copy(r.counts, counts)
-	if track {
-		r.ensureTracking()
-		for i := range r.intraRecs {
-			r.intraRecs[i] = r.intraRecs[i][:0]
-		}
-		for i := range r.crossRecs {
-			r.crossRecs[i] = r.crossRecs[i][:0]
-		}
-	}
-	if collect {
-		if r.dirtyIntra == nil {
-			r.dirtyIntra = make([][]int32, len(r.shards))
-			r.dirtyCross = make([][]int32, len(r.classes))
-		}
-		for i := range r.dirtyIntra {
-			r.dirtyIntra[i] = r.dirtyIntra[i][:0]
-		}
-		for i := range r.dirtyCross {
-			r.dirtyCross[i] = r.dirtyCross[i][:0]
-		}
-	}
-	r.tracking = track
-	r.collect = collect
-	if track {
-		r.assignOffsets()
-	}
+	r.begin(track, collect)
 	return nil
 }
 
-// ExecIntra executes shard s's intra pairs for the current externally
-// driven batch (a no-op at count zero). Units run on the caller's
-// goroutine: a distributed worker's parallelism is process-level, so
-// its in-process execution is serial.
-func (r *Runner[S, P]) ExecIntra(s int) {
-	if r.counts[s] > 0 {
-		r.applyIntra(s)
+// begin arms the current batch's recording modes over the installed
+// counts; the per-unit slices are allocated on first use.
+func (r *Runner[S, P]) begin(track, collect bool) {
+	units := len(r.shards) + len(r.classes)
+	if track {
+		if r.recs == nil {
+			r.off = make([]int32, units)
+			r.recs = make([][]TouchRec[S], units)
+		}
+		for u := range r.recs {
+			r.recs[u] = r.recs[u][:0]
+		}
+		r.assignOffsets()
 	}
+	if collect {
+		if r.dirty == nil {
+			r.dirty = make([][]int32, units)
+		}
+		for u := range r.dirty {
+			r.dirty[u] = r.dirty[u][:0]
+		}
+	}
+	r.tracking, r.collect = track, collect
 }
 
 // ExecCross executes cross unit c's pairs (both directions, forward
-// before reverse) for the current externally driven batch.
-func (r *Runner[S, P]) ExecCross(c int) {
-	if r.counts[len(r.shards)+c]+r.counts[len(r.shards)+len(r.classes)+c] > 0 {
-		r.applyCross(c, &r.scratch)
-	}
-}
+// before reverse) for the current batch on the caller's goroutine.
+// Inline units share one endpoint-fill buffer, so two ExecCross calls
+// must not run concurrently.
+func (r *Runner[S, P]) ExecCross(c int) { r.applyCross(c, &r.scratch) }
 
-// FinishBatch retires one externally driven batch: commits its step
-// count and disarms recording.
+// FinishBatch retires the current batch: commits its step count and
+// disarms recording.
 func (r *Runner[S, P]) FinishBatch(b int) {
 	r.steps += int64(b)
 	r.tracking = false
@@ -101,20 +90,20 @@ func (r *Runner[S, P]) FinishBatch(b int) {
 // IntraRecs returns shard s's touch records for the current batch,
 // valid until the next BeginBatch (canonical positions already
 // assigned).
-func (r *Runner[S, P]) IntraRecs(s int) []TouchRec[S] { return r.intraRecs[s] }
+func (r *Runner[S, P]) IntraRecs(s int) []TouchRec[S] { return r.recs[s] }
 
 // CrossRecs returns cross unit c's touch records for the current
 // batch, valid until the next BeginBatch.
-func (r *Runner[S, P]) CrossRecs(c int) []TouchRec[S] { return r.crossRecs[c] }
+func (r *Runner[S, P]) CrossRecs(c int) []TouchRec[S] { return r.recs[len(r.shards)+c] }
 
 // DirtyIntra returns the population indices shard s's intra pairs
 // touched this batch, in application order, possibly with duplicates.
 // Valid until the next BeginBatch; requires collect mode.
-func (r *Runner[S, P]) DirtyIntra(s int) []int32 { return r.dirtyIntra[s] }
+func (r *Runner[S, P]) DirtyIntra(s int) []int32 { return r.dirty[s] }
 
 // DirtyCross returns the population indices cross unit c's pairs
 // touched this batch (see DirtyIntra).
-func (r *Runner[S, P]) DirtyCross(c int) []int32 { return r.dirtyCross[c] }
+func (r *Runner[S, P]) DirtyCross(c int) []int32 { return r.dirty[len(r.shards)+c] }
 
 // NumCrossUnits returns the number of cross units C = S(S−1)/2.
 func (r *Runner[S, P]) NumCrossUnits() int { return len(r.classes) }

@@ -123,9 +123,10 @@ func (r *Runner[S, P]) Run(k int64) {
 // The condition is also checked once before the first interaction, so a
 // configuration that already satisfies stop returns immediately.
 //
-// Conditions that can be maintained incrementally should instead be
-// expressed as a Condition and run through RunUntilCond, which stops
-// exactly at the first satisfying interaction.
+// It is the fallback for predicates without an incremental tracker:
+// conditions that can be maintained incrementally are expressed as a
+// Condition and run through RunUntilCondT, which stops exactly at the
+// first satisfying interaction.
 func (r *Runner[S, P]) RunUntil(stop func(states []S) bool, checkEvery, maxSteps int64) (int64, error) {
 	if checkEvery < 1 {
 		checkEvery = int64(len(r.states))
@@ -142,43 +143,6 @@ func (r *Runner[S, P]) RunUntil(stop func(states []S) bool, checkEvery, maxSteps
 		if stop(r.states) {
 			return r.steps, nil
 		}
-	}
-	return r.steps, ErrBudgetExhausted
-}
-
-// RunUntilCond executes interactions until the incrementally
-// maintained condition reports Done, or maxSteps interactions have
-// been executed (ErrBudgetExhausted). Unlike RunUntil it evaluates the
-// condition after every interaction in O(1) amortized time, so it
-// stops exactly at the first interaction after which the condition
-// holds — no poll-cadence rounding.
-//
-// The condition is initialized from the current configuration and
-// checked once before the first interaction.
-func (r *Runner[S, P]) RunUntilCond(cond Condition[S], maxSteps int64) (int64, error) {
-	cond.Init(r.states)
-	if cond.Done() {
-		return r.steps, nil
-	}
-	states := r.states
-	for r.steps < maxSteps {
-		as, bs := r.pairs.Window()
-		if remaining := maxSteps - r.steps; int64(len(as)) > remaining {
-			as, bs = as[:remaining], bs[:remaining]
-		}
-		for i, a := range as {
-			b := bs[i]
-			r.proto.Transition(&states[a], &states[b])
-			cond.Update(int(a), states)
-			cond.Update(int(b), states)
-			if cond.Done() {
-				r.pairs.Advance(i + 1)
-				r.steps += int64(i + 1)
-				return r.steps, nil
-			}
-		}
-		r.pairs.Advance(len(as))
-		r.steps += int64(len(as))
 	}
 	return r.steps, ErrBudgetExhausted
 }

@@ -148,12 +148,14 @@ func (e *condEngine[S, P]) run(k int64) int64 {
 
 // RunUntilCondT executes interactions until the incrementally
 // maintained condition reports Done, or maxSteps interactions have been
-// executed (ErrBudgetExhausted). It is the touch-aware form of
-// Runner.RunUntilCond: the protocol's TransitionT reports which agents
-// changed condition-relevant state, and only those interactions pay
-// tracker calls — unchanged interactions, the overwhelming majority
-// near convergence, run at plain Run-loop speed (see condEngine.run for
-// the collision-free sub-batch machinery).
+// executed (ErrBudgetExhausted) — the serial engine's one exact stop
+// loop. The protocol's TransitionT reports which agents changed
+// condition-relevant state, and only those interactions pay tracker
+// calls — unchanged interactions, the overwhelming majority near
+// convergence, run at plain Run-loop speed (see condEngine.run for the
+// collision-free sub-batch machinery). The result is the hitting time
+// a per-interaction loop (Step, Update both agents, check Done) would
+// report.
 //
 // The returned step count is the exact hitting time. Because
 // transitions of the hit's sub-batch may already have been applied

@@ -107,13 +107,32 @@ func TestRunUntilCondTTransientHit(t *testing.T) {
 	}
 }
 
+// stepUntil is the per-interaction reference stop loop: Step, then
+// Update both endpoints, then Done — the definition RunUntilCondT's
+// sub-batch fold must reproduce.
+func stepUntil(r *Runner[int, assign], cond Condition[int], maxSteps int64) (int64, error) {
+	cond.Init(r.States())
+	for !cond.Done() {
+		if r.Steps() >= maxSteps {
+			return r.Steps(), ErrBudgetExhausted
+		}
+		as, bs := r.pairs.Window() // the pair Step consumes next
+		a, b := int(as[0]), int(bs[0])
+		r.Step()
+		cond.Update(a, r.States())
+		cond.Update(b, r.States())
+	}
+	return r.Steps(), nil
+}
+
 func TestRunUntilCondTMatchesRunUntilCond(t *testing.T) {
-	// Same condition, same protocol, same seed: the touch-aware and the
-	// per-interaction paths must report the same hitting time.
+	// Same condition, same protocol, same seed: the touch-aware path and
+	// the per-interaction reference loop must report the same hitting
+	// time.
 	const n = 32
 	for seed := uint64(1); seed <= 6; seed++ {
 		a := New[int](assign{n}, make([]int, n), seed)
-		sa, err := a.RunUntilCond(NewRankCond(0, intRank), 1_000_000)
+		sa, err := stepUntil(a, NewRankCond(0, intRank), 1_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +142,7 @@ func TestRunUntilCondTMatchesRunUntilCond(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sa != sb {
-			t.Fatalf("seed %d: RunUntilCond %d vs RunUntilCondT %d", seed, sa, sb)
+			t.Fatalf("seed %d: reference loop %d vs RunUntilCondT %d", seed, sa, sb)
 		}
 	}
 }
