@@ -172,14 +172,15 @@ func ResumeSimulation(cfg Config, data []byte) (*Simulation, error) {
 	return &Simulation{desc: d, cfg: cfg, h: h, fault: fault}, nil
 }
 
-// resumeDriver reconstructs the generic stepwise driver from a
-// checkpoint's engine section — the per-protocol half of
-// ResumeSimulation, reached through the descriptor's type-erased
-// resume hook. It rebuilds the runner over the deserialized slab and
-// restores the scheduler position on top; the constructor-seeded
-// streams are fully overwritten by SetEngineState, so the runner is
-// indistinguishable from the captured one.
-func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], r *ckpt.Reader) (simHandle, error) {
+// resumeDriver reconstructs the generic driver from a checkpoint's
+// engine section — the per-protocol half of ResumeSimulation, reached
+// through the descriptor's type-erased resume hook. It builds the
+// driver over the deserialized slab, as NewSimulation builds it over
+// the initial configuration, and restores the scheduler position on
+// top; the constructor-seeded streams are fully overwritten by
+// SetEngineState, so the engine is indistinguishable from the captured
+// one.
+func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], r *ckpt.Reader) (*driver[S, P], error) {
 	if d.UnmarshalState == nil {
 		return nil, fmt.Errorf("ssrank: protocol %q does not register state serialization", d.Name)
 	}
@@ -189,22 +190,19 @@ func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("ssrank: malformed checkpoint engine section: %w", err)
 	}
+	var restore func(engine[S]) error
 	switch kind {
 	case ckptKindSerial:
 		if cfg.Shards != 1 {
 			return nil, fmt.Errorf("ssrank: serial checkpoint, config resolves to %d shards", cfg.Shards)
 		}
-		pairs := ckpt.ReadPairState(r)
-		p := d.New(cfg.N)
-		states, err := d.UnmarshalState(p, r)
-		if err != nil {
-			return nil, err
+		st := sim.EngineState{Steps: steps, Pairs: ckpt.ReadPairState(r)}
+		restore = func(e engine[S]) error {
+			if err := e.(*serialEngine[S, P]).r.SetEngineState(st); err != nil {
+				return fmt.Errorf("ssrank: checkpoint pair stream: %w", err)
+			}
+			return nil
 		}
-		run := sim.New[S](p, states, cfg.Seed)
-		if err := run.SetEngineState(sim.EngineState{Steps: steps, Pairs: pairs}); err != nil {
-			return nil, fmt.Errorf("ssrank: checkpoint pair stream: %w", err)
-		}
-		return &simDriver[S, P]{d: d, p: p, r: run, hit: hit}, nil
 	case ckptKindShardV1:
 		return nil, fmt.Errorf("ssrank: checkpoint uses the retired v1 sharded engine layout (pre-alias-classification); its trajectory cannot be resumed by this build — re-run the simulation or resume with a build that predates the alias-table scheduler")
 	case ckptKindShard:
@@ -228,19 +226,29 @@ func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[
 		for i := range st.Classes {
 			st.Classes[i] = ckpt.ReadRNGState(r)
 		}
-		p := d.New(cfg.N)
-		states, err := d.UnmarshalState(p, r)
-		if err != nil {
-			return nil, err
+		restore = func(e engine[S]) error {
+			if err := e.(*shardEngine[S, P]).r.SetEngineState(st); err != nil {
+				return fmt.Errorf("ssrank: checkpoint pair streams: %w", err)
+			}
+			return nil
 		}
-		run := shard.New[S](p, states, cfg.Seed, cfg.Shards, cfg.ShardWorkers)
-		if err := run.SetEngineState(st); err != nil {
-			return nil, fmt.Errorf("ssrank: checkpoint pair streams: %w", err)
-		}
-		return &shardSimDriver[S, P]{d: d, p: p, r: run, hit: hit}, nil
 	default:
 		return nil, fmt.Errorf("ssrank: unknown checkpoint engine kind %d", kind)
 	}
+	p := d.New(cfg.N)
+	states, err := d.UnmarshalState(p, r)
+	if err != nil {
+		return nil, err
+	}
+	h, err := newDriver(cfg, d, p, states)
+	if err != nil {
+		return nil, err
+	}
+	if err := restore(h.eng); err != nil {
+		return nil, err
+	}
+	h.hit = hit
+	return h, nil
 }
 
 // The stream-state section codecs (pair-stream and bare rng-state

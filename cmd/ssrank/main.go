@@ -287,9 +287,9 @@ func runReplicated(cfg ssrank.Config, trials, workers int, precision float64, pr
 // CSV — the raw material of Fig. 2-style plots for any registered
 // init. The mean-phase probe arrives through the descriptor's named
 // probes (Snapshot.Probes), so the path needs no protocol internals.
-// Sampling is touch-aware and the stop exact: windows in which no
-// tracked projection moved produce no row, and the series ends at the
-// hitting time rather than the next poll.
+// One row per window of n²/8 interactions, quiet windows included, and
+// the stop is exact: the series ends at the hitting time rather than
+// the next window end.
 func runTraced(n int, initName string, seed uint64, budget int64, path string) int {
 	s, err := ssrank.NewSimulation(ssrank.Config{
 		N:        n,

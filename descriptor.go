@@ -13,7 +13,6 @@ import (
 	"ssrank/internal/proto"
 	"ssrank/internal/rng"
 	"ssrank/internal/sim"
-	"ssrank/internal/sim/shard"
 	"ssrank/internal/stable"
 )
 
@@ -47,7 +46,8 @@ type Descriptor struct {
 	// stabilization time, saturating at MaxInt64.
 	DefaultBudget func(n int) int64
 
-	run         func(cfg Config) (Result, error)
+	// newSim and resume return a nil *driver inside the handle with
+	// any error: callers read the handle only when the error is nil.
 	newSim      func(cfg Config) (simHandle, error)
 	resume      func(cfg Config, r *ckpt.Reader) (simHandle, error)
 	runDist     func(cfg Config, opts DistRun) (Result, error)
@@ -128,8 +128,7 @@ var registry = []*Descriptor{
 }
 
 // describe erases a protocol package's generic descriptor into the
-// public registry entry, binding the one generic engine-selection path
-// (runDesc) and the one generic stepwise driver (simDriver) to it. mk
+// public registry entry, binding the one generic driver to it. mk
 // rebuilds the descriptor per call so per-run parameters (Interval's ε)
 // come from the Config.
 func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S, P]) *Descriptor {
@@ -143,20 +142,8 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		Inits:           inits,
 		SelfStabilizing: meta.SelfStabilizing,
 		DefaultBudget:   meta.Budget,
-		run: func(cfg Config) (Result, error) {
-			if cfg.messageNetwork() {
-				return runMsgNetDesc(cfg, mk(cfg))
-			}
-			return runDesc(cfg, mk(cfg))
-		},
 		newSim: func(cfg Config) (simHandle, error) {
-			if cfg.messageNetwork() {
-				return newMsgSimDriver(cfg, mk(cfg))
-			}
-			if cfg.Shards > 1 {
-				return newShardSimDriver(cfg, mk(cfg))
-			}
-			return newSimDriver(cfg, mk(cfg))
+			return startDriver(cfg, mk(cfg))
 		},
 		resume: func(cfg Config, r *ckpt.Reader) (simHandle, error) {
 			return resumeDriver(cfg, mk(cfg), r)
@@ -170,6 +157,24 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 	}
 }
 
+// run is the one path behind Run and Replicate's trials: the driver
+// run until stable within the normalized budget. Serial and sharded
+// runs stop at the exact hitting time via the descriptor's incremental
+// tracker and the protocol's touch reporting (sim.RunUntilCondT
+// serially; the barrier fold of shard.Runner.RunUntilExact sharded),
+// so Result.Exact is true on every converged in-place run — transient
+// stop conditions (Loose) included, since the tracker catches
+// mid-batch satisfying windows a polled scan would miss. Message-
+// network runs poll per round.
+func (d *Descriptor) run(cfg Config) (Result, error) {
+	h, err := d.newSim(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	h.runUntilStable(cfg.MaxInteractions)
+	return outcome(h.result())
+}
+
 // descInit builds the configured initial configuration, deriving the
 // initialization randomness from the seed under the fixed salt.
 func descInit[S any, P any](cfg Config, d proto.Descriptor[S, P], p P) ([]S, error) {
@@ -178,54 +183,4 @@ func descInit[S any, P any](cfg Config, d proto.Descriptor[S, P], p P) ([]S, err
 		return nil, fmt.Errorf("ssrank: protocol %q supports inits %v, got %q", cfg.Protocol, d.Inits, cfg.Init)
 	}
 	return init, nil
-}
-
-// runDesc is the single engine-selection path behind Run: the sharded
-// runner when the config resolves to more than one shard, else the
-// serial runner. Both stop at the exact hitting time via the
-// descriptor's incremental tracker and the protocol's touch reporting
-// (sim.RunUntilCondT serially; the barrier fold of
-// shard.Runner.RunUntilExact sharded), so Result.Exact is true on
-// every converged in-place run — transient stop conditions (Loose)
-// included, since the tracker catches mid-batch satisfying windows a
-// polled scan would miss.
-func runDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (Result, error) {
-	p := d.New(cfg.N)
-	init, ierr := descInit(cfg, d, p)
-	if ierr != nil {
-		return Result{}, ierr
-	}
-	var (
-		states []S
-		steps  int64
-		err    error
-	)
-	if cfg.Shards > 1 {
-		r := shard.New[S](p, init, cfg.Seed, cfg.Shards, cfg.ShardWorkers)
-		steps, err = r.RunUntilExact(sim.DescCond(d, p), cfg.MaxInteractions)
-		states = r.States()
-	} else {
-		r := sim.New[S](p, init, cfg.Seed)
-		steps, err = sim.RunUntilCondT(r, sim.DescCond(d, p), cfg.MaxInteractions)
-		states = r.States()
-	}
-	res := Result{
-		Ranks:        d.Ranks(states),
-		Interactions: steps,
-		Converged:    err == nil,
-		Exact:        err == nil,
-		Shards:       cfg.Shards,
-		Leader:       d.LeaderOf(states),
-		Config:       resultConfig(cfg),
-	}
-	if d.Resets != nil {
-		res.Resets = d.Resets(p)
-	}
-	if d.ResetBreakdown != nil {
-		res.ResetBreakdown = d.ResetBreakdown(p)
-	}
-	if err != nil {
-		return res, fmt.Errorf("ssrank: %s after %d interactions: %w", cfg.Protocol, steps, ErrNotConverged)
-	}
-	return res, nil
 }

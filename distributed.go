@@ -94,10 +94,11 @@ func runDistID(cfg Config) dist.RunID {
 	}
 }
 
-// runDistDesc is the distributed twin of runDesc: identical Result
-// construction from the coordinator's committed mirror, so a
-// distributed run and an in-process sharded run of the same canonical
-// Config produce byte-identical Results.
+// runDistDesc runs the coordinator over the configured initial
+// configuration and assembles the Result through descResult from its
+// committed mirror, like every in-process run, so a distributed run and
+// an in-process sharded run of the same canonical Config produce
+// byte-identical Results.
 func runDistDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], opts DistRun) (Result, error) {
 	if d.EncodeAgent == nil || d.DecodeAgent == nil {
 		return Result{}, fmt.Errorf("ssrank: protocol %q does not support distributed execution (no per-agent codecs)", cfg.Protocol)
@@ -115,8 +116,11 @@ func runDistDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S
 		return Result{}, err
 	}
 	defer co.Stop()
-	steps, err := co.RunUntilExact(sim.DescCond(d, p), cfg.MaxInteractions)
-	if err != nil && !errors.Is(err, sim.ErrBudgetExhausted) {
+	hit, err := co.RunUntilExact(sim.DescCond(d, p), cfg.MaxInteractions)
+	switch {
+	case errors.Is(err, sim.ErrBudgetExhausted):
+		hit = -1
+	case err != nil:
 		return Result{}, fmt.Errorf("ssrank: distributed run failed: %w", err)
 	}
 	// The workers' counters land back on the coordinator's protocol
@@ -126,24 +130,5 @@ func runDistDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S
 	if d.SetInstr != nil {
 		d.SetInstr(p, co.InstrTotal())
 	}
-	states := co.States()
-	res := Result{
-		Ranks:        d.Ranks(states),
-		Interactions: steps,
-		Converged:    err == nil,
-		Exact:        err == nil,
-		Shards:       cfg.Shards,
-		Leader:       d.LeaderOf(states),
-		Config:       resultConfig(cfg),
-	}
-	if d.Resets != nil {
-		res.Resets = d.Resets(p)
-	}
-	if d.ResetBreakdown != nil {
-		res.ResetBreakdown = d.ResetBreakdown(p)
-	}
-	if err != nil {
-		return res, fmt.Errorf("ssrank: %s after %d interactions: %w", cfg.Protocol, steps, ErrNotConverged)
-	}
-	return res, nil
+	return outcome(descResult(d, p, cfg, co.States(), co.Steps(), 0, hit))
 }

@@ -47,6 +47,7 @@ package msgnet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -614,15 +615,20 @@ func (nw *Network[S, P]) Run(k int64) {
 // RunUntil executes rounds until stop holds over the configuration
 // (polled once per round — stops are round-granular, never exact),
 // returning ErrBudgetExhausted once maxSteps interactions were
-// delivered, or once maxSteps *rounds* have executed — the backstop
-// that keeps regimes delivering (almost) nothing, e.g. Drop = 1, from
-// spinning forever. On a replayed network the trace length is a
-// further bound.
+// delivered, or once this call has executed as many rounds as it had
+// interactions left to deliver — the backstop that keeps regimes
+// delivering (almost) nothing, e.g. Drop = 1, from spinning forever.
+// The backstop counts this call's rounds, never the absolute round
+// counter: a network that already burned more rounds than maxSteps
+// still gets its remaining budget's worth. On a replayed network the
+// trace length is a further bound.
 func (nw *Network[S, P]) RunUntil(stop func([]S) bool, maxSteps int64) (int64, error) {
 	if stop(nw.states) {
 		return nw.steps, nil
 	}
-	for nw.steps < maxSteps && nw.round < maxSteps {
+	// Clamped so the cap cannot overflow near MaxInt64.
+	roundCap := nw.round + min(max(maxSteps-nw.steps, 0), math.MaxInt64-nw.round)
+	for nw.steps < maxSteps && nw.round < roundCap {
 		if nw.replay != nil && nw.round >= int64(len(nw.replay.Rounds)) {
 			return nw.steps, ErrBudgetExhausted
 		}

@@ -205,6 +205,26 @@ func TestDropEverythingTerminates(t *testing.T) {
 	}
 }
 
+// TestRunUntilBackstopCountsThisCall pins the backstop rule: each
+// RunUntil call may execute as many rounds as it has interactions left
+// to deliver, however many rounds earlier calls burned.
+func TestRunUntilBackstopCountsThisCall(t *testing.T) {
+	d := stable.Describe()
+	const n = 16
+	p := d.New(n)
+	nw := New[stable.State](p, descInit(d, p, "fresh", testSeed), Config{
+		Seed:   testSeed,
+		Faults: Faults{Drop: 1},
+	})
+	nw.Run(1000)
+	if _, err := nw.RunUntil(d.Valid, 300); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("want ErrBudgetExhausted, got %v", err)
+	}
+	if nw.Rounds() != 1300 {
+		t.Fatalf("a starved call with 300 interactions left ran %d rounds, want 300", nw.Rounds()-1000)
+	}
+}
+
 // TestSchedulers checks every registered scheduler: valid in-range
 // distinct ordered pairs, topology-specific shape, and seed
 // determinism.

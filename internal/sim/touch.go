@@ -32,11 +32,8 @@ type touchRec struct {
 	mask uint8 // 1 = initiator touched, 2 = responder touched
 }
 
-// condEngine is the reusable core of the touch-aware serial loops
-// (RunUntilCondT, ObserveCondT): the collision scratch and the
-// sub-batch fold over an already-initialized condition. It persists
-// across run calls, so an observation loop pays the marks allocation
-// once, not per window.
+// condEngine is the core of RunUntilCondT: the collision scratch and
+// the sub-batch fold over an already-initialized condition.
 type condEngine[S any, P TouchReporter[S]] struct {
 	r    *Runner[S, P]
 	cond Condition[S]
@@ -45,10 +42,6 @@ type condEngine[S any, P TouchReporter[S]] struct {
 	marks   []uint32
 	epoch   uint32
 	pending []touchRec
-	// touched reports whether any interaction since the last reset
-	// moved a tracked projection — the signal ObserveCondT uses to
-	// skip probe work on quiescent windows.
-	touched bool
 }
 
 func newCondEngine[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S]) *condEngine[S, P] {
@@ -131,7 +124,6 @@ func (e *condEngine[S, P]) run(k int64) int64 {
 				}
 				e.pending = append(e.pending, touchRec{slot: int32(i), mask: m})
 				np++
-				e.touched = true
 			}
 		}
 		hit := e.fold(as, bs)
@@ -175,46 +167,4 @@ func RunUntilCondT[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S]
 		}
 	}
 	return r.steps, ErrBudgetExhausted
-}
-
-// ObserveCondT is the touch-aware observation loop: it executes
-// interactions until the incrementally maintained condition reports
-// Done — stopping at the exact hitting time, like RunUntilCondT — or
-// maxSteps is reached, invoking obs every `every` interactions (< 1 =
-// every n), plus once at the start and once at the final step. Windows
-// in which no interaction moved a tracked projection are skipped
-// entirely (except the first and final observation): every probe over
-// the tracked projection would resample the values it saw last window,
-// so a quiescent window pays neither the probe nor a validity scan. It
-// reports the final step count and whether the condition was reached.
-//
-// As with RunUntilCondT, the configuration passed to the final obs call
-// can sit up to one collision-free sub-batch past the reported hitting
-// step; for silent stop conditions the trailing interactions are
-// no-ops.
-func ObserveCondT[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S], obs func(steps int64, states []S), every, maxSteps int64) (int64, bool) {
-	if every < 1 {
-		every = int64(len(r.states))
-	}
-	cond.Init(r.states)
-	obs(r.steps, r.states)
-	if cond.Done() {
-		return r.steps, true
-	}
-	e := newCondEngine(r, cond)
-	for r.steps < maxSteps {
-		chunk := every
-		if remaining := maxSteps - r.steps; chunk > remaining {
-			chunk = remaining
-		}
-		e.touched = false
-		if hit := e.run(chunk); hit >= 0 {
-			obs(hit, r.states)
-			return hit, true
-		}
-		if e.touched || r.steps >= maxSteps {
-			obs(r.steps, r.states)
-		}
-	}
-	return r.steps, false
 }

@@ -2,12 +2,8 @@ package ssrank
 
 import (
 	"fmt"
-	"math"
 
 	"ssrank/internal/ckpt"
-	"ssrank/internal/faults"
-	"ssrank/internal/proto"
-	"ssrank/internal/rng"
 	"ssrank/internal/sim"
 	"ssrank/internal/sim/msgnet"
 )
@@ -137,167 +133,44 @@ func newMsgNet[S any, P sim.Protocol[S]](cfg Config, p P, init []S) (*msgnet.Net
 	}), nil
 }
 
-// runMsgNetDesc is the message-network analogue of runDesc: one
-// generic run path for every registered protocol, driven entirely by
-// the descriptor (stop predicate, projections, instrumentation) with
-// zero per-protocol scheduling code.
-func runMsgNetDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (Result, error) {
-	p := d.New(cfg.N)
-	init, err := descInit(cfg, d, p)
-	if err != nil {
-		return Result{}, err
-	}
-	nw, err := newMsgNet[S](cfg, p, init)
-	if err != nil {
-		return Result{}, err
-	}
-	steps, rerr := nw.RunUntil(d.Valid, cfg.MaxInteractions)
-	res := Result{
-		Ranks:        d.Ranks(nw.States()),
-		Interactions: steps,
-		Rounds:       nw.Rounds(),
-		Converged:    rerr == nil,
-		Exact:        false,
-		Leader:       d.LeaderOf(nw.States()),
-		Config:       resultConfig(cfg),
-	}
-	if d.Resets != nil {
-		res.Resets = d.Resets(p)
-	}
-	if d.ResetBreakdown != nil {
-		res.ResetBreakdown = d.ResetBreakdown(p)
-	}
-	if rerr != nil {
-		return res, fmt.Errorf("ssrank: %s after %d interactions: %w", cfg.Protocol, steps, ErrNotConverged)
-	}
-	return res, nil
+// netEngine runs the population on the message network. Control is
+// round-granular — Step(k) and the stop checks advance whole
+// communication rounds — so interaction counts overshoot their targets
+// by up to one round. Every call goes through msgnet.Network.RunUntil,
+// so every call has one round backstop: the rounds it executes are
+// bounded by the interactions it has left to deliver.
+type netEngine[S any, P sim.Protocol[S]] struct {
+	nw    *msgnet.Network[S, P]
+	valid func([]S) bool
 }
 
-// msgSimDriver is the message-network counterpart of simDriver: the
-// generic stepwise driver behind Simulation when the Config routes
-// through the message network. Control is round-granular — Step(k)
-// and the stop checks advance whole communication rounds — so
-// interaction counts overshoot their targets by up to one round.
-type msgSimDriver[S any, P sim.TouchReporter[S]] struct {
-	d  proto.Descriptor[S, P]
-	p  P
-	nw *msgnet.Network[S, P]
-}
-
-func newMsgSimDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (simHandle, error) {
-	p := d.New(cfg.N)
-	init, err := descInit(cfg, d, p)
-	if err != nil {
-		return nil, err
-	}
-	nw, err := newMsgNet[S](cfg, p, init)
-	if err != nil {
-		return nil, err
-	}
-	return &msgSimDriver[S, P]{d: d, p: p, nw: nw}, nil
-}
-
-func (s *msgSimDriver[S, P]) n() int { return s.nw.N() }
+func (e *netEngine[S, P]) states() []S   { return e.nw.States() }
+func (e *netEngine[S, P]) steps() int64  { return e.nw.Steps() }
+func (e *netEngine[S, P]) rounds() int64 { return e.nw.Rounds() }
 
 // step advances rounds until k more interactions were delivered — or
 // k rounds have passed, the backstop for regimes that deliver almost
 // nothing (e.g. DropProb 1).
-func (s *msgSimDriver[S, P]) step(k int64) {
-	target := s.nw.Steps() + k
-	for rounds := int64(0); rounds < k && s.nw.Steps() < target; rounds++ {
-		s.nw.Round()
-	}
+func (e *netEngine[S, P]) step(k int64) {
+	e.nw.RunUntil(func([]S) bool { return false }, e.nw.Steps()+k)
 }
 
-func (s *msgSimDriver[S, P]) runUntilStable(maxSteps int64) bool {
-	_, err := s.nw.RunUntil(s.d.Valid, maxSteps)
-	return err == nil
+// runUntil polls the stop condition once per round, so a stop is
+// never exact (hit -1); the window end target is part of the polled
+// predicate, and the backstop is the rest of the budget.
+func (e *netEngine[S, P]) runUntil(target, budget int64) (int64, bool) {
+	stable := false
+	e.nw.RunUntil(func(states []S) bool {
+		stable = e.valid(states)
+		return stable || e.nw.Steps() >= target
+	}, budget)
+	return -1, stable
 }
 
-func (s *msgSimDriver[S, P]) observe(every, maxSteps int64, obs func(Snapshot)) {
-	if every < 1 {
-		every = int64(s.nw.N())
-	}
-	obs(s.snapshot())
-	// The round backstop is derived from the *remaining* interaction
-	// budget, like step does per call — never from the absolute budget:
-	// a simulation that already executed ≥ maxSteps rounds under a
-	// lossy regime (DropProb near 1 delivers almost nothing per round)
-	// must still get its budget's worth of rounds here, and the
-	// absolute counters can both saturate near MaxInt64.
-	roundCap := s.nw.Rounds() + remainingRounds(s.nw.Rounds(), maxSteps-s.nw.Steps())
-	for s.nw.Steps() < maxSteps && s.nw.Rounds() < roundCap {
-		next := s.nw.Steps() + every
-		for s.nw.Steps() < next && s.nw.Steps() < maxSteps && s.nw.Rounds() < roundCap {
-			s.nw.Round()
-		}
-		obs(s.snapshot())
-		if s.d.Valid(s.nw.States()) {
-			break
-		}
-	}
-}
-
-// remainingRounds clamps a remaining-interaction budget to what can be
-// added to the current round counter without overflowing int64.
-func remainingRounds(rounds, remaining int64) int64 {
-	if remaining < 0 {
-		return 0
-	}
-	if remaining > math.MaxInt64-rounds {
-		return math.MaxInt64 - rounds
-	}
-	return remaining
-}
-
-func (s *msgSimDriver[S, P]) snapshot() Snapshot {
-	snap := descSnapshot(s.d, s.p, s.nw.Steps(), s.nw.States())
-	snap.Rounds = s.nw.Rounds()
-	return snap
-}
-
-func (s *msgSimDriver[S, P]) interactions() int64 { return s.nw.Steps() }
-func (s *msgSimDriver[S, P]) stable() bool        { return s.d.Valid(s.nw.States()) }
-func (s *msgSimDriver[S, P]) ranks() []int        { return s.d.Ranks(s.nw.States()) }
-func (s *msgSimDriver[S, P]) rankedCount() int    { return s.d.RankedCount(s.nw.States()) }
-func (s *msgSimDriver[S, P]) leader() int         { return s.d.LeaderOf(s.nw.States()) }
-
-func (s *msgSimDriver[S, P]) resets() int64 {
-	if s.d.Resets == nil {
-		return 0
-	}
-	return s.d.Resets(s.p)
-}
-
-func (s *msgSimDriver[S, P]) resetBreakdown() map[string]int64 {
-	if s.d.ResetBreakdown == nil {
-		return nil
-	}
-	return s.d.ResetBreakdown(s.p)
-}
-
-func (s *msgSimDriver[S, P]) corrupt(k int, r *rng.RNG) error {
-	return descCorrupt(s.d, s.p, s.nw.States(), k, r)
-}
-
-func (s *msgSimDriver[S, P]) swap(k int, r *rng.RNG) {
-	faults.Swap(s.nw.States(), k, r)
-}
-
-func (s *msgSimDriver[S, P]) duplicate(r *rng.RNG) (int, int, error) {
-	return descDuplicate(s.d, s.nw.States(), r)
-}
-
-func (s *msgSimDriver[S, P]) result() Result {
-	res := descResult(s.d, s.p, s.nw.States(), s.nw.Steps(), -1, 0)
-	res.Rounds = s.nw.Rounds()
-	return res
-}
-
-// marshal rejects checkpointing: the message network's in-flight
+// checkpoint rejects checkpointing: the message network's in-flight
 // mailboxes, per-agent protocol phases and fault stream positions are
 // not serializable state, and Result.Exact is never true on this path
 // anyway — see DESIGN.md §8.
-func (s *msgSimDriver[S, P]) marshal(*ckpt.Writer) error {
-	return fmt.Errorf("ssrank: message-network simulations are not checkpointable")
+func (e *netEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
+	return 0, nil, fmt.Errorf("ssrank: message-network simulations are not checkpointable")
 }

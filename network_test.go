@@ -274,6 +274,30 @@ func TestMessageNetworkObserveRoundBackstop(t *testing.T) {
 	}
 }
 
+// TestMessageNetworkSlicedRunProgresses pins the round backstop of a
+// sliced run: every RunUntilStable(target) call may execute as many
+// rounds as its remaining interaction budget, however many rounds
+// earlier calls burned. With an absolute backstop a lossy network
+// stopped executing rounds once the round counter passed the target,
+// and a slice loop (a job service's) spun without progress.
+func TestMessageNetworkSlicedRunProgresses(t *testing.T) {
+	s, err := NewSimulation(Config{N: 16, Seed: 3, Faults: Faults{DropProb: 0.97}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slice = 64
+	for call := 0; call < 8; call++ {
+		steps, rounds := s.Interactions(), s.Snapshot().Rounds
+		if s.RunUntilStable(steps + slice) {
+			return
+		}
+		if ran := s.Snapshot().Rounds - rounds; s.Interactions() < steps+slice && ran != slice {
+			t.Fatalf("call %d: %d -> %d interactions in %d rounds, want %d interactions or %d rounds",
+				call, steps, s.Interactions(), ran, steps+slice, slice)
+		}
+	}
+}
+
 // TestMessageNetworkBudget asserts a starved network reports
 // ErrNotConverged instead of spinning (the round backstop).
 func TestMessageNetworkBudget(t *testing.T) {

@@ -90,11 +90,7 @@ func (s *Simulation) Config() Config { return s.cfg }
 // hitting time and Exact is true, matching Run byte for byte; after
 // manual stepping or fault injection the count is the engine position
 // and Exact is false even if the configuration happens to be stable.
-func (s *Simulation) Result() Result {
-	res := s.h.result()
-	res.Config = resultConfig(s.cfg)
-	return res
-}
+func (s *Simulation) Result() Result { return s.h.result() }
 
 // Descriptor returns the registered descriptor of the protocol this
 // simulation runs (the caller's own copy, see Describe).
@@ -133,15 +129,15 @@ func (s *Simulation) defaultCap() int64 {
 
 // Observe executes interactions until the stop condition holds or
 // maxInteractions is reached (0 = the default budget on top of the
-// interactions already executed), invoking obs every `every`
-// interactions (< 1 = every n), plus once at the start and once at the
-// final step. On the serial in-place engine the stop is exact (the
-// incremental tracker catches the hitting time mid-window) and
-// observation is touch-aware: windows in which no interaction moved a
-// tracked projection are skipped, since every projection-derived
-// snapshot field would repeat the previous sample. Message-network
-// simulations poll per round and sample every window. It reports
-// whether the population stabilized.
+// interactions already executed), invoking obs once at the start and
+// once at the end of every window of `every` interactions (< 1 =
+// every n) on every engine, quiet windows included: the probes and
+// the reset count can move while the ranks stand still. Each window
+// runs until stable, so the last snapshot is taken at the stop — the
+// exact hitting time on the in-place engines, the first stable round
+// on the message network — or at the budget; on the message network a
+// window its round backstop cuts short (a starved fault regime) ends
+// the series too. It reports whether the population stabilized.
 func (s *Simulation) Observe(every, maxInteractions int64, obs func(Snapshot)) bool {
 	if maxInteractions == 0 {
 		maxInteractions = s.defaultCap()
@@ -213,7 +209,8 @@ func (s *Simulation) Duplicate() (src, dst int, err error) {
 	return s.h.duplicate(s.fault)
 }
 
-// simHandle is the type-erased surface of the generic stepwise driver.
+// simHandle is the type-erased surface of the generic driver, the one
+// implementation behind Run, Simulation and ResumeSimulation.
 type simHandle interface {
 	n() int
 	step(k int64)
@@ -234,19 +231,230 @@ type simHandle interface {
 	marshal(w *ckpt.Writer) error
 }
 
-// descResult assembles a Result from a driver's current state — the
-// one projection path shared by the serial and sharded stepwise
-// drivers (Result.Config is stamped by Simulation.Result, which owns
-// the canonical Config). hit is the exact hitting time recorded by the
-// last uninterrupted stop-condition run, or -1.
-func descResult[S any, P any](d proto.Descriptor[S, P], p P, states []S, steps, hit int64, shards int) Result {
+// engine is the part of a run that differs between the serial, sharded
+// and message-network engines: how interactions execute, how a stop is
+// found, and the checkpoint section. Everything read through the
+// descriptor is the driver's.
+type engine[S any] interface {
+	states() []S
+	steps() int64
+	// rounds is the message network's round counter, 0 on the in-place
+	// engines.
+	rounds() int64
+	step(k int64)
+	// runUntil executes interactions until the stop condition holds or
+	// target interactions were executed. It reports whether the
+	// condition holds, and the exact hitting time when the engine can
+	// pin one (-1 otherwise: the message network polls per round).
+	// budget is the caller's whole interaction budget (target ≤
+	// budget); only the message network's round backstop reads it.
+	runUntil(target, budget int64) (hit int64, stable bool)
+	// checkpoint returns the engine's checkpoint kind and the writer of
+	// its stream section, or an error if the engine cannot checkpoint.
+	checkpoint() (kind uint64, streams func(*ckpt.Writer), err error)
+}
+
+// driver is the generic driver behind every facade entry point,
+// instantiated per protocol from its descriptor. hit remembers the
+// exact hitting time of the last uninterrupted stop-condition run (-1
+// otherwise): manual stepping and fault injection invalidate it, since
+// they change the trajectory the hit was exact for.
+type driver[S any, P sim.TouchReporter[S]] struct {
+	d   proto.Descriptor[S, P]
+	p   P
+	cfg Config
+	eng engine[S]
+	hit int64
+}
+
+// startDriver builds the configured initial configuration and the
+// driver over it.
+func startDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (*driver[S, P], error) {
+	p := d.New(cfg.N)
+	init, err := descInit(cfg, d, p)
+	if err != nil {
+		return nil, err
+	}
+	return newDriver(cfg, d, p, init)
+}
+
+// newDriver puts states on the engine the normalized Config selects:
+// the message network when it names a Scheduler or Faults, the sharded
+// engine above one shard, the serial engine otherwise.
+func newDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], p P, states []S) (*driver[S, P], error) {
+	var eng engine[S]
+	switch {
+	case cfg.messageNetwork():
+		nw, err := newMsgNet[S](cfg, p, states)
+		if err != nil {
+			return nil, err
+		}
+		eng = &netEngine[S, P]{nw: nw, valid: d.Valid}
+	case cfg.Shards > 1:
+		eng = &shardEngine[S, P]{r: shard.New[S](p, states, cfg.Seed, cfg.Shards, cfg.ShardWorkers), cond: sim.DescCond(d, p)}
+	default:
+		eng = &serialEngine[S, P]{r: sim.New[S](p, states, cfg.Seed), cond: sim.DescCond(d, p)}
+	}
+	return &driver[S, P]{d: d, p: p, cfg: cfg, eng: eng, hit: -1}, nil
+}
+
+func (s *driver[S, P]) n() int { return len(s.eng.states()) }
+
+func (s *driver[S, P]) step(k int64) {
+	s.hit = -1
+	s.eng.step(k)
+}
+
+func (s *driver[S, P]) runUntilStable(maxSteps int64) bool {
+	return s.runUntil(maxSteps, maxSteps)
+}
+
+func (s *driver[S, P]) runUntil(target, budget int64) bool {
+	hit, ok := s.eng.runUntil(target, budget)
+	if ok {
+		s.hit = hit
+	}
+	return ok
+}
+
+// observe samples at the start and after every window of `every`
+// interactions, each window run until stable to its end, so a
+// mid-window hit ends the series at the hitting time. Window ends cut
+// sharded batches, so — as with Step — an observed sharded trajectory
+// matches Run's only when `every` is a multiple of the batch period. A
+// window the message network's round backstop cut short ends the
+// series.
+func (s *driver[S, P]) observe(every, maxSteps int64, obs func(Snapshot)) {
+	if every < 1 {
+		every = int64(s.n())
+	}
+	obs(s.snapshot())
+	for s.eng.steps() < maxSteps {
+		next := maxSteps
+		if every < maxSteps-s.eng.steps() {
+			next = s.eng.steps() + every
+		}
+		if s.runUntil(next, maxSteps) {
+			obs(s.snapshotAt(s.hit))
+			return
+		}
+		obs(s.snapshot())
+		if s.eng.steps() < next {
+			return
+		}
+	}
+}
+
+func (s *driver[S, P]) snapshot() Snapshot { return s.snapshotAt(-1) }
+
+// snapshotAt extracts a Snapshot through the descriptor, stamped with
+// interaction count at (the engine position when at < 0).
+func (s *driver[S, P]) snapshotAt(at int64) Snapshot {
+	if at < 0 {
+		at = s.eng.steps()
+	}
+	states := s.eng.states()
+	snap := Snapshot{
+		Interactions: at,
+		Ranks:        s.d.Ranks(states),
+		RankedCount:  s.d.RankedCount(states),
+		Stable:       s.d.Valid(states),
+		Leader:       s.d.LeaderOf(states),
+		Resets:       s.resets(),
+		Rounds:       s.eng.rounds(),
+	}
+	if len(s.d.Probes) > 0 {
+		snap.Probes = make(map[string]float64, len(s.d.Probes))
+		for _, pr := range s.d.Probes {
+			snap.Probes[pr.Name] = pr.Fn(s.p, states)
+		}
+	}
+	return snap
+}
+
+func (s *driver[S, P]) interactions() int64 { return s.eng.steps() }
+func (s *driver[S, P]) stable() bool        { return s.d.Valid(s.eng.states()) }
+func (s *driver[S, P]) ranks() []int        { return s.d.Ranks(s.eng.states()) }
+func (s *driver[S, P]) rankedCount() int    { return s.d.RankedCount(s.eng.states()) }
+func (s *driver[S, P]) leader() int         { return s.d.LeaderOf(s.eng.states()) }
+
+func (s *driver[S, P]) resets() int64 {
+	if s.d.Resets == nil {
+		return 0
+	}
+	return s.d.Resets(s.p)
+}
+
+func (s *driver[S, P]) resetBreakdown() map[string]int64 {
+	if s.d.ResetBreakdown == nil {
+		return nil
+	}
+	return s.d.ResetBreakdown(s.p)
+}
+
+// corrupt overwrites k uniformly chosen agents with random states via
+// the descriptor's fault-injection primitive, erroring for protocols
+// that register none.
+func (s *driver[S, P]) corrupt(k int, r *rng.RNG) error {
+	if s.d.RandomState == nil {
+		return fmt.Errorf("ssrank: protocol %q has no fault-injection primitive (it is not self-stabilizing)", s.d.Name)
+	}
+	s.hit = -1
+	faults.Corrupt(s.eng.states(), k, r, func(rr *rng.RNG) S { return s.d.RandomState(s.p, rr) })
+	return nil
+}
+
+func (s *driver[S, P]) swap(k int, r *rng.RNG) {
+	s.hit = -1
+	faults.Swap(s.eng.states(), k, r)
+}
+
+// duplicate copies one uniformly chosen agent's state over another,
+// gated — like corrupt — on the protocol being self-stabilizing, since
+// only those guarantee recovery.
+func (s *driver[S, P]) duplicate(r *rng.RNG) (int, int, error) {
+	if !s.d.SelfStabilizing {
+		return 0, 0, fmt.Errorf("ssrank: protocol %q is not self-stabilizing, duplicating a state can wedge it permanently", s.d.Name)
+	}
+	s.hit = -1
+	src, dst := faults.Duplicate(s.eng.states(), r)
+	return src, dst, nil
+}
+
+func (s *driver[S, P]) result() Result {
+	return descResult(s.d, s.p, s.cfg, s.eng.states(), s.eng.steps(), s.eng.rounds(), s.hit)
+}
+
+func (s *driver[S, P]) marshal(w *ckpt.Writer) error {
+	kind, streams, err := s.eng.checkpoint()
+	if err != nil {
+		return err
+	}
+	if s.d.MarshalState == nil {
+		return fmt.Errorf("ssrank: protocol %q does not register state serialization", s.d.Name)
+	}
+	w.Uvarint(kind)
+	w.Varint(s.hit)
+	w.Varint(s.eng.steps())
+	streams(w)
+	s.d.MarshalState(s.p, s.eng.states(), w)
+	return nil
+}
+
+// descResult assembles a Result from a run's current state — the one
+// Result path of Run, Simulation, ResumeSimulation and RunDistributed.
+// hit is the exact hitting time recorded by the last uninterrupted
+// stop-condition run, or -1.
+func descResult[S any, P any](d proto.Descriptor[S, P], p P, cfg Config, states []S, steps, rounds, hit int64) Result {
 	res := Result{
 		Ranks:        d.Ranks(states),
 		Interactions: steps,
+		Rounds:       rounds,
 		Converged:    hit >= 0 || d.Valid(states),
 		Exact:        hit >= 0,
-		Shards:       shards,
+		Shards:       cfg.Shards,
 		Leader:       d.LeaderOf(states),
+		Config:       resultConfig(cfg),
 	}
 	if hit >= 0 {
 		res.Interactions = hit
@@ -260,280 +468,78 @@ func descResult[S any, P any](d proto.Descriptor[S, P], p P, states []S, steps, 
 	return res
 }
 
-// descSnapshot extracts a Snapshot through a protocol's descriptor —
-// the one projection path shared by the serial and message-network
-// stepwise drivers.
-func descSnapshot[S any, P any](d proto.Descriptor[S, P], p P, steps int64, states []S) Snapshot {
-	snap := Snapshot{
-		Interactions: steps,
-		Ranks:        d.Ranks(states),
-		RankedCount:  d.RankedCount(states),
-		Stable:       d.Valid(states),
-		Leader:       d.LeaderOf(states),
+// outcome is the error Run and RunDistributed report with a finished
+// run's Result: ErrNotConverged, wrapped, when the budget ran out
+// first.
+func outcome(res Result) (Result, error) {
+	if !res.Converged {
+		return res, fmt.Errorf("ssrank: %s after %d interactions: %w", res.Config.Protocol, res.Interactions, ErrNotConverged)
 	}
-	if d.Resets != nil {
-		snap.Resets = d.Resets(p)
-	}
-	if len(d.Probes) > 0 {
-		snap.Probes = make(map[string]float64, len(d.Probes))
-		for _, pr := range d.Probes {
-			snap.Probes[pr.Name] = pr.Fn(p, states)
-		}
-	}
-	return snap
+	return res, nil
 }
 
-// descCorrupt overwrites k uniformly chosen agents with random states
-// via the descriptor's fault-injection primitive, erroring for
-// protocols that register none.
-func descCorrupt[S any, P any](d proto.Descriptor[S, P], p P, states []S, k int, r *rng.RNG) error {
-	if d.RandomState == nil {
-		return fmt.Errorf("ssrank: protocol %q has no fault-injection primitive (it is not self-stabilizing)", d.Name)
-	}
-	faults.Corrupt(states, k, r, func(rr *rng.RNG) S { return d.RandomState(p, rr) })
-	return nil
+// serialEngine runs the population on the serial engine; its stop is
+// the exact loop sim.RunUntilCondT.
+type serialEngine[S any, P sim.TouchReporter[S]] struct {
+	r    *sim.Runner[S, P]
+	cond sim.Condition[S]
 }
 
-// descDuplicate copies one uniformly chosen agent's state over
-// another, gated — like Corrupt — on the protocol being
-// self-stabilizing, since only those guarantee recovery.
-func descDuplicate[S any, P any](d proto.Descriptor[S, P], states []S, r *rng.RNG) (int, int, error) {
-	if !d.SelfStabilizing {
-		return 0, 0, fmt.Errorf("ssrank: protocol %q is not self-stabilizing, duplicating a state can wedge it permanently", d.Name)
-	}
-	src, dst := faults.Duplicate(states, r)
-	return src, dst, nil
-}
+func (e *serialEngine[S, P]) states() []S   { return e.r.States() }
+func (e *serialEngine[S, P]) steps() int64  { return e.r.Steps() }
+func (e *serialEngine[S, P]) rounds() int64 { return 0 }
+func (e *serialEngine[S, P]) step(k int64)  { e.r.Run(k) }
 
-// simDriver is the generic stepwise driver behind Simulation on the
-// serial engine, instantiated per protocol from its descriptor. hit
-// remembers the exact hitting time of the last uninterrupted
-// stop-condition run (-1 otherwise): manual stepping and fault
-// injection invalidate it, since they change the trajectory the hit
-// was exact for.
-type simDriver[S any, P sim.TouchReporter[S]] struct {
-	d   proto.Descriptor[S, P]
-	p   P
-	r   *sim.Runner[S, P]
-	hit int64
-}
-
-func newSimDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (simHandle, error) {
-	p := d.New(cfg.N)
-	init, err := descInit(cfg, d, p)
+func (e *serialEngine[S, P]) runUntil(target, _ int64) (int64, bool) {
+	hit, err := sim.RunUntilCondT(e.r, e.cond, target)
 	if err != nil {
-		return nil, err
+		return -1, false
 	}
-	return &simDriver[S, P]{d: d, p: p, r: sim.New[S](p, init, cfg.Seed), hit: -1}, nil
+	return hit, true
 }
 
-func (s *simDriver[S, P]) n() int { return s.r.N() }
-
-func (s *simDriver[S, P]) step(k int64) {
-	s.hit = -1
-	s.r.Run(k)
+func (e *serialEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
+	st := e.r.EngineState()
+	return ckptKindSerial, func(w *ckpt.Writer) { ckpt.WritePairState(w, st.Pairs) }, nil
 }
 
-func (s *simDriver[S, P]) runUntilStable(maxSteps int64) bool {
-	hit, err := sim.RunUntilCondT(s.r, sim.DescCond(s.d, s.p), maxSteps)
-	if err == nil {
-		s.hit = hit
-	}
-	return err == nil
+// shardEngine runs the population on the sharded engine. Control is
+// batch-granular — Step and the stop-condition runs advance the engine
+// in barrier-synchronized batches, with the final batch of every call
+// truncated to the call's budget — so the trajectory is a pure function
+// of (seed, shard count, sequence of cut points). Stepping in multiples
+// of the engine's batch period keeps the barrier schedule identical to
+// an uninterrupted Run, which is what the checkpoint layer relies on
+// for split-run equivalence.
+type shardEngine[S any, P sim.TouchReporter[S]] struct {
+	r    *shard.Runner[S, P]
+	cond sim.Condition[S]
 }
 
-func (s *simDriver[S, P]) observe(every, maxSteps int64, obs func(Snapshot)) {
-	hit, done := sim.ObserveCondT(s.r, sim.DescCond(s.d, s.p), func(steps int64, states []S) {
-		obs(descSnapshot(s.d, s.p, steps, states))
-	}, every, maxSteps)
-	if done {
-		s.hit = hit
-	}
-}
+func (e *shardEngine[S, P]) states() []S   { return e.r.States() }
+func (e *shardEngine[S, P]) steps() int64  { return e.r.Steps() }
+func (e *shardEngine[S, P]) rounds() int64 { return 0 }
+func (e *shardEngine[S, P]) step(k int64)  { e.r.Run(k) }
 
-func (s *simDriver[S, P]) snapshot() Snapshot {
-	return descSnapshot(s.d, s.p, s.r.Steps(), s.r.States())
-}
-
-func (s *simDriver[S, P]) interactions() int64 { return s.r.Steps() }
-func (s *simDriver[S, P]) stable() bool        { return s.d.Valid(s.r.States()) }
-func (s *simDriver[S, P]) ranks() []int        { return s.d.Ranks(s.r.States()) }
-func (s *simDriver[S, P]) rankedCount() int    { return s.d.RankedCount(s.r.States()) }
-func (s *simDriver[S, P]) leader() int         { return s.d.LeaderOf(s.r.States()) }
-
-func (s *simDriver[S, P]) resets() int64 {
-	if s.d.Resets == nil {
-		return 0
-	}
-	return s.d.Resets(s.p)
-}
-
-func (s *simDriver[S, P]) resetBreakdown() map[string]int64 {
-	if s.d.ResetBreakdown == nil {
-		return nil
-	}
-	return s.d.ResetBreakdown(s.p)
-}
-
-func (s *simDriver[S, P]) corrupt(k int, r *rng.RNG) error {
-	s.hit = -1
-	return descCorrupt(s.d, s.p, s.r.States(), k, r)
-}
-
-func (s *simDriver[S, P]) swap(k int, r *rng.RNG) {
-	s.hit = -1
-	faults.Swap(s.r.States(), k, r)
-}
-
-func (s *simDriver[S, P]) duplicate(r *rng.RNG) (int, int, error) {
-	s.hit = -1
-	return descDuplicate(s.d, s.r.States(), r)
-}
-
-func (s *simDriver[S, P]) result() Result {
-	return descResult(s.d, s.p, s.r.States(), s.r.Steps(), s.hit, 1)
-}
-
-func (s *simDriver[S, P]) marshal(w *ckpt.Writer) error {
-	if s.d.MarshalState == nil {
-		return fmt.Errorf("ssrank: protocol %q does not register state serialization", s.d.Name)
-	}
-	st := s.r.EngineState()
-	w.Uvarint(ckptKindSerial)
-	w.Varint(s.hit)
-	w.Varint(st.Steps)
-	ckpt.WritePairState(w, st.Pairs)
-	s.d.MarshalState(s.p, s.r.States(), w)
-	return nil
-}
-
-// shardSimDriver is the sharded counterpart of simDriver: the generic
-// stepwise driver behind Simulation when the normalized Config
-// resolves to more than one shard. Control is batch-granular — Step
-// and the stop-condition runs advance the engine in
-// barrier-synchronized batches, with the final batch of every call
-// truncated to the call's budget — so the trajectory is a pure
-// function of (seed, shard count, sequence of cut points). Stepping in
-// multiples of the engine's batch period keeps the barrier schedule
-// identical to an uninterrupted Run, which is what the checkpoint
-// layer relies on for split-run equivalence.
-type shardSimDriver[S any, P sim.TouchReporter[S]] struct {
-	d   proto.Descriptor[S, P]
-	p   P
-	r   *shard.Runner[S, P]
-	hit int64
-}
-
-func newShardSimDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (simHandle, error) {
-	p := d.New(cfg.N)
-	init, err := descInit(cfg, d, p)
+func (e *shardEngine[S, P]) runUntil(target, _ int64) (int64, bool) {
+	hit, err := e.r.RunUntilExact(e.cond, target)
 	if err != nil {
-		return nil, err
+		return -1, false
 	}
-	r := shard.New[S](p, init, cfg.Seed, cfg.Shards, cfg.ShardWorkers)
-	return &shardSimDriver[S, P]{d: d, p: p, r: r, hit: -1}, nil
+	return hit, true
 }
 
-func (s *shardSimDriver[S, P]) n() int { return s.r.N() }
-
-func (s *shardSimDriver[S, P]) step(k int64) {
-	s.hit = -1
-	s.r.Run(k)
-}
-
-func (s *shardSimDriver[S, P]) runUntilStable(maxSteps int64) bool {
-	hit, err := s.r.RunUntilExact(sim.DescCond(s.d, s.p), maxSteps)
-	if err == nil {
-		s.hit = hit
-	}
-	return err == nil
-}
-
-// observe samples in windows of `every` interactions, each window
-// executed exactly (RunUntilExact re-arms the tracker per window, so a
-// mid-window hit stops at the hitting time). Window boundaries cut
-// batches, so — as with Step — an observed sharded trajectory matches
-// Run's only when `every` is a multiple of the batch period.
-func (s *shardSimDriver[S, P]) observe(every, maxSteps int64, obs func(Snapshot)) {
-	if every < 1 {
-		every = int64(s.r.N())
-	}
-	obs(s.snapshot())
-	for s.r.Steps() < maxSteps {
-		next := s.r.Steps() + every
-		if next > maxSteps {
-			next = maxSteps
+func (e *shardEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
+	st := e.r.EngineState()
+	return ckptKindShard, func(w *ckpt.Writer) {
+		ckpt.WriteRNGState(w, st.Master)
+		w.Uvarint(uint64(len(st.Shards)))
+		for i := range st.Shards {
+			ckpt.WritePairState(w, st.Shards[i])
 		}
-		hit, err := s.r.RunUntilExact(sim.DescCond(s.d, s.p), next)
-		if err == nil {
-			s.hit = hit
-			obs(descSnapshot(s.d, s.p, hit, s.r.States()))
-			return
+		w.Uvarint(uint64(len(st.Classes)))
+		for i := range st.Classes {
+			ckpt.WriteRNGState(w, st.Classes[i])
 		}
-		obs(s.snapshot())
-	}
-}
-
-func (s *shardSimDriver[S, P]) snapshot() Snapshot {
-	return descSnapshot(s.d, s.p, s.r.Steps(), s.r.States())
-}
-
-func (s *shardSimDriver[S, P]) interactions() int64 { return s.r.Steps() }
-func (s *shardSimDriver[S, P]) stable() bool        { return s.d.Valid(s.r.States()) }
-func (s *shardSimDriver[S, P]) ranks() []int        { return s.d.Ranks(s.r.States()) }
-func (s *shardSimDriver[S, P]) rankedCount() int    { return s.d.RankedCount(s.r.States()) }
-func (s *shardSimDriver[S, P]) leader() int         { return s.d.LeaderOf(s.r.States()) }
-
-func (s *shardSimDriver[S, P]) resets() int64 {
-	if s.d.Resets == nil {
-		return 0
-	}
-	return s.d.Resets(s.p)
-}
-
-func (s *shardSimDriver[S, P]) resetBreakdown() map[string]int64 {
-	if s.d.ResetBreakdown == nil {
-		return nil
-	}
-	return s.d.ResetBreakdown(s.p)
-}
-
-func (s *shardSimDriver[S, P]) corrupt(k int, r *rng.RNG) error {
-	s.hit = -1
-	return descCorrupt(s.d, s.p, s.r.States(), k, r)
-}
-
-func (s *shardSimDriver[S, P]) swap(k int, r *rng.RNG) {
-	s.hit = -1
-	faults.Swap(s.r.States(), k, r)
-}
-
-func (s *shardSimDriver[S, P]) duplicate(r *rng.RNG) (int, int, error) {
-	s.hit = -1
-	return descDuplicate(s.d, s.r.States(), r)
-}
-
-func (s *shardSimDriver[S, P]) result() Result {
-	return descResult(s.d, s.p, s.r.States(), s.r.Steps(), s.hit, s.r.Shards())
-}
-
-func (s *shardSimDriver[S, P]) marshal(w *ckpt.Writer) error {
-	if s.d.MarshalState == nil {
-		return fmt.Errorf("ssrank: protocol %q does not register state serialization", s.d.Name)
-	}
-	st := s.r.EngineState()
-	w.Uvarint(ckptKindShard)
-	w.Varint(s.hit)
-	w.Varint(st.Steps)
-	ckpt.WriteRNGState(w, st.Master)
-	w.Uvarint(uint64(len(st.Shards)))
-	for i := range st.Shards {
-		ckpt.WritePairState(w, st.Shards[i])
-	}
-	w.Uvarint(uint64(len(st.Classes)))
-	for i := range st.Classes {
-		ckpt.WriteRNGState(w, st.Classes[i])
-	}
-	s.d.MarshalState(s.p, s.r.States(), w)
-	return nil
+	}, nil
 }

@@ -2,6 +2,7 @@ package ssrank
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -401,6 +402,44 @@ func TestSimulationGeneric(t *testing.T) {
 	}
 	if !s.RunUntilStable(0) {
 		t.Fatal("cai did not recover from corruption")
+	}
+}
+
+// TestObserveSamplesEveryWindow pins Observe's cadence on both
+// in-place engines: one snapshot at the start, one at the end of every
+// window of `every` interactions, and the last at the exact hitting
+// time. Windows in which no rank moved are sampled too: the probes and
+// the reset count move there. Serial windows do not cut the
+// trajectory, so the observed run ends on Run's Result.
+func TestObserveSamplesEveryWindow(t *testing.T) {
+	const n, every = 64, 64
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := Config{N: n, Init: InitWorstCase, Seed: 1, Shards: shards}
+			s, err := NewSimulation(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var at []int64
+			if !s.Observe(every, 0, func(sn Snapshot) { at = append(at, sn.Interactions) }) {
+				t.Fatal("did not stabilize under observation")
+			}
+			res := s.Result()
+			if !res.Exact || at[0] != 0 || at[len(at)-1] != res.Interactions {
+				t.Fatalf("samples span [%d, %d], want [0, %d] (exact %v)", at[0], at[len(at)-1], res.Interactions, res.Exact)
+			}
+			for i := 1; i < len(at); i++ {
+				gap := at[i] - at[i-1]
+				if gap != every && !(i == len(at)-1 && gap > 0 && gap <= every) {
+					t.Fatalf("sample %d of %d at %d follows %d: gap %d, want %d", i, len(at), at[i], at[i-1], gap, every)
+				}
+			}
+			if shards == 1 {
+				if run, _ := Run(cfg); !reflect.DeepEqual(res, run) {
+					t.Fatalf("observed Result %+v, Run gives %+v", res, run)
+				}
+			}
+		})
 	}
 }
 
