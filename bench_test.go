@@ -12,9 +12,7 @@ import (
 	"math"
 	"testing"
 
-	"ssrank/internal/baseline/aware"
 	"ssrank/internal/baseline/cai"
-	"ssrank/internal/baseline/interval"
 	"ssrank/internal/core"
 	"ssrank/internal/expt"
 	"ssrank/internal/sim"
@@ -58,85 +56,43 @@ func BenchmarkAblationResetWave(b *testing.B) { benchFigure(b, expt.AblationRese
 func BenchmarkAblationLEBudget(b *testing.B)  { benchFigure(b, expt.AblationLEBudget) }   // E16
 func BenchmarkPhaseStructure(b *testing.B)    { benchFigure(b, expt.PhaseStructure) }     // E17
 
-// Macro-benchmarks: full stabilization per protocol, reporting the
-// interaction count alongside wall time.
-
-func benchStabilize(b *testing.B, n int, run func(seed uint64) (int64, bool)) {
-	b.Helper()
-	var total int64
-	converged := 0
-	for i := 0; i < b.N; i++ {
-		steps, ok := run(uint64(i + 1))
-		total += steps
-		if ok {
-			converged++
-		}
+// BenchmarkStabilize is the macro-benchmark table: one full
+// stabilization per op through the public facade, which stops at the
+// exact hitting time via each protocol's tracker, reporting the
+// interaction count alongside wall time. Budgets are the registered
+// defaults except where an entry sets MaxInteractions.
+func BenchmarkStabilize(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"stable-256", Config{Protocol: StableRanking, N: 256}},
+		{"stable-worst-case-256", Config{Protocol: StableRanking, Init: InitWorstCase, N: 256}},
+		{"space-efficient-256", Config{Protocol: SpaceEfficient, N: 256, MaxInteractions: int64(300 * 256 * 256 * math.Log2(256))}},
+		{"aware-256", Config{Protocol: Aware, N: 256}},
+		{"cai-64", Config{Protocol: Cai, N: 64}}, // Θ(n³): keep n modest
+		{"interval-256", Config{Protocol: Interval, N: 256}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var total int64
+			converged := 0
+			for i := 0; i < b.N; i++ {
+				cfg := bc.cfg
+				cfg.Seed = uint64(i + 1)
+				res, err := Run(cfg)
+				total += res.Interactions
+				if err == nil {
+					converged++
+				}
+			}
+			n := float64(bc.cfg.N)
+			b.ReportMetric(float64(total)/float64(b.N), "interactions/op")
+			b.ReportMetric(float64(total)/float64(b.N)/n/n, "n²-units/op")
+			if converged == 0 {
+				b.Fatal("no iteration converged")
+			}
+		})
 	}
-	b.ReportMetric(float64(total)/float64(b.N), "interactions/op")
-	b.ReportMetric(float64(total)/float64(b.N)/float64(n)/float64(n), "n²-units/op")
-	if converged == 0 {
-		b.Fatal("no iteration converged")
-	}
-}
-
-func BenchmarkStableStabilize256(b *testing.B) {
-	const n = 256
-	benchStabilize(b, n, func(seed uint64) (int64, bool) {
-		p := stable.New(n, stable.DefaultParams())
-		r := sim.New[stable.State](p, p.InitialStates(), seed)
-		steps, err := r.RunUntil(stable.Valid, 0, int64(3000*float64(n)*float64(n)*math.Log2(n)))
-		return steps, err == nil
-	})
-}
-
-func BenchmarkStableWorstCase256(b *testing.B) {
-	const n = 256
-	benchStabilize(b, n, func(seed uint64) (int64, bool) {
-		p := stable.New(n, stable.DefaultParams())
-		r := sim.New[stable.State](p, p.WorstCaseInit(), seed)
-		steps, err := r.RunUntil(stable.Valid, 0, int64(3000*float64(n)*float64(n)*math.Log2(n)))
-		return steps, err == nil
-	})
-}
-
-func BenchmarkSpaceEfficient256(b *testing.B) {
-	const n = 256
-	benchStabilize(b, n, func(seed uint64) (int64, bool) {
-		p := core.New(n, core.DefaultParams())
-		r := sim.New[core.State](p, p.InitialStates(), seed)
-		steps, err := r.RunUntil(core.Valid, 0, int64(300*float64(n)*float64(n)*math.Log2(n)))
-		return steps, err == nil
-	})
-}
-
-func BenchmarkAware256(b *testing.B) {
-	const n = 256
-	benchStabilize(b, n, func(seed uint64) (int64, bool) {
-		p := aware.New(n, aware.DefaultParams())
-		r := sim.New[aware.State](p, p.InitialStates(), seed)
-		steps, err := r.RunUntil(aware.Valid, 0, int64(3000*float64(n)*float64(n)*math.Log2(n)))
-		return steps, err == nil
-	})
-}
-
-func BenchmarkCai64(b *testing.B) {
-	const n = 64 // Θ(n³): keep n modest
-	benchStabilize(b, n, func(seed uint64) (int64, bool) {
-		p := cai.New(n)
-		r := sim.New[cai.State](p, p.InitialStates(), seed)
-		steps, err := r.RunUntil(cai.Valid, 0, int64(2000*n*n*n))
-		return steps, err == nil
-	})
-}
-
-func BenchmarkInterval256(b *testing.B) {
-	const n = 256
-	benchStabilize(b, n, func(seed uint64) (int64, bool) {
-		p := interval.New(n, 1.0)
-		r := sim.New[interval.State](p, p.InitialStates(), seed)
-		steps, err := r.RunUntil(interval.Valid, 0, int64(5000*n*n))
-		return steps, err == nil
-	})
 }
 
 // Large-n engine benchmarks: raw interaction throughput at n = 10⁵,

@@ -209,22 +209,13 @@ func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[
 		if cfg.Shards < 2 {
 			return nil, fmt.Errorf("ssrank: sharded checkpoint, config resolves to %d shard(s)", cfg.Shards)
 		}
-		st := shard.EngineState{Steps: steps, Master: ckpt.ReadRNGState(r)}
-		count := r.Count(cfg.N)
-		if r.Err() == nil && count != cfg.Shards {
-			return nil, fmt.Errorf("ssrank: checkpoint holds %d shard streams, config resolves to %d shards", count, cfg.Shards)
+		st := shard.EngineState{Steps: steps}
+		st.Master, st.Shards, st.Classes = ckpt.ReadShardStreams(r, cfg.N, cfg.N)
+		if r.Err() == nil && len(st.Shards) != cfg.Shards {
+			return nil, fmt.Errorf("ssrank: checkpoint holds %d shard streams, config resolves to %d shards", len(st.Shards), cfg.Shards)
 		}
-		st.Shards = make([]rng.PairBatchState, count)
-		for i := range st.Shards {
-			st.Shards[i] = ckpt.ReadPairState(r)
-		}
-		nclasses := r.Count(cfg.N)
-		if want := cfg.Shards * (cfg.Shards - 1) / 2; r.Err() == nil && nclasses != want {
-			return nil, fmt.Errorf("ssrank: checkpoint holds %d cross-class streams, %d shards need %d", nclasses, cfg.Shards, want)
-		}
-		st.Classes = make([][4]uint64, nclasses)
-		for i := range st.Classes {
-			st.Classes[i] = ckpt.ReadRNGState(r)
+		if want := cfg.Shards * (cfg.Shards - 1) / 2; r.Err() == nil && len(st.Classes) != want {
+			return nil, fmt.Errorf("ssrank: checkpoint holds %d cross-class streams, %d shards need %d", len(st.Classes), cfg.Shards, want)
 		}
 		restore = func(e engine[S]) error {
 			if err := e.(*shardEngine[S, P]).r.SetEngineState(st); err != nil {
@@ -251,7 +242,8 @@ func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[
 	return h, nil
 }
 
-// The stream-state section codecs (pair-stream and bare rng-state
-// layouts) live in internal/ckpt (WritePairState and friends): the
-// distributed runtime serializes the same sections into its wire
-// frames, so the encodings are shared, not duplicated.
+// The stream-state section codecs (the serial pair stream, the sharded
+// stream table) live in internal/ckpt (WritePairState,
+// WriteShardStreams and their readers): the distributed runtime
+// serializes the same sections into its wire frames, so the encodings
+// are shared, not duplicated.

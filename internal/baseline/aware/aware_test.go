@@ -12,10 +12,22 @@ func budget(n int, c float64) int64 {
 	return int64(c * float64(n) * float64(n) * math.Log2(float64(n)))
 }
 
+// stabilize runs r to the exact hitting time of Valid, through the
+// descriptor's rank tracker, and asserts Valid on the configuration it
+// stops in.
+func stabilize(t *testing.T, r *sim.Runner[State, *Protocol], p *Protocol, maxSteps int64) (int64, error) {
+	t.Helper()
+	steps, err := sim.RunUntilCondT(r, sim.DescCond(Describe(), p), maxSteps)
+	if err == nil && !Valid(r.States()) {
+		t.Fatalf("n=%d: stopped at %d but the configuration is not valid", p.N(), steps)
+	}
+	return steps, err
+}
+
 func mustStabilize(t *testing.T, p *Protocol, states []State, seed uint64) int64 {
 	t.Helper()
 	r := sim.New[State](p, states, seed)
-	steps, err := r.RunUntil(Valid, 0, budget(p.N(), 2000))
+	steps, err := stabilize(t, r, p, budget(p.N(), 2000))
 	if err != nil {
 		t.Fatalf("n=%d seed=%d: not stabilized (ranked=%d resets=%d)",
 			p.N(), seed, RankedCount(r.States()), p.Resets())

@@ -8,6 +8,18 @@ import (
 	"ssrank/internal/sim"
 )
 
+// stabilize runs r to the exact hitting time of Valid, through the
+// descriptor's rank tracker, and asserts Valid on the configuration it
+// stops in.
+func stabilize(t *testing.T, r *sim.Runner[State, *Protocol], p *Protocol, maxSteps int64) (int64, error) {
+	t.Helper()
+	steps, err := sim.RunUntilCondT(r, sim.DescCond(Describe(), p), maxSteps)
+	if err == nil && !Valid(r.States()) {
+		t.Fatalf("n=%d: stopped at %d but the configuration is not valid", p.N(), steps)
+	}
+	return steps, err
+}
+
 func TestCollisionBumpsResponderOnly(t *testing.T) {
 	p := New(8)
 	u, v := State(3), State(3)
@@ -40,7 +52,7 @@ func TestStabilizesFromAllOnes(t *testing.T) {
 		p := New(n)
 		r := sim.New[State](p, p.InitialStates(), uint64(n))
 		budget := int64(200 * float64(n) * float64(n) * float64(n))
-		if _, err := r.RunUntil(Valid, 0, budget); err != nil {
+		if _, err := stabilize(t, r, p, budget); err != nil {
 			t.Fatalf("n=%d: not a permutation within %d interactions", n, budget)
 		}
 	}
@@ -56,7 +68,7 @@ func TestStabilizesFromRandomLabels(t *testing.T) {
 			states[i] = State(1 + r.Intn(n))
 		}
 		run := sim.New[State](p, states, seed^0xfeed)
-		_, err := run.RunUntil(Valid, 0, int64(500*n*n*n))
+		_, err := stabilize(t, run, p, int64(500*n*n*n))
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -96,7 +108,7 @@ func TestCubicGrowth(t *testing.T) {
 		for seed := uint64(1); seed <= trials; seed++ {
 			p := New(n)
 			r := sim.New[State](p, p.InitialStates(), seed)
-			steps, err := r.RunUntil(Valid, 0, int64(500*n*n*n))
+			steps, err := stabilize(t, r, p, int64(500*n*n*n))
 			if err != nil {
 				t.Fatalf("n=%d did not stabilize", n)
 			}

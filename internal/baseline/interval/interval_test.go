@@ -8,6 +8,18 @@ import (
 	"ssrank/internal/sim"
 )
 
+// stabilize runs r to the exact hitting time of Valid, through the
+// descriptor's tracker (the interval-disjointness condition), and
+// asserts Valid on the configuration it stops in.
+func stabilize(t *testing.T, r *sim.Runner[State, *Protocol], p *Protocol, maxSteps int64) (int64, error) {
+	t.Helper()
+	steps, err := sim.RunUntilCondT(r, NewDisjointCond(p.M()), maxSteps)
+	if err == nil && !Valid(r.States()) {
+		t.Fatalf("n=%d: stopped at %d but the configuration is not valid", p.N(), steps)
+	}
+	return steps, err
+}
+
 func TestNewRoundsToPowerOfTwo(t *testing.T) {
 	cases := []struct {
 		n    int
@@ -92,7 +104,7 @@ func TestRanksDistinctAfterStabilization(t *testing.T) {
 	for _, n := range []int{2, 8, 32, 100} {
 		p := New(n, 1.0)
 		r := sim.New[State](p, p.InitialStates(), uint64(n))
-		if _, err := r.RunUntil(Valid, 0, int64(10000*n)); err != nil {
+		if _, err := stabilize(t, r, p, int64(10000*n)); err != nil {
 			t.Fatalf("n=%d: not stabilized", n)
 		}
 		seen := map[int32]bool{}
@@ -145,7 +157,7 @@ func TestSlackSpeedsRanking(t *testing.T) {
 		for seed := uint64(1); seed <= trials; seed++ {
 			p := New(n, eps)
 			r := sim.New[State](p, p.InitialStates(), seed)
-			steps, err := r.RunUntil(Valid, 0, int64(2000*n*n))
+			steps, err := stabilize(t, r, p, int64(2000*n*n))
 			if err != nil {
 				continue
 			}
@@ -172,7 +184,7 @@ func TestZeroSlackConverges(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		p := New(n, 0)
 		r := sim.New[State](p, p.InitialStates(), seed)
-		if _, err := r.RunUntil(Valid, 0, int64(5000*n*n)); err != nil {
+		if _, err := stabilize(t, r, p, int64(5000*n*n)); err != nil {
 			t.Fatalf("seed %d: zero-slack run did not converge", seed)
 		}
 		if err := p.CheckInvariant(r.States()); err != nil {

@@ -7,11 +7,25 @@ import (
 	"ssrank/internal/sim"
 )
 
+// elect runs r to the exact hitting time of a unique leader, through
+// the descriptor's leader tracker. Uniqueness is transient, so the
+// configuration the loop stops in may already have moved on; the check
+// is on the returned step instead: a hit lies within the steps run.
+func elect(t *testing.T, r *sim.Runner[State, *Protocol], maxSteps int64) (int64, error) {
+	t.Helper()
+	start := r.Steps()
+	steps, err := sim.RunUntilCondT(r, NewLeaderCond(), maxSteps)
+	if err == nil && (steps < start || steps > r.Steps()) {
+		t.Fatalf("unique leader reported at step %d, outside the %d..%d run", steps, start, r.Steps())
+	}
+	return steps, err
+}
+
 func TestConvergesFromNoLeader(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		p := New(n, 8)
 		r := sim.New[State](p, p.InitialStates(), uint64(n))
-		steps, err := r.RunUntil(UniqueLeader, 0, int64(200*n*17))
+		steps, err := elect(t, r, int64(200*n*17))
 		if err != nil {
 			t.Fatalf("n=%d: no unique leader (have %d)", n, Leaders(r.States()))
 		}
@@ -26,7 +40,7 @@ func TestConvergesFromAllLeaders(t *testing.T) {
 	p := New(n, 8)
 	r := sim.New[State](p, p.AllLeaders(), 3)
 	// Duels need direct meetings: budget O(n² log n).
-	if _, err := r.RunUntil(UniqueLeader, 0, int64(200*n*n)); err != nil {
+	if _, err := elect(t, r, int64(200*n*n)); err != nil {
 		t.Fatalf("still %d leaders", Leaders(r.States()))
 	}
 }
@@ -41,7 +55,7 @@ func TestConvergesFromRandomConfigs(t *testing.T) {
 			states[i] = State{Leader: rr.Bool(), Timeout: int32(rr.Intn(int(p.TMax()) + 1))}
 		}
 		r := sim.New[State](p, states, rr.Uint64())
-		if _, err := r.RunUntil(UniqueLeader, 0, int64(500*n*n)); err != nil {
+		if _, err := elect(t, r, int64(500*n*n)); err != nil {
 			t.Fatalf("trial %d: %d leaders", trial, Leaders(r.States()))
 		}
 	}
@@ -51,10 +65,24 @@ func TestHoldingTime(t *testing.T) {
 	// Loose stabilization: a unique leader persists for a long time.
 	// With factor 8 the leader must comfortably survive 200·n·log n
 	// further interactions.
+	//
+	// Holding is measured from a safe configuration: a unique leader
+	// and no drained timeout left to promote a second one. The first
+	// hitting time of uniqueness is not one (from the drained start it
+	// is step 1, with every other agent still drained), and no tracker
+	// watches timeouts, so this stop polls.
 	const n = 128
 	p := New(n, 8)
 	r := sim.New[State](p, p.InitialStates(), 5)
-	if _, err := r.RunUntil(UniqueLeader, 0, int64(200*n*17)); err != nil {
+	safe := func(_ int64, ss []State) bool {
+		for i := range ss {
+			if ss[i].Timeout == 0 {
+				return false
+			}
+		}
+		return UniqueLeader(ss)
+	}
+	if _, err := sim.Poll(r, 0, int64(200*n*17), safe); err != nil {
 		t.Fatal("did not converge")
 	}
 	for i := 0; i < 200; i++ {
@@ -73,7 +101,7 @@ func TestNotSilent(t *testing.T) {
 	const n = 32
 	p := New(n, 8)
 	r := sim.New[State](p, p.InitialStates(), 9)
-	if _, err := r.RunUntil(UniqueLeader, 0, int64(200*n*17)); err != nil {
+	if _, err := elect(t, r, int64(200*n*17)); err != nil {
 		t.Fatal("did not converge")
 	}
 	before := r.Snapshot()

@@ -57,3 +57,35 @@ func ReadRNGState(r *Reader) [4]uint64 {
 	}
 	return st
 }
+
+// WriteShardStreams appends the sharded engine's stream table: the
+// master classification stream, then the per-shard pair streams and
+// the per-class endpoint streams, each list prefixed by its length.
+func WriteShardStreams(w *Writer, master [4]uint64, shards []rng.PairBatchState, classes [][4]uint64) {
+	WriteRNGState(w, master)
+	w.Uvarint(uint64(len(shards)))
+	for i := range shards {
+		WritePairState(w, shards[i])
+	}
+	w.Uvarint(uint64(len(classes)))
+	for i := range classes {
+		WriteRNGState(w, classes[i])
+	}
+}
+
+// ReadShardStreams decodes a table written by WriteShardStreams,
+// failing r on more than maxShards shard or maxClasses class streams.
+// Errors stick in r; the caller checks the counts it read against its
+// engine, and shard.Runner.SetEngineState validates the positions.
+func ReadShardStreams(r *Reader, maxShards, maxClasses int) (master [4]uint64, shards []rng.PairBatchState, classes [][4]uint64) {
+	master = ReadRNGState(r)
+	shards = make([]rng.PairBatchState, r.Count(maxShards))
+	for i := range shards {
+		shards[i] = ReadPairState(r)
+	}
+	classes = make([][4]uint64, r.Count(maxClasses))
+	for i := range classes {
+		classes[i] = ReadRNGState(r)
+	}
+	return master, shards, classes
+}

@@ -119,19 +119,3 @@ func CountKinds(states []State) (le, wait, phase, ranked int) {
 	}
 	return le, wait, phase, ranked
 }
-
-// DuplicateRanks returns the indices of the first pair of distinct
-// agents sharing a rank, or (-1, -1) if ranks are duplicate-free.
-func DuplicateRanks(states []State) (int, int) {
-	byRank := make(map[int32]int, len(states))
-	for i := range states {
-		if states[i].Kind != KindRanked {
-			continue
-		}
-		if j, ok := byRank[states[i].Rank]; ok {
-			return j, i
-		}
-		byRank[states[i].Rank] = i
-	}
-	return -1, -1
-}

@@ -13,11 +13,23 @@ func budget(n int, c float64) int64 {
 	return int64(c * float64(n) * float64(n) * math.Log2(float64(n)))
 }
 
+// stabilize runs r to the exact hitting time of Valid, through the
+// descriptor's rank tracker, and asserts Valid on the configuration it
+// stops in.
+func stabilize(t *testing.T, r *sim.Runner[State, *Protocol], p *Protocol, maxSteps int64) (int64, error) {
+	t.Helper()
+	steps, err := sim.RunUntilCondT(r, sim.DescCond(Describe(), p), maxSteps)
+	if err == nil && !Valid(r.States()) {
+		t.Fatalf("n=%d: stopped at %d but the configuration is not valid", p.N(), steps)
+	}
+	return steps, err
+}
+
 func runToValid(t *testing.T, n int, seed uint64) (int64, []State) {
 	t.Helper()
 	p := New(n, DefaultParams())
 	r := sim.New[State](p, p.InitialStates(), seed)
-	steps, err := r.RunUntil(Valid, 0, budget(n, 40))
+	steps, err := stabilize(t, r, p, budget(n, 40))
 	if err != nil {
 		le, wait, phase, ranked := CountKinds(r.States())
 		t.Fatalf("n=%d seed=%d: no valid ranking after %d steps (le=%d wait=%d phase=%d ranked=%d, contenders=%d)",
@@ -47,12 +59,9 @@ func TestStabilizesToValidRanking(t *testing.T) {
 		for seed := uint64(1); seed <= seeds; seed++ {
 			p := New(n, DefaultParams())
 			r := sim.New[State](p, p.InitialStates(), seed)
-			if _, err := r.RunUntil(Valid, 0, budget(n, 40)); err != nil {
+			if _, err := stabilize(t, r, p, budget(n, 40)); err != nil {
 				fails++
 				continue
-			}
-			if !Valid(r.States()) {
-				t.Fatalf("n=%d seed=%d: RunUntil returned but configuration not valid", n, seed)
 			}
 			if !Silent(r.States()) {
 				t.Fatalf("n=%d seed=%d: valid configuration not silent", n, seed)
@@ -73,7 +82,7 @@ func TestValidConfigurationIsStable(t *testing.T) {
 	n := 64
 	p := New(n, DefaultParams())
 	r := sim.New[State](p, p.InitialStates(), 7)
-	if _, err := r.RunUntil(Valid, 0, budget(n, 40)); err != nil {
+	if _, err := stabilize(t, r, p, budget(n, 40)); err != nil {
 		t.Fatal(err)
 	}
 	before := r.Snapshot()
@@ -97,7 +106,7 @@ func TestConvergenceRateAcrossSeeds(t *testing.T) {
 	for seed := uint64(100); seed < 100+seeds; seed++ {
 		p := New(n, DefaultParams())
 		r := sim.New[State](p, p.InitialStates(), seed)
-		if _, err := r.RunUntil(Valid, 0, budget(n, 40)); err != nil {
+		if _, err := stabilize(t, r, p, budget(n, 40)); err != nil {
 			fail++
 		}
 	}

@@ -65,7 +65,7 @@ func TrackWindows(p *Protocol, seed uint64, every, maxSteps int64) ([]Window, bo
 		}
 	}
 
-	r.Observe(func(steps int64, states []State) {
+	sim.Poll(r, every, maxSteps, func(steps int64, states []State) bool {
 		_, wait, _, _ := CountKinds(states)
 		waiting := wait > 0
 		switch {
@@ -83,7 +83,6 @@ func TrackWindows(p *Protocol, seed uint64, every, maxSteps int64) ([]Window, bo
 			phase++
 			cur = &Window{Kind: WindowWaiting, Phase: phase, Start: steps}
 		}
-	}, every, maxSteps, func(states []State) bool {
 		return Valid(states)
 	})
 

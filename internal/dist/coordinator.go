@@ -248,7 +248,7 @@ func (c *Coordinator[S, P]) assignAll() error {
 				RunID: c.id, GroupLo: s.glo, GroupHi: s.ghi, Steps: c.committed.Steps,
 			})
 			appendInstr(&buf, base)
-			writeEngineStreams(&buf, c.committed)
+			ckpt.WriteShardStreams(&buf, c.committed.Master, c.committed.Shards, c.committed.Classes)
 			buf.Uvarint(uint64(len(states)))
 			for i := range states {
 				c.d.EncodeAgent(c.p, &states[i], &buf)

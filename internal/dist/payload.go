@@ -6,7 +6,6 @@ import (
 
 	"ssrank/internal/ckpt"
 	"ssrank/internal/proto"
-	"ssrank/internal/rng"
 	"ssrank/internal/sim"
 	"ssrank/internal/sim/shard"
 )
@@ -212,35 +211,4 @@ func sumInstr(vs ...[]int64) []int64 {
 		}
 	}
 	return out
-}
-
-// readEngineStreams reads the stream table of an Assign frame: master
-// position, per-shard pair streams, per-class endpoint streams.
-func readEngineStreams(r *ckpt.Reader, shards int) shard.EngineState {
-	var st shard.EngineState
-	st.Master = ckpt.ReadRNGState(r)
-	nsh := r.Count(shards)
-	st.Shards = make([]rng.PairBatchState, nsh)
-	for i := range st.Shards {
-		st.Shards[i] = ckpt.ReadPairState(r)
-	}
-	ncl := r.Count(shards * (shards - 1) / 2)
-	st.Classes = make([][4]uint64, ncl)
-	for i := range st.Classes {
-		st.Classes[i] = ckpt.ReadRNGState(r)
-	}
-	return st
-}
-
-// writeEngineStreams writes the stream table of an Assign frame.
-func writeEngineStreams(w *ckpt.Writer, st shard.EngineState) {
-	ckpt.WriteRNGState(w, st.Master)
-	w.Uvarint(uint64(len(st.Shards)))
-	for i := range st.Shards {
-		ckpt.WritePairState(w, st.Shards[i])
-	}
-	w.Uvarint(uint64(len(st.Classes)))
-	for i := range st.Classes {
-		ckpt.WriteRNGState(w, st.Classes[i])
-	}
 }

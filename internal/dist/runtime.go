@@ -68,8 +68,8 @@ func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
 		return fmt.Errorf("dist: protocol %q does not register per-agent codecs", rt.d.Name)
 	}
 	instr := readInstr(r)
-	st := readEngineStreams(r, h.Shards)
-	st.Steps = h.Steps
+	st := shard.EngineState{Steps: h.Steps}
+	st.Master, st.Shards, st.Classes = ckpt.ReadShardStreams(r, h.Shards, h.Shards*(h.Shards-1)/2)
 	p := rt.d.New(h.N)
 	n := r.Count(h.N)
 	if r.Err() == nil && n != h.N {

@@ -73,7 +73,7 @@ func TestTransitionOneWay(t *testing.T) {
 func TestEpidemicCompletesViaEngine(t *testing.T) {
 	const n, m = 128, 50
 	r := sim.New[State](Protocol{}, InitialStates(n, m), 3)
-	steps, err := r.RunUntil(Done, 0, 10_000_000)
+	steps, err := sim.Poll(r, 0, 10_000_000, func(_ int64, ss []State) bool { return Done(ss) })
 	if err != nil {
 		t.Fatalf("epidemic incomplete: %d infected of %d", InfectedCount(r.States()), m)
 	}

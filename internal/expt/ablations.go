@@ -57,8 +57,8 @@ func AblationCWait(opts Options) Figure {
 			func(_ int, seed uint64) stepsResult {
 				p := core.New(n, core.Params{CWait: cw})
 				r := sim.New[core.State](p, p.InitialStates(), seed)
-				stop := func(ss []core.State) bool { return core.Silent(ss) }
-				if _, err := r.RunUntil(stop, 0, budget(n, 300)); err != nil {
+				silent := func(_ int64, ss []core.State) bool { return core.Silent(ss) }
+				if _, err := sim.Poll(r, 0, budget(n, 300), silent); err != nil {
 					return stepsResult{0, false} // never went silent: also a failure
 				}
 				return stepsResult{float64(r.Steps()), core.Valid(r.States())}

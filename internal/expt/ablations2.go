@@ -63,7 +63,7 @@ func AblationResetWave(opts Options) Figure {
 				}
 				p.TriggerReset(&states[0])
 				r := sim.New[stable.State](p, states, seed)
-				fullyOut := func(ss []stable.State) bool {
+				fullyOut := func(_ int64, ss []stable.State) bool {
 					for i := range ss {
 						if ss[i].IsMain() {
 							return false
@@ -72,7 +72,7 @@ func AblationResetWave(opts Options) Figure {
 					return true
 				}
 				waveBudget := int64(200 * float64(n) * math.Log2(float64(n)) * (f + 1))
-				if steps, err := r.RunUntil(fullyOut, 0, waveBudget); err == nil {
+				if steps, err := sim.Poll(r, 0, waveBudget, fullyOut); err == nil {
 					out.covered = true
 					out.wave = float64(steps) / (float64(n) * math.Log2(float64(n)))
 				}

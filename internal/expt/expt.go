@@ -88,9 +88,6 @@ type Progress struct {
 	CI95 float64
 }
 
-// DefaultOptions returns the full-scale configuration.
-func DefaultOptions() Options { return Options{Seed: 0x5eed} }
-
 // QuickOptions returns the scaled-down configuration.
 func QuickOptions() Options { return Options{Seed: 0x5eed, Quick: true} }
 
@@ -239,11 +236,12 @@ func (o Options) shardsFor(n int) int {
 	return o.Shards
 }
 
-// runner is the single-trial engine surface the generators drive.
-// All calls except RunUntilExact are chunk-level (cadence ≥ n
-// interactions), so the interface indirection never sits on a
-// per-interaction path; RunUntilExact dispatches once to the engine's
-// touch-aware loop, which devirtualizes the per-interaction work.
+// runner is the single-trial engine surface the generators drive:
+// sim.Poll's Run/States/Steps plus the exact stop. All calls except
+// RunUntilExact are chunk-level (cadence ≥ n interactions), so the
+// interface indirection never sits on a per-interaction path;
+// RunUntilExact dispatches once to the engine's touch-aware loop,
+// which devirtualizes the per-interaction work.
 type runner[S any] interface {
 	Run(k int64)
 	// RunUntilExact stops a stabilization run at the exact hitting
@@ -253,7 +251,6 @@ type runner[S any] interface {
 	// sharded engine. Both handle transient conditions (loose LE's
 	// uniqueness window) that a polled scan could sail through.
 	RunUntilExact(cond sim.Condition[S], maxSteps int64) (int64, error)
-	Observe(obs func(steps int64, states []S), every, maxSteps int64, stop func(states []S) bool) int64
 	States() []S
 	Steps() int64
 }

@@ -14,8 +14,8 @@ import (
 
 // stabilize runs a serial StableRanking trial until its ranking is
 // valid, stopping at the exact hitting time (sim.RunUntilCondT over
-// the rank tracker), which it returns; the polled sim.Runner.RunUntil
-// is left to the sweeps' predicates that have no tracker.
+// the rank tracker), which it returns; sim.Poll is left to the
+// sweeps' predicates that have no tracker.
 func stabilize(r *sim.Runner[stable.State, *stable.Protocol], maxSteps int64) (int64, error) {
 	return sim.RunUntilCondT(r, sim.NewRankCond(0, stable.RankOf), maxSteps)
 }
@@ -139,7 +139,7 @@ func DeadConfigReset(opts Options) Figure {
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, stable.DefaultParams())
 				r := sim.New[stable.State](p, cfg.make(p), seed)
-				steps, err := r.RunUntil(func([]stable.State) bool { return p.Resets() > 0 }, 0, budget(n, 3000))
+				steps, err := sim.Poll(r, 0, budget(n, 3000), func(int64, []stable.State) bool { return p.Resets() > 0 })
 				if err != nil {
 					return trialR{}
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ssrank/internal/plot"
+	"ssrank/internal/sim"
 	"ssrank/internal/stable"
 )
 
@@ -47,14 +48,14 @@ func Figure2(opts Options) Figure {
 		out := fig2run{stabilizedAt: -1}
 		sample := int64(n) * int64(n) / 4
 		maxSteps := int64(maxUnits * float64(n) * float64(n))
-		r.Observe(func(steps int64, states []stable.State) {
+		sim.Poll(r, sample, maxSteps, func(steps int64, states []stable.State) bool {
 			u := float64(steps) / float64(n) / float64(n)
 			out.pts = append(out.pts, point{u, stable.RankedCount(states), stable.MeanPhase(states), p.Resets()})
-			if out.stabilizedAt < 0 && stable.Valid(states) {
-				out.stabilizedAt = u
+			if !stable.Valid(states) {
+				return false
 			}
-		}, sample, maxSteps, func(states []stable.State) bool {
-			return stable.Valid(states)
+			out.stabilizedAt = u
+			return true
 		})
 		out.resets = p.Resets()
 		out.breakdown = p.ResetBreakdown()

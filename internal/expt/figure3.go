@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"ssrank/internal/plot"
+	"ssrank/internal/sim"
 	"ssrank/internal/stable"
 	"ssrank/internal/stats"
 )
@@ -33,7 +34,7 @@ func fig3HittingTimes(opts Options, n int, seed uint64) []float64 {
 		times[i] = -1
 	}
 	next := 0
-	r.Observe(func(steps int64, states []stable.State) {
+	sim.Poll(r, int64(n), budget(n, 100), func(steps int64, states []stable.State) bool {
 		ranked := stable.RankedCount(states)
 		for next < len(fig3Fractions) {
 			fr := fig3Fractions[next]
@@ -43,7 +44,6 @@ func fig3HittingTimes(opts Options, n int, seed uint64) []float64 {
 			times[next] = float64(steps) / float64(n) / float64(n)
 			next++
 		}
-	}, int64(n), budget(n, 100), func([]stable.State) bool {
 		return next >= len(fig3Fractions)
 	})
 	return times

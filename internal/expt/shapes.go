@@ -157,7 +157,9 @@ func LEShape(opts Options) Figure {
 			func(_ int, seed uint64) stepsResult {
 				p := leaderelect.New(n)
 				r := sim.New[leaderelect.State](p, p.InitialStates(), seed)
-				steps, err := r.RunUntil(leaderelect.UniqueLeaderElected, 0, int64(400*float64(n)*lg*lg))
+				steps, err := sim.Poll(r, 0, int64(400*float64(n)*lg*lg), func(_ int64, ss []leaderelect.State) bool {
+					return leaderelect.UniqueLeaderElected(ss)
+				})
 				return stepsResult{float64(steps), err == nil}
 			})
 		for _, t := range res {
@@ -237,7 +239,7 @@ func FastLESuccess(opts Options) Figure {
 func oneShotFastLE(n int, seed uint64) int {
 	p := stable.New(n, stable.DefaultParams())
 	r := sim.New[stable.State](p, p.InitialStates(), seed)
-	decided := func(ss []stable.State) bool {
+	decided := func(_ int64, ss []stable.State) bool {
 		for i := range ss {
 			if ss[i].Mode == stable.ModeLE && !ss[i].LeaderDone {
 				return false
@@ -245,7 +247,7 @@ func oneShotFastLE(n int, seed uint64) int {
 		}
 		return true
 	}
-	if _, err := r.RunUntil(decided, 0, int64(100*n*17)); err != nil {
+	if _, err := sim.Poll(r, 0, int64(100*n*17), decided); err != nil {
 		return -1
 	}
 	leaders := 0

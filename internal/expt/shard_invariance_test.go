@@ -7,9 +7,9 @@ import "testing"
 // criterion "figures -e E1 -shards 4 is byte-identical at 1 vs 8
 // workers": for a fixed (seed, shard count) an adopting generator must
 // produce identical CSVs at every worker setting. E1 covers the
-// single-trajectory Observe path, E2 the replicated RunUntil/Observe
-// sweep (shard workers nested inside the trial pool), E4 the
-// pilot-budget derivation through the sharded engine.
+// single-trajectory sim.Poll path, E2 the replicated sim.Poll sweep
+// (shard workers nested inside the trial pool), E4 the pilot-budget
+// derivation through the sharded engine.
 func TestShardWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")

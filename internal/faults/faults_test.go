@@ -91,13 +91,32 @@ func TestDuplicateCreatesEqualStates(t *testing.T) {
 	}
 }
 
+// stabilizeDesc runs r to the exact hitting time of the descriptor's
+// stop condition through its tracker, and asserts Valid on the
+// configuration it stops in — except for a transient stop (the loose
+// protocol's leader uniqueness), which that configuration may already
+// have left; its check is that the hit lies within the steps run.
+func stabilizeDesc[S any, P sim.TouchReporter[S]](t *testing.T, d proto.Descriptor[S, P], p P, r *sim.Runner[S, P], maxSteps int64) error {
+	t.Helper()
+	start := r.Steps()
+	hit, err := sim.RunUntilCondT(r, sim.DescCond(d, p), maxSteps)
+	switch {
+	case err != nil:
+	case d.TransientStop && (hit < start || hit > r.Steps()):
+		t.Fatalf("%s: stop reported at step %d, outside the %d..%d run", d.Name, hit, start, r.Steps())
+	case !d.TransientStop && !d.Valid(r.States()):
+		t.Fatalf("%s: stopped at %d but the configuration is not valid", d.Name, hit)
+	}
+	return err
+}
+
 // checkDescRecovery is the recovery property, stated once against the
 // descriptor contract: stabilize from the default init, corrupt k
 // agents with protocol-drawn random states, and re-stabilize within
 // the registered budget. Protocols that are not self-stabilizing (or
 // register no RandomState) make no such promise and are skipped — the
 // skip itself documents the contract.
-func checkDescRecovery[S any, P sim.Protocol[S]](t *testing.T, d proto.Descriptor[S, P], n, k int) {
+func checkDescRecovery[S any, P sim.TouchReporter[S]](t *testing.T, d proto.Descriptor[S, P], n, k int) {
 	t.Helper()
 	if !d.SelfStabilizing || d.RandomState == nil {
 		t.Skipf("%s does not support corruption (self-stabilizing=%v)", d.Name, d.SelfStabilizing)
@@ -105,7 +124,7 @@ func checkDescRecovery[S any, P sim.Protocol[S]](t *testing.T, d proto.Descripto
 	p := d.New(n)
 	r := sim.New[S](p, d.Init(p, d.Inits[0], rng.New(11)), 5)
 	budget := d.Budget(n)
-	if _, err := r.RunUntil(d.Valid, 0, budget); err != nil {
+	if err := stabilizeDesc(t, d, p, r, budget); err != nil {
 		t.Fatalf("%s: initial stabilization failed: %v", d.Name, err)
 	}
 
@@ -114,7 +133,7 @@ func checkDescRecovery[S any, P sim.Protocol[S]](t *testing.T, d proto.Descripto
 	if d.Valid(r.States()) {
 		t.Skip("corruption happened to preserve validity; nothing to recover")
 	}
-	if _, err := r.RunUntil(d.Valid, 0, r.Steps()+budget); err != nil {
+	if err := stabilizeDesc(t, d, p, r, r.Steps()+budget); err != nil {
 		t.Fatalf("%s: did not recover from corruption: %v", d.Name, err)
 	}
 }
@@ -144,7 +163,7 @@ func TestRecoveryAtScale(t *testing.T) {
 	p := stable.New(n, stable.DefaultParams())
 	r := sim.New[stable.State](p, p.InitialStates(), 5)
 	budget := int64(2000 * float64(n) * float64(n) * math.Log2(float64(n)))
-	if _, err := r.RunUntil(stable.Valid, 0, budget); err != nil {
+	if err := stabilizeDesc(t, stable.Describe(), p, r, budget); err != nil {
 		t.Fatal("initial stabilization failed")
 	}
 
@@ -153,7 +172,7 @@ func TestRecoveryAtScale(t *testing.T) {
 	if stable.Valid(r.States()) {
 		t.Skip("corruption happened to preserve validity; nothing to recover")
 	}
-	if _, err := r.RunUntil(stable.Valid, 0, r.Steps()+budget); err != nil {
+	if err := stabilizeDesc(t, stable.Describe(), p, r, r.Steps()+budget); err != nil {
 		t.Fatalf("did not recover from corruption: %v", p.ResetBreakdown())
 	}
 }

@@ -577,12 +577,22 @@ func (m *Manager) run(j *Job, resume []byte) {
 	}
 	slice := m.sliceFor(j.Config)
 	budget := j.Config.MaxInteractions
+	// The message network (the one engine a normalized Config gives 0
+	// shards) bounds the rounds of each call by the interactions the
+	// call has left. Capping those at the rounds the budget has left
+	// caps the job's rounds at the budget, as in Run, so a network
+	// that delivers nothing ends instead of spinning.
+	network := j.Config.Shards == 0
+	var rounds int64
 	for {
-		target := sim.Interactions() + slice
+		target := sim.Interactions() + min(slice, budget-rounds)
 		if target > budget || target < 0 { // < 0: overflow near MaxInt64
 			target = budget
 		}
 		stable := sim.RunUntilStable(target)
+		if network {
+			rounds = sim.Snapshot().Rounds
+		}
 		m.mu.Lock()
 		j.steps = sim.Interactions()
 		switch {
@@ -591,7 +601,7 @@ func (m *Manager) run(j *Job, resume []byte) {
 			m.finish(j, &res, nil, false)
 			m.mu.Unlock()
 			return
-		case sim.Interactions() >= budget:
+		case sim.Interactions() >= budget || rounds >= budget:
 			res := sim.Result()
 			err := fmt.Errorf("jobs: %s did not converge within %d interactions", j.Config.Protocol, budget)
 			j.result = &res // partial outcome, for debugging

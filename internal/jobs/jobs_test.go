@@ -451,3 +451,32 @@ func TestDistBudgetExhausted(t *testing.T) {
 		t.Fatalf("partial result %+v, want 2048 interactions", res)
 	}
 }
+
+// TestStarvedNetworkJobFails submits a message-network job whose
+// network delivers nothing (DropProb 1): no slice ever reaches the
+// interaction budget, so only the round backstop can end it. The job
+// must fail as not converged, with the partial Result Run reports.
+func TestStarvedNetworkJobFails(t *testing.T) {
+	m := NewManager(Config{Workers: 1, SliceInteractions: 64})
+	defer m.Close()
+	cfg := ssrank.Config{N: 16, Seed: 1, Faults: ssrank.Faults{DropProb: 1}, MaxInteractions: 200}
+	j := mustSubmit(t, m, cfg)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _, res, err := j.Status()
+		if st == Failed {
+			if want := "jobs: stable did not converge within 200 interactions"; err == nil || err.Error() != want {
+				t.Fatalf("err %v, want %q", err, want)
+			}
+			want, _ := ssrank.Run(cfg)
+			if res == nil || !reflect.DeepEqual(*res, want) {
+				t.Fatalf("partial result %+v, want Run's %+v", res, want)
+			}
+			return
+		}
+		if st == Done || time.Now().After(deadline) {
+			t.Fatalf("starved job in state %s after %d events, want %s", st, len(j.EventsSince(0)), Failed)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}

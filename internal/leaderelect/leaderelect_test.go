@@ -61,7 +61,7 @@ func runLE(t *testing.T, n int, seed uint64) []State {
 	t.Helper()
 	p := New(n)
 	r := sim.New[State](p, p.InitialStates(), seed)
-	allDone := func(states []State) bool {
+	allDone := func(_ int64, states []State) bool {
 		for i := range states {
 			if !states[i].Done {
 				return false
@@ -70,7 +70,7 @@ func runLE(t *testing.T, n int, seed uint64) []State {
 		return true
 	}
 	budget := int64(100 * n * (CeilLog2(n) + 1) * (CeilLog2(n) + 1))
-	if _, err := r.RunUntil(allDone, 0, budget); err != nil {
+	if _, err := sim.Poll(r, 0, budget, allDone); err != nil {
 		t.Fatalf("n=%d seed=%d: agents not all Done within %d interactions", n, seed, budget)
 	}
 	return r.States()
@@ -116,7 +116,9 @@ func TestElectionTimeScaling(t *testing.T) {
 	timeFor := func(n int) float64 {
 		p := New(n)
 		r := sim.New[State](p, p.InitialStates(), 9)
-		steps, err := r.RunUntil(UniqueLeaderElected, 0, int64(200*n*CeilLog2(n)*CeilLog2(n)))
+		steps, err := sim.Poll(r, 0, int64(200*n*CeilLog2(n)*CeilLog2(n)), func(_ int64, ss []State) bool {
+			return UniqueLeaderElected(ss)
+		})
 		if err != nil {
 			t.Skipf("n=%d did not elect a unique leader for this seed", n)
 		}

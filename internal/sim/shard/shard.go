@@ -59,8 +59,8 @@
 //
 // Unlike sim.Runner, the trajectory additionally depends on where
 // batch barriers fall: Run(k) flushes a partial batch at its end so
-// the caller may inspect states, which makes the cadence of Observe
-// part of the trajectory definition. Determinism guarantees are
+// the caller may inspect states, which makes the cadence of a
+// sim.Poll loop part of the trajectory definition. Determinism guarantees are
 // therefore stated for a fixed call sequence — which is how the
 // experiment generators drive the engine. RunUntilExact always runs
 // full batches, so its barrier placement (and hence its trajectory) is
@@ -552,29 +552,6 @@ func (r *Runner[S, P]) applyDir(cl *classMeta, cnt int, reverse bool, scratch *c
 // specification and the anchor of the partition tests.
 func (r *Runner[S, P]) shardOf(i int) int {
 	return ((i+1)*len(r.shards) - 1) / len(r.states)
-}
-
-// Observe executes interactions until stop returns true or maxSteps is
-// reached, invoking obs every `every` interactions (and once at step 0,
-// and once at the final step), exactly as sim.Runner.Observe. A nil
-// stop runs to maxSteps.
-func (r *Runner[S, P]) Observe(obs func(steps int64, states []S), every, maxSteps int64, stop func(states []S) bool) int64 {
-	if every < 1 {
-		every = int64(len(r.states))
-	}
-	obs(r.steps, r.states)
-	for r.steps < maxSteps {
-		chunk := every
-		if remaining := maxSteps - r.steps; chunk > remaining {
-			chunk = remaining
-		}
-		r.Run(chunk)
-		obs(r.steps, r.states)
-		if stop != nil && stop(r.states) {
-			break
-		}
-	}
-	return r.steps
 }
 
 // tournament returns a round-robin schedule over the unordered shard

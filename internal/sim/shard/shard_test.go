@@ -228,22 +228,20 @@ func TestUniformPairLaw(t *testing.T) {
 	}
 }
 
-// TestObserveCadence verifies Observe fires at the same step sequence
-// as sim.Runner.Observe for a matching cadence and budget.
+// TestObserveCadence verifies sim.Poll samples the sharded runner at
+// the same steps as the serial one for a matching cadence and budget.
 func TestObserveCadence(t *testing.T) {
 	const n, every, maxSteps = 64, 100, 1050
-	observe := func(run func(obs func(int64, []stable.State))) []int64 {
-		var at []int64
-		run(func(steps int64, _ []stable.State) { at = append(at, steps) })
-		return at
+	var sharded, serial []int64
+	record := func(at *[]int64) func(int64, []stable.State) bool {
+		return func(steps int64, _ []stable.State) bool {
+			*at = append(*at, steps)
+			return false
+		}
 	}
 	ps, pu := stable.New(n, stable.DefaultParams()), stable.New(n, stable.DefaultParams())
-	sharded := observe(func(obs func(int64, []stable.State)) {
-		New[stable.State](ps, ps.InitialStates(), 5, 4, 1).Observe(obs, every, maxSteps, nil)
-	})
-	serial := observe(func(obs func(int64, []stable.State)) {
-		sim.New[stable.State](pu, pu.InitialStates(), 5).Observe(obs, every, maxSteps, nil)
-	})
+	sim.Poll(New[stable.State](ps, ps.InitialStates(), 5, 4, 1), every, maxSteps, record(&sharded))
+	sim.Poll(sim.New[stable.State](pu, pu.InitialStates(), 5), every, maxSteps, record(&serial))
 	if !reflect.DeepEqual(sharded, serial) {
 		t.Fatalf("observation cadence differs: sharded %v vs serial %v", sharded, serial)
 	}

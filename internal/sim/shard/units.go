@@ -115,12 +115,6 @@ func (r *Runner[S, P]) CrossUnitShards(c int) (s, t int) {
 	return cl.s, cl.t
 }
 
-// ShardRange returns shard s's population index range [lo, hi).
-func (r *Runner[S, P]) ShardRange(s int) (lo, hi int) {
-	sh := &r.shards[s]
-	return sh.lo, sh.hi
-}
-
 // RoundSchedule returns the tournament schedule: rounds of compact
 // cross-unit ids, every unit in exactly one round, no shard twice
 // within a round. A pure function of the shard count — identical on

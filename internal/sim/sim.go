@@ -35,8 +35,8 @@ type Protocol[S any] interface {
 	Transition(u, v *S)
 }
 
-// ErrBudgetExhausted is returned by RunUntil when the stop condition did
-// not hold within the interaction budget.
+// ErrBudgetExhausted is returned by the stop loops (Poll, RunUntilCondT)
+// when the stop condition did not hold within the interaction budget.
 var ErrBudgetExhausted = errors.New("sim: interaction budget exhausted before stop condition held")
 
 // Runner executes a protocol over a concrete population. It is generic
@@ -114,39 +114,6 @@ func (r *Runner[S, P]) Run(k int64) {
 	}
 }
 
-// RunUntil executes interactions until stop returns true, polling the
-// condition every checkEvery interactions (values < 1 poll every n
-// interactions). It returns the number of interactions executed at the
-// first poll where the condition held. If the condition does not hold
-// within maxSteps interactions it stops and returns ErrBudgetExhausted.
-//
-// The condition is also checked once before the first interaction, so a
-// configuration that already satisfies stop returns immediately.
-//
-// It is the fallback for predicates without an incremental tracker:
-// conditions that can be maintained incrementally are expressed as a
-// Condition and run through RunUntilCondT, which stops exactly at the
-// first satisfying interaction.
-func (r *Runner[S, P]) RunUntil(stop func(states []S) bool, checkEvery, maxSteps int64) (int64, error) {
-	if checkEvery < 1 {
-		checkEvery = int64(len(r.states))
-	}
-	if stop(r.states) {
-		return r.steps, nil
-	}
-	for r.steps < maxSteps {
-		chunk := checkEvery
-		if remaining := maxSteps - r.steps; chunk > remaining {
-			chunk = remaining
-		}
-		r.Run(chunk)
-		if stop(r.states) {
-			return r.steps, nil
-		}
-	}
-	return r.steps, ErrBudgetExhausted
-}
-
 // RunPairs executes an explicit schedule of ordered (initiator,
 // responder) pairs instead of drawing them uniformly. Self-stabilizing
 // protocols are analyzed under the uniform scheduler, but their
@@ -179,25 +146,35 @@ func AllOrderedPairs(n int) [][2]int {
 	return out
 }
 
-// Observe executes interactions until stop returns true or maxSteps is
-// reached, invoking obs every `every` interactions (and once at step 0,
-// and once at the final step). It is the engine behind the paper's
-// time-series figures. A nil stop runs to maxSteps.
-func (r *Runner[S, P]) Observe(obs func(steps int64, states []S), every, maxSteps int64, stop func(states []S) bool) int64 {
+// Poll is the one polled loop, for predicates that have no incremental
+// tracker. It drives either in-place runner (Runner or shard.Runner)
+// through its Run, States and Steps methods. It calls f once at the
+// start and after every `every` interactions (values < 1 mean every n
+// interactions; the last chunk is cut off at maxSteps) and returns the
+// step of the first call that returned true. If no call does within
+// maxSteps interactions, it returns the final step and
+// ErrBudgetExhausted. f doubles as the observer of the paper's
+// time-series figures: it sees every sample, the last one included.
+//
+// Predicates with a tracker run through the exact loops instead
+// (RunUntilCondT, shard.Runner.RunUntilExact), which stop at the
+// first satisfying interaction rather than at the next poll.
+func Poll[S any](r interface {
+	Run(k int64)
+	States() []S
+	Steps() int64
+}, every, maxSteps int64, f func(steps int64, states []S) bool) (int64, error) {
 	if every < 1 {
-		every = int64(len(r.states))
+		every = int64(len(r.States()))
 	}
-	obs(r.steps, r.states)
-	for r.steps < maxSteps {
-		chunk := every
-		if remaining := maxSteps - r.steps; chunk > remaining {
-			chunk = remaining
-		}
-		r.Run(chunk)
-		obs(r.steps, r.states)
-		if stop != nil && stop(r.states) {
-			break
+	if f(r.Steps(), r.States()) {
+		return r.Steps(), nil
+	}
+	for r.Steps() < maxSteps {
+		r.Run(min(every, maxSteps-r.Steps()))
+		if f(r.Steps(), r.States()) {
+			return r.Steps(), nil
 		}
 	}
-	return r.steps
+	return r.Steps(), ErrBudgetExhausted
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -70,30 +71,31 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestRunUntilImmediate(t *testing.T) {
+func TestPollImmediate(t *testing.T) {
 	r := New[int](counter{}, make([]int, 4), 1)
-	steps, err := r.RunUntil(func([]int) bool { return true }, 0, 100)
-	if err != nil || steps != 0 {
-		t.Fatalf("RunUntil on satisfied condition: steps=%d err=%v", steps, err)
+	calls := 0
+	steps, err := Poll(r, 0, 100, func(int64, []int) bool { calls++; return true })
+	if err != nil || steps != 0 || r.Steps() != 0 || calls != 1 {
+		t.Fatalf("Poll on satisfied condition: steps=%d err=%v ran=%d calls=%d", steps, err, r.Steps(), calls)
 	}
 }
 
-func TestRunUntilBudget(t *testing.T) {
+func TestPollBudget(t *testing.T) {
 	r := New[int](counter{}, make([]int, 4), 1)
-	steps, err := r.RunUntil(func([]int) bool { return false }, 7, 100)
+	steps, err := Poll(r, 7, 100, func(int64, []int) bool { return false })
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
-	if steps != 100 {
-		t.Fatalf("steps = %d, want exactly the budget 100", steps)
+	if steps != 100 || r.Steps() != 100 {
+		t.Fatalf("steps = %d (engine at %d), want exactly the budget 100", steps, r.Steps())
 	}
 }
 
-func TestRunUntilEpidemic(t *testing.T) {
+func TestPollEpidemic(t *testing.T) {
 	states := make([]bool, 64)
 	states[0] = true
 	r := New[bool](adopt{}, states, 3)
-	all := func(ss []bool) bool {
+	all := func(_ int64, ss []bool) bool {
 		for _, s := range ss {
 			if !s {
 				return false
@@ -101,37 +103,47 @@ func TestRunUntilEpidemic(t *testing.T) {
 		}
 		return true
 	}
-	steps, err := r.RunUntil(all, 0, 1_000_000)
+	steps, err := Poll(r, 0, 1_000_000, all)
 	if err != nil {
 		t.Fatalf("epidemic did not complete: %v", err)
 	}
-	if steps == 0 {
-		t.Fatal("epidemic completed in zero steps")
+	if steps == 0 || steps%64 != 0 {
+		t.Fatalf("epidemic completed at step %d, want a positive multiple of n = 64", steps)
 	}
 }
 
+// TestObserveCadence pins Poll's sampling: once at the start, after
+// every `every` interactions, and on a final chunk shortened to the
+// budget; every < 1 samples every n interactions.
 func TestObserveCadence(t *testing.T) {
-	r := New[int](counter{}, make([]int, 4), 1)
-	var at []int64
-	r.Observe(func(steps int64, _ []int) { at = append(at, steps) }, 10, 35, nil)
-	want := []int64{0, 10, 20, 30, 35}
-	if len(at) != len(want) {
-		t.Fatalf("observations at %v, want %v", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("observations at %v, want %v", at, want)
+	for _, tc := range []struct {
+		every, maxSteps int64
+		want            []int64
+	}{
+		{10, 35, []int64{0, 10, 20, 30, 35}},
+		{0, 10, []int64{0, 4, 8, 10}},
+	} {
+		r := New[int](counter{}, make([]int, 4), 1)
+		var at []int64
+		Poll(r, tc.every, tc.maxSteps, func(steps int64, _ []int) bool {
+			at = append(at, steps)
+			return false
+		})
+		if !reflect.DeepEqual(at, tc.want) {
+			t.Fatalf("every=%d: observations at %v, want %v", tc.every, at, tc.want)
 		}
 	}
 }
 
 func TestObserveStops(t *testing.T) {
 	r := New[int](counter{}, make([]int, 4), 1)
-	steps := r.Observe(func(int64, []int) {}, 5, 1000, func(ss []int) bool {
+	steps, err := Poll(r, 5, 1000, func(_ int64, ss []int) bool {
 		return ss[0]+ss[1]+ss[2]+ss[3] >= 20
 	})
-	if steps >= 1000 {
-		t.Fatalf("Observe ran to budget (%d) despite stop condition", steps)
+	// Two increments per interaction: the sum reaches 20 at step 10,
+	// the second sample.
+	if err != nil || steps != 10 || r.Steps() != 10 {
+		t.Fatalf("Poll stopped at %d (engine at %d, err %v), want the first satisfying sample 10", steps, r.Steps(), err)
 	}
 }
 

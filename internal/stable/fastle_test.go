@@ -136,7 +136,7 @@ func TestFastLEUniqueWinnerProbability(t *testing.T) {
 		r := sim.New[State](p, p.InitialStates(), uint64(1000+trial))
 		// Run until every agent has decided (done, transitioned, or
 		// reset).
-		decided := func(ss []State) bool {
+		decided := func(_ int64, ss []State) bool {
 			for i := range ss {
 				if ss[i].Mode == ModeLE && !ss[i].LeaderDone {
 					return false
@@ -144,7 +144,7 @@ func TestFastLEUniqueWinnerProbability(t *testing.T) {
 			}
 			return true
 		}
-		if _, err := r.RunUntil(decided, 0, int64(50*n*17)); err != nil {
+		if _, err := sim.Poll(r, 0, int64(50*n*17), decided); err != nil {
 			continue
 		}
 		leaders := 0

@@ -14,12 +14,24 @@ func stabilizationBudget(n int, c float64) int64 {
 	return int64(c * float64(n) * float64(n) * math.Log2(float64(n)))
 }
 
+// stabilize runs r to the exact hitting time of Valid, through the
+// descriptor's rank tracker, and asserts Valid on the configuration it
+// stops in.
+func stabilize(t *testing.T, r *sim.Runner[State, *Protocol], p *Protocol, maxSteps int64) (int64, error) {
+	t.Helper()
+	steps, err := sim.RunUntilCondT(r, sim.DescCond(Describe(), p), maxSteps)
+	if err == nil && !Valid(r.States()) {
+		t.Fatalf("n=%d: stopped at %d but the configuration is not valid", p.N(), steps)
+	}
+	return steps, err
+}
+
 // mustStabilize runs the protocol from the given configuration until
 // C_L and fails the test on budget exhaustion.
 func mustStabilize(t *testing.T, p *Protocol, states []State, seed uint64, c float64) int64 {
 	t.Helper()
 	r := sim.New[State](p, states, seed)
-	steps, err := r.RunUntil(Valid, 0, stabilizationBudget(p.N(), c))
+	steps, err := stabilize(t, r, p, stabilizationBudget(p.N(), c))
 	if err != nil {
 		t.Fatalf("n=%d seed=%d: not stabilized after %d interactions (modes=%v, resets=%v)",
 			p.N(), seed, steps, CountModes(r.States()), p.ResetBreakdown())
@@ -95,7 +107,7 @@ func TestClosureAndSilence(t *testing.T) {
 	const n = 64
 	p := New(n, DefaultParams())
 	r := sim.New[State](p, p.InitialStates(), 7)
-	if _, err := r.RunUntil(Valid, 0, stabilizationBudget(n, 2000)); err != nil {
+	if _, err := stabilize(t, r, p, stabilizationBudget(n, 2000)); err != nil {
 		t.Fatal(err)
 	}
 	before := r.Snapshot()
@@ -199,7 +211,7 @@ func TestSelfStabilizingLeaderElection(t *testing.T) {
 	const n = 64
 	p := New(n, DefaultParams())
 	r := sim.New[State](p, p.InitialStates(), 11)
-	if _, err := r.RunUntil(Valid, 0, stabilizationBudget(n, 2000)); err != nil {
+	if _, err := stabilize(t, r, p, stabilizationBudget(n, 2000)); err != nil {
 		t.Fatal(err)
 	}
 	leader := LeaderRank1(r.States())

@@ -139,7 +139,7 @@ func TestResetWaveCoversPopulation(t *testing.T) {
 	p.TriggerReset(&states[0])
 	r := sim.New[State](p, states, 3)
 
-	noMain := func(ss []State) bool {
+	noMain := func(_ int64, ss []State) bool {
 		for i := range ss {
 			if ss[i].IsMain() {
 				return false
@@ -147,7 +147,7 @@ func TestResetWaveCoversPopulation(t *testing.T) {
 		}
 		return true
 	}
-	steps, err := r.RunUntil(noMain, 0, int64(100*n*17))
+	steps, err := sim.Poll(r, 0, int64(100*n*17), noMain)
 	if err != nil {
 		left := 0
 		for _, s := range r.States() {

@@ -531,15 +531,5 @@ func (e *shardEngine[S, P]) runUntil(target, _ int64) (int64, bool) {
 
 func (e *shardEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
 	st := e.r.EngineState()
-	return ckptKindShard, func(w *ckpt.Writer) {
-		ckpt.WriteRNGState(w, st.Master)
-		w.Uvarint(uint64(len(st.Shards)))
-		for i := range st.Shards {
-			ckpt.WritePairState(w, st.Shards[i])
-		}
-		w.Uvarint(uint64(len(st.Classes)))
-		for i := range st.Classes {
-			ckpt.WriteRNGState(w, st.Classes[i])
-		}
-	}, nil
+	return ckptKindShard, func(w *ckpt.Writer) { ckpt.WriteShardStreams(w, st.Master, st.Shards, st.Classes) }, nil
 }
