@@ -47,7 +47,10 @@ import (
 //	  sharded (kind 2): master class-label stream 4×u64, shard count
 //	    uvarint + one pair stream per shard (layout as above), cross
 //	    class count uvarint + 4×u64 per class in compact class order
-//	protocol payload: the descriptor's MarshalState section
+//	protocol state: the agent slab — n uvarint, then each agent's
+//	  EncodeAgent bytes — followed by the descriptor's Instr vector
+//	  elements as varints (none when it registers no Instr); one
+//	  codec for every protocol, proto.Descriptor.WriteState
 //
 // The engine section is versioned by its kind, not by ckptVersion:
 // retiring a scheduler layout mints a new kind and rejects the old one
@@ -181,9 +184,6 @@ func ResumeSimulation(cfg Config, data []byte) (*Simulation, error) {
 // SetEngineState, so the engine is indistinguishable from the captured
 // one.
 func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], r *ckpt.Reader) (*driver[S, P], error) {
-	if d.UnmarshalState == nil {
-		return nil, fmt.Errorf("ssrank: protocol %q does not register state serialization", d.Name)
-	}
 	kind := r.Uvarint()
 	hit := r.Varint()
 	steps := r.Varint()
@@ -227,9 +227,9 @@ func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[
 		return nil, fmt.Errorf("ssrank: unknown checkpoint engine kind %d", kind)
 	}
 	p := d.New(cfg.N)
-	states, err := d.UnmarshalState(p, r)
+	states, err := d.ReadState(p, cfg.N, r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ssrank: checkpoint state: %w", err)
 	}
 	h, err := newDriver(cfg, d, p, states)
 	if err != nil {

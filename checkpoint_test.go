@@ -3,6 +3,8 @@ package ssrank
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -308,4 +310,50 @@ func TestResumeRejectsRetiredShardV1(t *testing.T) {
 	if _, err := ResumeSimulation(cfg, data); err != nil {
 		t.Fatalf("current-kind checkpoint failed to resume: %v", err)
 	}
+}
+
+// FuzzResumeSimulation feeds ResumeSimulation arbitrary bytes under a
+// fixed set of configurations (which picks one): the seed corpus is the
+// golden fixture plus a mid-run checkpoint of every protocol on both
+// in-place engines. Properties: no input panics, and any input that is
+// accepted re-checkpoints to the identical bytes (one state, one byte
+// string). Plain go test runs the seeds; CI fuzzes with
+//
+//	go test -run '^$' -fuzz '^FuzzResumeSimulation$' -fuzztime 20s .
+func FuzzResumeSimulation(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfgs := []Config{goldenConfig()}
+	f.Add(uint8(0), fixture)
+	for _, p := range Protocols() {
+		for _, shards := range []int{1, 4} {
+			cfg := Config{N: 32, Protocol: p, Seed: 2, Shards: shards}
+			s, err := NewSimulation(cfg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			s.Step(checkpointCut(s.Config()))
+			data, err := s.Checkpoint()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(len(cfgs)), data)
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		s, err := ResumeSimulation(cfgs[int(which)%len(cfgs)], data)
+		if err != nil {
+			return
+		}
+		again, err := s.Checkpoint()
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not re-checkpoint: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes re-checkpoint to %d different bytes", len(data), len(again))
+		}
+	})
 }

@@ -100,9 +100,6 @@ func runDistID(cfg Config) dist.RunID {
 // an in-process sharded run of the same canonical Config produce
 // byte-identical Results.
 func runDistDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], opts DistRun) (Result, error) {
-	if d.EncodeAgent == nil || d.DecodeAgent == nil {
-		return Result{}, fmt.Errorf("ssrank: protocol %q does not support distributed execution (no per-agent codecs)", cfg.Protocol)
-	}
 	p := d.New(cfg.N)
 	init, ierr := descInit(cfg, d, p)
 	if ierr != nil {

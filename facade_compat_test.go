@@ -23,7 +23,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/facade_results.golden.json")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 const facadeGolden = "testdata/facade_results.golden.json"
 

@@ -2,9 +2,15 @@ package ssrank
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ssrank/internal/ckpt"
@@ -130,6 +136,25 @@ func TestGoldenCheckpointResumes(t *testing.T) {
 	}
 }
 
+// TestGoldenCheckpointRejectsOverlongVarint pins canonical decoding:
+// the fixture with its version varint zero-padded (0x01 → 0x81 0x00)
+// names the same state in a second byte string, so it must be
+// rejected rather than resumed.
+func TestGoldenCheckpointRejectsOverlongVarint(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[len(ckptMagic)] != ckptVersion {
+		t.Fatalf("fixture version byte %#x", data[len(ckptMagic)])
+	}
+	padded := append([]byte(ckptMagic), 0x80|ckptVersion, 0x00)
+	padded = append(padded, data[len(ckptMagic)+1:]...)
+	if _, err := ResumeSimulation(goldenConfig(), padded); err == nil {
+		t.Fatal("checkpoint with an overlong version varint accepted")
+	}
+}
+
 func equalRanks(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -140,4 +165,66 @@ func equalRanks(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+const checkpointDigestsGolden = "testdata/checkpoint_digests.golden.json"
+
+// TestGoldenCheckpointDigests pins every protocol's checkpoint bytes,
+// not just the stable fixture's: the SHA-256 of Checkpoint() for each
+// protocol × init on both in-place engines (N=64, seed 9, cut at
+// checkpointCut), against testdata/checkpoint_digests.golden.json.
+// Regenerate with
+//
+//	go test -run TestGoldenCheckpointDigests -update .
+//
+// only for an intentional format change, together with a version bump.
+func TestGoldenCheckpointDigests(t *testing.T) {
+	want := map[string]string{}
+	if !*update {
+		data, err := os.ReadFile(checkpointDigestsGolden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("%s: %v", checkpointDigestsGolden, err)
+		}
+	}
+	got := map[string]string{}
+	for _, d := range Descriptors() {
+		for _, init := range d.Inits {
+			for _, shards := range []int{1, 4} {
+				name := fmt.Sprintf("%s/%s/shards=%d", d.Protocol, init, shards)
+				s, err := NewSimulation(Config{N: 64, Protocol: d.Protocol, Init: init, Seed: 9, Shards: shards})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				s.Step(checkpointCut(s.Config()))
+				data, err := s.Checkpoint()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				sum := sha256.Sum256(data)
+				got[name] = hex.EncodeToString(sum[:])
+				if !*update && got[name] != want[name] {
+					t.Errorf("%s: checkpoint digest %s, golden %s", name, got[name], want[name])
+				}
+			}
+		}
+	}
+	if *update {
+		var out bytes.Buffer
+		out.WriteString("{\n")
+		for i, name := range slices.Sorted(maps.Keys(got)) {
+			if i > 0 {
+				out.WriteString(",\n")
+			}
+			fmt.Fprintf(&out, "%q: %q", name, got[name])
+		}
+		out.WriteString("\n}\n")
+		if err := os.WriteFile(checkpointDigestsGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if len(got) != len(want) {
+		t.Errorf("%d checkpoint digests, golden has %d", len(got), len(want))
+	}
 }

@@ -24,16 +24,14 @@ func Describe() proto.Descriptor[State, *Protocol] {
 			}
 			return nil
 		},
-		Valid:          Valid,
-		Rank:           RankOf,
-		Resets:         (*Protocol).Resets,
-		RandomState:    (*Protocol).RandomState,
-		MarshalState:   MarshalState,
-		UnmarshalState: UnmarshalState,
-		EncodeAgent:    EncodeAgent,
-		DecodeAgent:    DecodeAgent,
-		Instr:          Instr,
-		SetInstr:       SetInstr,
-		Budget:         proto.BudgetN2LogN(3000),
+		Valid:       Valid,
+		Rank:        RankOf,
+		Resets:      (*Protocol).Resets,
+		RandomState: (*Protocol).RandomState,
+		EncodeAgent: EncodeAgent,
+		DecodeAgent: DecodeAgent,
+		Instr:       Instr,
+		SetInstr:    SetInstr,
+		Budget:      proto.BudgetN2LogN(3000),
 	}
 }

@@ -1,15 +1,10 @@
 package aware
 
-import (
-	"fmt"
-
-	"ssrank/internal/ckpt"
-)
+import "ssrank/internal/ckpt"
 
 // EncodeAgent appends one agent's state field-by-field — the per-agent
-// unit of MarshalState's slab section, shared with the distributed
-// wire layer so the two encodings cannot drift
-// (proto.Descriptor.EncodeAgent).
+// unit the proto slab codec and the distributed wire layer are built
+// from (proto.Descriptor.EncodeAgent).
 func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 	w.Uvarint(uint64(s.Mode))
 	w.Uvarint(uint64(s.Coin))
@@ -28,15 +23,15 @@ func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 // in r.
 func DecodeAgent(p *Protocol, r *ckpt.Reader) State {
 	var s State
-	s.Mode = Mode(r.Uvarint())
-	s.Coin = uint8(r.Uvarint())
-	s.Rank = int32(r.Int())
-	s.Next = int32(r.Int())
-	s.Alive = int32(r.Int())
-	s.ResetCount = int32(r.Int())
-	s.DelayCount = int32(r.Int())
-	s.LECount = int32(r.Int())
-	s.CoinCount = int32(r.Int())
+	s.Mode = ckpt.Uint[Mode](r)
+	s.Coin = ckpt.Uint[uint8](r)
+	s.Rank = ckpt.Int[int32](r)
+	s.Next = ckpt.Int[int32](r)
+	s.Alive = ckpt.Int[int32](r)
+	s.ResetCount = ckpt.Int[int32](r)
+	s.DelayCount = ckpt.Int[int32](r)
+	s.LECount = ckpt.Int[int32](r)
+	s.CoinCount = ckpt.Int[int32](r)
 	s.LeaderDone = r.Bool()
 	s.IsLeader = r.Bool()
 	return s
@@ -54,34 +49,4 @@ func SetInstr(p *Protocol, v []int64) {
 	if len(v) > 0 {
 		p.resets.Store(v[0])
 	}
-}
-
-// MarshalState appends the protocol's full mutable run state to w: the
-// agent slab field-by-field in agent order (EncodeAgent per agent),
-// then the reset counter. Field order is the schema
-// (proto.Descriptor.MarshalState).
-func MarshalState(p *Protocol, states []State, w *ckpt.Writer) {
-	w.Uvarint(uint64(len(states)))
-	for i := range states {
-		EncodeAgent(p, &states[i], w)
-	}
-	w.Varint(p.resets.Load())
-}
-
-// UnmarshalState decodes a slab written by MarshalState for the same
-// population size, restoring the reset counter into p.
-func UnmarshalState(p *Protocol, r *ckpt.Reader) ([]State, error) {
-	n := r.Count(p.n)
-	if r.Err() == nil && n != p.n {
-		return nil, fmt.Errorf("aware: checkpoint holds %d agents, protocol expects %d", n, p.n)
-	}
-	states := make([]State, n)
-	for i := range states {
-		states[i] = DecodeAgent(p, r)
-	}
-	p.resets.Store(r.Varint())
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("aware: %w", err)
-	}
-	return states, nil
 }

@@ -23,13 +23,11 @@ func Describe() proto.Descriptor[State, *Protocol] {
 			}
 			return nil
 		},
-		Valid:          Valid,
-		Rank:           RankOf,
-		RandomState:    (*Protocol).RandomState,
-		MarshalState:   MarshalState,
-		UnmarshalState: UnmarshalState,
-		EncodeAgent:    EncodeAgent,
-		DecodeAgent:    DecodeAgent,
-		Budget:         proto.BudgetN3(2000),
+		Valid:       Valid,
+		Rank:        RankOf,
+		RandomState: (*Protocol).RandomState,
+		EncodeAgent: EncodeAgent,
+		DecodeAgent: DecodeAgent,
+		Budget:      proto.BudgetN3(2000),
 	}
 }

@@ -1,14 +1,11 @@
 package cai
 
-import (
-	"fmt"
+import "ssrank/internal/ckpt"
 
-	"ssrank/internal/ckpt"
-)
-
-// EncodeAgent appends one agent's label — the per-agent unit of
-// MarshalState's slab section, shared with the distributed wire layer
-// (proto.Descriptor.EncodeAgent).
+// EncodeAgent appends one agent's label — the per-agent unit of the
+// proto slab codec and the distributed wire layer
+// (proto.Descriptor.EncodeAgent). The protocol is immutable, so the
+// slab is the whole mutable run state.
 func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 	w.Varint(int64(*s))
 }
@@ -16,32 +13,5 @@ func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 // DecodeAgent decodes one agent written by EncodeAgent; errors stick
 // in r.
 func DecodeAgent(p *Protocol, r *ckpt.Reader) State {
-	return State(r.Int())
-}
-
-// MarshalState appends the agent slab — one label per agent — to w.
-// The protocol is immutable, so the slab is the whole mutable run
-// state (proto.Descriptor.MarshalState).
-func MarshalState(p *Protocol, states []State, w *ckpt.Writer) {
-	w.Uvarint(uint64(len(states)))
-	for i := range states {
-		EncodeAgent(p, &states[i], w)
-	}
-}
-
-// UnmarshalState decodes a slab written by MarshalState for the same
-// population size.
-func UnmarshalState(p *Protocol, r *ckpt.Reader) ([]State, error) {
-	n := r.Count(p.N())
-	if r.Err() == nil && n != p.N() {
-		return nil, fmt.Errorf("cai: checkpoint holds %d agents, protocol expects %d", n, p.N())
-	}
-	states := make([]State, n)
-	for i := range states {
-		states[i] = DecodeAgent(p, r)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("cai: %w", err)
-	}
-	return states, nil
+	return ckpt.Int[State](r)
 }

@@ -28,10 +28,8 @@ func Describe(epsilon float64) proto.Descriptor[State, *Protocol] {
 		Cond: func(p *Protocol) proto.Condition[State] {
 			return NewDisjointCond(p.M())
 		},
-		MarshalState:   MarshalState,
-		UnmarshalState: UnmarshalState,
-		EncodeAgent:    EncodeAgent,
-		DecodeAgent:    DecodeAgent,
-		Budget:         proto.BudgetN2(5000),
+		EncodeAgent: EncodeAgent,
+		DecodeAgent: DecodeAgent,
+		Budget:      proto.BudgetN2(5000),
 	}
 }

@@ -1,14 +1,11 @@
 package sudo
 
-import (
-	"fmt"
-
-	"ssrank/internal/ckpt"
-)
+import "ssrank/internal/ckpt"
 
 // EncodeAgent appends one agent's leader bit and timeout — the
-// per-agent unit of MarshalState's slab section, shared with the
-// distributed wire layer (proto.Descriptor.EncodeAgent).
+// per-agent unit of the proto slab codec and the distributed wire
+// layer (proto.Descriptor.EncodeAgent). The protocol is immutable, so
+// the slab is the whole mutable run state.
 func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 	w.Bool(s.Leader)
 	w.Varint(int64(s.Timeout))
@@ -19,33 +16,6 @@ func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 func DecodeAgent(p *Protocol, r *ckpt.Reader) State {
 	var s State
 	s.Leader = r.Bool()
-	s.Timeout = int32(r.Int())
+	s.Timeout = ckpt.Int[int32](r)
 	return s
-}
-
-// MarshalState appends the agent slab — leader bit and timeout per
-// agent — to w. The protocol is immutable, so the slab is the whole
-// mutable run state (proto.Descriptor.MarshalState).
-func MarshalState(p *Protocol, states []State, w *ckpt.Writer) {
-	w.Uvarint(uint64(len(states)))
-	for i := range states {
-		EncodeAgent(p, &states[i], w)
-	}
-}
-
-// UnmarshalState decodes a slab written by MarshalState for the same
-// population size.
-func UnmarshalState(p *Protocol, r *ckpt.Reader) ([]State, error) {
-	n := r.Count(p.n)
-	if r.Err() == nil && n != p.n {
-		return nil, fmt.Errorf("sudo: checkpoint holds %d agents, protocol expects %d", n, p.n)
-	}
-	states := make([]State, n)
-	for i := range states {
-		states[i] = DecodeAgent(p, r)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("sudo: %w", err)
-	}
-	return states, nil
 }

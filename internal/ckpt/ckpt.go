@@ -2,10 +2,11 @@
 // checkpoint format: varint-framed primitives in the style of msgnet's
 // Trace encoding, behind an appending Writer and a sticky-error Reader.
 //
-// The encoding is canonical — equal values encode to equal bytes — so
-// checkpoint byte-identity is meaningful: the golden-fixture test and
-// the result cache both rely on one logical state having exactly one
-// encoding. Field order is the serialization schema; there are no tags
+// The encoding is canonical — equal values encode to equal bytes, and
+// the Reader accepts only those bytes (no zero-padded varints, no
+// out-of-range narrowed integers) — so checkpoint byte-identity is
+// meaningful: the golden-fixture test and the result cache both rely
+// on one logical state having exactly one encoding. Field order is the serialization schema; there are no tags
 // and no self-description. Evolving a format therefore means bumping
 // its version byte, never reordering fields under an existing version.
 package ckpt
@@ -111,13 +112,22 @@ func (r *Reader) Expect(magic []byte) {
 	r.data = r.data[len(magic):]
 }
 
-// Uvarint decodes an unsigned varint.
+// Uvarint decodes an unsigned varint, rejecting zero-padded encodings
+// (a final byte of 0 after a continuation byte): they decode to the
+// value of a shorter one, and accepting them would map one value to
+// many byte strings.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
+	// One-byte values are most fields of an agent slab.
+	if len(r.data) > 0 && r.data[0] < 0x80 {
+		v := uint64(r.data[0])
+		r.data = r.data[1:]
+		return v
+	}
 	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	if n <= 0 || r.data[n-1] == 0 {
 		r.fail("uvarint")
 		return 0
 	}
@@ -125,17 +135,14 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
-// Varint decodes a zigzag varint.
+// Varint decodes a zigzag varint (binary.Varint's mapping over
+// Uvarint, so it is canonical in the same way).
 func (r *Reader) Varint() int64 {
-	if r.err != nil {
-		return 0
+	ux := r.Uvarint()
+	v := int64(ux >> 1)
+	if ux&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.fail("varint")
-		return 0
-	}
-	r.data = r.data[n:]
 	return v
 }
 
@@ -186,15 +193,27 @@ func (r *Reader) String() string {
 	return v
 }
 
-// Int decodes a zigzag varint and narrows it to int, failing on
-// overflow so corrupted counts cannot wrap into plausible values.
-func (r *Reader) Int() int {
+// Int decodes a zigzag varint into the signed integer type T, failing
+// r when the value does not fit: a corrupted field cannot wrap into a
+// plausible value, and every accepted encoding re-encodes to itself.
+func Int[T ~int8 | ~int16 | ~int32 | ~int64 | ~int](r *Reader) T {
 	v := r.Varint()
-	if r.err == nil && (v > math.MaxInt || v < math.MinInt) {
-		r.fail("int (out of range)")
-		return 0
+	if t := T(v); int64(t) == v {
+		return t
 	}
-	return int(v)
+	r.fail("int (out of range)")
+	return 0
+}
+
+// Uint decodes an unsigned varint into the unsigned integer type T,
+// failing r when the value does not fit (see Int).
+func Uint[T ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uint](r *Reader) T {
+	v := r.Uvarint()
+	if t := T(v); uint64(t) == v {
+		return t
+	}
+	r.fail("uint (out of range)")
+	return 0
 }
 
 // Count decodes an unsigned varint as a length/count, enforcing the
@@ -206,4 +225,17 @@ func (r *Reader) Count(max int) int {
 		return 0
 	}
 	return int(v)
+}
+
+// Elems decodes the length of a list whose elements encode to at least
+// size bytes each. Beyond Count's bound it fails when the list cannot
+// fit in the undecoded input, so the length a caller allocates for is
+// justified by bytes actually received.
+func (r *Reader) Elems(max, size int) int {
+	v := r.Count(max)
+	if r.err == nil && v > len(r.data)/size {
+		r.fail(fmt.Sprintf("list (%d elements of ≥%d bytes in %d bytes)", v, size, len(r.data)))
+		return 0
+	}
+	return v
 }

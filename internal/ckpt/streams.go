@@ -14,6 +14,10 @@ import (
 // the frozen sscp v1 encoding, so they must never change shape — a new
 // layout means a new function, not an edit.
 
+// pairStateMin is the shortest WritePairState encoding: one-byte n,
+// 4×u64, one-byte consumed, bool.
+const pairStateMin = 1 + 32 + 1 + 1
+
 // WritePairState appends a pair-stream position: n uvarint, 4×u64
 // source state, consumed uvarint, filled bool.
 func WritePairState(w *Writer, st rng.PairBatchState) {
@@ -74,16 +78,17 @@ func WriteShardStreams(w *Writer, master [4]uint64, shards []rng.PairBatchState,
 }
 
 // ReadShardStreams decodes a table written by WriteShardStreams,
-// failing r on more than maxShards shard or maxClasses class streams.
+// failing r on more than maxShards shard or maxClasses class streams,
+// or on more streams than the remaining input can hold.
 // Errors stick in r; the caller checks the counts it read against its
 // engine, and shard.Runner.SetEngineState validates the positions.
 func ReadShardStreams(r *Reader, maxShards, maxClasses int) (master [4]uint64, shards []rng.PairBatchState, classes [][4]uint64) {
 	master = ReadRNGState(r)
-	shards = make([]rng.PairBatchState, r.Count(maxShards))
+	shards = make([]rng.PairBatchState, r.Elems(maxShards, pairStateMin))
 	for i := range shards {
 		shards[i] = ReadPairState(r)
 	}
-	classes = make([][4]uint64, r.Count(maxClasses))
+	classes = make([][4]uint64, r.Elems(maxClasses, 32))
 	for i := range classes {
 		classes[i] = ReadRNGState(r)
 	}

@@ -20,12 +20,10 @@ func Describe() proto.Descriptor[State, *Protocol] {
 			}
 			return nil
 		},
-		Valid:          Valid,
-		Rank:           RankOf,
-		MarshalState:   MarshalState,
-		UnmarshalState: UnmarshalState,
-		EncodeAgent:    EncodeAgent,
-		DecodeAgent:    DecodeAgent,
-		Budget:         proto.BudgetN2LogN(3000),
+		Valid:       Valid,
+		Rank:        RankOf,
+		EncodeAgent: EncodeAgent,
+		DecodeAgent: DecodeAgent,
+		Budget:      proto.BudgetN2LogN(3000),
 	}
 }

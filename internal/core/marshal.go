@@ -1,15 +1,12 @@
 package core
 
-import (
-	"fmt"
-
-	"ssrank/internal/ckpt"
-)
+import "ssrank/internal/ckpt"
 
 // EncodeAgent appends one agent's state field-by-field, the
-// leader-election sub-state inlined — the per-agent unit of
-// MarshalState's slab section, shared with the distributed wire layer
-// so the two encodings cannot drift (proto.Descriptor.EncodeAgent).
+// leader-election sub-state inlined — the per-agent unit the proto
+// slab codec and the distributed wire layer are built from
+// (proto.Descriptor.EncodeAgent). The protocol itself is immutable, so
+// the slab is the whole mutable run state.
 func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 	w.Uvarint(uint64(s.Kind))
 	w.Varint(int64(s.Rank))
@@ -31,47 +28,19 @@ func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 // in r.
 func DecodeAgent(p *Protocol, r *ckpt.Reader) State {
 	var s State
-	s.Kind = Kind(r.Uvarint())
-	s.Rank = int32(r.Int())
-	s.Phase = int32(r.Int())
-	s.Wait = int32(r.Int())
-	s.LE.Coin = uint8(r.Uvarint())
+	s.Kind = ckpt.Uint[Kind](r)
+	s.Rank = ckpt.Int[int32](r)
+	s.Phase = ckpt.Int[int32](r)
+	s.Wait = ckpt.Int[int32](r)
+	s.LE.Coin = ckpt.Uint[uint8](r)
 	s.LE.Contender = r.Bool()
 	s.LE.InLottery = r.Bool()
-	s.LE.Level = int16(r.Int())
-	s.LE.SigBits = int16(r.Int())
-	s.LE.Sig = int32(r.Int())
-	s.LE.MaxLevel = int16(r.Int())
-	s.LE.MaxSig = int32(r.Int())
+	s.LE.Level = ckpt.Int[int16](r)
+	s.LE.SigBits = ckpt.Int[int16](r)
+	s.LE.Sig = ckpt.Int[int32](r)
+	s.LE.MaxLevel = ckpt.Int[int16](r)
+	s.LE.MaxSig = ckpt.Int[int32](r)
 	s.LE.Done = r.Bool()
-	s.LE.DoneCtr = int32(r.Int())
+	s.LE.DoneCtr = ckpt.Int[int32](r)
 	return s
-}
-
-// MarshalState appends the agent slab to w (EncodeAgent per agent in
-// agent order). The protocol itself is immutable, so the slab is the
-// whole mutable run state. Field order is the schema
-// (proto.Descriptor.MarshalState).
-func MarshalState(p *Protocol, states []State, w *ckpt.Writer) {
-	w.Uvarint(uint64(len(states)))
-	for i := range states {
-		EncodeAgent(p, &states[i], w)
-	}
-}
-
-// UnmarshalState decodes a slab written by MarshalState for the same
-// population size.
-func UnmarshalState(p *Protocol, r *ckpt.Reader) ([]State, error) {
-	n := r.Count(p.N())
-	if r.Err() == nil && n != p.N() {
-		return nil, fmt.Errorf("core: checkpoint holds %d agents, protocol expects %d", n, p.N())
-	}
-	states := make([]State, n)
-	for i := range states {
-		states[i] = DecodeAgent(p, r)
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return states, nil
 }

@@ -72,9 +72,6 @@ type Coordinator[S any, P sim.TouchReporter[S]] struct {
 // engine would have been built from — and keeps ownership of any
 // connection the coordinator rejects at handshake (those are closed).
 func NewCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states []S, id RunID, conns []net.Conn, opts Options) (*Coordinator[S, P], error) {
-	if d.EncodeAgent == nil || d.DecodeAgent == nil {
-		return nil, fmt.Errorf("dist: protocol %q does not register per-agent codecs", d.Name)
-	}
 	if id.Shards < 2 {
 		return nil, fmt.Errorf("dist: distributed runs need at least 2 shards, got %d", id.Shards)
 	}
@@ -249,10 +246,7 @@ func (c *Coordinator[S, P]) assignAll() error {
 			})
 			appendInstr(&buf, base)
 			ckpt.WriteShardStreams(&buf, c.committed.Master, c.committed.Shards, c.committed.Classes)
-			buf.Uvarint(uint64(len(states)))
-			for i := range states {
-				c.d.EncodeAgent(c.p, &states[i], &buf)
-			}
+			c.d.WriteSlab(c.p, states, &buf)
 			if err := writeFrame(s.conn, c.timeout, frameAssign, buf.Bytes()); err != nil {
 				c.drop(s)
 				ok = false

@@ -58,26 +58,28 @@ type runtime[S any, P sim.TouchReporter[S]] struct {
 }
 
 // NewRuntime wraps a protocol descriptor as a distributed worker
-// runtime. The descriptor must register the per-agent codecs.
+// runtime.
 func NewRuntime[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P]) Runtime {
 	return &runtime[S, P]{d: d}
 }
 
 func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
-	if rt.d.EncodeAgent == nil || rt.d.DecodeAgent == nil {
-		return fmt.Errorf("dist: protocol %q does not register per-agent codecs", rt.d.Name)
-	}
 	instr := readInstr(r)
 	st := shard.EngineState{Steps: h.Steps}
 	st.Master, st.Shards, st.Classes = ckpt.ReadShardStreams(r, h.Shards, h.Shards*(h.Shards-1)/2)
-	p := rt.d.New(h.N)
-	n := r.Count(h.N)
-	if r.Err() == nil && n != h.N {
-		return fmt.Errorf("dist: assignment slab holds %d agents, want %d", n, h.N)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("dist: malformed assignment: %w", err)
 	}
-	states := make([]S, n)
-	for i := range states {
-		states[i] = rt.d.DecodeAgent(p, r)
+	// The slab that follows holds h.N agents of at least one byte each:
+	// a frame too short for them is rejected before anything is sized
+	// by h.N.
+	if h.N > r.Remaining() {
+		return fmt.Errorf("dist: assignment for n=%d carries only %d slab bytes", h.N, r.Remaining())
+	}
+	p := rt.d.New(h.N)
+	states, err := rt.d.ReadSlab(p, h.N, r)
+	if err != nil {
+		return fmt.Errorf("dist: assignment slab: %w", err)
 	}
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("dist: malformed assignment: %w", err)
@@ -260,10 +262,10 @@ func serveBatch(conn net.Conn, rt Runtime, factory RuntimeFactory, payload []byt
 	seq := r.Uvarint()
 	b := r.Count(maxBatch)
 	track := r.Bool()
-	cnt := r.Count(maxShards * maxShards)
+	cnt := r.Elems(maxShards*maxShards, 1)
 	counts := make([]int32, cnt)
 	for i := range counts {
-		counts[i] = int32(r.Varint())
+		counts[i] = ckpt.Int[int32](r)
 	}
 	if err := r.Close(); err != nil {
 		return rt, false, fmt.Errorf("dist: malformed counts frame: %w", err)

@@ -6,6 +6,10 @@ import (
 	"net"
 	goruntime "runtime"
 	"testing"
+
+	"ssrank/internal/baseline/cai"
+	"ssrank/internal/ckpt"
+	"ssrank/internal/rng"
 )
 
 // TestReadFrameBoundsAllocation: a peer that announces a 1 GiB frame
@@ -44,5 +48,33 @@ func TestReadFrameRoundTrip(t *testing.T) {
 		}
 		c.Close()
 		peer.Close()
+	}
+}
+
+// TestInstallAssignBoundsAllocation: an Assign frame that names a
+// population of 2^27 and a slab count of 2^27, then ends, must cost an
+// error, not a slab allocation sized by the header. Every agent takes
+// at least one byte, so the frame cannot hold the slab it announces.
+func TestInstallAssignBoundsAllocation(t *testing.T) {
+	const n = 1 << 27
+	var w ckpt.Writer
+	appendAssignHeader(&w, AssignHeader{
+		RunID:   RunID{Protocol: "cai", Init: "fresh", N: n, Seed: 1, Epsilon: 1, Shards: 2},
+		GroupLo: 0, GroupHi: 2,
+	})
+	appendInstr(&w, nil)
+	ckpt.WriteShardStreams(&w, [4]uint64{1}, make([]rng.PairBatchState, 2), make([][4]uint64, 1))
+	w.Uvarint(n)
+	factory := func(*AssignHeader) (Runtime, error) { return NewRuntime(cai.Describe()), nil }
+
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, err := installAssign(factory, w.Bytes())
+	goruntime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("truncated %d-byte Assign frame for n=%d installed without error", w.Len(), n)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("installAssign allocated %d bytes for a %d-byte frame", d, w.Len())
 	}
 }

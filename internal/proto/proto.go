@@ -3,8 +3,8 @@
 // public facade, the experiment harness, the CLIs) need to construct,
 // initialize, run, stop, and read out a protocol — constructor,
 // supported initial configurations, validity predicate, incremental
-// stop tracker, rank/leader projections, instrumentation hooks, and
-// the default interaction budget.
+// stop tracker, rank/leader projections, instrumentation hooks, the
+// agent-state codec (codec.go), and the default interaction budget.
 //
 // Each protocol package constructs its own Descriptor (in its desc.go)
 // so the knowledge of "what this protocol provides" lives next to the
@@ -39,9 +39,10 @@ type Condition[S any] interface {
 // Descriptor describes one protocol to the engine-facing layers. S is
 // the agent state type, P the concrete protocol type.
 //
-// Required fields: Name, Inits, New, Init, Valid, Budget, and a stop
-// tracker — either Rank (the default permutation tracker is built from
-// it) or Cond. Everything else is optional instrumentation.
+// Required fields: Name, Inits, New, Init, Valid, Budget, EncodeAgent,
+// DecodeAgent, and a stop tracker — either Rank (the default
+// permutation tracker is built from it) or Cond. Everything else is
+// optional instrumentation.
 type Descriptor[S any, P any] struct {
 	// Name is the protocol's selector string (matches the public
 	// facade's Protocol constant).
@@ -123,44 +124,34 @@ type Descriptor[S any, P any] struct {
 	// float64 and clamped (ClampBudget) so large n cannot overflow.
 	Budget func(n int) int64
 
-	// MarshalState appends the protocol's full mutable run state — the
-	// agent state slab plus any protocol-level counters (reset
-	// instrumentation) — to w, in the explicit field-by-field style of
-	// the repo's other binary formats (msgnet.Trace): canonical bytes,
-	// no self-description, field order fixed per checkpoint version.
-	// Together with UnmarshalState it makes a run checkpointable; both
-	// or neither must be set.
-	MarshalState func(p P, states []S, w *ckpt.Writer)
-
-	// UnmarshalState decodes a slab written by MarshalState for the
-	// same protocol parameters, restoring protocol-level counters into
-	// p and returning the reconstructed configuration. It must reject
-	// (via the Reader's sticky error or its own) payloads whose shape
-	// does not match p — a checkpoint is external input.
-	UnmarshalState func(p P, r *ckpt.Reader) ([]S, error)
-
-	// EncodeAgent appends one agent state's canonical encoding —
-	// exactly the bytes MarshalState writes for that agent within its
-	// slab section, so the per-agent and whole-slab encodings cannot
-	// drift. Wire layers (internal/dist) ship individual agents with
-	// it: delta frames, migration sub-blobs. Set together with
-	// DecodeAgent; protocols without them cannot run distributed.
+	// EncodeAgent appends one agent state's canonical encoding, field
+	// by field in the explicit style of the repo's other binary formats
+	// (msgnet.Trace): no self-description, field order is the schema
+	// under the enclosing format's version. The slab codec (WriteSlab,
+	// WriteState) derives the whole-run encoding from it, and the wire
+	// layer (internal/dist) ships individual agents with it: delta
+	// frames, touch records, Assign slabs. Required, with DecodeAgent.
 	EncodeAgent func(p P, s *S, w *ckpt.Writer)
 
 	// DecodeAgent decodes one agent state written by EncodeAgent.
-	// Errors stick in the Reader (the repo's unguarded-decode style).
+	// Errors stick in the Reader (the repo's unguarded-decode style);
+	// it must consume at least one byte and reject values EncodeAgent
+	// cannot have written, so that decoding round-trips exactly.
 	DecodeAgent func(p P, r *ckpt.Reader) S
 
 	// Instr captures the protocol's mutable run instrumentation (reset
-	// counters) as a flat vector; SetInstr restores one. The contract
-	// that makes distribution work: vectors accumulated over disjoint
-	// interaction sets sum element-wise, so counters that increment on
-	// whichever process executed the interaction reconcile by
-	// summation — workers report absolute vectors at each barrier and
-	// the coordinator folds the committed totals into the Result. Nil
-	// for protocols whose only mutable state is the agent slab; set
-	// both or neither, and protocols registering Resets must register
-	// these too or distributed Results would drop their counters.
+	// counters) as a flat vector of fixed length; SetInstr restores
+	// one. Together with the agent slab it is the whole mutable run
+	// state: the checkpoint state section (WriteState) carries it
+	// after the slab. The contract that makes distribution work:
+	// vectors accumulated over disjoint interaction sets sum
+	// element-wise, so counters that increment on whichever process
+	// executed the interaction reconcile by summation — workers report
+	// absolute vectors at each barrier and the coordinator folds the
+	// committed totals into the Result. Nil for protocols whose only
+	// mutable state is the agent slab; set both or neither, and
+	// protocols registering Resets must register these too or
+	// checkpoints and distributed Results would drop their counters.
 	Instr func(p P) []int64
 
 	// SetInstr restores an instrumentation vector captured by Instr.

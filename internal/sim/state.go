@@ -4,8 +4,8 @@ import "ssrank/internal/rng"
 
 // EngineState is the exportable scheduler position of a serial Runner:
 // the step counter and the pair-stream position. Together with a
-// serialized configuration (the protocol packages' MarshalState) it
-// reconstructs a Runner mid-run — the restored Runner executes exactly
+// serialized configuration (the state section of proto's slab codec,
+// Descriptor.WriteState) it reconstructs a Runner mid-run — the restored Runner executes exactly
 // the interactions the captured one would have executed next, so a
 // checkpointed run resumes byte-identically.
 type EngineState struct {

@@ -1,15 +1,10 @@
 package stable
 
-import (
-	"fmt"
-
-	"ssrank/internal/ckpt"
-)
+import "ssrank/internal/ckpt"
 
 // EncodeAgent appends one agent's state field-by-field — the per-agent
-// unit of MarshalState's slab section, shared with the distributed
-// wire layer so the two encodings cannot drift
-// (proto.Descriptor.EncodeAgent).
+// unit the proto slab codec and the distributed wire layer are built
+// from (proto.Descriptor.EncodeAgent).
 func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 	w.Uvarint(uint64(s.Mode))
 	w.Uvarint(uint64(s.Coin))
@@ -29,18 +24,18 @@ func EncodeAgent(p *Protocol, s *State, w *ckpt.Writer) {
 // in r.
 func DecodeAgent(p *Protocol, r *ckpt.Reader) State {
 	var s State
-	s.Mode = Mode(r.Uvarint())
-	s.Coin = uint8(r.Uvarint())
-	s.Rank = int32(r.Int())
-	s.ResetCount = int32(r.Int())
-	s.DelayCount = int32(r.Int())
-	s.LECount = int32(r.Int())
-	s.CoinCount = int32(r.Int())
+	s.Mode = ckpt.Uint[Mode](r)
+	s.Coin = ckpt.Uint[uint8](r)
+	s.Rank = ckpt.Int[int32](r)
+	s.ResetCount = ckpt.Int[int32](r)
+	s.DelayCount = ckpt.Int[int32](r)
+	s.LECount = ckpt.Int[int32](r)
+	s.CoinCount = ckpt.Int[int32](r)
 	s.LeaderDone = r.Bool()
 	s.IsLeader = r.Bool()
-	s.Wait = int32(r.Int())
-	s.Phase = int32(r.Int())
-	s.Alive = int32(r.Int())
+	s.Wait = ckpt.Int[int32](r)
+	s.Phase = ckpt.Int[int32](r)
+	s.Alive = ckpt.Int[int32](r)
 	return s
 }
 
@@ -69,42 +64,4 @@ func SetInstr(p *Protocol, v []int64) {
 			p.resetsByReason[reason].Store(v[1+int(reason)])
 		}
 	}
-}
-
-// MarshalState appends the protocol's full mutable run state to w: the
-// agent slab field-by-field in agent order (EncodeAgent per agent),
-// then the reset counters (total, then per reason in ResetReason
-// order). The encoding is canonical and versioned by the enclosing
-// checkpoint format — field order here is the schema
-// (proto.Descriptor.MarshalState).
-func MarshalState(p *Protocol, states []State, w *ckpt.Writer) {
-	w.Uvarint(uint64(len(states)))
-	for i := range states {
-		EncodeAgent(p, &states[i], w)
-	}
-	w.Varint(p.resets.Load())
-	for reason := ResetReason(0); reason < numResetReasons; reason++ {
-		w.Varint(p.resetsByReason[reason].Load())
-	}
-}
-
-// UnmarshalState decodes a slab written by MarshalState for the same
-// population size, restoring the reset counters into p.
-func UnmarshalState(p *Protocol, r *ckpt.Reader) ([]State, error) {
-	n := r.Count(p.n)
-	if r.Err() == nil && n != p.n {
-		return nil, fmt.Errorf("stable: checkpoint holds %d agents, protocol expects %d", n, p.n)
-	}
-	states := make([]State, n)
-	for i := range states {
-		states[i] = DecodeAgent(p, r)
-	}
-	p.resets.Store(r.Varint())
-	for reason := ResetReason(0); reason < numResetReasons; reason++ {
-		p.resetsByReason[reason].Store(r.Varint())
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("stable: %w", err)
-	}
-	return states, nil
 }

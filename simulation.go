@@ -430,14 +430,11 @@ func (s *driver[S, P]) marshal(w *ckpt.Writer) error {
 	if err != nil {
 		return err
 	}
-	if s.d.MarshalState == nil {
-		return fmt.Errorf("ssrank: protocol %q does not register state serialization", s.d.Name)
-	}
 	w.Uvarint(kind)
 	w.Varint(s.hit)
 	w.Varint(s.eng.steps())
 	streams(w)
-	s.d.MarshalState(s.p, s.eng.states(), w)
+	s.d.WriteState(s.p, s.eng.states(), w)
 	return nil
 }
 
