@@ -32,9 +32,12 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -167,12 +170,28 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// maxConfigBody bounds a POST /jobs body. A Config is a few hundred
+// bytes of JSON; the bound leaves room for formatting, and keeps a
+// client from making the server read an unbounded body.
+const maxConfigBody = 64 << 10
+
 // submit decodes a Config and enqueues it. Unknown fields are
 // rejected: a typoed field name silently meaning "default" would make
-// the submitted run differ from the intended one.
+// the submitted run differ from the intended one. A body over
+// maxConfigBody gets 413.
 func submit(m *jobs.Manager, w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxConfigBody))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("config body exceeds %d bytes", maxConfigBody), http.StatusRequestEntityTooLarge)
+			return
+		}
+		http.Error(w, "reading config: "+err.Error(), http.StatusBadRequest)
+		return
+	}
 	var cfg ssrank.Config
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
 		http.Error(w, "bad config: "+err.Error(), http.StatusBadRequest)

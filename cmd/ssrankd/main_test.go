@@ -148,6 +148,35 @@ func TestServerRejects(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit: a valid Config padded with whitespace past
+// maxConfigBody is refused with 413 instead of read to its end, while
+// the same Config padded to just under the bound is accepted.
+func TestSubmitBodyLimit(t *testing.T) {
+	m := jobs.NewManager(jobs.Config{Workers: 1})
+	defer m.Close()
+	srv := httptest.NewServer(newMux(m))
+	defer srv.Close()
+
+	const cfg = `{"N":48,"Seed":9}`
+	for _, tc := range []struct {
+		size int
+		want int
+	}{
+		{maxConfigBody + 1, http.StatusRequestEntityTooLarge},
+		{maxConfigBody, http.StatusAccepted},
+	} {
+		body := cfg + strings.Repeat(" ", tc.size-len(cfg))
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%d-byte body: status %d, want %d", tc.size, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 func getJSON(t *testing.T, srv *httptest.Server, path string, v any) {
 	t.Helper()
 	resp, err := http.Get(srv.URL + path)

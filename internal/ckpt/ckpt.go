@@ -30,6 +30,9 @@ func (w *Writer) Bytes() []byte { return w.buf }
 // Len returns the number of bytes encoded so far.
 func (w *Writer) Len() int { return len(w.buf) }
 
+// Reset empties the Writer, keeping its buffer for reuse.
+func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
 // Raw appends b verbatim (magic strings, pre-encoded sections).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 

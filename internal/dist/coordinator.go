@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"time"
 
 	"ssrank/internal/ckpt"
@@ -14,27 +13,35 @@ import (
 	"ssrank/internal/sim/shard"
 )
 
-// session is one live worker: its connection, its contiguous shard
-// group, and per-batch bookkeeping for the quiescence drain.
+// session is one live worker: its connection with the frame buffers
+// reused across frames, its contiguous shard group, and per-batch
+// bookkeeping for the quiescence drain.
 type session struct {
 	conn     net.Conn
+	in       frameReader
+	out      frameWriter
 	glo, ghi int
+	owned    []int   // cross units owned by the group, ascending id
 	instr    []int64 // last barrier-reported instrumentation vector
 
+	// section is the worker's delta section of the current phase: raw
+	// bytes in its read buffer, validated and forwarded to the others.
+	section []byte
+
 	// Per-batch wire bookkeeping: which frames of the current batch the
-	// worker has provably received (countsOK, merged) and how many it
+	// worker has provably received (countsOK, forwarded) and how many it
 	// has sent that we consumed. Together these bound the worker's
 	// in-flight frames exactly, which is what lets an abandoned batch
 	// drain to quiescence before the recovery Assign (drain).
-	countsOK bool
-	merged   int
-	consumed int
+	countsOK  bool
+	forwarded int
+	consumed  int
 }
 
 // Coordinator owns one distributed run: the only master-stream
 // classifier, the committed engine state the run can always roll back
 // to, and a full population mirror that never executes units — it is
-// advanced at batch commits from the merged phase deltas, and is what
+// advanced at batch commits from the workers' phase deltas, and is what
 // Assign frames and the final Result read. Coordinator implements
 // shard.BarrierExchange, so the exact-stopping driver shared with the
 // in-process engine (shard.RunExactBatches) runs unchanged on top of
@@ -54,7 +61,7 @@ type Coordinator[S any, P sim.TouchReporter[S]] struct {
 	seq       uint64
 
 	// Per-batch buffers. recs is indexed by unit id (intra shard s → s,
-	// cross unit c → Shards+c); pending holds the batch's merged deltas,
+	// cross unit c → Shards+c); pending holds the batch's decoded deltas,
 	// applied to the mirror only at commit so an abandoned batch leaves
 	// the mirror on the committed barrier; reportShards/reportClasses
 	// stage the barrier-reported stream positions the same way.
@@ -72,6 +79,34 @@ type Coordinator[S any, P sim.TouchReporter[S]] struct {
 // engine would have been built from — and keeps ownership of any
 // connection the coordinator rejects at handshake (those are closed).
 func NewCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states []S, id RunID, conns []net.Conn, opts Options) (*Coordinator[S, P], error) {
+	c, err := newCoordinator(d, p, states, id, opts)
+	if err != nil {
+		return nil, err
+	}
+	want := min(id.Shards, len(conns))
+	for _, conn := range conns {
+		if len(c.sessions) == want {
+			break
+		}
+		s := &session{conn: conn}
+		if err := handshake(conn, &s.in, c.timeout); err != nil {
+			conn.Close()
+			continue
+		}
+		c.sessions = append(c.sessions, s)
+	}
+	if len(c.sessions) == 0 {
+		return nil, errors.New("dist: no worker completed the handshake")
+	}
+	if err := c.assignAll(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// newCoordinator builds the run's engine and per-batch buffers, with
+// no workers yet.
+func newCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states []S, id RunID, opts Options) (*Coordinator[S, P], error) {
 	if id.Shards < 2 {
 		return nil, fmt.Errorf("dist: distributed runs need at least 2 shards, got %d", id.Shards)
 	}
@@ -99,27 +134,6 @@ func NewCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P
 	c.recs = make([][]shard.TouchRec[S], id.Shards+eng.NumCrossUnits())
 	c.reportShards = make([]rng.PairBatchState, id.Shards)
 	c.reportClasses = make([][4]uint64, eng.NumCrossUnits())
-
-	want := id.Shards
-	if want > len(conns) {
-		want = len(conns)
-	}
-	for _, conn := range conns {
-		if len(c.sessions) == want {
-			break
-		}
-		if err := handshake(conn, timeout); err != nil {
-			conn.Close()
-			continue
-		}
-		c.sessions = append(c.sessions, &session{conn: conn})
-	}
-	if len(c.sessions) == 0 {
-		return nil, errors.New("dist: no worker completed the handshake")
-	}
-	if err := c.assignAll(); err != nil {
-		return nil, err
-	}
 	return c, nil
 }
 
@@ -144,7 +158,8 @@ func (c *Coordinator[S, P]) InstrTotal() []int64 {
 // closed.
 func (c *Coordinator[S, P]) Stop() {
 	for _, s := range c.sessions {
-		if err := writeFrame(s.conn, c.timeout, frameStop, nil); err != nil {
+		s.out.begin(frameStop)
+		if err := s.out.send(s.conn, c.timeout); err != nil {
 			s.conn.Close()
 		}
 	}
@@ -223,7 +238,8 @@ func (c *Coordinator[S, P]) ExecBatch(b int, track bool, emit func(recs []shard.
 // a write fails. The committed instrumentation total rides with the
 // first session as its baseline (the others start at zero): counters
 // conserve under migration without attributing interactions to
-// workers.
+// workers. Assign is the one frame that carries the whole slab, so it
+// is encoded into a buffer of its own rather than the session's.
 func (c *Coordinator[S, P]) assignAll() error {
 	for {
 		n := len(c.sessions)
@@ -235,19 +251,21 @@ func (c *Coordinator[S, P]) assignAll() error {
 		for w, s := range c.sessions {
 			s.glo = w * c.id.Shards / n
 			s.ghi = (w + 1) * c.id.Shards / n
+			s.owned = crossOwned(c.r, s.glo, s.ghi)
 			base := make([]int64, len(c.total))
 			if w == 0 {
 				copy(base, c.total)
 			}
 			s.instr = base
-			var buf ckpt.Writer
-			appendAssignHeader(&buf, AssignHeader{
+			var f frameWriter
+			buf := f.begin(frameAssign)
+			appendAssignHeader(buf, AssignHeader{
 				RunID: c.id, GroupLo: s.glo, GroupHi: s.ghi, Steps: c.committed.Steps,
 			})
-			appendInstr(&buf, base)
-			ckpt.WriteShardStreams(&buf, c.committed.Master, c.committed.Shards, c.committed.Classes)
-			c.d.WriteSlab(c.p, states, &buf)
-			if err := writeFrame(s.conn, c.timeout, frameAssign, buf.Bytes()); err != nil {
+			appendInstr(buf, base)
+			ckpt.WriteShardStreams(buf, c.committed.Master, c.committed.Shards, c.committed.Classes)
+			c.d.WriteSlab(c.p, states, buf)
+			if err := f.send(s.conn, c.timeout); err != nil {
 				c.drop(s)
 				ok = false
 				break
@@ -264,21 +282,20 @@ func (c *Coordinator[S, P]) assignAll() error {
 // and retries.
 func (c *Coordinator[S, P]) tryBatch(b int, track bool) error {
 	for _, s := range c.sessions {
-		s.countsOK, s.merged, s.consumed = false, 0, 0
+		s.countsOK, s.forwarded, s.consumed = false, 0, 0
 	}
 	counts := c.r.ClassifyBatch(b)
 	c.seq++
-	var cw ckpt.Writer
-	cw.Uvarint(c.seq)
-	cw.Uvarint(uint64(b))
-	cw.Bool(track)
-	cw.Uvarint(uint64(len(counts)))
-	for _, v := range counts {
-		cw.Varint(int64(v))
-	}
-	payload := cw.Bytes()
 	for _, s := range c.sessions {
-		if err := writeFrame(s.conn, c.timeout, frameCounts, payload); err != nil {
+		w := s.out.begin(frameCounts)
+		w.Uvarint(c.seq)
+		w.Uvarint(uint64(b))
+		w.Bool(track)
+		w.Uvarint(uint64(len(counts)))
+		for _, v := range counts {
+			w.Varint(int64(v))
+		}
+		if err := s.out.send(s.conn, c.timeout); err != nil {
 			c.drop(s)
 			return fmt.Errorf("dist: counts broadcast: %w", err)
 		}
@@ -287,72 +304,84 @@ func (c *Coordinator[S, P]) tryBatch(b int, track bool) error {
 
 	phases := 1 + len(c.r.RoundSchedule())
 	c.pending = c.pending[:0]
-	n := len(c.r.States())
 	for k := 0; k < phases; k++ {
-		var all []deltaEntry[S]
 		for _, s := range c.sessions {
-			r, err := c.gather(s, frameDeltas)
+			payload, err := c.gather(s, frameDeltas)
 			if err != nil {
 				c.drop(s)
 				return fmt.Errorf("dist: phase %d gather: %w", k, err)
 			}
-			if ph := r.Uvarint(); r.Err() != nil || ph != uint64(k) {
-				c.drop(s)
-				return fmt.Errorf("dist: worker reported phase %d, want %d", ph, k)
-			}
-			all, err = readDeltaSection(c.d, c.p, n, r, all)
-			if err == nil {
-				err = r.Close()
-			}
-			if err != nil {
+			if err := c.decodeDeltas(s, k, payload); err != nil {
 				c.drop(s)
 				return err
 			}
 			s.consumed++
 		}
-		// Phase units touch disjoint shards, so the per-worker sections
-		// interleave into one globally sorted, duplicate-free section.
-		slices.SortFunc(all, func(a, b deltaEntry[S]) int { return int(a.idx - b.idx) })
-		var mw ckpt.Writer
-		mw.Uvarint(c.seq)
-		mw.Uvarint(uint64(k))
-		appendDeltaEntries(c.d, c.p, &mw, all)
-		merged := mw.Bytes()
+		// Phase units touch disjoint agents, so each worker needs only
+		// the other workers' sections, in any fixed order.
 		for _, s := range c.sessions {
-			if err := writeFrame(s.conn, c.timeout, frameDeltas, merged); err != nil {
-				c.drop(s)
-				return fmt.Errorf("dist: phase %d broadcast: %w", k, err)
+			w := s.out.begin(frameDeltas)
+			w.Uvarint(c.seq)
+			w.Uvarint(uint64(k))
+			for _, t := range c.sessions {
+				if t != s {
+					w.Raw(t.section)
+				}
 			}
-			s.merged++
+			if err := s.out.send(s.conn, c.timeout); err != nil {
+				c.drop(s)
+				return fmt.Errorf("dist: phase %d forward: %w", k, err)
+			}
+			s.forwarded++
 		}
-		c.pending = append(c.pending, all...)
 	}
 
-	instrs := make([][]int64, 0, len(c.sessions))
 	for _, s := range c.sessions {
-		r, err := c.gather(s, frameBarrier)
+		payload, err := c.gather(s, frameBarrier)
 		if err != nil {
 			c.drop(s)
 			return fmt.Errorf("dist: barrier gather: %w", err)
 		}
-		if err := c.decodeBarrier(s, r, b); err != nil {
+		if err := c.decodeBarrier(s, payload, b); err != nil {
 			c.drop(s)
 			return err
 		}
 		s.consumed++
-		instrs = append(instrs, s.instr)
 	}
-	c.commit(b, instrs)
+	c.commit(b)
+	return nil
+}
+
+// decodeDeltas decodes s's delta report for phase k (the payload after
+// the sequence number) into pending. Only a section that decodes
+// completely is kept in s.section for forwarding, so a malformed
+// worker is dropped before any of its bytes reach a peer.
+func (c *Coordinator[S, P]) decodeDeltas(s *session, k int, payload []byte) error {
+	r := ckpt.NewReader(payload)
+	if ph := r.Uvarint(); r.Err() != nil || ph != uint64(k) {
+		return fmt.Errorf("dist: worker reported phase %d, want %d", ph, k)
+	}
+	section := payload[len(payload)-r.Remaining():]
+	var err error
+	c.pending, err = readDeltaSection(c.d, c.p, len(c.r.States()), r, c.pending)
+	if err == nil {
+		err = r.Close()
+	}
+	if err != nil {
+		return err
+	}
+	s.section = section
 	return nil
 }
 
 // gather reads the next worker→coordinator frame of the current batch
 // from s, skipping bounded stale frames (re-greetings; frames of an
 // abandoned batch that slipped past the drain) and returning the
-// payload reader positioned after the sequence number.
-func (c *Coordinator[S, P]) gather(s *session, wantType byte) (*ckpt.Reader, error) {
+// payload after the sequence number. The payload lives in s's read
+// buffer until s's next read.
+func (c *Coordinator[S, P]) gather(s *session, wantType byte) ([]byte, error) {
 	for skips := 0; skips < 64; skips++ {
-		typ, payload, err := readFrame(s.conn, c.timeout)
+		typ, payload, err := s.in.read(s.conn, c.timeout)
 		if err != nil {
 			return nil, err
 		}
@@ -371,7 +400,7 @@ func (c *Coordinator[S, P]) gather(s *session, wantType byte) (*ckpt.Reader, err
 			if typ != wantType {
 				return nil, fmt.Errorf("dist: frame type %d, want %d", typ, wantType)
 			}
-			return r, nil
+			return payload[len(payload)-r.Remaining():], nil
 		default:
 			return nil, fmt.Errorf("dist: unexpected frame type %d", typ)
 		}
@@ -382,7 +411,8 @@ func (c *Coordinator[S, P]) gather(s *session, wantType byte) (*ckpt.Reader, err
 // decodeBarrier installs one worker's barrier frame: touch records per
 // owned unit (into the canonical per-unit buffers), owned stream
 // positions (staged for commit), and the instrumentation vector.
-func (c *Coordinator[S, P]) decodeBarrier(s *session, r *ckpt.Reader, b int) error {
+func (c *Coordinator[S, P]) decodeBarrier(s *session, payload []byte, b int) error {
+	r := ckpt.NewReader(payload)
 	n := len(c.r.States())
 	var err error
 	for sh := s.glo; sh < s.ghi; sh++ {
@@ -390,8 +420,7 @@ func (c *Coordinator[S, P]) decodeBarrier(s *session, r *ckpt.Reader, b int) err
 			return err
 		}
 	}
-	owned := crossOwned(c.r, s.glo, s.ghi)
-	for _, cid := range owned {
+	for _, cid := range s.owned {
 		u := c.id.Shards + cid
 		if c.recs[u], err = readRecSection(c.d, c.p, b, n, r, c.recs[u][:0]); err != nil {
 			return err
@@ -400,21 +429,21 @@ func (c *Coordinator[S, P]) decodeBarrier(s *session, r *ckpt.Reader, b int) err
 	for sh := s.glo; sh < s.ghi; sh++ {
 		c.reportShards[sh] = ckpt.ReadPairState(r)
 	}
-	for _, cid := range owned {
+	for _, cid := range s.owned {
 		c.reportClasses[cid] = ckpt.ReadRNGState(r)
 	}
-	s.instr = readInstr(r)
+	s.instr = readInstr(r, s.instr)
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("dist: malformed barrier frame: %w", err)
 	}
 	return nil
 }
 
-// commit makes the batch durable: the merged deltas land on the
+// commit makes the batch durable: the phase deltas land on the
 // mirror, the committed state takes the advanced master stream, the
 // barrier-reported shard and class streams, and the batch's steps, and
 // the instrumentation total is re-summed from the workers' reports.
-func (c *Coordinator[S, P]) commit(b int, instrs [][]int64) {
+func (c *Coordinator[S, P]) commit(b int) {
 	states := c.r.States()
 	for i := range c.pending {
 		states[c.pending[i].idx] = c.pending[i].s
@@ -425,7 +454,10 @@ func (c *Coordinator[S, P]) commit(b int, instrs [][]int64) {
 	copy(c.committed.Classes, c.reportClasses)
 	c.committed.Steps += int64(b)
 	if c.d.Instr != nil {
-		c.total = sumInstr(instrs...)
+		c.total = c.total[:0]
+		for _, s := range c.sessions {
+			c.total = addInstr(c.total, s.instr)
+		}
 	}
 	if c.onBatch != nil {
 		c.onBatch(c.committed.Steps)
@@ -435,7 +467,7 @@ func (c *Coordinator[S, P]) commit(b int, instrs [][]int64) {
 // drain brings every surviving session to wire quiescence after an
 // abandoned batch. The lockstep protocol bounds each worker's
 // in-flight frames exactly: it sends nothing before Counts reaches it,
-// then one frame per merged broadcast it has received (plus the
+// then one frame per forwarded deltas frame it has received (plus the
 // initial phase), so expected − consumed frames remain to read. Once
 // drained, every survivor is blocked reading — the recovery Assign
 // cannot deadlock against an in-flight worker write, and no stale
@@ -445,13 +477,13 @@ func (c *Coordinator[S, P]) drain() {
 	for _, s := range append([]*session(nil), c.sessions...) {
 		expected := 0
 		if s.countsOK {
-			expected = s.merged + 1
+			expected = s.forwarded + 1
 			if expected > phases+1 {
 				expected = phases + 1
 			}
 		}
 		for s.consumed < expected {
-			typ, _, err := readFrame(s.conn, c.timeout)
+			typ, _, err := s.in.read(s.conn, c.timeout)
 			if err != nil {
 				c.drop(s)
 				break

@@ -90,7 +90,7 @@ type deltaEntry[S any] struct {
 	s   S
 }
 
-// appendDeltaIndexed writes a delta section from a sorted, deduped
+// appendDeltaIndexed writes a delta section from a duplicate-free
 // index list against the live state slab (the worker's send path).
 func appendDeltaIndexed[S any, P any](d proto.Descriptor[S, P], p P, w *ckpt.Writer, states []S, idxs []int32) {
 	w.Uvarint(uint64(len(idxs)))
@@ -100,18 +100,9 @@ func appendDeltaIndexed[S any, P any](d proto.Descriptor[S, P], p P, w *ckpt.Wri
 	}
 }
 
-// appendDeltaEntries writes a delta section from decoded entries (the
-// coordinator's merge-and-rebroadcast path).
-func appendDeltaEntries[S any, P any](d proto.Descriptor[S, P], p P, w *ckpt.Writer, entries []deltaEntry[S]) {
-	w.Uvarint(uint64(len(entries)))
-	for i := range entries {
-		w.Uvarint(uint64(entries[i].idx))
-		d.EncodeAgent(p, &entries[i].s, w)
-	}
-}
-
-// readDeltaSection appends a delta section's entries to into. Indices
-// are bounded by the population size.
+// readDeltaSection appends a delta section's entries to into (the
+// coordinator's validation path). Indices are bounded by the
+// population size.
 func readDeltaSection[S any, P any](d proto.Descriptor[S, P], p P, n int, r *ckpt.Reader, into []deltaEntry[S]) ([]deltaEntry[S], error) {
 	cnt := r.Count(n)
 	for i := 0; i < cnt; i++ {
@@ -181,34 +172,25 @@ func appendInstr(w *ckpt.Writer, v []int64) {
 	}
 }
 
-// readInstr reads an instrumentation vector.
-func readInstr(r *ckpt.Reader) []int64 {
-	cnt := r.Count(maxInstr)
-	v := make([]int64, cnt)
-	for i := range v {
-		v[i] = r.Varint()
+// readInstr reads an instrumentation vector into v's storage.
+func readInstr(r *ckpt.Reader, v []int64) []int64 {
+	v = v[:0]
+	for range r.Elems(maxInstr, 1) {
+		v = append(v, r.Varint())
 	}
 	return v
 }
 
-// sumInstr element-wise sums instrumentation vectors. Vectors counted
-// over disjoint interaction sets sum to the whole-run vector — the
-// reconciliation contract of proto.Descriptor.Instr.
-func sumInstr(vs ...[]int64) []int64 {
-	n := 0
-	for _, v := range vs {
-		if len(v) > n {
-			n = len(v)
-		}
+// addInstr adds instrumentation vector v into dst element-wise,
+// growing dst as needed. Vectors counted over disjoint interaction
+// sets sum to the whole-run vector — the reconciliation contract of
+// proto.Descriptor.Instr.
+func addInstr(dst, v []int64) []int64 {
+	for len(dst) < len(v) {
+		dst = append(dst, 0)
 	}
-	if n == 0 {
-		return nil
+	for i, x := range v {
+		dst[i] += x
 	}
-	out := make([]int64, n)
-	for _, v := range vs {
-		for i, x := range v {
-			out[i] += x
-		}
-	}
-	return out
+	return dst
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 
 	"ssrank/internal/ckpt"
 	"ssrank/internal/proto"
@@ -22,16 +21,17 @@ type Runtime interface {
 	// baseline, stream table and agent slab following the header, build
 	// the engine, and restore the committed position.
 	Install(h *AssignHeader, r *ckpt.Reader) error
-	// BeginBatch installs the coordinator's class counts and arms
-	// recording.
-	BeginBatch(counts []int32, track bool) error
+	// BeginBatch validates and installs the coordinator's class counts
+	// for a batch of b interactions and arms recording.
+	BeginBatch(b int, counts []int32, track bool) error
 	// Phases returns the number of lockstep phases per batch: the intra
 	// phase plus one per tournament round.
 	Phases() int
 	// ExecPhase executes the owned units of phase k and appends the
-	// delta section (sorted modified agents) to w.
+	// delta section (the modified agents, in first-touch order) to w.
 	ExecPhase(k int, w *ckpt.Writer) error
-	// ApplyDeltas applies a merged delta section to the mirror.
+	// ApplyDeltas applies the peers' delta sections, which run to the
+	// end of r, to the mirror.
 	ApplyDeltas(r *ckpt.Reader) error
 	// Barrier appends the barrier sections: per-owned-unit touch
 	// records, owned stream positions, instrumentation vector.
@@ -55,6 +55,11 @@ type runtime[S any, P sim.TouchReporter[S]] struct {
 	owned []int // owned cross units, ascending compact id
 	track bool
 	dirty []int32
+
+	// seen[i] == epoch marks agent i as already in the current phase's
+	// dirty list; the epoch advances once per phase.
+	seen  []uint32
+	epoch uint32
 }
 
 // NewRuntime wraps a protocol descriptor as a distributed worker
@@ -64,7 +69,7 @@ func NewRuntime[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P]) Runtime
 }
 
 func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
-	instr := readInstr(r)
+	instr := readInstr(r, nil)
 	st := shard.EngineState{Steps: h.Steps}
 	st.Master, st.Shards, st.Classes = ckpt.ReadShardStreams(r, h.Shards, h.Shards*(h.Shards-1)/2)
 	if err := r.Err(); err != nil {
@@ -99,23 +104,49 @@ func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
 	}
 	rt.p, rt.r, rt.h = p, eng, *h
 	rt.owned = crossOwned(eng, h.GroupLo, h.GroupHi)
+	rt.seen, rt.epoch = make([]uint32, h.N), 0
 	return nil
 }
 
-func (rt *runtime[S, P]) BeginBatch(counts []int32, track bool) error {
+// BeginBatch holds the counts to what the coordinator's classifier
+// can produce — non-negative, summing to b, b at most the batch
+// period — so a corrupt frame cannot make the worker execute, or
+// allocate for, more than one batch.
+func (rt *runtime[S, P]) BeginBatch(b int, counts []int32, track bool) error {
+	if b > shard.BatchPeriod(rt.h.N) {
+		return fmt.Errorf("dist: batch of %d interactions exceeds the batch period %d", b, shard.BatchPeriod(rt.h.N))
+	}
+	sum := 0
+	for _, v := range counts {
+		if v < 0 {
+			return fmt.Errorf("dist: negative class count %d", v)
+		}
+		sum += int(v)
+	}
+	if sum != b {
+		return fmt.Errorf("dist: class counts sum to %d, want batch size %d", sum, b)
+	}
 	rt.track = track
 	return rt.r.BeginBatch(counts, track, true)
 }
 
 func (rt *runtime[S, P]) Phases() int { return 1 + len(rt.r.RoundSchedule()) }
 
+// ExecPhase runs phase k's owned units and reports their endpoint
+// logs deduplicated: phase units touch disjoint agents, so the first
+// touch of each agent in the logs is the exact modified set.
 func (rt *runtime[S, P]) ExecPhase(k int, w *ckpt.Writer) error {
-	dirty := rt.dirty[:0]
+	rt.epoch++
+	if rt.epoch == 0 { // wrapped: no stamp may survive from 2^32 phases ago
+		clear(rt.seen)
+		rt.epoch = 1
+	}
+	rt.dirty = rt.dirty[:0]
 	switch {
 	case k == 0:
 		for s := rt.h.GroupLo; s < rt.h.GroupHi; s++ {
 			rt.r.ExecIntra(s)
-			dirty = append(dirty, rt.r.DirtyIntra(s)...)
+			rt.markDirty(rt.r.DirtyIntra(s))
 		}
 	case k-1 < len(rt.r.RoundSchedule()):
 		for _, c := range rt.r.RoundSchedule()[k-1] {
@@ -123,31 +154,44 @@ func (rt *runtime[S, P]) ExecPhase(k int, w *ckpt.Writer) error {
 				continue
 			}
 			rt.r.ExecCross(c)
-			dirty = append(dirty, rt.r.DirtyCross(c)...)
+			rt.markDirty(rt.r.DirtyCross(c))
 		}
 	default:
 		return fmt.Errorf("dist: phase %d out of range", k)
 	}
-	// Phase units touch disjoint agents, so a sort+dedup of the raw
-	// endpoint log is the exact modified set.
-	slices.Sort(dirty)
-	dirty = slices.Compact(dirty)
-	rt.dirty = dirty
-	appendDeltaIndexed(rt.d, rt.p, w, rt.r.States(), dirty)
+	appendDeltaIndexed(rt.d, rt.p, w, rt.r.States(), rt.dirty)
 	return nil
 }
 
+// markDirty appends the agents of an endpoint log not yet stamped in
+// this phase to the dirty list.
+func (rt *runtime[S, P]) markDirty(log []int32) {
+	for _, i := range log {
+		if rt.seen[i] != rt.epoch {
+			rt.seen[i] = rt.epoch
+			rt.dirty = append(rt.dirty, i)
+		}
+	}
+}
+
+// ApplyDeltas decodes each agent straight into the slab. A malformed
+// frame may leave the slab partly updated; the worker then fails, and
+// the coordinator re-materializes the group from the committed state.
 func (rt *runtime[S, P]) ApplyDeltas(r *ckpt.Reader) error {
-	entries, err := readDeltaSection[S](rt.d, rt.p, len(rt.r.States()), r, nil)
-	if err != nil {
-		return err
+	states := rt.r.States()
+	n := len(states)
+	for r.Remaining() > 0 && r.Err() == nil {
+		for range r.Count(n) {
+			idx := r.Count(n - 1)
+			s := rt.d.DecodeAgent(rt.p, r)
+			if r.Err() != nil {
+				break
+			}
+			states[idx] = s
+		}
 	}
 	if err := r.Close(); err != nil {
-		return fmt.Errorf("dist: malformed merged deltas: %w", err)
-	}
-	states := rt.r.States()
-	for i := range entries {
-		states[entries[i].idx] = entries[i].s
+		return fmt.Errorf("dist: malformed peer deltas: %w", err)
 	}
 	return nil
 }
@@ -189,12 +233,12 @@ func (rt *runtime[S, P]) FinishBatch(b int) { rt.r.FinishBatch(b) }
 // the worker to idle on the same connection with a fresh greeting, so
 // pooled connections serve many runs.
 func Serve(conn net.Conn, factory RuntimeFactory) error {
-	if err := sendHello(conn); err != nil {
+	w := &worker{conn: conn, factory: factory}
+	if err := sendHello(conn, &w.out); err != nil {
 		return err
 	}
-	var rt Runtime
 	for {
-		typ, payload, err := readFrame(conn, 0)
+		typ, payload, err := w.in.read(conn, 0)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return nil
@@ -203,32 +247,41 @@ func Serve(conn net.Conn, factory RuntimeFactory) error {
 		}
 		switch typ {
 		case frameAssign:
-			if rt, err = installAssign(factory, payload); err != nil {
+			if w.rt, err = installAssign(factory, payload); err != nil {
 				return err
 			}
 		case frameCounts:
-			if rt == nil {
+			if w.rt == nil {
 				return errors.New("dist: counts frame before assignment")
 			}
-			var cont bool
-			if rt, cont, err = serveBatch(conn, rt, factory, payload); err != nil {
+			if err := w.serveBatch(payload); err != nil {
 				return err
 			}
-			if !cont {
-				rt = nil
-				if err := sendHello(conn); err != nil {
+			if w.rt == nil {
+				if err := sendHello(conn, &w.out); err != nil {
 					return err
 				}
 			}
 		case frameStop:
-			rt = nil
-			if err := sendHello(conn); err != nil {
+			w.rt = nil
+			if err := sendHello(conn, &w.out); err != nil {
 				return err
 			}
 		default:
 			return fmt.Errorf("dist: unexpected frame type %d", typ)
 		}
 	}
+}
+
+// worker is one Serve connection: the live runtime (nil while idle)
+// and the frame buffers and counts slice reused across batches.
+type worker struct {
+	conn    net.Conn
+	factory RuntimeFactory
+	rt      Runtime
+	in      frameReader
+	out     frameWriter
+	counts  []int32
 }
 
 // installAssign decodes an Assign frame and builds + installs the
@@ -251,73 +304,69 @@ func installAssign(factory RuntimeFactory, payload []byte) (Runtime, error) {
 
 // serveBatch executes one batch in lockstep with the coordinator:
 // per phase, run the owned units, report the delta section, and apply
-// the merged broadcast; then report the barrier frame and commit. A
-// mid-batch Assign means the coordinator abandoned the batch after a
-// peer died — the partial batch state is discarded wholesale by
-// reinstalling from the committed sub-blob. Returns the (possibly
-// reinstalled) runtime and whether the assignment is still live
-// (false after a mid-batch Stop).
-func serveBatch(conn net.Conn, rt Runtime, factory RuntimeFactory, payload []byte) (Runtime, bool, error) {
+// the peers' sections the coordinator forwards; then report the
+// barrier frame and commit. A mid-batch Assign means the coordinator
+// abandoned the batch after a peer died — the partial batch state is
+// discarded wholesale by reinstalling from the committed sub-blob. A
+// mid-batch Stop leaves w.rt nil.
+func (w *worker) serveBatch(payload []byte) error {
 	r := ckpt.NewReader(payload)
 	seq := r.Uvarint()
 	b := r.Count(maxBatch)
 	track := r.Bool()
-	cnt := r.Elems(maxShards*maxShards, 1)
-	counts := make([]int32, cnt)
-	for i := range counts {
-		counts[i] = ckpt.Int[int32](r)
+	w.counts = w.counts[:0]
+	for range r.Elems(maxShards*maxShards, 1) {
+		w.counts = append(w.counts, ckpt.Int[int32](r))
 	}
 	if err := r.Close(); err != nil {
-		return rt, false, fmt.Errorf("dist: malformed counts frame: %w", err)
+		return fmt.Errorf("dist: malformed counts frame: %w", err)
 	}
-	if err := rt.BeginBatch(counts, track); err != nil {
-		return rt, false, err
+	if err := w.rt.BeginBatch(b, w.counts, track); err != nil {
+		return err
 	}
-	for k := 0; k < rt.Phases(); k++ {
-		var w ckpt.Writer
-		w.Uvarint(seq)
-		w.Uvarint(uint64(k))
-		if err := rt.ExecPhase(k, &w); err != nil {
-			return rt, false, err
+	for k := 0; k < w.rt.Phases(); k++ {
+		out := w.out.begin(frameDeltas)
+		out.Uvarint(seq)
+		out.Uvarint(uint64(k))
+		if err := w.rt.ExecPhase(k, out); err != nil {
+			return err
 		}
-		if err := writeFrame(conn, 0, frameDeltas, w.Bytes()); err != nil {
-			return rt, false, err
+		if err := w.out.send(w.conn, 0); err != nil {
+			return err
 		}
-		typ, p2, err := readFrame(conn, 0)
+		typ, p2, err := w.in.read(w.conn, 0)
 		if err != nil {
-			return rt, false, err
+			return err
 		}
 		switch typ {
 		case frameDeltas:
 			mr := ckpt.NewReader(p2)
 			mseq, mk := mr.Uvarint(), mr.Uvarint()
 			if err := mr.Err(); err != nil {
-				return rt, false, fmt.Errorf("dist: malformed merged deltas: %w", err)
+				return fmt.Errorf("dist: malformed peer deltas: %w", err)
 			}
 			if mseq != seq || mk != uint64(k) {
-				return rt, false, fmt.Errorf("dist: merged deltas for batch %d phase %d, want %d/%d", mseq, mk, seq, k)
+				return fmt.Errorf("dist: peer deltas for batch %d phase %d, want %d/%d", mseq, mk, seq, k)
 			}
-			if err := rt.ApplyDeltas(mr); err != nil {
-				return rt, false, err
+			if err := w.rt.ApplyDeltas(mr); err != nil {
+				return err
 			}
 		case frameAssign:
-			nrt, err := installAssign(factory, p2)
-			if err != nil {
-				return rt, false, err
-			}
-			return nrt, true, nil
+			w.rt, err = installAssign(w.factory, p2)
+			return err
 		case frameStop:
-			return nil, false, nil
+			w.rt = nil
+			return nil
 		default:
-			return rt, false, fmt.Errorf("dist: unexpected frame type %d mid-batch", typ)
+			return fmt.Errorf("dist: unexpected frame type %d mid-batch", typ)
 		}
 	}
-	var w ckpt.Writer
-	w.Uvarint(seq)
-	rt.Barrier(&w)
-	if err := writeFrame(conn, 0, frameBarrier, w.Bytes()); err != nil {
-		return rt, false, err
+	out := w.out.begin(frameBarrier)
+	out.Uvarint(seq)
+	w.rt.Barrier(out)
+	if err := w.out.send(w.conn, 0); err != nil {
+		return err
 	}
-	rt.FinishBatch(b)
-	return rt, true, nil
+	w.rt.FinishBatch(b)
+	return nil
 }

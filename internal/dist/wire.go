@@ -50,10 +50,11 @@ const (
 	// frameCounts (coordinator → worker) opens a batch: sequence
 	// number, batch size, tracking flag, per-class interaction counts.
 	frameCounts = 3
-	// frameDeltas flows both ways once per phase: workers report the
-	// post-states of the agents their units touched; the coordinator
-	// broadcasts the merged set back so every mirror agrees at the
-	// phase boundary.
+	// frameDeltas flows both ways once per phase: each worker reports
+	// one delta section, the post-states of the agents its units
+	// touched; the coordinator validates every section and forwards
+	// each worker the others' sections verbatim, so every mirror
+	// agrees at the phase boundary.
 	frameDeltas = 4
 	// frameBarrier (worker → coordinator) closes a batch: per-owned-unit
 	// touch records, owned stream positions, instrumentation vector.
@@ -65,7 +66,7 @@ const (
 
 const (
 	helloMagic  = "ssdw"
-	wireVersion = 1
+	wireVersion = 2
 
 	// maxFrame bounds a frame payload; anything larger is a protocol
 	// violation, not a legitimate run.
@@ -94,17 +95,32 @@ type Options struct {
 	OnBatch func(steps int64)
 }
 
-// writeFrame sends one frame as a single write. A positive timeout
-// arms a write deadline (the coordinator side); zero trusts the peer
-// (the worker side, which blocks on the coordinator by design).
-func writeFrame(c net.Conn, timeout time.Duration, typ byte, payload []byte) error {
-	if len(payload) >= maxFrame {
-		return fmt.Errorf("dist: frame payload %d bytes exceeds limit", len(payload))
+// frameHeader is the length word plus the type byte.
+const frameHeader = 5
+
+// frameWriter encodes outgoing frames into one buffer reused across
+// frames: begin reserves the header, the caller appends the payload,
+// and send fills in the length and writes the frame with a single
+// Write. One Write per frame keeps the frame count on the wire equal to
+// the write count, which the crash-injection tests rely on.
+type frameWriter struct{ w ckpt.Writer }
+
+// begin starts a frame of type typ and returns the writer its payload
+// is appended to.
+func (f *frameWriter) begin(typ byte) *ckpt.Writer {
+	f.w.Reset()
+	f.w.Raw([]byte{0, 0, 0, 0, typ})
+	return &f.w
+}
+
+// send writes the frame begun last. A positive timeout arms a write
+// deadline (the coordinator side); zero trusts the peer (the worker
+// side, which blocks on the coordinator by design).
+func (f *frameWriter) send(c net.Conn, timeout time.Duration) error {
+	if n := f.w.Len() - frameHeader; n >= maxFrame {
+		return fmt.Errorf("dist: frame payload %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, 5+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(1+len(payload)))
-	buf[4] = typ
-	copy(buf[5:], payload)
+	buf := f.frame()
 	if timeout > 0 {
 		c.SetWriteDeadline(time.Now().Add(timeout))
 		defer c.SetWriteDeadline(time.Time{})
@@ -113,31 +129,55 @@ func writeFrame(c net.Conn, timeout time.Duration, typ byte, payload []byte) err
 	return err
 }
 
-// frameChunk is readFrame's first buffer size: frames up to it are
-// read into one exact allocation, larger ones grow the buffer by
-// doubling as their bytes arrive.
+// frame fills in the length of the frame begun last and returns its
+// bytes, valid until the next begin.
+func (f *frameWriter) frame() []byte {
+	buf := f.w.Bytes()
+	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
+	return buf
+}
+
+// frameChunk is the least a frameReader reads before growing its
+// buffer: a frame that does not fit the kept buffer is read into one
+// allocation of up to frameChunk (or the kept capacity, if larger),
+// which then doubles as the frame's bytes arrive.
 const frameChunk = 64 << 10
 
-// readFrame reads one frame. A positive timeout arms a read deadline;
-// its expiry is how the coordinator detects a dead worker. The length
+// frameReader reads incoming frames into one buffer reused across
+// frames; a payload it returns is valid until the next read. Every
+// frame but Assign is bounded by the batch period, so the buffer
+// settles at the largest batch frame and steady-state reads allocate
+// nothing. An Assign frame carries the whole agent slab: its buffer is
+// released rather than kept for the life of the connection.
+type frameReader struct {
+	hdr [4]byte
+	buf []byte
+}
+
+// read reads one frame. A positive timeout arms a read deadline; its
+// expiry is how the coordinator detects a dead worker. The length
 // header is not trusted for allocation: the buffer grows only as
 // payload bytes actually arrive, so a peer that announces a huge frame
 // and then stalls or hangs up costs memory in proportion to what it
 // sent, plus one frameChunk.
-func readFrame(c net.Conn, timeout time.Duration) (typ byte, payload []byte, err error) {
+func (f *frameReader) read(c net.Conn, timeout time.Duration) (typ byte, payload []byte, err error) {
 	if timeout > 0 {
 		c.SetReadDeadline(time.Now().Add(timeout))
 		defer c.SetReadDeadline(time.Time{})
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c, f.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(f.hdr[:]))
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("dist: frame length %d out of range", n)
 	}
-	buf := make([]byte, min(n, frameChunk))
+	buf := f.buf
+	if first := min(n, max(cap(buf), frameChunk)); cap(buf) < first {
+		buf = make([]byte, first)
+	} else {
+		buf = buf[:first]
+	}
 	for off := 0; ; {
 		k, err := io.ReadFull(c, buf[off:])
 		off += k
@@ -148,25 +188,31 @@ func readFrame(c net.Conn, timeout time.Duration) (typ byte, payload []byte, err
 			return 0, nil, err
 		}
 		if off == n {
-			return buf[0], buf[1:], nil
+			break
 		}
 		buf = append(buf, make([]byte, min(n-off, off))...)
 	}
+	if buf[0] == frameAssign {
+		f.buf = nil
+	} else {
+		f.buf = buf[:0]
+	}
+	return buf[0], buf[1:], nil
 }
 
 // sendHello greets the coordinator. Workers send one on connect and
 // after every Stop, so the coordinator of each run finds exactly one
 // pending Hello on a pooled connection.
-func sendHello(c net.Conn) error {
-	var w ckpt.Writer
+func sendHello(c net.Conn, f *frameWriter) error {
+	w := f.begin(frameHello)
 	w.Raw([]byte(helloMagic))
 	w.Uvarint(wireVersion)
-	return writeFrame(c, 0, frameHello, w.Bytes())
+	return f.send(c, 0)
 }
 
 // handshake consumes and validates the worker's pending Hello.
-func handshake(c net.Conn, timeout time.Duration) error {
-	typ, payload, err := readFrame(c, timeout)
+func handshake(c net.Conn, f *frameReader, timeout time.Duration) error {
+	typ, payload, err := f.read(c, timeout)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"net"
 	goruntime "runtime"
 	"testing"
@@ -12,37 +13,115 @@ import (
 	"ssrank/internal/rng"
 )
 
-// TestReadFrameBoundsAllocation: a peer that announces a 1 GiB frame
-// and hangs up must cost an error, not a 1 GiB allocation.
-func TestReadFrameBoundsAllocation(t *testing.T) {
+// sendFrame writes one frame from a fresh frameWriter.
+func sendFrame(c net.Conn, typ byte, payload []byte) error {
+	var f frameWriter
+	f.begin(typ).Raw(payload)
+	return f.send(c, 0)
+}
+
+// hugeHangup announces a 1 GiB frame on a fresh pipe, then hangs up
+// without sending any of it, and returns the reading end.
+func hugeHangup() net.Conn {
 	c, peer := net.Pipe()
-	defer c.Close()
 	go func() {
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], 1<<30)
 		peer.Write(hdr[:])
 		peer.Close()
 	}()
+	return c
+}
+
+// TestReadFrameBoundsAllocation: a peer that announces a 1 GiB frame
+// and hangs up must cost an error, not a 1 GiB allocation — both on a
+// fresh reader and on one whose reused buffer already holds a large
+// frame, which must be read into, not grown from the header.
+func TestReadFrameBoundsAllocation(t *testing.T) {
+	var fresh, used frameReader
+	c, peer := net.Pipe()
+	go sendFrame(peer, frameBarrier, make([]byte, 3*frameChunk))
+	if _, _, err := used.read(c, 0); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	peer.Close()
+	for _, tc := range []struct {
+		name string
+		f    *frameReader
+	}{{"fresh reader", &fresh}, {"reused buffer", &used}} {
+		c := hugeHangup()
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		_, _, err := tc.f.read(c, 0)
+		goruntime.ReadMemStats(&after)
+		c.Close()
+		if err == nil {
+			t.Fatalf("%s: truncated 1 GiB frame read without error", tc.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Fatalf("%s: read allocated %d bytes for a frame whose payload never arrived", tc.name, d)
+		}
+	}
+}
+
+// streamConn is a net.Conn reading from a byte stream, for driving a
+// frameReader without goroutines.
+type streamConn struct {
+	net.Conn
+	r io.Reader
+}
+
+func (c streamConn) Read(b []byte) (int, error) { return c.r.Read(b) }
+
+// TestFrameReaderReuse: batch frames reuse one read buffer, while an
+// Assign frame's slab-sized buffer is released after the read.
+func TestFrameReaderReuse(t *testing.T) {
+	var stream []byte
+	for _, fr := range []struct {
+		typ  byte
+		size int
+	}{{frameDeltas, 2 * frameChunk}, {frameDeltas, frameChunk}, {frameAssign, 4 * frameChunk}} {
+		var w frameWriter
+		w.begin(fr.typ).Raw(make([]byte, fr.size))
+		stream = append(stream, w.frame()...)
+	}
+	var c net.Conn = streamConn{r: bytes.NewReader(stream)}
+	var f frameReader
+	if _, _, err := f.read(c, 0); err != nil {
+		t.Fatal(err)
+	}
+	kept := cap(f.buf)
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
-	_, _, err := readFrame(c, 0)
+	_, _, err := f.read(c, 0)
 	goruntime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("truncated 1 GiB frame read without error")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
-		t.Fatalf("readFrame allocated %d bytes for a frame whose payload never arrived", d)
+	if kept <= 2*frameChunk || cap(f.buf) != kept {
+		t.Fatalf("buffer capacity %d after a %d-byte frame, %d after the next; want it kept", kept, 2*frameChunk+1, cap(f.buf))
+	}
+	if d := after.Mallocs - before.Mallocs; d != 0 {
+		t.Errorf("reading a frame into the kept buffer made %d allocations", d)
+	}
+	if _, _, err := f.read(c, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.buf != nil {
+		t.Errorf("reader kept a %d-byte buffer after an Assign frame", cap(f.buf))
 	}
 }
 
 // TestReadFrameRoundTrip reads frames on both sides of frameChunk back
-// exactly as writeFrame sent them.
+// exactly as they were sent, through one reused reader.
 func TestReadFrameRoundTrip(t *testing.T) {
-	for _, size := range []int{0, 1, frameChunk - 1, frameChunk, 5*frameChunk + 3} {
+	var f frameReader
+	for _, size := range []int{0, 1, frameChunk - 1, frameChunk, 5*frameChunk + 3, 7} {
 		c, peer := net.Pipe()
 		payload := bytes.Repeat([]byte{0xa5, 0x17, 0x3c}, size/3+1)[:size]
-		go writeFrame(peer, 0, frameDeltas, payload)
-		typ, got, err := readFrame(c, 0)
+		go sendFrame(peer, frameDeltas, payload)
+		typ, got, err := f.read(c, 0)
 		if err != nil || typ != frameDeltas || !bytes.Equal(got, payload) {
 			t.Fatalf("size %d: type %d, %d bytes, err %v", size, typ, len(got), err)
 		}

@@ -2,8 +2,10 @@ package msgnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ssrank/internal/baseline/aware"
@@ -164,6 +166,43 @@ func TestRecordReplayByteIdentity(t *testing.T) {
 	}
 	if rep.Steps() != rec1.Steps() {
 		t.Fatalf("replayed %d interactions, recorded %d", rep.Steps(), rec1.Steps())
+	}
+}
+
+// TestTraceUnmarshalBoundsCounts: a trace's counts are checked against
+// its length before anything is sized by them. An 11-byte trace that
+// announces 2^26 contacts must not allocate 512 MiB, a round count of
+// 2^62 must not panic in make, and overlong varints are rejected.
+func TestTraceUnmarshalBoundsCounts(t *testing.T) {
+	uv := func(vs ...uint64) []byte {
+		b := []byte(traceMagic)
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^26 contacts", uv(16, 1, 1<<26)},
+		{"2^62 rounds", uv(16, 1<<62)},
+		{"overlong round count", append(uv(16), 0x81, 0x00)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var tr Trace
+		err := tr.UnmarshalBinary(tc.data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: % x decoded without error", tc.name, tc.data)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: decoding %d bytes allocated %d bytes", tc.name, len(tc.data), d)
+		}
+	}
+	if n := len(uv(16, 1, 1<<26)); n != 11 {
+		t.Fatalf("contact probe is %d bytes, want 11", n)
 	}
 }
 

@@ -1,8 +1,10 @@
 package msgnet
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+
+	"ssrank/internal/ckpt"
 )
 
 // Trace is the recorded message history of a run: per round, the
@@ -38,80 +40,53 @@ const traceMagic = "ssmt1" // ssrank msgnet trace, format version 1
 // encoding is canonical: equal traces encode to equal bytes, which is
 // what the record/replay byte-identity tests compare.
 func (t *Trace) MarshalBinary() ([]byte, error) {
-	buf := append([]byte(nil), traceMagic...)
-	buf = binary.AppendUvarint(buf, uint64(t.N))
-	buf = binary.AppendUvarint(buf, uint64(len(t.Rounds)))
+	var w ckpt.Writer
+	w.Raw([]byte(traceMagic))
+	w.Uvarint(uint64(t.N))
+	w.Uvarint(uint64(len(t.Rounds)))
 	for _, rd := range t.Rounds {
-		buf = binary.AppendUvarint(buf, uint64(len(rd.Contacts)))
+		w.Uvarint(uint64(len(rd.Contacts)))
 		for _, c := range rd.Contacts {
-			buf = binary.AppendUvarint(buf, uint64(c[0]))
-			buf = binary.AppendUvarint(buf, uint64(c[1]))
+			w.Uvarint(uint64(c[0]))
+			w.Uvarint(uint64(c[1]))
 		}
-		buf = binary.AppendUvarint(buf, uint64(len(rd.Deliveries)))
+		w.Uvarint(uint64(len(rd.Deliveries)))
 		for _, id := range rd.Deliveries {
-			buf = binary.AppendUvarint(buf, uint64(id))
+			w.Uvarint(uint64(id))
 		}
 	}
-	return buf, nil
+	return w.Bytes(), nil
 }
 
-// UnmarshalBinary decodes a trace encoded by MarshalBinary.
+// UnmarshalBinary decodes a trace encoded by MarshalBinary. Every
+// count is checked against the bytes left before anything is sized by
+// it, and only MarshalBinary's canonical encoding is accepted, so a
+// corrupt or hostile trace costs an error, not memory.
 func (t *Trace) UnmarshalBinary(data []byte) error {
 	if len(data) < len(traceMagic) || string(data[:len(traceMagic)]) != traceMagic {
 		return fmt.Errorf("msgnet: not a trace (missing %q header)", traceMagic)
 	}
-	data = data[len(traceMagic):]
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(data)
-		if n <= 0 {
-			return 0, fmt.Errorf("msgnet: truncated trace")
+	r := ckpt.NewReader(data[len(traceMagic):])
+	out := Trace{N: r.Count(math.MaxInt32)}
+	// A round encodes to at least two bytes (its two list lengths), a
+	// contact to at least two, a delivery to at least one.
+	out.Rounds = make([]TraceRound, r.Elems(math.MaxInt, 2))
+	for i := range out.Rounds {
+		rd := &out.Rounds[i]
+		rd.Contacts = make([][2]int32, r.Elems(math.MaxInt, 2))
+		for j := range rd.Contacts {
+			rd.Contacts[j] = [2]int32{int32(r.Count(math.MaxInt32)), int32(r.Count(math.MaxInt32))}
 		}
-		data = data[n:]
-		return v, nil
+		rd.Deliveries = make([]int64, r.Elems(math.MaxInt, 1))
+		for j := range rd.Deliveries {
+			rd.Deliveries[j] = int64(r.Count(math.MaxInt))
+		}
+		if r.Err() != nil {
+			break
+		}
 	}
-	n, err := next()
-	if err != nil {
-		return err
-	}
-	rounds, err := next()
-	if err != nil {
-		return err
-	}
-	out := Trace{N: int(n), Rounds: make([]TraceRound, 0, rounds)}
-	for r := uint64(0); r < rounds; r++ {
-		var rd TraceRound
-		nc, err := next()
-		if err != nil {
-			return err
-		}
-		rd.Contacts = make([][2]int32, nc)
-		for i := range rd.Contacts {
-			a, err := next()
-			if err != nil {
-				return err
-			}
-			b, err := next()
-			if err != nil {
-				return err
-			}
-			rd.Contacts[i] = [2]int32{int32(a), int32(b)}
-		}
-		nd, err := next()
-		if err != nil {
-			return err
-		}
-		rd.Deliveries = make([]int64, nd)
-		for i := range rd.Deliveries {
-			id, err := next()
-			if err != nil {
-				return err
-			}
-			rd.Deliveries[i] = int64(id)
-		}
-		out.Rounds = append(out.Rounds, rd)
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("msgnet: %d trailing bytes after trace", len(data))
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("msgnet: malformed trace: %w", err)
 	}
 	*t = out
 	return nil
