@@ -55,9 +55,10 @@ func main() {
 	workerAddr := flag.String("workeraddr", "", "listen address for ssrank-worker processes (host:port, or a unix socket path containing '/'); empty disables distributed execution")
 	cacheDir := flag.String("cachedir", "", "directory for the disk-spill result cache; empty keeps the cache memory-only")
 	cacheMax := flag.Int("cachemax", 0, "in-memory result cache capacity in entries (0 = default)")
+	maxSlab := flag.Int64("maxslab", 1<<30, "largest agent slab, in bytes, a job may build (N × the protocol's per-agent state size); larger jobs are refused with 422 (0 = no bound)")
 	flag.Parse()
 
-	jcfg := jobs.Config{Workers: *workers, SliceInteractions: *slice, CacheDir: *cacheDir, CacheMax: *cacheMax}
+	jcfg := jobs.Config{Workers: *workers, SliceInteractions: *slice, CacheDir: *cacheDir, CacheMax: *cacheMax, MaxSlabBytes: *maxSlab}
 	if *workerAddr != "" {
 		pool := &distPool{}
 		ln, err := listen(*workerAddr)
@@ -178,7 +179,8 @@ const maxConfigBody = 64 << 10
 // submit decodes a Config and enqueues it. Unknown fields are
 // rejected: a typoed field name silently meaning "default" would make
 // the submitted run differ from the intended one. A body over
-// maxConfigBody gets 413.
+// maxConfigBody gets 413, a job over the daemon's agent-slab bound
+// (-maxslab) 422.
 func submit(m *jobs.Manager, w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxConfigBody))
 	if err != nil {
@@ -198,6 +200,10 @@ func submit(m *jobs.Manager, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, err := m.Submit(cfg)
+	if errors.Is(err, jobs.ErrSlabTooLarge) {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

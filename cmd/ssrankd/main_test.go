@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -173,6 +174,49 @@ func TestSubmitBodyLimit(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%d-byte body: status %d, want %d", tc.size, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestSubmitSlabBound: a job whose agent slab (N × the protocol's
+// per-agent state size) exceeds the daemon's bound is refused with 422
+// before anything is sized by N, and a job exactly at the bound is
+// accepted.
+func TestSubmitSlabBound(t *testing.T) {
+	d, _ := ssrank.Describe(ssrank.StableRanking)
+	const n = 48
+	bound := int64(n * d.AgentBytes)
+	m := jobs.NewManager(jobs.Config{Workers: 1, MaxSlabBytes: bound})
+	defer m.Close()
+	srv := httptest.NewServer(newMux(m))
+	defer srv.Close()
+
+	se, _ := ssrank.Describe(ssrank.SpaceEfficient)
+	if se.AgentBytes <= d.AgentBytes {
+		t.Fatalf("space-efficient agents (%d B) are no larger than stable ones (%d B)", se.AgentBytes, d.AgentBytes)
+	}
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"N":49,"Seed":9}`, http.StatusUnprocessableEntity},
+		{`{"N":48,"Seed":9,"Protocol":"space-efficient"}`, http.StatusUnprocessableEntity},
+		{`{"N":4000000000,"Seed":9}`, http.StatusUnprocessableEntity},
+		{`{"N":48,"Seed":9}`, http.StatusAccepted},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+		}
+		if a := after.TotalAlloc - before.TotalAlloc; a > 1<<20 {
+			t.Errorf("%s: submitting allocated %d bytes", tc.body, a)
 		}
 	}
 }

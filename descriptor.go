@@ -2,6 +2,7 @@ package ssrank
 
 import (
 	"fmt"
+	"reflect"
 
 	"ssrank/internal/baseline/aware"
 	"ssrank/internal/baseline/cai"
@@ -45,13 +46,17 @@ type Descriptor struct {
 	// Config.MaxInteractions resolves to — several times the expected
 	// stabilization time, saturating at MaxInt64.
 	DefaultBudget func(n int) int64
+	// AgentBytes is the in-memory size of one agent's state: a run of
+	// N agents builds an agent slab of N × AgentBytes bytes (and every
+	// process of a distributed run holds one).
+	AgentBytes int
 
 	// newSim and resume return a nil *driver inside the handle with
 	// any error: callers read the handle only when the error is nil.
 	newSim      func(cfg Config) (simHandle, error)
 	resume      func(cfg Config, r *ckpt.Reader) (simHandle, error)
 	runDist     func(cfg Config, opts DistRun) (Result, error)
-	distRuntime func(cfg Config) dist.Runtime
+	distRuntime func(cfg Config) (dist.Runtime, error)
 }
 
 // Supports reports whether the protocol registered the named init.
@@ -142,6 +147,7 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		Inits:           inits,
 		SelfStabilizing: meta.SelfStabilizing,
 		DefaultBudget:   meta.Budget,
+		AgentBytes:      int(reflect.TypeFor[S]().Size()),
 		newSim: func(cfg Config) (simHandle, error) {
 			return startDriver(cfg, mk(cfg))
 		},
@@ -151,7 +157,7 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		runDist: func(cfg Config, opts DistRun) (Result, error) {
 			return runDistDesc(cfg, mk(cfg), opts)
 		},
-		distRuntime: func(cfg Config) dist.Runtime {
+		distRuntime: func(cfg Config) (dist.Runtime, error) {
 			return dist.NewRuntime(mk(cfg))
 		},
 	}

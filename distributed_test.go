@@ -52,18 +52,26 @@ func startWorkers(t *testing.T, p int) ([]net.Conn, chan error) {
 // TestRunDistributedMatchesSharded locks the tentpole determinism
 // guarantee: a distributed run is byte-identical to the in-process
 // sharded engine at the same (seed, shards) for every worker count —
-// the trajectory is a function of the schedule, not of placement.
+// the trajectory is a function of the schedule, not of placement. It
+// covers every registered protocol, so every agent image layout the
+// delta path derives is checked against the in-process Result.
 func TestRunDistributedMatchesSharded(t *testing.T) {
-	for _, tc := range []struct {
+	cases := []struct {
 		proto  Protocol
 		n      int
 		shards int
 	}{
 		{StableRanking, 48, 4},
+		{SpaceEfficient, 48, 4},
 		{Cai, 40, 5},
+		{Aware, 40, 4},
 		{Interval, 64, 4},
 		{Loose, 32, 4},
-	} {
+	}
+	if len(cases) != len(registry) {
+		t.Fatalf("%d cases for %d registered protocols", len(cases), len(registry))
+	}
+	for _, tc := range cases {
 		cfg := Config{N: tc.n, Protocol: tc.proto, Seed: 7, Shards: tc.shards}
 		want, err := Run(cfg)
 		if err != nil {
@@ -82,6 +90,17 @@ func TestRunDistributedMatchesSharded(t *testing.T) {
 				t.Errorf("%s P=%d: distributed result differs from in-process sharded run\n got: %+v\nwant: %+v",
 					tc.proto, p, got, want)
 			}
+		}
+	}
+}
+
+// TestRegistryAgentImages: every registered protocol's state type
+// derives the fixed-width image layout the distributed delta path
+// ships agents in, so every protocol can run distributed.
+func TestRegistryAgentImages(t *testing.T) {
+	for _, d := range registry {
+		if _, err := d.distRuntime(Config{N: 16, Protocol: d.Protocol, Epsilon: 1}); err != nil {
+			t.Errorf("%s: %v", d.Protocol, err)
 		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Writer appends primitives to a growing buffer. The zero value is
@@ -35,6 +36,16 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
 // Raw appends b verbatim (magic strings, pre-encoded sections).
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
+// Extend appends n bytes for the caller to fill and returns them:
+// fixed-width sections are written in place. The bytes are not
+// cleared, so the caller must overwrite every one of them.
+func (w *Writer) Extend(n int) []byte {
+	w.buf = slices.Grow(w.buf, n)
+	k := len(w.buf)
+	w.buf = w.buf[:k+n]
+	return w.buf[k:]
+}
 
 // Uvarint appends v in unsigned varint encoding.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -113,6 +124,21 @@ func (r *Reader) Expect(magic []byte) {
 		return
 	}
 	r.data = r.data[len(magic):]
+}
+
+// Next consumes the next n bytes and returns them, aliasing the
+// Reader's input (fixed-width sections are validated in place).
+func (r *Reader) Next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.data) {
+		r.fail(fmt.Sprintf("section (%d bytes of %d)", n, len(r.data)))
+		return nil
+	}
+	b := r.data[:n:n]
+	r.data = r.data[n:]
+	return b
 }
 
 // Uvarint decodes an unsigned varint, rejecting zero-padded encodings

@@ -31,7 +31,7 @@ func startFleet(t *testing.T, p int) []net.Conn {
 			t.Fatalf("accept: %v", err)
 		}
 		go func() {
-			Serve(wc, func(*AssignHeader) (Runtime, error) { return NewRuntime(stable.Describe()), nil })
+			Serve(wc, func(*AssignHeader) (Runtime, error) { return NewRuntime(stable.Describe()) })
 			wc.Close()
 			done <- struct{}{}
 		}()

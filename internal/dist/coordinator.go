@@ -48,6 +48,7 @@ type session struct {
 // the wire.
 type Coordinator[S any, P sim.TouchReporter[S]] struct {
 	d        proto.Descriptor[S, P]
+	lay      *layout
 	p        P
 	id       RunID
 	r        *shard.Runner[S, P]
@@ -61,12 +62,13 @@ type Coordinator[S any, P sim.TouchReporter[S]] struct {
 	seq       uint64
 
 	// Per-batch buffers. recs is indexed by unit id (intra shard s → s,
-	// cross unit c → Shards+c); pending holds the batch's decoded deltas,
-	// applied to the mirror only at commit so an abandoned batch leaves
-	// the mirror on the committed barrier; reportShards/reportClasses
-	// stage the barrier-reported stream positions the same way.
+	// cross unit c → Shards+c); pending holds the entries of the batch's
+	// validated delta sections, applied to the mirror only at commit so
+	// an abandoned batch leaves the mirror on the committed barrier;
+	// reportShards/reportClasses stage the barrier-reported stream
+	// positions the same way.
 	recs          [][]shard.TouchRec[S]
-	pending       []deltaEntry[S]
+	pending       []byte
 	reportShards  []rng.PairBatchState
 	reportClasses [][4]uint64
 }
@@ -113,6 +115,10 @@ func newCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P
 	if id.N != len(states) {
 		return nil, fmt.Errorf("dist: run declares n=%d but has %d initial states", id.N, len(states))
 	}
+	lay, err := newLayout[S]()
+	if err != nil {
+		return nil, err
+	}
 	eng := shard.New[S](p, states, id.Seed, id.Shards, 1)
 	if eng.Shards() != id.Shards {
 		return nil, fmt.Errorf("dist: %d shards not realizable for n=%d", id.Shards, id.N)
@@ -122,7 +128,7 @@ func newCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P
 		timeout = DefaultTimeout
 	}
 	c := &Coordinator[S, P]{
-		d: d, p: p, id: id, r: eng,
+		d: d, lay: lay, p: p, id: id, r: eng,
 		batch:   shard.BatchPeriod(id.N),
 		timeout: timeout,
 		onBatch: opts.OnBatch,
@@ -261,6 +267,7 @@ func (c *Coordinator[S, P]) assignAll() error {
 			buf := f.begin(frameAssign)
 			appendAssignHeader(buf, AssignHeader{
 				RunID: c.id, GroupLo: s.glo, GroupHi: s.ghi, Steps: c.committed.Steps,
+				Layout: c.lay.fingerprint,
 			})
 			appendInstr(buf, base)
 			ckpt.WriteShardStreams(buf, c.committed.Master, c.committed.Shards, c.committed.Classes)
@@ -352,24 +359,25 @@ func (c *Coordinator[S, P]) tryBatch(b int, track bool) error {
 	return nil
 }
 
-// decodeDeltas decodes s's delta report for phase k (the payload after
-// the sequence number) into pending. Only a section that decodes
-// completely is kept in s.section for forwarding, so a malformed
-// worker is dropped before any of its bytes reach a peer.
+// decodeDeltas validates s's delta report for phase k (the payload
+// after the sequence number) and appends its entries to pending. Only a
+// section that validates completely is kept in s.section for
+// forwarding, so a malformed worker is dropped before any of its bytes
+// reach a peer.
 func (c *Coordinator[S, P]) decodeDeltas(s *session, k int, payload []byte) error {
 	r := ckpt.NewReader(payload)
 	if ph := r.Uvarint(); r.Err() != nil || ph != uint64(k) {
 		return fmt.Errorf("dist: worker reported phase %d, want %d", ph, k)
 	}
 	section := payload[len(payload)-r.Remaining():]
-	var err error
-	c.pending, err = readDeltaSection(c.d, c.p, len(c.r.States()), r, c.pending)
+	entries, err := readDeltaSection(c.lay, len(c.r.States()), r)
 	if err == nil {
 		err = r.Close()
 	}
 	if err != nil {
 		return err
 	}
+	c.pending = append(c.pending, entries...)
 	s.section = section
 	return nil
 }
@@ -416,13 +424,13 @@ func (c *Coordinator[S, P]) decodeBarrier(s *session, payload []byte, b int) err
 	n := len(c.r.States())
 	var err error
 	for sh := s.glo; sh < s.ghi; sh++ {
-		if c.recs[sh], err = readRecSection(c.d, c.p, b, n, r, c.recs[sh][:0]); err != nil {
+		if c.recs[sh], err = readRecSection(c.lay, b, n, r, c.recs[sh][:0]); err != nil {
 			return err
 		}
 	}
 	for _, cid := range s.owned {
 		u := c.id.Shards + cid
-		if c.recs[u], err = readRecSection(c.d, c.p, b, n, r, c.recs[u][:0]); err != nil {
+		if c.recs[u], err = readRecSection(c.lay, b, n, r, c.recs[u][:0]); err != nil {
 			return err
 		}
 	}
@@ -444,10 +452,7 @@ func (c *Coordinator[S, P]) decodeBarrier(s *session, payload []byte, b int) err
 // barrier-reported shard and class streams, and the batch's steps, and
 // the instrumentation total is re-summed from the workers' reports.
 func (c *Coordinator[S, P]) commit(b int) {
-	states := c.r.States()
-	for i := range c.pending {
-		states[c.pending[i].idx] = c.pending[i].s
-	}
+	applyDeltas(c.lay, c.r.States(), c.pending)
 	c.pending = c.pending[:0]
 	c.committed.Master = c.r.EngineState().Master
 	copy(c.committed.Shards, c.reportShards)

@@ -1,0 +1,285 @@
+package dist
+
+import (
+	"encoding/binary"
+	"reflect"
+	goruntime "runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"ssrank/internal/ckpt"
+	"ssrank/internal/rng"
+	"ssrank/internal/sim/shard"
+	"ssrank/internal/stable"
+)
+
+// mustLayout derives S's image layout or fails the test.
+func mustLayout[S any](tb testing.TB) *layout {
+	tb.Helper()
+	l, err := newLayout[S]()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return l
+}
+
+// TestLayoutStable pins the derived layout of StableRanking's state:
+// the image is the struct's memory, its bools and its four padding
+// bytes located by offset.
+func TestLayoutStable(t *testing.T) {
+	l := mustLayout[stable.State](t)
+	if l.size != 40 {
+		t.Errorf("size %d, want 40", l.size)
+	}
+	if want := []int{24, 25}; !slices.Equal(l.bools, want) {
+		t.Errorf("bool offsets %v, want %v", l.bools, want)
+	}
+	if want := []int{2, 3, 26, 27}; !slices.Equal(l.pads, want) {
+		t.Errorf("padding offsets %v, want %v", l.pads, want)
+	}
+	// Padding bytes that are not zero in memory are cleared, not
+	// shipped.
+	s := stable.State{Mode: 1, IsLeader: true, Alive: 5}
+	for _, o := range l.pads {
+		unsafe.Slice((*byte)(unsafe.Pointer(&s)), l.size)[o] = 0xaa
+	}
+	img := make([]byte, l.size)
+	putImage(l, img, &s)
+	if !l.valid(img) {
+		t.Errorf("image % x of a state with dirty padding is invalid", img)
+	}
+}
+
+// TestLayoutRejects: field kinds without a fixed-width, pointer-free
+// image are a construction error, nested structs are not (and a small
+// one's bool and padding bytes are still checked), and the fingerprint
+// separates layouts that differ only in field widths.
+func TestLayoutRejects(t *testing.T) {
+	type nested struct {
+		A uint8
+		B struct {
+			C bool
+			D int16
+		}
+	}
+	// An image under 8 bytes is checked byte by byte: C at offset 2,
+	// padding at offset 3.
+	small := mustLayout[nested](t)
+	img := make([]byte, small.size)
+	putImage(small, img, &nested{A: 7, B: struct {
+		C bool
+		D int16
+	}{true, -2}})
+	if !small.valid(img) {
+		t.Errorf("valid %d-byte image % x rejected", small.size, img)
+	}
+	for _, o := range []int{2, 3} {
+		bad := slices.Clone(img)
+		bad[o] = 2
+		if small.valid(bad) {
+			t.Errorf("%d-byte image with byte %d = 2 accepted", small.size, o)
+		}
+	}
+	for name, err := range map[string]error{
+		"int":     errOf[struct{ X int }](),
+		"float64": errOf[struct{ X float64 }](),
+		"pointer": errOf[struct{ X *int32 }](),
+		"string":  errOf[struct{ X string }](),
+		"array":   errOf[struct{ X [2]int32 }](),
+		"nested":  errOf[struct{ Y struct{ X []byte } }](),
+	} {
+		if err == nil {
+			t.Errorf("%s field: derived a layout", name)
+		}
+	}
+	a := mustLayout[struct{ X, Y int16 }](t)
+	b := mustLayout[struct{ X int32 }](t)
+	if a.fingerprint == b.fingerprint {
+		t.Error("int16 pair and int32 share a fingerprint")
+	}
+}
+
+func errOf[S any]() error {
+	_, err := newLayout[S]()
+	return err
+}
+
+// imageFixture is a population of n random StableRanking states and a
+// valid delta section of k of them.
+func imageFixture(tb testing.TB, n, k int) (*layout, []stable.State, []int32, []byte) {
+	l := mustLayout[stable.State](tb)
+	d := stable.Describe()
+	states := d.Init(d.New(n), "random", rng.New(5))
+	idxs := make([]int32, k)
+	for i := range idxs {
+		idxs[i] = int32(i * (n / k))
+	}
+	var w ckpt.Writer
+	appendDeltaSection(l, &w, states, idxs)
+	return l, states, idxs, w.Bytes()
+}
+
+// TestDeltaSectionRoundTrip: a section applied to a blank slab
+// restores exactly the encoded agents.
+func TestDeltaSectionRoundTrip(t *testing.T) {
+	const n, k = 256, 16
+	l, states, idxs, section := imageFixture(t, n, k)
+	entries, err := readDeltaSection(l, n, ckpt.NewReader(section))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]stable.State, n)
+	applyDeltas(l, got, entries)
+	for _, i := range idxs {
+		if got[i] != states[i] {
+			t.Fatalf("agent %d: got %v, want %v", i, got[i], states[i])
+		}
+	}
+}
+
+// TestImageDecodeRejects: each malformed delta or record section is
+// rejected by the shared validation and by the worker's ApplyDeltas,
+// without panicking and without allocating more than the section's own
+// size.
+func TestImageDecodeRejects(t *testing.T) {
+	const n, k, b = 256, 64, 64
+	l, states, _, section := imageFixture(t, n, k)
+	e := 4 + l.size
+	head := len(section) - k*e // the count's varint
+	entry := func(s []byte, j int) []byte { return s[head+j*e : head+(j+1)*e] }
+
+	recs := make([]shard.TouchRec[stable.State], 24)
+	for j := range recs {
+		a, bj := int32(3*j), int32(3*j+1)
+		recs[j] = shard.TouchRec[stable.State]{Pos: int32(2 * j), Mask: uint8(j % 4), A: a, B: bj, SA: states[a], SB: states[bj]}
+	}
+	var rw ckpt.Writer
+	appendRecSection(l, &rw, recs)
+	recSection := rw.Bytes()
+	re := recHeader + 2*l.size
+
+	for _, tc := range []struct {
+		name   string
+		record bool
+		mutate func(s []byte) []byte
+	}{
+		{"index equals n", false, func(s []byte) []byte {
+			binary.LittleEndian.PutUint32(entry(s, 3), n)
+			return s
+		}},
+		{"index near 2^32", false, func(s []byte) []byte {
+			binary.LittleEndian.PutUint32(entry(s, 0), 1<<32-1)
+			return s
+		}},
+		{"bool byte 2", false, func(s []byte) []byte {
+			entry(s, 5)[4+l.bools[1]] = 2
+			return s
+		}},
+		{"nonzero padding", false, func(s []byte) []byte {
+			entry(s, k-1)[4+l.pads[0]] = 1
+			return s
+		}},
+		{"truncated entry", false, func(s []byte) []byte { return s[:len(s)-1] }},
+		{"count beyond section", false, func(s []byte) []byte {
+			return append(binary.AppendUvarint(nil, k+1), s[head:]...)
+		}},
+		{"count of 2^40", false, func(s []byte) []byte {
+			return append(binary.AppendUvarint(nil, 1<<40), s[head:]...)
+		}},
+		{"record position beyond batch", true, func(s []byte) []byte {
+			binary.LittleEndian.PutUint32(s[1:], b)
+			return s
+		}},
+		{"record mask 4", true, func(s []byte) []byte {
+			s[1+re+12] = 4
+			return s
+		}},
+		{"record index equals n", true, func(s []byte) []byte {
+			binary.LittleEndian.PutUint32(s[1+8:], n)
+			return s
+		}},
+		{"record post-state bool byte 2", true, func(s []byte) []byte {
+			s[1+re+recHeader+l.size+l.bools[0]] = 2
+			return s
+		}},
+		{"record count beyond section", true, func(s []byte) []byte {
+			s[0] = 25
+			return s
+		}},
+	} {
+		src := section
+		if tc.record {
+			src = recSection
+		}
+		in := tc.mutate(slices.Clone(src))
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		var err error
+		if tc.record {
+			_, err = readRecSection[stable.State](l, b, n, ckpt.NewReader(in), nil)
+		} else {
+			_, err = readDeltaSection(l, n, ckpt.NewReader(in))
+		}
+		goruntime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if a := after.TotalAlloc - before.TotalAlloc; a > uint64(len(in)) {
+			t.Errorf("%s: rejecting %d bytes allocated %d", tc.name, len(in), a)
+		}
+		if tc.record {
+			continue
+		}
+		p := stable.Describe().New(n)
+		rt := &runtime[stable.State, *stable.Protocol]{lay: l, r: shard.New[stable.State](p, slices.Clone(states), 1, 2, 1)}
+		if err := rt.ApplyDeltas(ckpt.NewReader(in)); err == nil {
+			t.Errorf("%s: ApplyDeltas accepted", tc.name)
+		}
+	}
+
+	// The unmutated record section round-trips.
+	got, err := readRecSection[stable.State](l, b, n, ckpt.NewReader(recSection), nil)
+	if err != nil || !reflect.DeepEqual(got, recs) {
+		t.Errorf("record section round trip: %v, %+v", err, got)
+	}
+}
+
+// BenchmarkDeltaSection times the three steps one agent delta takes on
+// the wire — the worker's encode, the validation every receiver runs,
+// and the copy onto a slab — for a 16384-agent StableRanking section,
+// in ns per agent.
+func BenchmarkDeltaSection(b *testing.B) {
+	const n, k = 1 << 20, 16384
+	l, states, idxs, section := imageFixture(b, n, k)
+	perAgent := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/k, "ns/agent")
+	}
+	b.Run("encode", func(b *testing.B) {
+		var w ckpt.Writer
+		for b.Loop() {
+			w.Reset()
+			appendDeltaSection(l, &w, states, idxs)
+		}
+		perAgent(b)
+	})
+	b.Run("validate", func(b *testing.B) {
+		for b.Loop() {
+			if _, err := readDeltaSection(l, n, ckpt.NewReader(section)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perAgent(b)
+	})
+	b.Run("apply", func(b *testing.B) {
+		entries, err := readDeltaSection(l, n, ckpt.NewReader(section))
+		if err != nil {
+			b.Fatal(err)
+		}
+		slab := make([]stable.State, n)
+		for b.Loop() {
+			applyDeltas(l, slab, entries)
+		}
+		perAgent(b)
+	})
+}

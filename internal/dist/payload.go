@@ -1,11 +1,11 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
 	"ssrank/internal/ckpt"
-	"ssrank/internal/proto"
 	"ssrank/internal/sim"
 	"ssrank/internal/sim/shard"
 )
@@ -25,12 +25,15 @@ type RunID struct {
 }
 
 // AssignHeader heads an Assign frame: the run identity, the receiving
-// worker's contiguous shard group [GroupLo, GroupHi), and the committed
-// interaction count the enclosed checkpoint sub-blob resumes from.
+// worker's contiguous shard group [GroupLo, GroupHi), the committed
+// interaction count the enclosed checkpoint sub-blob resumes from, and
+// the fingerprint of the coordinator's agent image layout, which the
+// worker's own must match.
 type AssignHeader struct {
 	RunID
 	GroupLo, GroupHi int
 	Steps            int64
+	Layout           uint64
 }
 
 // appendAssignHeader writes the header fields in wire order.
@@ -44,6 +47,7 @@ func appendAssignHeader(w *ckpt.Writer, h AssignHeader) {
 	w.Uvarint(uint64(h.GroupLo))
 	w.Uvarint(uint64(h.GroupHi))
 	w.Varint(h.Steps)
+	w.U64(h.Layout)
 }
 
 // decodeAssignHeader reads and validates an Assign header, leaving r
@@ -59,6 +63,7 @@ func decodeAssignHeader(r *ckpt.Reader) (AssignHeader, error) {
 	h.GroupLo = r.Count(maxShards)
 	h.GroupHi = r.Count(maxShards)
 	h.Steps = r.Varint()
+	h.Layout = r.U64()
 	if err := r.Err(); err != nil {
 		return h, fmt.Errorf("dist: malformed assign header: %w", err)
 	}
@@ -84,81 +89,103 @@ func crossOwned[S any, P sim.TouchReporter[S]](r *shard.Runner[S, P], glo, ghi i
 	return out
 }
 
-// deltaEntry is one modified agent: population index and post-state.
-type deltaEntry[S any] struct {
-	idx int32
-	s   S
-}
+// A delta section is a uvarint entry count followed by fixed-width
+// entries: the agent's population index as a u32 LE, then its image
+// (image.go). Sections are concatenated as they are; a reader needs no
+// per-entry framing.
 
-// appendDeltaIndexed writes a delta section from a duplicate-free
+// appendDeltaSection writes a delta section from a duplicate-free
 // index list against the live state slab (the worker's send path).
-func appendDeltaIndexed[S any, P any](d proto.Descriptor[S, P], p P, w *ckpt.Writer, states []S, idxs []int32) {
+func appendDeltaSection[S any](l *layout, w *ckpt.Writer, states []S, idxs []int32) {
 	w.Uvarint(uint64(len(idxs)))
-	for _, i := range idxs {
-		w.Uvarint(uint64(i))
-		d.EncodeAgent(p, &states[i], w)
+	e := 4 + l.size
+	buf := w.Extend(len(idxs) * e)
+	for k, i := range idxs {
+		ent := buf[k*e : (k+1)*e]
+		binary.LittleEndian.PutUint32(ent, uint32(i))
+		putImage(l, ent[4:], &states[i])
 	}
 }
 
-// readDeltaSection appends a delta section's entries to into (the
-// coordinator's validation path). Indices are bounded by the
-// population size.
-func readDeltaSection[S any, P any](d proto.Descriptor[S, P], p P, n int, r *ckpt.Reader, into []deltaEntry[S]) ([]deltaEntry[S], error) {
-	cnt := r.Count(n)
-	for i := 0; i < cnt; i++ {
-		idx := r.Count(n - 1)
-		s := d.DecodeAgent(p, r)
-		if r.Err() != nil {
-			break
-		}
-		into = append(into, deltaEntry[S]{idx: int32(idx), s: s})
-	}
+// readDeltaSection validates the delta section at the head of r for a
+// population of n and returns its entries, which alias r's input. A
+// count the remaining bytes cannot hold, an index ≥ n or an invalid
+// image rejects the whole section before any of it is used.
+func readDeltaSection(l *layout, n int, r *ckpt.Reader) ([]byte, error) {
+	e := 4 + l.size
+	body := r.Next(r.Elems(n, e) * e)
 	if err := r.Err(); err != nil {
-		return into, fmt.Errorf("dist: malformed delta section: %w", err)
+		return nil, fmt.Errorf("dist: malformed delta section: %w", err)
 	}
-	return into, nil
+	for ent := body; len(ent) > 0; ent = ent[e:] {
+		if i := binary.LittleEndian.Uint32(ent); i >= uint32(n) {
+			return nil, fmt.Errorf("dist: delta entry for agent %d of %d", i, n)
+		}
+		if !l.valid(ent[4:e]) {
+			return nil, l.why(ent[4:e])
+		}
+	}
+	return body, nil
 }
 
-// appendRecSection writes one unit's touch records: canonical batch
-// position, touch mask, endpoint indices, post-states.
-func appendRecSection[S any, P any](d proto.Descriptor[S, P], p P, w *ckpt.Writer, recs []shard.TouchRec[S]) {
+// applyDeltas copies the entries of validated delta sections onto the
+// slab.
+func applyDeltas[S any](l *layout, states []S, entries []byte) {
+	e := 4 + l.size
+	for ; len(entries) > 0; entries = entries[e:] {
+		loadImage(&states[binary.LittleEndian.Uint32(entries)], entries[4:e])
+	}
+}
+
+// recHeader is a touch record's fixed part: canonical batch position,
+// endpoint indices A and B (u32 LE each), then the touch mask byte. The
+// post-states SA and SB follow as images.
+const recHeader = 13
+
+// appendRecSection writes one unit's touch records: a uvarint count,
+// then fixed-width records.
+func appendRecSection[S any](l *layout, w *ckpt.Writer, recs []shard.TouchRec[S]) {
 	w.Uvarint(uint64(len(recs)))
-	for i := range recs {
-		rec := &recs[i]
-		w.Uvarint(uint64(rec.Pos))
-		w.Uvarint(uint64(rec.Mask))
-		w.Uvarint(uint64(rec.A))
-		w.Uvarint(uint64(rec.B))
-		d.EncodeAgent(p, &rec.SA, w)
-		d.EncodeAgent(p, &rec.SB, w)
+	e := recHeader + 2*l.size
+	buf := w.Extend(len(recs) * e)
+	for k := range recs {
+		rec, ent := &recs[k], buf[k*e:(k+1)*e]
+		binary.LittleEndian.PutUint32(ent, uint32(rec.Pos))
+		binary.LittleEndian.PutUint32(ent[4:], uint32(rec.A))
+		binary.LittleEndian.PutUint32(ent[8:], uint32(rec.B))
+		ent[12] = rec.Mask
+		putImage(l, ent[recHeader:], &rec.SA)
+		putImage(l, ent[recHeader+l.size:], &rec.SB)
 	}
 }
 
 // readRecSection appends one unit's touch records to into. Positions
-// are bounded by the batch size, indices by the population size.
-func readRecSection[S any, P any](d proto.Descriptor[S, P], p P, b, n int, r *ckpt.Reader, into []shard.TouchRec[S]) ([]shard.TouchRec[S], error) {
-	cnt := r.Count(b)
-	for i := 0; i < cnt; i++ {
-		pos := r.Count(b - 1)
-		mask := r.Uvarint()
-		a := r.Count(n - 1)
-		bi := r.Count(n - 1)
-		sa := d.DecodeAgent(p, r)
-		sb := d.DecodeAgent(p, r)
-		if r.Err() != nil {
-			break
-		}
-		if mask > 3 {
-			return into, fmt.Errorf("dist: touch record mask %d out of range", mask)
-		}
-		into = append(into, shard.TouchRec[S]{
-			Pos: int32(pos), Mask: uint8(mask),
-			A: int32(a), B: int32(bi),
-			SA: sa, SB: sb,
-		})
-	}
+// are bounded by the batch size b, indices by the population size n.
+func readRecSection[S any](l *layout, b, n int, r *ckpt.Reader, into []shard.TouchRec[S]) ([]shard.TouchRec[S], error) {
+	e := recHeader + 2*l.size
+	body := r.Next(r.Elems(b, e) * e)
 	if err := r.Err(); err != nil {
 		return into, fmt.Errorf("dist: malformed record section: %w", err)
+	}
+	for ; len(body) > 0; body = body[e:] {
+		pos := binary.LittleEndian.Uint32(body)
+		a := binary.LittleEndian.Uint32(body[4:])
+		bi := binary.LittleEndian.Uint32(body[8:])
+		mask := body[12]
+		if pos >= uint32(b) || a >= uint32(n) || bi >= uint32(n) || mask > 3 {
+			return into, fmt.Errorf("dist: touch record (pos %d, agents %d/%d, mask %d) out of range", pos, a, bi, mask)
+		}
+		sa, sb := body[recHeader:recHeader+l.size], body[recHeader+l.size:e]
+		if !l.valid(sa) {
+			return into, l.why(sa)
+		}
+		if !l.valid(sb) {
+			return into, l.why(sb)
+		}
+		into = append(into, shard.TouchRec[S]{Pos: int32(pos), Mask: mask, A: int32(a), B: int32(bi)})
+		rec := &into[len(into)-1]
+		loadImage(&rec.SA, sa)
+		loadImage(&rec.SB, sb)
 	}
 	return into, nil
 }

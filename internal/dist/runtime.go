@@ -49,6 +49,7 @@ type RuntimeFactory func(h *AssignHeader) (Runtime, error)
 // only the owned unit range executes.
 type runtime[S any, P sim.TouchReporter[S]] struct {
 	d     proto.Descriptor[S, P]
+	lay   *layout
 	p     P
 	r     *shard.Runner[S, P]
 	h     AssignHeader
@@ -63,12 +64,20 @@ type runtime[S any, P sim.TouchReporter[S]] struct {
 }
 
 // NewRuntime wraps a protocol descriptor as a distributed worker
-// runtime.
-func NewRuntime[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P]) Runtime {
-	return &runtime[S, P]{d: d}
+// runtime. It fails when the state type has no fixed-width image.
+func NewRuntime[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P]) (Runtime, error) {
+	lay, err := newLayout[S]()
+	if err != nil {
+		return nil, err
+	}
+	return &runtime[S, P]{d: d, lay: lay}, nil
 }
 
 func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
+	if h.Layout != rt.lay.fingerprint {
+		return fmt.Errorf("dist: coordinator's %s agent image layout %016x differs from this worker's %016x",
+			h.Protocol, h.Layout, rt.lay.fingerprint)
+	}
 	instr := readInstr(r, nil)
 	st := shard.EngineState{Steps: h.Steps}
 	st.Master, st.Shards, st.Classes = ckpt.ReadShardStreams(r, h.Shards, h.Shards*(h.Shards-1)/2)
@@ -159,7 +168,7 @@ func (rt *runtime[S, P]) ExecPhase(k int, w *ckpt.Writer) error {
 	default:
 		return fmt.Errorf("dist: phase %d out of range", k)
 	}
-	appendDeltaIndexed(rt.d, rt.p, w, rt.r.States(), rt.dirty)
+	appendDeltaSection(rt.lay, w, rt.r.States(), rt.dirty)
 	return nil
 }
 
@@ -174,24 +183,18 @@ func (rt *runtime[S, P]) markDirty(log []int32) {
 	}
 }
 
-// ApplyDeltas decodes each agent straight into the slab. A malformed
-// frame may leave the slab partly updated; the worker then fails, and
-// the coordinator re-materializes the group from the committed state.
+// ApplyDeltas validates each section, then copies its images straight
+// into the slab. A malformed frame may leave the slab partly updated
+// (by the sections before the bad one); the worker then fails, and the
+// coordinator re-materializes the group from the committed state.
 func (rt *runtime[S, P]) ApplyDeltas(r *ckpt.Reader) error {
 	states := rt.r.States()
-	n := len(states)
-	for r.Remaining() > 0 && r.Err() == nil {
-		for range r.Count(n) {
-			idx := r.Count(n - 1)
-			s := rt.d.DecodeAgent(rt.p, r)
-			if r.Err() != nil {
-				break
-			}
-			states[idx] = s
+	for r.Remaining() > 0 {
+		entries, err := readDeltaSection(rt.lay, len(states), r)
+		if err != nil {
+			return fmt.Errorf("dist: peer deltas: %w", err)
 		}
-	}
-	if err := r.Close(); err != nil {
-		return fmt.Errorf("dist: malformed peer deltas: %w", err)
+		applyDeltas(rt.lay, states, entries)
 	}
 	return nil
 }
@@ -202,14 +205,14 @@ func (rt *runtime[S, P]) Barrier(w *ckpt.Writer) {
 		if rt.track {
 			recs = rt.r.IntraRecs(s)
 		}
-		appendRecSection(rt.d, rt.p, w, recs)
+		appendRecSection(rt.lay, w, recs)
 	}
 	for _, c := range rt.owned {
 		var recs []shard.TouchRec[S]
 		if rt.track {
 			recs = rt.r.CrossRecs(c)
 		}
-		appendRecSection(rt.d, rt.p, w, recs)
+		appendRecSection(rt.lay, w, recs)
 	}
 	for s := rt.h.GroupLo; s < rt.h.GroupHi; s++ {
 		ckpt.WritePairState(w, rt.r.ShardStream(s))

@@ -52,7 +52,7 @@ const (
 	frameCounts = 3
 	// frameDeltas flows both ways once per phase: each worker reports
 	// one delta section, the post-states of the agents its units
-	// touched; the coordinator validates every section and forwards
+	// touched as fixed-width agent images (image.go); the coordinator validates every section and forwards
 	// each worker the others' sections verbatim, so every mirror
 	// agrees at the phase boundary.
 	frameDeltas = 4
@@ -66,7 +66,7 @@ const (
 
 const (
 	helloMagic  = "ssdw"
-	wireVersion = 2
+	wireVersion = 3
 
 	// maxFrame bounds a frame payload; anything larger is a protocol
 	// violation, not a legitimate run.

@@ -229,7 +229,16 @@ type Config struct {
 	// distributed fleet. Distributed jobs run to completion without
 	// preemption.
 	Dist DistRunner
+	// MaxSlabBytes, when positive, is the largest agent slab a job may
+	// build: Submit refuses a Config whose N × the protocol's
+	// Descriptor.AgentBytes exceeds it with ErrSlabTooLarge, before
+	// anything is sized by N. Zero means no bound.
+	MaxSlabBytes int64
 }
+
+// ErrSlabTooLarge is Submit's refusal of a job whose agent slab would
+// exceed Config.MaxSlabBytes.
+var ErrSlabTooLarge = errors.New("jobs: agent slab exceeds the admission bound")
 
 // defaultCacheMax bounds the in-memory cache when Config.CacheMax is
 // unset: big enough for any test or interactive workload, small
@@ -253,6 +262,7 @@ type Manager struct {
 	cacheDir string
 	dist     DistRunner
 	slice    int64
+	maxSlab  int64
 	nextID   int
 	closed   bool
 	wg       sync.WaitGroup
@@ -281,6 +291,7 @@ func NewManager(cfg Config) *Manager {
 		cacheDir: cfg.CacheDir,
 		dist:     cfg.Dist,
 		slice:    cfg.SliceInteractions,
+		maxSlab:  cfg.MaxSlabBytes,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.wg.Add(cfg.Workers)
@@ -309,6 +320,13 @@ func (m *Manager) Submit(cfg ssrank.Config) (*Job, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
+	}
+	if m.maxSlab > 0 {
+		d, _ := ssrank.Describe(norm.Protocol)
+		if slab := float64(norm.N) * float64(d.AgentBytes); slab > float64(m.maxSlab) {
+			return nil, fmt.Errorf("%w: %d agents of %d bytes is %.0f bytes, bound %d",
+				ErrSlabTooLarge, norm.N, d.AgentBytes, slab, m.maxSlab)
+		}
 	}
 	key, err := Key(norm)
 	if err != nil {

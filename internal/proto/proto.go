@@ -128,9 +128,10 @@ type Descriptor[S any, P any] struct {
 	// by field in the explicit style of the repo's other binary formats
 	// (msgnet.Trace): no self-description, field order is the schema
 	// under the enclosing format's version. The slab codec (WriteSlab,
-	// WriteState) derives the whole-run encoding from it, and the wire
-	// layer (internal/dist) ships individual agents with it: delta
-	// frames, touch records, Assign slabs. Required, with DecodeAgent.
+	// WriteState) derives the whole-run encoding from it: checkpoints
+	// and the distributed Assign slab. (The distributed delta and
+	// touch-record paths ship fixed-width agent images instead.)
+	// Required, with DecodeAgent.
 	EncodeAgent func(p P, s *S, w *ckpt.Writer)
 
 	// DecodeAgent decodes one agent state written by EncodeAgent.

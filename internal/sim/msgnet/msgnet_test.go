@@ -87,7 +87,7 @@ func lossyConfig(seed uint64, workers int, record bool) Config {
 
 // runLossy runs the stable protocol for `rounds` rounds under the
 // heavy-fault configuration and returns the network.
-func runLossy(t *testing.T, n int, rounds int64, cfg Config) *Network[stable.State, *stable.Protocol] {
+func runLossy(t testing.TB, n int, rounds int64, cfg Config) *Network[stable.State, *stable.Protocol] {
 	t.Helper()
 	d := stable.Describe()
 	p := d.New(n)
@@ -169,25 +169,27 @@ func TestRecordReplayByteIdentity(t *testing.T) {
 	}
 }
 
+// traceProbe is a trace header followed by the given varints.
+func traceProbe(vs ...uint64) []byte {
+	b := []byte(traceMagic)
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
 // TestTraceUnmarshalBoundsCounts: a trace's counts are checked against
 // its length before anything is sized by them. An 11-byte trace that
 // announces 2^26 contacts must not allocate 512 MiB, a round count of
 // 2^62 must not panic in make, and overlong varints are rejected.
 func TestTraceUnmarshalBoundsCounts(t *testing.T) {
-	uv := func(vs ...uint64) []byte {
-		b := []byte(traceMagic)
-		for _, v := range vs {
-			b = binary.AppendUvarint(b, v)
-		}
-		return b
-	}
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
-		{"2^26 contacts", uv(16, 1, 1<<26)},
-		{"2^62 rounds", uv(16, 1<<62)},
-		{"overlong round count", append(uv(16), 0x81, 0x00)},
+		{"2^26 contacts", traceProbe(16, 1, 1<<26)},
+		{"2^62 rounds", traceProbe(16, 1<<62)},
+		{"overlong round count", append(traceProbe(16), 0x81, 0x00)},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -201,7 +203,7 @@ func TestTraceUnmarshalBoundsCounts(t *testing.T) {
 			t.Errorf("%s: decoding %d bytes allocated %d bytes", tc.name, len(tc.data), d)
 		}
 	}
-	if n := len(uv(16, 1, 1<<26)); n != 11 {
+	if n := len(traceProbe(16, 1, 1<<26)); n != 11 {
 		t.Fatalf("contact probe is %d bytes, want 11", n)
 	}
 }
