@@ -48,9 +48,11 @@ import (
 //	    uvarint + one pair stream per shard (layout as above), cross
 //	    class count uvarint + 4×u64 per class in compact class order
 //	protocol state: the agent slab — n uvarint, then each agent's
-//	  EncodeAgent bytes — followed by the descriptor's Instr vector
-//	  elements as varints (none when it registers no Instr); one
-//	  codec for every protocol, proto.Descriptor.WriteState
+//	  fields in struct declaration order (uvarint, zigzag varint or
+//	  bool byte) — followed by the descriptor's Instr vector elements
+//	  as varints (none when it registers no Instr); one codec for
+//	  every protocol, derived from the state type's layout,
+//	  proto.Descriptor.WriteState
 //
 // The engine section is versioned by its kind, not by ckptVersion:
 // retiring a scheduler layout mints a new kind and rejects the old one

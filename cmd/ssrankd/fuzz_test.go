@@ -1,0 +1,100 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"ssrank"
+	"ssrank/internal/jobs"
+)
+
+// fuzzSlabBytes is FuzzSubmit's admission bound: the golden Configs
+// (48 agents of at most 44 bytes) fit, and accepted jobs stay tiny.
+const fuzzSlabBytes = 4 << 10
+
+// FuzzSubmit drives arbitrary POST /jobs bodies through the daemon's
+// handler, seeded from the Configs of the facade goldens. Whatever the
+// body, the handler must not panic, must answer 202 or a client error,
+// and must not allocate beyond a constant plus a multiple of the body's
+// size. An accepted job's Config is canonical: it normalizes to itself.
+func FuzzSubmit(f *testing.F) {
+	data, err := os.ReadFile("../../testdata/facade_results.golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var golden map[string]struct{ Config ssrank.Config }
+	if err := json.Unmarshal(data, &golden); err != nil {
+		f.Fatal(err)
+	}
+	for _, g := range golden {
+		body, err := json.Marshal(g.Config)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"N":48,"Seed":9}`))
+	f.Add([]byte(`{"N":4000000000,"Seed":9}`))
+	f.Add([]byte(`{"N":64,"Sede":3}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// A distributed blocker job holds the manager's one worker in
+		// the gate, so the job under test stays queued and the
+		// measurement sees the handler's allocation alone.
+		g := gate{in: make(chan struct{}), out: make(chan struct{})}
+		m := jobs.NewManager(jobs.Config{Workers: 1, SliceInteractions: 1024, MaxSlabBytes: fuzzSlabBytes, Dist: g})
+		if _, err := m.Submit(ssrank.Config{N: 16, Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		<-g.in
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		newMux(m).ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		close(g.out)
+		m.Close()
+		if a := after.TotalAlloc - before.TotalAlloc; a > 64<<10+64*uint64(len(body)) {
+			t.Errorf("a %d-byte body allocated %d bytes", len(body), a)
+		}
+		switch rec.Code {
+		case http.StatusAccepted:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity:
+			return
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		var v jobJSON
+		if err := json.NewDecoder(rec.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		norm, err := v.Config.Normalized()
+		if err != nil {
+			t.Fatalf("accepted Config %+v does not normalize: %v", v.Config, err)
+		}
+		if !reflect.DeepEqual(norm, v.Config) {
+			t.Fatalf("accepted Config %+v normalizes to %+v", v.Config, norm)
+		}
+	})
+}
+
+// gate is a fleet that holds the jobs it is offered until out is
+// closed, signalling in as one arrives, then declines them (they run
+// in-process).
+type gate struct{ in, out chan struct{} }
+
+func (g gate) Run(ssrank.Config, func(int64)) (ssrank.Result, bool, error) {
+	select {
+	case g.in <- struct{}{}:
+		<-g.out
+	case <-g.out:
+	}
+	return ssrank.Result{}, false, nil
+}

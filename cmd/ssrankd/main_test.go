@@ -181,7 +181,9 @@ func TestSubmitBodyLimit(t *testing.T) {
 // TestSubmitSlabBound: a job whose agent slab (N × the protocol's
 // per-agent state size) exceeds the daemon's bound is refused with 422
 // before anything is sized by N, and a job exactly at the bound is
-// accepted.
+// accepted. The sharded engine's cross classes count against the bound
+// too (it builds Shards² / 2 of them): one class tips an exact-fit job
+// over.
 func TestSubmitSlabBound(t *testing.T) {
 	d, _ := ssrank.Describe(ssrank.StableRanking)
 	const n = 48
@@ -202,6 +204,7 @@ func TestSubmitSlabBound(t *testing.T) {
 		{`{"N":49,"Seed":9}`, http.StatusUnprocessableEntity},
 		{`{"N":48,"Seed":9,"Protocol":"space-efficient"}`, http.StatusUnprocessableEntity},
 		{`{"N":4000000000,"Seed":9}`, http.StatusUnprocessableEntity},
+		{`{"N":48,"Seed":9,"Shards":2}`, http.StatusUnprocessableEntity},
 		{`{"N":48,"Seed":9}`, http.StatusAccepted},
 	} {
 		var before, after runtime.MemStats

@@ -2,7 +2,6 @@ package ssrank
 
 import (
 	"fmt"
-	"reflect"
 
 	"ssrank/internal/baseline/aware"
 	"ssrank/internal/baseline/cai"
@@ -56,7 +55,7 @@ type Descriptor struct {
 	newSim      func(cfg Config) (simHandle, error)
 	resume      func(cfg Config, r *ckpt.Reader) (simHandle, error)
 	runDist     func(cfg Config, opts DistRun) (Result, error)
-	distRuntime func(cfg Config) (dist.Runtime, error)
+	distRuntime func(cfg Config) dist.Runtime
 }
 
 // Supports reports whether the protocol registered the named init.
@@ -135,7 +134,9 @@ var registry = []*Descriptor{
 // describe erases a protocol package's generic descriptor into the
 // public registry entry, binding the one generic driver to it. mk
 // rebuilds the descriptor per call so per-run parameters (Interval's ε)
-// come from the Config.
+// come from the Config. It derives the state type's layout, which both
+// agent codecs run on, so a state type without one panics here, at
+// registration, rather than at its first checkpoint or distributed run.
 func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S, P]) *Descriptor {
 	meta := mk(Config{Epsilon: 1})
 	inits := make([]Init, len(meta.Inits))
@@ -147,7 +148,7 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		Inits:           inits,
 		SelfStabilizing: meta.SelfStabilizing,
 		DefaultBudget:   meta.Budget,
-		AgentBytes:      int(reflect.TypeFor[S]().Size()),
+		AgentBytes:      proto.LayoutOf[S]().Size,
 		newSim: func(cfg Config) (simHandle, error) {
 			return startDriver(cfg, mk(cfg))
 		},
@@ -157,7 +158,7 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		runDist: func(cfg Config, opts DistRun) (Result, error) {
 			return runDistDesc(cfg, mk(cfg), opts)
 		},
-		distRuntime: func(cfg Config) (dist.Runtime, error) {
+		distRuntime: func(cfg Config) dist.Runtime {
 			return dist.NewRuntime(mk(cfg))
 		},
 	}

@@ -77,7 +77,7 @@ func ServeWorker(conn net.Conn) error {
 			Init:     Init(h.Init),
 			Epsilon:  h.Epsilon,
 			Shards:   h.Shards,
-		})
+		}), nil
 	})
 }
 

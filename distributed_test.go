@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ssrank/internal/proto"
 )
 
 // startWorkers launches p in-process worker loops over real localhost
@@ -95,15 +97,32 @@ func TestRunDistributedMatchesSharded(t *testing.T) {
 }
 
 // TestRegistryAgentImages: every registered protocol's state type
-// derives the fixed-width image layout the distributed delta path
-// ships agents in, so every protocol can run distributed.
+// has the layout its checkpoint slab and its distributed agent images
+// derive from (AgentBytes is its size), and a state type without one
+// fails at registration instead of at its first distributed run.
 func TestRegistryAgentImages(t *testing.T) {
 	for _, d := range registry {
-		if _, err := d.distRuntime(Config{N: 16, Protocol: d.Protocol, Epsilon: 1}); err != nil {
-			t.Errorf("%s: %v", d.Protocol, err)
+		if d.AgentBytes <= 0 || d.distRuntime(Config{N: 16, Protocol: d.Protocol, Epsilon: 1}) == nil {
+			t.Errorf("%s: %d-byte agents, no worker runtime", d.Protocol, d.AgentBytes)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("registered a state type with a float field")
+		}
+	}()
+	describe(func(Config) proto.Descriptor[floatState, floatProto] {
+		return proto.Descriptor[floatState, floatProto]{Name: "float"}
+	})
 }
+
+// floatState has no layout: the agent codecs cover integers and bools.
+type floatState struct{ X float64 }
+
+type floatProto struct{}
+
+func (floatProto) Transition(u, v *floatState)               {}
+func (floatProto) TransitionT(u, v *floatState) (bool, bool) { return false, false }
 
 // TestRunDistributedBudgetExhausted checks the budget path mirrors Run:
 // ErrNotConverged wrapped, partial Result identical to in-process.

@@ -28,8 +28,6 @@ func Describe() proto.Descriptor[State, *Protocol] {
 		Rank:        RankOf,
 		Resets:      (*Protocol).Resets,
 		RandomState: (*Protocol).RandomState,
-		EncodeAgent: EncodeAgent,
-		DecodeAgent: DecodeAgent,
 		Instr:       Instr,
 		SetInstr:    SetInstr,
 		Budget:      proto.BudgetN2LogN(3000),

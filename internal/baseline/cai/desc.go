@@ -26,8 +26,6 @@ func Describe() proto.Descriptor[State, *Protocol] {
 		Valid:       Valid,
 		Rank:        RankOf,
 		RandomState: (*Protocol).RandomState,
-		EncodeAgent: EncodeAgent,
-		DecodeAgent: DecodeAgent,
 		Budget:      proto.BudgetN3(2000),
 	}
 }

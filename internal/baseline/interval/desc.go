@@ -28,8 +28,6 @@ func Describe(epsilon float64) proto.Descriptor[State, *Protocol] {
 		Cond: func(p *Protocol) proto.Condition[State] {
 			return NewDisjointCond(p.M())
 		},
-		EncodeAgent: EncodeAgent,
-		DecodeAgent: DecodeAgent,
-		Budget:      proto.BudgetN2(5000),
+		Budget: proto.BudgetN2(5000),
 	}
 }

@@ -51,8 +51,6 @@ func Describe(timeoutFactor float64) proto.Descriptor[State, *Protocol] {
 		RandomState: func(p *Protocol, r *rng.RNG) State {
 			return State{Leader: r.Bool(), Timeout: int32(r.Intn(int(p.TMax()) + 1))}
 		},
-		EncodeAgent: EncodeAgent,
-		DecodeAgent: DecodeAgent,
-		Budget:      proto.BudgetN2(5000),
+		Budget: proto.BudgetN2(5000),
 	}
 }

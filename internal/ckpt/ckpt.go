@@ -47,6 +47,11 @@ func (w *Writer) Extend(n int) []byte {
 	return w.buf[k:]
 }
 
+// Append hands the buffer to f, which appends to it in place and
+// returns it: a codec with its own inner loop (proto's agent slab)
+// writes a whole section without a call per primitive.
+func (w *Writer) Append(f func([]byte) []byte) { w.buf = f(w.buf) }
+
 // Uvarint appends v in unsigned varint encoding.
 func (w *Writer) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 
@@ -141,6 +146,17 @@ func (r *Reader) Next(n int) []byte {
 	return b
 }
 
+// Rest returns the undecoded bytes without consuming them (nil after
+// an error), aliasing the Reader's input: a codec with its own inner
+// loop (proto's agent slab) decodes a section from them, then consumes
+// it with Next.
+func (r *Reader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.data
+}
+
 // Uvarint decodes an unsigned varint, rejecting zero-padded encodings
 // (a final byte of 0 after a continuation byte): they decode to the
 // value of a shorter one, and accepting them would map one value to
@@ -149,7 +165,7 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	// One-byte values are most fields of an agent slab.
+	// One-byte values are the common case.
 	if len(r.data) > 0 && r.data[0] < 0x80 {
 		v := uint64(r.data[0])
 		r.data = r.data[1:]
@@ -231,17 +247,6 @@ func Int[T ~int8 | ~int16 | ~int32 | ~int64 | ~int](r *Reader) T {
 		return t
 	}
 	r.fail("int (out of range)")
-	return 0
-}
-
-// Uint decodes an unsigned varint into the unsigned integer type T,
-// failing r when the value does not fit (see Int).
-func Uint[T ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~uint](r *Reader) T {
-	v := r.Uvarint()
-	if t := T(v); uint64(t) == v {
-		return t
-	}
-	r.fail("uint (out of range)")
 	return 0
 }
 

@@ -34,18 +34,14 @@ func TestReaderRejectsOverlongVarints(t *testing.T) {
 	}
 }
 
-// TestNarrowingDecoders: Int and Uint accept exactly the values of
-// their target type.
+// TestNarrowingDecoders: Int accepts exactly the values of its target
+// type.
 func TestNarrowingDecoders(t *testing.T) {
 	var w Writer
 	w.Varint(math.MinInt32)
-	w.Uvarint(math.MaxUint8)
 	r := NewReader(w.Bytes())
 	if got := Int[int32](r); got != math.MinInt32 {
 		t.Fatalf("Int[int32] = %d", got)
-	}
-	if got := Uint[uint8](r); got != math.MaxUint8 {
-		t.Fatalf("Uint[uint8] = %d", got)
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -55,11 +51,6 @@ func TestNarrowingDecoders(t *testing.T) {
 	w.Varint(math.MaxInt32 + 1)
 	if r := NewReader(w.Bytes()); Int[int32](r) != 0 || r.Err() == nil {
 		t.Error("Int[int32] accepted 2^31")
-	}
-	w = Writer{}
-	w.Uvarint(math.MaxUint8 + 1)
-	if r := NewReader(w.Bytes()); Uint[uint8](r) != 0 || r.Err() == nil {
-		t.Error("Uint[uint8] accepted 256")
 	}
 }
 

@@ -20,10 +20,8 @@ func Describe() proto.Descriptor[State, *Protocol] {
 			}
 			return nil
 		},
-		Valid:       Valid,
-		Rank:        RankOf,
-		EncodeAgent: EncodeAgent,
-		DecodeAgent: DecodeAgent,
-		Budget:      proto.BudgetN2LogN(3000),
+		Valid:  Valid,
+		Rank:   RankOf,
+		Budget: proto.BudgetN2LogN(3000),
 	}
 }

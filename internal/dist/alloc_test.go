@@ -31,7 +31,7 @@ func startFleet(t *testing.T, p int) []net.Conn {
 			t.Fatalf("accept: %v", err)
 		}
 		go func() {
-			Serve(wc, func(*AssignHeader) (Runtime, error) { return NewRuntime(stable.Describe()) })
+			Serve(wc, func(*AssignHeader) (Runtime, error) { return NewRuntime(stable.Describe()), nil })
 			wc.Close()
 			done <- struct{}{}
 		}()

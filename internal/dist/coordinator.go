@@ -48,7 +48,7 @@ type session struct {
 // the wire.
 type Coordinator[S any, P sim.TouchReporter[S]] struct {
 	d        proto.Descriptor[S, P]
-	lay      *layout
+	lay      *proto.Layout
 	p        P
 	id       RunID
 	r        *shard.Runner[S, P]
@@ -115,10 +115,6 @@ func newCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P
 	if id.N != len(states) {
 		return nil, fmt.Errorf("dist: run declares n=%d but has %d initial states", id.N, len(states))
 	}
-	lay, err := newLayout[S]()
-	if err != nil {
-		return nil, err
-	}
 	eng := shard.New[S](p, states, id.Seed, id.Shards, 1)
 	if eng.Shards() != id.Shards {
 		return nil, fmt.Errorf("dist: %d shards not realizable for n=%d", id.Shards, id.N)
@@ -128,7 +124,7 @@ func newCoordinator[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P
 		timeout = DefaultTimeout
 	}
 	c := &Coordinator[S, P]{
-		d: d, lay: lay, p: p, id: id, r: eng,
+		d: d, lay: proto.LayoutOf[S](), p: p, id: id, r: eng,
 		batch:   shard.BatchPeriod(id.N),
 		timeout: timeout,
 		onBatch: opts.OnBatch,
@@ -267,11 +263,11 @@ func (c *Coordinator[S, P]) assignAll() error {
 			buf := f.begin(frameAssign)
 			appendAssignHeader(buf, AssignHeader{
 				RunID: c.id, GroupLo: s.glo, GroupHi: s.ghi, Steps: c.committed.Steps,
-				Layout: c.lay.fingerprint,
+				Layout: c.lay.Fingerprint,
 			})
 			appendInstr(buf, base)
 			ckpt.WriteShardStreams(buf, c.committed.Master, c.committed.Shards, c.committed.Classes)
-			c.d.WriteSlab(c.p, states, buf)
+			c.d.WriteSlab(states, buf)
 			if err := f.send(s.conn, c.timeout); err != nil {
 				c.drop(s)
 				ok = false

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ssrank/internal/ckpt"
+	"ssrank/internal/proto"
 	"ssrank/internal/rng"
 	"ssrank/internal/stable"
 )
@@ -75,7 +76,7 @@ func FuzzDistPayloads(f *testing.F) {
 		f.Fatal("transcript has no assign frame")
 	}
 	d := stable.Describe()
-	factory := func(*AssignHeader) (Runtime, error) { return NewRuntime(d) }
+	factory := func(*AssignHeader) (Runtime, error) { return NewRuntime(d), nil }
 	p := d.New(16)
 	id := RunID{Protocol: "stable", Init: "fresh", N: 16, Seed: 42, Epsilon: 1, Shards: 2}
 	co, err := newCoordinator(d, p, d.Init(p, "fresh", rng.New(42)), id, Options{})
@@ -108,15 +109,15 @@ func FuzzDistPayloads(f *testing.F) {
 			if k < uint64(phases) && co.decodeDeltas(s, int(k), body) == nil {
 				// Load every accepted image into a state and encode it
 				// again: the image must be canonical.
-				e := 4 + co.lay.size
+				e := 4 + co.lay.Size
 				var w ckpt.Writer
 				w.Uvarint(uint64(len(co.pending) / e))
 				for ent := co.pending; len(ent) > 0; ent = ent[e:] {
 					var st stable.State
-					loadImage(&st, ent[4:e])
+					proto.LoadImage(&st, ent[4:e])
 					out := w.Extend(e)
 					copy(out, ent[:4])
-					putImage(co.lay, out[4:], &st)
+					proto.PutImage(co.lay, out[4:], &st)
 				}
 				if !bytes.Equal(w.Bytes(), s.section) {
 					t.Fatalf("accepted delta section % x re-encodes to % x", s.section, w.Bytes())

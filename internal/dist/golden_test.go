@@ -103,7 +103,7 @@ func TestWireGolden(t *testing.T) {
 			if h.Protocol != "stable" {
 				return nil, fmt.Errorf("unexpected protocol %q", h.Protocol)
 			}
-			return NewRuntime(stable.Describe())
+			return NewRuntime(stable.Describe()), nil
 		})
 		wc.Close()
 	}()

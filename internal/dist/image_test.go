@@ -6,109 +6,18 @@ import (
 	goruntime "runtime"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"ssrank/internal/ckpt"
+	"ssrank/internal/proto"
 	"ssrank/internal/rng"
 	"ssrank/internal/sim/shard"
 	"ssrank/internal/stable"
 )
 
-// mustLayout derives S's image layout or fails the test.
-func mustLayout[S any](tb testing.TB) *layout {
-	tb.Helper()
-	l, err := newLayout[S]()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return l
-}
-
-// TestLayoutStable pins the derived layout of StableRanking's state:
-// the image is the struct's memory, its bools and its four padding
-// bytes located by offset.
-func TestLayoutStable(t *testing.T) {
-	l := mustLayout[stable.State](t)
-	if l.size != 40 {
-		t.Errorf("size %d, want 40", l.size)
-	}
-	if want := []int{24, 25}; !slices.Equal(l.bools, want) {
-		t.Errorf("bool offsets %v, want %v", l.bools, want)
-	}
-	if want := []int{2, 3, 26, 27}; !slices.Equal(l.pads, want) {
-		t.Errorf("padding offsets %v, want %v", l.pads, want)
-	}
-	// Padding bytes that are not zero in memory are cleared, not
-	// shipped.
-	s := stable.State{Mode: 1, IsLeader: true, Alive: 5}
-	for _, o := range l.pads {
-		unsafe.Slice((*byte)(unsafe.Pointer(&s)), l.size)[o] = 0xaa
-	}
-	img := make([]byte, l.size)
-	putImage(l, img, &s)
-	if !l.valid(img) {
-		t.Errorf("image % x of a state with dirty padding is invalid", img)
-	}
-}
-
-// TestLayoutRejects: field kinds without a fixed-width, pointer-free
-// image are a construction error, nested structs are not (and a small
-// one's bool and padding bytes are still checked), and the fingerprint
-// separates layouts that differ only in field widths.
-func TestLayoutRejects(t *testing.T) {
-	type nested struct {
-		A uint8
-		B struct {
-			C bool
-			D int16
-		}
-	}
-	// An image under 8 bytes is checked byte by byte: C at offset 2,
-	// padding at offset 3.
-	small := mustLayout[nested](t)
-	img := make([]byte, small.size)
-	putImage(small, img, &nested{A: 7, B: struct {
-		C bool
-		D int16
-	}{true, -2}})
-	if !small.valid(img) {
-		t.Errorf("valid %d-byte image % x rejected", small.size, img)
-	}
-	for _, o := range []int{2, 3} {
-		bad := slices.Clone(img)
-		bad[o] = 2
-		if small.valid(bad) {
-			t.Errorf("%d-byte image with byte %d = 2 accepted", small.size, o)
-		}
-	}
-	for name, err := range map[string]error{
-		"int":     errOf[struct{ X int }](),
-		"float64": errOf[struct{ X float64 }](),
-		"pointer": errOf[struct{ X *int32 }](),
-		"string":  errOf[struct{ X string }](),
-		"array":   errOf[struct{ X [2]int32 }](),
-		"nested":  errOf[struct{ Y struct{ X []byte } }](),
-	} {
-		if err == nil {
-			t.Errorf("%s field: derived a layout", name)
-		}
-	}
-	a := mustLayout[struct{ X, Y int16 }](t)
-	b := mustLayout[struct{ X int32 }](t)
-	if a.fingerprint == b.fingerprint {
-		t.Error("int16 pair and int32 share a fingerprint")
-	}
-}
-
-func errOf[S any]() error {
-	_, err := newLayout[S]()
-	return err
-}
-
 // imageFixture is a population of n random StableRanking states and a
 // valid delta section of k of them.
-func imageFixture(tb testing.TB, n, k int) (*layout, []stable.State, []int32, []byte) {
-	l := mustLayout[stable.State](tb)
+func imageFixture(tb testing.TB, n, k int) (*proto.Layout, []stable.State, []int32, []byte) {
+	l := proto.LayoutOf[stable.State]()
 	d := stable.Describe()
 	states := d.Init(d.New(n), "random", rng.New(5))
 	idxs := make([]int32, k)
@@ -145,7 +54,7 @@ func TestDeltaSectionRoundTrip(t *testing.T) {
 func TestImageDecodeRejects(t *testing.T) {
 	const n, k, b = 256, 64, 64
 	l, states, _, section := imageFixture(t, n, k)
-	e := 4 + l.size
+	e := 4 + l.Size
 	head := len(section) - k*e // the count's varint
 	entry := func(s []byte, j int) []byte { return s[head+j*e : head+(j+1)*e] }
 
@@ -157,7 +66,7 @@ func TestImageDecodeRejects(t *testing.T) {
 	var rw ckpt.Writer
 	appendRecSection(l, &rw, recs)
 	recSection := rw.Bytes()
-	re := recHeader + 2*l.size
+	re := recHeader + 2*l.Size
 
 	for _, tc := range []struct {
 		name   string
@@ -173,11 +82,11 @@ func TestImageDecodeRejects(t *testing.T) {
 			return s
 		}},
 		{"bool byte 2", false, func(s []byte) []byte {
-			entry(s, 5)[4+l.bools[1]] = 2
+			entry(s, 5)[4+l.Bools[1]] = 2
 			return s
 		}},
 		{"nonzero padding", false, func(s []byte) []byte {
-			entry(s, k-1)[4+l.pads[0]] = 1
+			entry(s, k-1)[4+l.Pads[0]] = 1
 			return s
 		}},
 		{"truncated entry", false, func(s []byte) []byte { return s[:len(s)-1] }},
@@ -200,7 +109,7 @@ func TestImageDecodeRejects(t *testing.T) {
 			return s
 		}},
 		{"record post-state bool byte 2", true, func(s []byte) []byte {
-			s[1+re+recHeader+l.size+l.bools[0]] = 2
+			s[1+re+recHeader+l.Size+l.Bools[0]] = 2
 			return s
 		}},
 		{"record count beyond section", true, func(s []byte) []byte {

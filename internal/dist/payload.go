@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"ssrank/internal/ckpt"
+	"ssrank/internal/proto"
 	"ssrank/internal/sim"
 	"ssrank/internal/sim/shard"
 )
@@ -91,19 +92,19 @@ func crossOwned[S any, P sim.TouchReporter[S]](r *shard.Runner[S, P], glo, ghi i
 
 // A delta section is a uvarint entry count followed by fixed-width
 // entries: the agent's population index as a u32 LE, then its image
-// (image.go). Sections are concatenated as they are; a reader needs no
+// (proto.Layout). Sections are concatenated as they are; a reader needs no
 // per-entry framing.
 
 // appendDeltaSection writes a delta section from a duplicate-free
 // index list against the live state slab (the worker's send path).
-func appendDeltaSection[S any](l *layout, w *ckpt.Writer, states []S, idxs []int32) {
+func appendDeltaSection[S any](l *proto.Layout, w *ckpt.Writer, states []S, idxs []int32) {
 	w.Uvarint(uint64(len(idxs)))
-	e := 4 + l.size
+	e := 4 + l.Size
 	buf := w.Extend(len(idxs) * e)
 	for k, i := range idxs {
 		ent := buf[k*e : (k+1)*e]
 		binary.LittleEndian.PutUint32(ent, uint32(i))
-		putImage(l, ent[4:], &states[i])
+		proto.PutImage(l, ent[4:], &states[i])
 	}
 }
 
@@ -111,8 +112,8 @@ func appendDeltaSection[S any](l *layout, w *ckpt.Writer, states []S, idxs []int
 // population of n and returns its entries, which alias r's input. A
 // count the remaining bytes cannot hold, an index ≥ n or an invalid
 // image rejects the whole section before any of it is used.
-func readDeltaSection(l *layout, n int, r *ckpt.Reader) ([]byte, error) {
-	e := 4 + l.size
+func readDeltaSection(l *proto.Layout, n int, r *ckpt.Reader) ([]byte, error) {
+	e := 4 + l.Size
 	body := r.Next(r.Elems(n, e) * e)
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("dist: malformed delta section: %w", err)
@@ -121,8 +122,8 @@ func readDeltaSection(l *layout, n int, r *ckpt.Reader) ([]byte, error) {
 		if i := binary.LittleEndian.Uint32(ent); i >= uint32(n) {
 			return nil, fmt.Errorf("dist: delta entry for agent %d of %d", i, n)
 		}
-		if !l.valid(ent[4:e]) {
-			return nil, l.why(ent[4:e])
+		if !l.Valid(ent[4:e]) {
+			return nil, l.Why(ent[4:e])
 		}
 	}
 	return body, nil
@@ -130,10 +131,10 @@ func readDeltaSection(l *layout, n int, r *ckpt.Reader) ([]byte, error) {
 
 // applyDeltas copies the entries of validated delta sections onto the
 // slab.
-func applyDeltas[S any](l *layout, states []S, entries []byte) {
-	e := 4 + l.size
+func applyDeltas[S any](l *proto.Layout, states []S, entries []byte) {
+	e := 4 + l.Size
 	for ; len(entries) > 0; entries = entries[e:] {
-		loadImage(&states[binary.LittleEndian.Uint32(entries)], entries[4:e])
+		proto.LoadImage(&states[binary.LittleEndian.Uint32(entries)], entries[4:e])
 	}
 }
 
@@ -144,9 +145,9 @@ const recHeader = 13
 
 // appendRecSection writes one unit's touch records: a uvarint count,
 // then fixed-width records.
-func appendRecSection[S any](l *layout, w *ckpt.Writer, recs []shard.TouchRec[S]) {
+func appendRecSection[S any](l *proto.Layout, w *ckpt.Writer, recs []shard.TouchRec[S]) {
 	w.Uvarint(uint64(len(recs)))
-	e := recHeader + 2*l.size
+	e := recHeader + 2*l.Size
 	buf := w.Extend(len(recs) * e)
 	for k := range recs {
 		rec, ent := &recs[k], buf[k*e:(k+1)*e]
@@ -154,15 +155,15 @@ func appendRecSection[S any](l *layout, w *ckpt.Writer, recs []shard.TouchRec[S]
 		binary.LittleEndian.PutUint32(ent[4:], uint32(rec.A))
 		binary.LittleEndian.PutUint32(ent[8:], uint32(rec.B))
 		ent[12] = rec.Mask
-		putImage(l, ent[recHeader:], &rec.SA)
-		putImage(l, ent[recHeader+l.size:], &rec.SB)
+		proto.PutImage(l, ent[recHeader:], &rec.SA)
+		proto.PutImage(l, ent[recHeader+l.Size:], &rec.SB)
 	}
 }
 
 // readRecSection appends one unit's touch records to into. Positions
 // are bounded by the batch size b, indices by the population size n.
-func readRecSection[S any](l *layout, b, n int, r *ckpt.Reader, into []shard.TouchRec[S]) ([]shard.TouchRec[S], error) {
-	e := recHeader + 2*l.size
+func readRecSection[S any](l *proto.Layout, b, n int, r *ckpt.Reader, into []shard.TouchRec[S]) ([]shard.TouchRec[S], error) {
+	e := recHeader + 2*l.Size
 	body := r.Next(r.Elems(b, e) * e)
 	if err := r.Err(); err != nil {
 		return into, fmt.Errorf("dist: malformed record section: %w", err)
@@ -175,17 +176,17 @@ func readRecSection[S any](l *layout, b, n int, r *ckpt.Reader, into []shard.Tou
 		if pos >= uint32(b) || a >= uint32(n) || bi >= uint32(n) || mask > 3 {
 			return into, fmt.Errorf("dist: touch record (pos %d, agents %d/%d, mask %d) out of range", pos, a, bi, mask)
 		}
-		sa, sb := body[recHeader:recHeader+l.size], body[recHeader+l.size:e]
-		if !l.valid(sa) {
-			return into, l.why(sa)
+		sa, sb := body[recHeader:recHeader+l.Size], body[recHeader+l.Size:e]
+		if !l.Valid(sa) {
+			return into, l.Why(sa)
 		}
-		if !l.valid(sb) {
-			return into, l.why(sb)
+		if !l.Valid(sb) {
+			return into, l.Why(sb)
 		}
 		into = append(into, shard.TouchRec[S]{Pos: int32(pos), Mask: mask, A: int32(a), B: int32(bi)})
 		rec := &into[len(into)-1]
-		loadImage(&rec.SA, sa)
-		loadImage(&rec.SB, sb)
+		proto.LoadImage(&rec.SA, sa)
+		proto.LoadImage(&rec.SB, sb)
 	}
 	return into, nil
 }

@@ -49,7 +49,7 @@ type RuntimeFactory func(h *AssignHeader) (Runtime, error)
 // only the owned unit range executes.
 type runtime[S any, P sim.TouchReporter[S]] struct {
 	d     proto.Descriptor[S, P]
-	lay   *layout
+	lay   *proto.Layout
 	p     P
 	r     *shard.Runner[S, P]
 	h     AssignHeader
@@ -64,19 +64,15 @@ type runtime[S any, P sim.TouchReporter[S]] struct {
 }
 
 // NewRuntime wraps a protocol descriptor as a distributed worker
-// runtime. It fails when the state type has no fixed-width image.
-func NewRuntime[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P]) (Runtime, error) {
-	lay, err := newLayout[S]()
-	if err != nil {
-		return nil, err
-	}
-	return &runtime[S, P]{d: d, lay: lay}, nil
+// runtime.
+func NewRuntime[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P]) Runtime {
+	return &runtime[S, P]{d: d, lay: proto.LayoutOf[S]()}
 }
 
 func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
-	if h.Layout != rt.lay.fingerprint {
+	if h.Layout != rt.lay.Fingerprint {
 		return fmt.Errorf("dist: coordinator's %s agent image layout %016x differs from this worker's %016x",
-			h.Protocol, h.Layout, rt.lay.fingerprint)
+			h.Protocol, h.Layout, rt.lay.Fingerprint)
 	}
 	instr := readInstr(r, nil)
 	st := shard.EngineState{Steps: h.Steps}
@@ -84,17 +80,13 @@ func (rt *runtime[S, P]) Install(h *AssignHeader, r *ckpt.Reader) error {
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("dist: malformed assignment: %w", err)
 	}
-	// The slab that follows holds h.N agents of at least one byte each:
-	// a frame too short for them is rejected before anything is sized
-	// by h.N.
-	if h.N > r.Remaining() {
-		return fmt.Errorf("dist: assignment for n=%d carries only %d slab bytes", h.N, r.Remaining())
-	}
-	p := rt.d.New(h.N)
-	states, err := rt.d.ReadSlab(p, h.N, r)
+	// ReadSlab rejects a frame too short for h.N agents before anything
+	// is sized by h.N.
+	states, err := rt.d.ReadSlab(h.N, r)
 	if err != nil {
 		return fmt.Errorf("dist: assignment slab: %w", err)
 	}
+	p := rt.d.New(h.N)
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("dist: malformed assignment: %w", err)
 	}

@@ -52,7 +52,7 @@ const (
 	frameCounts = 3
 	// frameDeltas flows both ways once per phase: each worker reports
 	// one delta section, the post-states of the agents its units
-	// touched as fixed-width agent images (image.go); the coordinator validates every section and forwards
+	// touched as fixed-width agent images (proto.Layout); the coordinator validates every section and forwards
 	// each worker the others' sections verbatim, so every mirror
 	// agrees at the phase boundary.
 	frameDeltas = 4

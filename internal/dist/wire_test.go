@@ -10,6 +10,7 @@ import (
 
 	"ssrank/internal/baseline/cai"
 	"ssrank/internal/ckpt"
+	"ssrank/internal/proto"
 	"ssrank/internal/rng"
 )
 
@@ -136,23 +137,19 @@ func TestReadFrameRoundTrip(t *testing.T) {
 // at least one byte, so the frame cannot hold the slab it announces.
 func TestInstallAssignBoundsAllocation(t *testing.T) {
 	const n = 1 << 27
-	lay, err := newLayout[cai.State]()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var w ckpt.Writer
 	appendAssignHeader(&w, AssignHeader{
 		RunID:   RunID{Protocol: "cai", Init: "fresh", N: n, Seed: 1, Epsilon: 1, Shards: 2},
-		GroupLo: 0, GroupHi: 2, Layout: lay.fingerprint,
+		GroupLo: 0, GroupHi: 2, Layout: proto.LayoutOf[cai.State]().Fingerprint,
 	})
 	appendInstr(&w, nil)
 	ckpt.WriteShardStreams(&w, [4]uint64{1}, make([]rng.PairBatchState, 2), make([][4]uint64, 1))
 	w.Uvarint(n)
-	factory := func(*AssignHeader) (Runtime, error) { return NewRuntime(cai.Describe()) }
+	factory := func(*AssignHeader) (Runtime, error) { return NewRuntime(cai.Describe()), nil }
 
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)
-	_, err = installAssign(factory, w.Bytes())
+	_, err := installAssign(factory, w.Bytes())
 	goruntime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatalf("truncated %d-byte Assign frame for n=%d installed without error", w.Len(), n)

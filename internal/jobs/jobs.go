@@ -231,8 +231,10 @@ type Config struct {
 	Dist DistRunner
 	// MaxSlabBytes, when positive, is the largest agent slab a job may
 	// build: Submit refuses a Config whose N × the protocol's
-	// Descriptor.AgentBytes exceeds it with ErrSlabTooLarge, before
-	// anything is sized by N. Zero means no bound.
+	// Descriptor.AgentBytes, plus the sharded engine's cross-class
+	// state (Shards(Shards−1)/2 × shard.ClassBytes), exceeds it with
+	// ErrSlabTooLarge, before anything is sized by N or Shards. Zero
+	// means no bound.
 	MaxSlabBytes int64
 }
 
@@ -323,9 +325,10 @@ func (m *Manager) Submit(cfg ssrank.Config) (*Job, error) {
 	}
 	if m.maxSlab > 0 {
 		d, _ := ssrank.Describe(norm.Protocol)
-		if slab := float64(norm.N) * float64(d.AgentBytes); slab > float64(m.maxSlab) {
-			return nil, fmt.Errorf("%w: %d agents of %d bytes is %.0f bytes, bound %d",
-				ErrSlabTooLarge, norm.N, d.AgentBytes, slab, m.maxSlab)
+		classes := float64(norm.Shards) * float64(norm.Shards-1) / 2
+		if slab := float64(norm.N)*float64(d.AgentBytes) + classes*shard.ClassBytes; slab > float64(m.maxSlab) {
+			return nil, fmt.Errorf("%w: %d agents of %d bytes and %.0f cross classes of %d bytes is %.0f bytes, bound %d",
+				ErrSlabTooLarge, norm.N, d.AgentBytes, classes, shard.ClassBytes, slab, m.maxSlab)
 		}
 	}
 	key, err := Key(norm)

@@ -3,8 +3,14 @@
 // public facade, the experiment harness, the CLIs) need to construct,
 // initialize, run, stop, and read out a protocol — constructor,
 // supported initial configurations, validity predicate, incremental
-// stop tracker, rank/leader projections, instrumentation hooks, the
-// agent-state codec (codec.go), and the default interaction budget.
+// stop tracker, rank/leader projections, instrumentation hooks and the
+// default interaction budget.
+//
+// Agent-state codecs are not written per protocol. One reflection walk
+// over the state type lists its fields (layout.go), and both codecs
+// derive from that list: the varint slab of checkpoints and
+// distributed Assign frames (codec.go), and the fixed-width image of
+// the distributed delta path.
 //
 // Each protocol package constructs its own Descriptor (in its desc.go)
 // so the knowledge of "what this protocol provides" lives next to the
@@ -12,16 +18,16 @@
 // descriptor existed, the facade, the experiment generators and the
 // CLIs each carried a parallel per-protocol dispatch table.
 //
-// The package is deliberately engine-free: it depends only on rng, and
-// Condition mirrors the engine's incremental stop-condition interface
-// structurally (identical method sets convert implicitly), preserving
-// the layering rule that protocol packages never import the engine.
+// The package is deliberately engine-free: it depends only on rng and
+// ckpt, and Condition mirrors the engine's incremental stop-condition
+// interface structurally (identical method sets convert implicitly),
+// preserving the layering rule that protocol packages never import the
+// engine.
 package proto
 
 import (
 	"math"
 
-	"ssrank/internal/ckpt"
 	"ssrank/internal/rng"
 )
 
@@ -39,10 +45,12 @@ type Condition[S any] interface {
 // Descriptor describes one protocol to the engine-facing layers. S is
 // the agent state type, P the concrete protocol type.
 //
-// Required fields: Name, Inits, New, Init, Valid, Budget, EncodeAgent,
-// DecodeAgent, and a stop tracker — either Rank (the default
-// permutation tracker is built from it) or Cond. Everything else is
-// optional instrumentation.
+// Required fields: Name, Inits, New, Init, Valid, Budget, and a stop
+// tracker — either Rank (the default permutation tracker is built from
+// it) or Cond. Everything else is optional instrumentation. S must have
+// a layout (LayoutOf): a fixed-width integer, or a struct of
+// fixed-width integers, bools and structs of them; the agent codecs
+// derive from it.
 type Descriptor[S any, P any] struct {
 	// Name is the protocol's selector string (matches the public
 	// facade's Protocol constant).
@@ -123,22 +131,6 @@ type Descriptor[S any, P any] struct {
 	// several times the expected stabilization time, computed in
 	// float64 and clamped (ClampBudget) so large n cannot overflow.
 	Budget func(n int) int64
-
-	// EncodeAgent appends one agent state's canonical encoding, field
-	// by field in the explicit style of the repo's other binary formats
-	// (msgnet.Trace): no self-description, field order is the schema
-	// under the enclosing format's version. The slab codec (WriteSlab,
-	// WriteState) derives the whole-run encoding from it: checkpoints
-	// and the distributed Assign slab. (The distributed delta and
-	// touch-record paths ship fixed-width agent images instead.)
-	// Required, with DecodeAgent.
-	EncodeAgent func(p P, s *S, w *ckpt.Writer)
-
-	// DecodeAgent decodes one agent state written by EncodeAgent.
-	// Errors stick in the Reader (the repo's unguarded-decode style);
-	// it must consume at least one byte and reject values EncodeAgent
-	// cannot have written, so that decoding round-trips exactly.
-	DecodeAgent func(p P, r *ckpt.Reader) S
 
 	// Instr captures the protocol's mutable run instrumentation (reset
 	// counters) as a flat vector of fixed length; SetInstr restores

@@ -261,6 +261,13 @@ func classIndex(s, t, S int) int {
 	return s*(2*S-s-1)/2 + (t - s - 1)
 }
 
+// ClassBytes bounds the memory one cross class adds to a Runner: its
+// metadata, generator, counts, and weight and alias-table entries
+// (218–248 B measured at S = 64 … 1024). New builds S(S−1)/2 of them,
+// so a run's footprint grows with the square of its shard count, and
+// admission control charges them beside the agent slab.
+const ClassBytes = 256
+
 // New returns a sharded Runner over the given initial configuration
 // with the requested shard count and worker count. The states slice is
 // owned by the Runner afterwards (and may be relocated into a

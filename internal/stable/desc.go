@@ -41,10 +41,8 @@ func Describe() proto.Descriptor[State, *Protocol] {
 			// instead of importing this package.
 			{Name: "mean_phase", Fn: func(_ *Protocol, states []State) float64 { return MeanPhase(states) }},
 		},
-		EncodeAgent: EncodeAgent,
-		DecodeAgent: DecodeAgent,
-		Instr:       Instr,
-		SetInstr:    SetInstr,
-		Budget:      proto.BudgetN2LogN(3000),
+		Instr:    Instr,
+		SetInstr: SetInstr,
+		Budget:   proto.BudgetN2LogN(3000),
 	}
 }

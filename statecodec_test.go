@@ -3,6 +3,7 @@ package ssrank
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"ssrank/internal/baseline/aware"
@@ -42,13 +43,9 @@ func stateCodecCases() []stateCodecCase {
 func newStateCodecCase[S any, P sim.Protocol[S]](d proto.Descriptor[S, P]) stateCodecCase {
 	return stateCodecCase{
 		name: d.Name,
-		// The slab codec is built from these fields: it needs the
-		// per-agent codec, and it carries reset counters through a
-		// checkpoint only as the Instr vector.
+		// The slab codec carries reset counters through a checkpoint
+		// only as the Instr vector.
 		fields: func(t *testing.T) {
-			if d.EncodeAgent == nil || d.DecodeAgent == nil {
-				t.Error("EncodeAgent and DecodeAgent are required")
-			}
 			if (d.Instr == nil) != (d.SetInstr == nil) {
 				t.Error("Instr and SetInstr must be set both or neither")
 			}
@@ -103,8 +100,25 @@ func newStateCodecCase[S any, P sim.Protocol[S]](d proto.Descriptor[S, P]) state
 		},
 		// A section for a different population size and every strict
 		// prefix of a valid one fail instead of yielding a plausible
-		// partial state.
+		// partial state. A slab of zero-valued agents takes exactly one
+		// byte per field; one byte short of that, a large slab is
+		// rejected before anything is sized by its count.
 		rejects: func(t *testing.T) {
+			const big = 1 << 16
+			var zw ckpt.Writer
+			d.WriteSlab(make([]S, big), &zw)
+			short := zw.Bytes()[:zw.Len()-1]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := d.ReadSlab(big, ckpt.NewReader(short))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Error("slab one byte short of one byte per field accepted")
+			}
+			if a := after.TotalAlloc - before.TotalAlloc; a >= uint64(len(short)) {
+				t.Errorf("rejecting a %d-byte slab of %d agents allocated %d bytes", len(short), big, a)
+			}
+
 			p := d.New(8)
 			var w ckpt.Writer
 			d.WriteState(p, d.Init(p, d.Inits[0], rng.New(1)), &w)
