@@ -1,6 +1,6 @@
 // Command ssrankd serves ranking-protocol runs as jobs over HTTP: a
 // bounded worker pool drains a FIFO queue of submitted Configs, long
-// runs are checkpointed and preempted when the queue backs up, and
+// runs are preempted and parked in the queue when it backs up, and
 // completed results are cached by the content address of their
 // canonical configuration — an identical re-submission is answered
 // instantly without re-execution (runs are deterministic, so the
@@ -51,7 +51,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 2, "worker pool size")
-	slice := flag.Int64("slice", 0, "interactions per scheduling slice (0 = default); long jobs are checkpointed and preempted at slice boundaries when other jobs wait")
+	slice := flag.Int64("slice", 0, "interactions per scheduling slice (0 = default); long jobs are preempted at slice boundaries when other jobs wait and later continue where they stopped")
 	workerAddr := flag.String("workeraddr", "", "listen address for ssrank-worker processes (host:port, or a unix socket path containing '/'); empty disables distributed execution")
 	cacheDir := flag.String("cachedir", "", "directory for the disk-spill result cache; empty keeps the cache memory-only")
 	cacheMax := flag.Int("cachemax", 0, "in-memory result cache capacity in entries (0 = default)")

@@ -1,17 +1,18 @@
-// Package jobs turns the facade's checkpointable simulations into a
+// Package jobs turns the facade's stepwise simulations into a
 // concurrent job service: a bounded worker pool draining a FIFO queue
 // of submitted Configs, with ordered per-job event streams (the
 // Replicate OnCommit shape: every subscriber sees the same events in
-// the same order), checkpoint-based preemption when the queue backs
-// up, and a content-addressed result cache.
+// the same order), preemption when the queue backs up, and a
+// content-addressed result cache.
 //
-// Everything the service layers on top of the facade follows from
-// determinism: a run is a pure function of its canonical Config, so a
-// preempted job can be checkpointed and resumed (even on another
-// worker) without changing its result, and a completed result can be
-// served to every later submission of the same canonical Config
-// without re-execution. The cache key is the stable hash of exactly
-// the fields the trajectory depends on — see Key.
+// A preempted job parks its live Simulation in the queue and any
+// worker later continues it, on every engine including the message
+// network, so preemption never changes the result. Determinism does
+// the rest: a run is a pure function of its canonical Config, so a
+// completed result can be served to every later submission of the
+// same canonical Config without re-execution. The cache key is the
+// stable hash of exactly the fields the trajectory depends on — see
+// Key.
 package jobs
 
 import (
@@ -48,7 +49,7 @@ const (
 	EventQueued    = "queued"    // entered the FIFO queue
 	EventStarted   = "started"   // claimed by a worker
 	EventProgress  = "progress"  // completed a slice; Steps is current
-	EventPreempted = "preempted" // checkpointed and requeued
+	EventPreempted = "preempted" // parked and requeued
 	EventCached    = "cached"    // served from the result cache
 	EventDone      = "done"      // completed; Result is attached
 	EventFailed    = "failed"    // errored; Err is attached
@@ -86,7 +87,7 @@ type Job struct {
 	// ordering trivially consistent.
 	state  State
 	steps  int64
-	ckpt   []byte
+	sim    *ssrank.Simulation // a preempted job's parked run; nil otherwise
 	result *ssrank.Result
 	err    error
 	events []Event
@@ -209,8 +210,8 @@ type Config struct {
 	// scheduling slice before the manager considers preempting it
 	// (only when other jobs are queued). < 1 picks a default. Sharded
 	// jobs round the slice up to a multiple of their engine's batch
-	// period, keeping checkpoint cuts barrier-aligned so preemption
-	// never changes the trajectory.
+	// period, keeping slice ends barrier-aligned so slicing never
+	// changes the trajectory.
 	SliceInteractions int64
 	// CacheMax caps the in-memory result cache (entries); the least
 	// recently used entry is evicted past the cap. < 1 picks a
@@ -224,10 +225,9 @@ type Config struct {
 	// submission of the same canonical Config — the cache survives
 	// restarts.
 	CacheDir string
-	// Dist, when set, routes eligible jobs (canonical Config.Workers
-	// > 1, fresh — not resumed from a preemption checkpoint) to the
-	// distributed fleet. Distributed jobs run to completion without
-	// preemption.
+	// Dist, when set, offers jobs whose canonical Config.Workers > 1
+	// to the distributed fleet when they first start. Distributed
+	// jobs run to completion without preemption.
 	Dist DistRunner
 	// MaxSlabBytes, when positive, is the largest agent slab a job may
 	// build: Submit refuses a Config whose N × the protocol's
@@ -303,9 +303,9 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// Close stops the workers. Running jobs are checkpointed back into the
-// queue (state Queued) rather than aborted; queued work is left
-// pending. Close blocks until every worker has exited.
+// Close stops the workers. Running jobs are parked back into the queue
+// (state Queued) at their next slice end rather than aborted; queued
+// work is left pending. Close blocks until every worker has exited.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.closed = true
@@ -494,8 +494,8 @@ func (m *Manager) finish(j *Job, res *ssrank.Result, err error, cached bool) {
 }
 
 // worker drains the queue: claim the head job, run it for one slice,
-// then either finish it, or — when other jobs are waiting — checkpoint
-// and requeue it so the queue drains round-robin instead of
+// then either finish it, or — when other jobs are waiting — park its
+// Simulation and requeue it so the queue drains round-robin instead of
 // head-of-line blocking behind a long run.
 func (m *Manager) worker() {
 	defer m.wg.Done()
@@ -511,23 +511,23 @@ func (m *Manager) worker() {
 		j := m.queue[0]
 		m.queue = m.queue[1:]
 		j.state = Running
-		resume := j.ckpt
-		j.ckpt = nil
-		if resume == nil {
+		sim := j.sim
+		j.sim = nil
+		if sim == nil {
 			m.started++
 		}
 		j.emit(EventStarted, nil)
 		m.mu.Unlock()
 
-		m.run(j, resume)
+		m.run(j, sim)
 	}
 }
 
 // sliceFor rounds the manager's scheduling slice up to the engine's
-// batch period for sharded configs: checkpoint cuts then always land
-// on batch barriers, so a preempted sharded run resumes on exactly the
-// barrier schedule an uninterrupted run would have used (the facade's
-// split-run guarantee needs aligned cuts; see ssrank.Checkpoint).
+// batch period for sharded configs. A RunUntilStable target cuts the
+// sharded engine's batch, so only batch-aligned slice ends keep a
+// sliced run on the barrier schedule Run uses (the stepping rule in
+// the ssrank.Simulation doc).
 func (m *Manager) sliceFor(cfg ssrank.Config) int64 {
 	if cfg.Shards <= 1 {
 		return m.slice
@@ -573,28 +573,22 @@ func (m *Manager) runDist(j *Job) bool {
 	return true
 }
 
-// run executes one scheduling slice of j (resuming from a checkpoint
-// if one was taken) and routes the outcome: done, failed, preempted,
-// or — when the queue is empty and the manager open — immediately
-// another slice.
-func (m *Manager) run(j *Job, resume []byte) {
-	if resume == nil && m.dist != nil && j.Config.Workers > 1 && m.runDist(j) {
-		return
-	}
-	var (
-		sim *ssrank.Simulation
-		err error
-	)
-	if resume != nil {
-		sim, err = ssrank.ResumeSimulation(j.Config, resume)
-	} else {
-		sim, err = ssrank.NewSimulation(j.Config)
-	}
-	if err != nil {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.finish(j, nil, err, false)
-		return
+// run executes scheduling slices of j on its parked Simulation, or on
+// a new one (after offering the job to the fleet) when sim is nil, and
+// routes the outcome: done, failed, preempted, or — when the queue is
+// empty and the manager open — immediately another slice.
+func (m *Manager) run(j *Job, sim *ssrank.Simulation) {
+	if sim == nil {
+		if m.dist != nil && j.Config.Workers > 1 && m.runDist(j) {
+			return
+		}
+		var err error
+		if sim, err = ssrank.NewSimulation(j.Config); err != nil {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			m.finish(j, nil, err, false)
+			return
+		}
 	}
 	slice := m.sliceFor(j.Config)
 	budget := j.Config.MaxInteractions
@@ -605,6 +599,9 @@ func (m *Manager) run(j *Job, resume []byte) {
 	// that delivers nothing ends instead of spinning.
 	network := j.Config.Shards == 0
 	var rounds int64
+	if network {
+		rounds = sim.Snapshot().Rounds // a parked run's rounds so far
+	}
 	for {
 		target := sim.Interactions() + min(slice, budget-rounds)
 		if target > budget || target < 0 { // < 0: overflow near MaxInt64
@@ -630,14 +627,8 @@ func (m *Manager) run(j *Job, resume []byte) {
 			m.mu.Unlock()
 			return
 		case m.closed || len(m.queue) > 0:
-			// Queue backed up (or shutting down): checkpoint, requeue.
-			data, cerr := sim.Checkpoint()
-			if cerr != nil {
-				m.finish(j, nil, cerr, false)
-				m.mu.Unlock()
-				return
-			}
-			j.ckpt = data
+			// Queue backed up (or shutting down): park, requeue.
+			j.sim = sim
 			j.state = Queued
 			j.emit(EventPreempted, nil)
 			m.queue = append(m.queue, j)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,42 +40,45 @@ func eventTypes(j *Job) []string {
 	return out
 }
 
-// TestJobMatchesRun pins the service's ground truth: a job's result —
+// TestJobMatchesRun pins the service's ground truth: a job's outcome —
 // even one computed across preemption cycles — is byte-identical to a
-// direct ssrank.Run of the same Config, serially and sharded.
+// direct ssrank.Run of the same Config, serially, sharded and on the
+// message network, and that outcome is what the cache serves next.
 func TestJobMatchesRun(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	lossy := ssrank.Faults{DropProb: 0.05}
+	starved := ssrank.Faults{DropProb: 1}
+	for _, pair := range [][2]ssrank.Config{
+		{{N: 64, Seed: 3}, {N: 64, Seed: 4}},
+		{{N: 64, Seed: 3, Shards: 4}, {N: 64, Seed: 4, Shards: 4}},
+		// The network job is unconverged after its first slice while
+		// the second job waits, so it must survive a preemption.
+		{{N: 16, Seed: 1, Faults: lossy}, {N: 16, Seed: 2, Faults: lossy}},
+		// A network that delivers nothing fails on its round budget,
+		// which must count the rounds run before each preemption.
+		{{N: 16, Seed: 1, Faults: starved, MaxInteractions: 10000}, {N: 16, Seed: 2, Faults: starved, MaxInteractions: 10000}},
+	} {
 		// A tiny slice forces many preempt/resume cycles even on a
 		// short run whenever another job is queued.
 		m := NewManager(Config{Workers: 1, SliceInteractions: 4096})
-		cfgA := ssrank.Config{N: 64, Seed: 3, Shards: shards}
-		cfgB := ssrank.Config{N: 64, Seed: 4, Shards: shards}
-		a, err := m.Submit(cfgA)
-		if err != nil {
-			t.Fatal(err)
+		a := mustSubmit(t, m, pair[0])
+		b := mustSubmit(t, m, pair[1])
+		for i, j := range []*Job{a, b} {
+			st, res, err := wait(t, j)
+			want, runErr := ssrank.Run(pair[i])
+			if (st == Done) != (runErr == nil) || res == nil {
+				t.Fatalf("%+v: state %s (%v), Run error %v", pair[i], st, err, runErr)
+			}
+			if !reflect.DeepEqual(*res, want) {
+				t.Fatalf("%+v: job diverged from Run:\njob %+v\nrun %+v", pair[i], *res, want)
+			}
 		}
-		b, err := m.Submit(cfgB)
-		if err != nil {
-			t.Fatal(err)
+		log := eventTypes(a)
+		if !slices.Contains(log, EventPreempted) {
+			t.Fatalf("%+v: first job was never preempted", pair[0])
 		}
-		stA, resA, errA := wait(t, a)
-		stB, resB, _ := wait(t, b)
-		if stA != Done || stB != Done {
-			t.Fatalf("shards=%d: states %s/%s (%v)", shards, stA, stB, errA)
-		}
-		wantA, err := ssrank.Run(cfgA)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantB, err := ssrank.Run(cfgB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*resA, wantA) {
-			t.Fatalf("shards=%d: job A diverged from Run:\njob %+v\nrun %+v", shards, *resA, wantA)
-		}
-		if !reflect.DeepEqual(*resB, wantB) {
-			t.Fatalf("shards=%d: job B diverged from Run:\njob %+v\nrun %+v", shards, *resB, wantB)
+		again := mustSubmit(t, m, pair[0])
+		if got, want := eventTypes(again), []string{EventQueued, EventCached, log[len(log)-1]}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: re-submit events %v, want %v", pair[0], got, want)
 		}
 		m.Close()
 	}
@@ -118,7 +122,7 @@ func TestCacheHitSkipsExecution(t *testing.T) {
 
 // TestPreemptionRoundRobin submits a long job then a short one on a
 // single worker with a small slice: the long job must be preempted
-// (checkpointed and requeued) so the short job completes first, and
+// (parked and requeued) so the short job completes first, and
 // the long job must still finish with the exact Run result afterwards.
 func TestPreemptionRoundRobin(t *testing.T) {
 	m := NewManager(Config{Workers: 1, SliceInteractions: 2048})

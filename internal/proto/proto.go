@@ -75,17 +75,17 @@ type Descriptor[S any, P any] struct {
 	// Unsupported names return nil.
 	Init func(p P, init string, r *rng.RNG) []S
 
-	// Valid is the protocol's stop predicate over full configurations
-	// — the polled fallback for engines that cannot maintain the
-	// incremental tracker (the sharded runner).
+	// Valid is the protocol's stop predicate over full configurations:
+	// Snapshot.Stable, Result.Converged without an exact hit, and the
+	// message network's once-per-round stop poll evaluate it.
 	Valid func(states []S) bool
 
 	// TransientStop marks a stop condition that is not absorbing: it
 	// can hold at one interaction and break at the next (loose
-	// leader election's uniqueness). A polled scan can sail straight
-	// through such a window, so engines that only evaluate Valid at a
-	// cadence (the sharded runner) must not be used to measure the
-	// hitting time — consumers fall back to the serial exact path.
+	// leader election's uniqueness), so Valid may be false again in
+	// the configuration a run stopped in, and a per-round poll can miss
+	// the window. No engine reads it; tests read it to pick their
+	// post-stop check.
 	TransientStop bool
 
 	// Rank extracts an agent's rank projection (0 = unranked). It
