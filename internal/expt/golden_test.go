@@ -44,6 +44,13 @@ func TestGoldenFigureCSV(t *testing.T) {
 		// derivation, or cross reconciliation order fails here instead
 		// of silently shifting sharded experiment output.
 		{"e2_quick_shards4.golden.csv", shards4(Figure3)},
+		// E6 sharded pins descStabilize's sharded exact stop across
+		// three protocols' trackers.
+		{"e6_quick_shards4.golden.csv", shards4(BaselineComparison)},
+		// E18 pins Loose's transient exact stop followed by Run
+		// probes on the same engine, serial and sharded.
+		{"e18_quick.golden.csv", LooseVsSilent},
+		{"e18_quick_shards4.golden.csv", shards4(LooseVsSilent)},
 		// The message-network counterpart pins the E19 fault-regime
 		// grid: any change to the msgnet round structure, fault-fate
 		// stream, scheduler graphs, or rendezvous bookkeeping shifts
