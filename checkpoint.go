@@ -8,7 +8,7 @@ import (
 	"ssrank/internal/proto"
 	"ssrank/internal/rng"
 	"ssrank/internal/sim"
-	"ssrank/internal/sim/shard"
+	"ssrank/internal/sim/engine"
 )
 
 // This file implements the facade checkpoint format: a complete,
@@ -65,17 +65,6 @@ import (
 const (
 	ckptMagic   = "sscp"
 	ckptVersion = 1
-
-	ckptKindSerial = 0
-	// ckptKindShardV1 is the retired pre-alias sharded engine section
-	// (master PairBatch + shard streams, no class streams). The
-	// scheduler that consumed it no longer exists, so these blobs name
-	// trajectories this build cannot reproduce: resume rejects them
-	// with a clear error instead of silently diverging.
-	ckptKindShardV1 = 1
-	// ckptKindShard is the alias-classification sharded engine section
-	// (bare master state + shard pair streams + cross-class streams).
-	ckptKindShard = 2
 )
 
 // Checkpoint serializes the simulation's complete state into the
@@ -179,73 +168,13 @@ func ResumeSimulation(cfg Config, data []byte) (*Simulation, error) {
 
 // resumeDriver reconstructs the generic driver from a checkpoint's
 // engine section — the per-protocol half of ResumeSimulation, reached
-// through the descriptor's type-erased resume hook. It builds the
-// driver over the deserialized slab, as NewSimulation builds it over
-// the initial configuration, and restores the scheduler position on
-// top; the constructor-seeded streams are fully overwritten by
-// SetEngineState, so the engine is indistinguishable from the captured
-// one.
+// through the descriptor's type-erased resume hook. engine.Resume reads
+// and validates the section against the Config and rebuilds the engine
+// over the checkpointed slab with the scheduler position restored.
 func resumeDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], r *ckpt.Reader) (*driver[S, P], error) {
-	kind := r.Uvarint()
-	hit := r.Varint()
-	steps := r.Varint()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("ssrank: malformed checkpoint engine section: %w", err)
-	}
-	var restore func(engine[S]) error
-	switch kind {
-	case ckptKindSerial:
-		if cfg.Shards != 1 {
-			return nil, fmt.Errorf("ssrank: serial checkpoint, config resolves to %d shards", cfg.Shards)
-		}
-		st := sim.EngineState{Steps: steps, Pairs: ckpt.ReadPairState(r)}
-		restore = func(e engine[S]) error {
-			if err := e.(*serialEngine[S, P]).r.SetEngineState(st); err != nil {
-				return fmt.Errorf("ssrank: checkpoint pair stream: %w", err)
-			}
-			return nil
-		}
-	case ckptKindShardV1:
-		return nil, fmt.Errorf("ssrank: checkpoint uses the retired v1 sharded engine layout (pre-alias-classification); its trajectory cannot be resumed by this build — re-run the simulation or resume with a build that predates the alias-table scheduler")
-	case ckptKindShard:
-		if cfg.Shards < 2 {
-			return nil, fmt.Errorf("ssrank: sharded checkpoint, config resolves to %d shard(s)", cfg.Shards)
-		}
-		st := shard.EngineState{Steps: steps}
-		st.Master, st.Shards, st.Classes = ckpt.ReadShardStreams(r, cfg.N, cfg.N)
-		if r.Err() == nil && len(st.Shards) != cfg.Shards {
-			return nil, fmt.Errorf("ssrank: checkpoint holds %d shard streams, config resolves to %d shards", len(st.Shards), cfg.Shards)
-		}
-		if want := cfg.Shards * (cfg.Shards - 1) / 2; r.Err() == nil && len(st.Classes) != want {
-			return nil, fmt.Errorf("ssrank: checkpoint holds %d cross-class streams, %d shards need %d", len(st.Classes), cfg.Shards, want)
-		}
-		restore = func(e engine[S]) error {
-			if err := e.(*shardEngine[S, P]).r.SetEngineState(st); err != nil {
-				return fmt.Errorf("ssrank: checkpoint pair streams: %w", err)
-			}
-			return nil
-		}
-	default:
-		return nil, fmt.Errorf("ssrank: unknown checkpoint engine kind %d", kind)
-	}
-	p := d.New(cfg.N)
-	states, err := d.ReadState(p, cfg.N, r)
+	eng, hit, err := engine.Resume(d, cfg.N, cfg.knobs(), r)
 	if err != nil {
-		return nil, fmt.Errorf("ssrank: checkpoint state: %w", err)
+		return nil, fmt.Errorf("ssrank: %w", err)
 	}
-	h, err := newDriver(cfg, d, p, states)
-	if err != nil {
-		return nil, err
-	}
-	if err := restore(h.eng); err != nil {
-		return nil, err
-	}
-	h.hit = hit
-	return h, nil
+	return &driver[S, P]{d: d, p: eng.Protocol(), cfg: cfg, eng: eng, hit: hit}, nil
 }
-
-// The stream-state section codecs (the serial pair stream, the sharded
-// stream table) live in internal/ckpt (WritePairState,
-// WriteShardStreams and their readers): the distributed runtime
-// serializes the same sections into its wire frames, so the encodings
-// are shared, not duplicated.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ssrank/internal/ckpt"
+	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/shard"
 )
 
@@ -291,12 +292,12 @@ func TestResumeRejectsRetiredShardV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	kindOff := len(data) - r.Remaining()
-	if data[kindOff] != ckptKindShard {
-		t.Fatalf("engine kind byte is %d, want %d", data[kindOff], ckptKindShard)
+	if data[kindOff] != engine.KindShard {
+		t.Fatalf("engine kind byte is %d, want %d", data[kindOff], engine.KindShard)
 	}
 
 	forged := append([]byte(nil), data...)
-	forged[kindOff] = ckptKindShardV1
+	forged[kindOff] = engine.KindShardV1
 	_, err = ResumeSimulation(cfg, forged)
 	if err == nil {
 		t.Fatal("resume accepted a retired v1 sharded checkpoint")

@@ -1,8 +1,6 @@
 package ssrank
 
 import (
-	"fmt"
-
 	"ssrank/internal/baseline/aware"
 	"ssrank/internal/baseline/cai"
 	"ssrank/internal/baseline/interval"
@@ -11,7 +9,6 @@ import (
 	"ssrank/internal/core"
 	"ssrank/internal/dist"
 	"ssrank/internal/proto"
-	"ssrank/internal/rng"
 	"ssrank/internal/sim"
 	"ssrank/internal/stable"
 )
@@ -180,14 +177,4 @@ func (d *Descriptor) run(cfg Config) (Result, error) {
 	}
 	h.runUntilStable(cfg.MaxInteractions)
 	return outcome(h.result())
-}
-
-// descInit builds the configured initial configuration, deriving the
-// initialization randomness from the seed under the fixed salt.
-func descInit[S any, P any](cfg Config, d proto.Descriptor[S, P], p P) ([]S, error) {
-	init := d.Init(p, string(cfg.Init), rng.New(cfg.Seed^initSeedSalt))
-	if init == nil {
-		return nil, fmt.Errorf("ssrank: protocol %q supports inits %v, got %q", cfg.Protocol, d.Inits, cfg.Init)
-	}
-	return init, nil
 }

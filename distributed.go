@@ -9,6 +9,7 @@ import (
 	"ssrank/internal/dist"
 	"ssrank/internal/proto"
 	"ssrank/internal/sim"
+	"ssrank/internal/sim/engine"
 )
 
 // DistRun configures RunDistributed.
@@ -101,9 +102,9 @@ func runDistID(cfg Config) dist.RunID {
 // byte-identical Results.
 func runDistDesc[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], opts DistRun) (Result, error) {
 	p := d.New(cfg.N)
-	init, ierr := descInit(cfg, d, p)
+	init, ierr := engine.Init(d, p, string(cfg.Init), cfg.knobs())
 	if ierr != nil {
-		return Result{}, ierr
+		return Result{}, fmt.Errorf("ssrank: %w", ierr)
 	}
 	co, err := dist.NewCoordinator[S](d, p, init, runDistID(cfg), opts.Workers, dist.Options{
 		Timeout: opts.Timeout,

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"ssrank/internal/ckpt"
+	"ssrank/internal/sim/engine"
 )
 
 // goldenConfig is the configuration the committed fixture was taken
@@ -88,8 +89,8 @@ func TestGoldenCheckpointDecodes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.U64() // fault rng words: opaque, but must be present
 	}
-	if kind := r.Uvarint(); kind != ckptKindSerial {
-		t.Fatalf("kind %d, want serial (%d)", kind, ckptKindSerial)
+	if kind := r.Uvarint(); kind != engine.KindSerial {
+		t.Fatalf("kind %d, want serial (%d)", kind, engine.KindSerial)
 	}
 	if hit := r.Varint(); hit != -1 {
 		t.Fatalf("hit %d, want -1 (Step invalidates the exact hit)", hit)

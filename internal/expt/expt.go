@@ -8,7 +8,9 @@
 // replications run through the parallel engine in
 // internal/sim/replicate, whose per-trial seeds depend only on (seed,
 // trial index), so the produced figures are bit-identical at any
-// worker count.
+// worker count. A trial builds its run through internal/sim/engine, the
+// layer the public facade builds its runs through, so a figure and an
+// ssrank.Run with the same knobs pick their engine by one rule.
 package expt
 
 import (
@@ -17,10 +19,9 @@ import (
 
 	"ssrank/internal/plot"
 	"ssrank/internal/proto"
-	"ssrank/internal/rng"
 	"ssrank/internal/sim"
+	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/replicate"
-	"ssrank/internal/sim/shard"
 	"ssrank/internal/stats"
 )
 
@@ -39,18 +40,16 @@ type Options struct {
 	Workers int
 	// Shards, when > 1, runs the trials of the sharded-engine adopters
 	// (E1, E2, and the descriptor-driven stabilization generators
-	// E4-E7 and E18) on the
-	// internal/sim/shard runner with this shard count. Output depends
-	// on (Seed, Shards) but never on Workers; Shards ≤ 1 keeps the
-	// serial engine and its pinned golden outputs. Sharding pays off
-	// when single trials dominate (large n, few replications): within
-	// a wide replication loop the trial pool is already using the
-	// cores. The sentinel AutoShards (-1) derives the count per
-	// population size from n and the core count (shard.AutoShards),
-	// staying serial below the size where sharding pays; note that the
-	// resolved count — and hence the output — then depends on the
-	// machine's GOMAXPROCS, so pinned comparisons should pass an
-	// explicit count.
+	// E4-E7 and E18) on the sharded engine, resolved and selected by
+	// internal/sim/engine as for ssrank.Config.Shards; shard.Auto
+	// derives the count from n and the core count, so the output then
+	// depends on the machine. Output depends on (Seed, Shards) but
+	// never on Workers; Shards ≤ 1 keeps the serial engine and its
+	// pinned golden outputs. As for Config.Shards, the sharded law
+	// matches the serial one only when a trial's T spans many batches
+	// of B = max(512, n/2) interactions (cai at n = 16, T ≈ 2100: +24%
+	// at 2 shards). Sharding pays off when single trials dominate
+	// (large n, few replications).
 	Shards int
 	// Precision, when > 0, enables CI-adaptive stopping: each
 	// replication loop that designates a statistic stops as soon as
@@ -222,94 +221,35 @@ func streamTrials[R any](o Options, label string, salt uint64, trials int, stat 
 	return replicate.ReplicateStream(s, run)
 }
 
-// AutoShards is the Options.Shards sentinel that derives the shard
-// count from the population size and the core count (shard.AutoShards)
-// instead of fixing it.
-const AutoShards = shard.Auto
-
-// shardsFor resolves the effective shard count for one trial's
-// population size.
-func (o Options) shardsFor(n int) int {
-	if o.Shards == AutoShards {
-		return shard.AutoShards(n, 0)
+// newEngine builds one trial through internal/sim/engine, the layer
+// the facade builds its runs through, so a figure and a Run with the
+// same knobs pick their engine by one rule. salt decorrelates the init
+// randomness from the scheduler seed. workers bounds the shard worker
+// pool: single-trajectory generators pass o.Workers, replicated loops
+// 1 (their trial pool already owns the cores); no trajectory depends
+// on it.
+func newEngine[S any, P sim.TouchReporter[S]](o Options, workers int, d proto.Descriptor[S, P], n int, init string, salt, seed uint64) *engine.Engine[S, P] {
+	e, err := engine.New(d, n, init, engine.Knobs{Seed: seed, InitSalt: salt, Shards: o.Shards, Workers: workers})
+	if err != nil {
+		panic("expt: " + err.Error())
 	}
-	return o.Shards
+	return e
 }
 
-// runner is the single-trial engine surface the generators drive:
-// sim.Poll's Run/States/Steps plus the exact stop. All calls except
-// RunUntilExact are chunk-level (cadence ≥ n interactions), so the
-// interface indirection never sits on a per-interaction path;
-// RunUntilExact dispatches once to the engine's touch-aware loop,
-// which devirtualizes the per-interaction work.
-type runner[S any] interface {
-	Run(k int64)
-	// RunUntilExact stops a stabilization run at the exact hitting
-	// time of the stop condition, via the incremental tracker and the
-	// protocol's touch reporting: sim.RunUntilCondT on the serial
-	// engine, the barrier fold of shard.Runner.RunUntilExact on the
-	// sharded engine. Both handle transient conditions (loose LE's
-	// uniqueness window) that a polled scan could sail through.
-	RunUntilExact(cond sim.Condition[S], maxSteps int64) (int64, error)
-	States() []S
-	Steps() int64
-}
-
-// exactSerial adapts sim.Runner to the runner surface, routing
-// RunUntilExact through the touch-aware exact-stop path; shard.Runner
-// has the runner surface as it is.
-type exactSerial[S any, P sim.TouchReporter[S]] struct{ *sim.Runner[S, P] }
-
-func (r exactSerial[S, P]) RunUntilExact(cond sim.Condition[S], maxSteps int64) (int64, error) {
-	return sim.RunUntilCondT(r.Runner, cond, maxSteps)
-}
-
-// newRunner returns the engine one trial runs on: the sharded runner
-// when the options resolve to more than one shard for this population,
-// else the serial sim.Runner. workers bounds the shard worker pool;
-// single-trajectory generators pass o.Workers (intra-run parallelism
-// is the only parallelism they have), while replicated loops pass 1 —
-// their trial pool already owns the cores, and nesting o.Workers shard
-// workers inside o.Workers trial workers would only oversubscribe.
-// Trajectories depend on (seed, resolved shard count) only, never on
-// workers, so figures stay byte-identical either way.
-func newRunner[S any, P sim.TouchReporter[S]](o Options, workers int, p P, states []S, seed uint64) runner[S] {
-	if s := o.shardsFor(len(states)); s > 1 {
-		return shard.New[S](p, states, seed, s, workers)
-	}
-	return exactSerial[S, P]{sim.New[S](p, states, seed)}
-}
-
-// descRunner constructs one trial — protocol instance, named initial
-// configuration, engine — from a protocol descriptor (internal/proto):
-// the same table the public facade dispatches through, so the harness
-// and the facade cannot drift apart on what a protocol is. salt
-// decorrelates the init randomness (random inits) from the scheduler
-// seed; inits that take no randomness ignore it.
-func descRunner[S any, P sim.TouchReporter[S]](o Options, workers int, d proto.Descriptor[S, P], n int, init string, salt, seed uint64) (P, runner[S]) {
-	p := d.New(n)
-	states := d.Init(p, init, rng.New(seed^salt))
-	if states == nil {
-		panic(fmt.Sprintf("expt: protocol %q does not register init %q", d.Name, init))
-	}
-	return p, newRunner[S](o, workers, p, states, seed)
-}
-
-// descStabilize runs one descriptor trial to its stop condition —
-// at the exact hitting time on either engine (see
-// runner.RunUntilExact) — returning the stop step, convergence,
-// and the protocol's reset count (0 without reset instrumentation).
-// It is the whole per-trial body of the stabilization sweeps; the
-// descriptor supplies constructor, init, tracker and validity that
-// each generator previously tabulated for itself.
+// descStabilize runs one descriptor trial to the exact hitting time of
+// its stop condition, returning the stop step, convergence and the
+// protocol's reset count (0 without reset instrumentation).
 func descStabilize[S any, P sim.TouchReporter[S]](o Options, d proto.Descriptor[S, P], n int, init string, salt, seed uint64, cap int64) (int64, bool, int64) {
-	p, r := descRunner(o, 1, d, n, init, salt, seed)
-	steps, err := r.RunUntilExact(sim.DescCond(d, p), cap)
+	e := newEngine(o, 1, d, n, init, salt, seed)
+	hit, ok := e.RunUntilStable(cap, cap)
+	if !ok {
+		hit = e.Steps()
+	}
 	var resets int64
 	if d.Resets != nil {
-		resets = d.Resets(p)
+		resets = d.Resets(e.Protocol())
 	}
-	return steps, err == nil, resets
+	return hit, ok, resets
 }
 
 // statSteps designates a stabilization loop's interaction count as its

@@ -43,8 +43,8 @@ func Figure2(opts Options) Figure {
 	// the single-trial figure where intra-run parallelism is the only
 	// parallelism there is.
 	res := runTrials(opts, "E1", 0, 1, func(int, uint64) fig2run {
-		p := stable.New(n, stable.DefaultParams())
-		r := newRunner[stable.State](opts, opts.Workers, p, p.WorstCaseInit(), opts.Seed)
+		r := newEngine(opts, opts.Workers, stable.Describe(), n, "worst-case", 0, opts.Seed)
+		p := r.Protocol()
 		out := fig2run{stabilizedAt: -1}
 		sample := int64(n) * int64(n) / 4
 		maxSteps := int64(maxUnits * float64(n) * float64(n))

@@ -27,8 +27,7 @@ var fig3Fractions = []struct {
 // returns, per fraction, the interactions/n² at which it was first
 // reached (-1 when not reached within the budget).
 func fig3HittingTimes(opts Options, n int, seed uint64) []float64 {
-	p := stable.New(n, stable.DefaultParams())
-	r := newRunner[stable.State](opts, 1, p, p.Fig3Init(), seed)
+	r := newEngine(opts, 1, stable.Describe(), n, "fig3", 0, seed)
 	times := make([]float64, len(fig3Fractions))
 	for i := range times {
 		times[i] = -1

@@ -6,7 +6,6 @@ import (
 
 	"ssrank/internal/baseline/sudo"
 	"ssrank/internal/plot"
-	"ssrank/internal/sim"
 	"ssrank/internal/stable"
 	"ssrank/internal/stats"
 )
@@ -56,13 +55,13 @@ func LooseVsSilent(opts Options) Figure {
 		for _, t := range runTrialsStat(opts, fmt.Sprintf("E18 loose n=%d", n), uint64(18*n), trials,
 			func(t looseR) (float64, bool) { return t.steps, t.ok },
 			func(_ int, seed uint64) looseR {
-				d := sudo.Describe(sudo.DefaultTimeoutFactor)
-				p, r := descRunner(opts, 1, d, n, "fresh", 0, seed)
+				r := newEngine(opts, 1, sudo.Describe(sudo.DefaultTimeoutFactor), n, "fresh", 0, seed)
 				// Exact stopping matters doubly here: uniqueness is
 				// transient for loose LE, so a polled scan can sail
 				// through a short uniqueness window entirely.
-				steps, err := r.RunUntilExact(sim.DescCond(d, p), int64(1000*float64(n)*lg))
-				if err != nil {
+				cap := int64(1000 * float64(n) * lg)
+				steps, ok := r.RunUntilStable(cap, cap)
+				if !ok {
 					return looseR{}
 				}
 				out := looseR{stepsResult{float64(steps), true}, true}

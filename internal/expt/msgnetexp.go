@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"ssrank/internal/plot"
-	"ssrank/internal/rng"
+	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/msgnet"
 	"ssrank/internal/stable"
 	"ssrank/internal/stats"
@@ -80,25 +80,24 @@ func MsgNetFaultRegimes(opts Options) Figure {
 			res := runTrialsStat(opts, fmt.Sprintf("E19 %s/%s", graph, regime.name), salt, trials,
 				func(t trialR) (float64, bool) { return t.rounds, t.converged },
 				func(_ int, seed uint64) trialR {
-					p := d.New(n)
-					sched, err := msgnet.NewScheduler(graph, n, 0, seed)
-					if err != nil {
-						panic(err)
-					}
-					nw := msgnet.New[stable.State](p, d.Init(p, d.Inits[0], rng.New(seed^msgnetInitSalt)), msgnet.Config{
-						Sched:  sched,
-						Faults: regime.f,
+					nw, err := engine.New(d, n, d.Inits[0], engine.Knobs{
+						Seed:      seed,
+						InitSalt:  msgnetInitSalt,
+						Scheduler: graph,
+						Faults:    regime.f,
 						// The trial pool owns the cores; deliveries
 						// stay serial (the trajectory is identical
 						// either way).
 						Workers: 1,
-						Seed:    seed,
 					})
-					steps, rerr := nw.RunUntil(d.Valid, cap)
+					if err != nil {
+						panic(err)
+					}
+					_, converged := nw.RunUntilStable(cap, cap)
 					return trialR{
-						converged: rerr == nil,
+						converged: converged,
 						rounds:    float64(nw.Rounds()),
-						steps:     float64(steps),
+						steps:     float64(nw.Steps()),
 					}
 				})
 			var rounds, steps []float64

@@ -107,8 +107,9 @@ const autoMinN = 16384
 const autoSlab = 4096
 
 // Auto is the shard-count sentinel meaning "derive the count from the
-// population size and the core count" (see AutoShards). The facade and
-// experiment layers re-export it (ssrank.AutoShards, expt.AutoShards).
+// population size and the core count" (see AutoShards). The engine
+// layer resolves it (engine.ResolveShards); the facade re-exports it as
+// ssrank.AutoShards.
 const Auto = -1
 
 // ParseShards parses a CLI -shards value: a non-negative shard count,
@@ -129,10 +130,9 @@ func ParseShards(s string) (int, error) {
 // machine with procs available cores (procs < 1 reads
 // runtime.GOMAXPROCS(0)): serial below autoMinN agents or on a single
 // core, otherwise one shard per core capped so every shard keeps a
-// slab of at least autoSlab agents. It is the resolution behind the
-// "-shards auto" CLI setting and expt.AutoShards; callers that get 1
-// back should use the serial engine directly (a one-shard sharded
-// runner still pays classification overhead).
+// slab of at least autoSlab agents. engine.ResolveShards expands Auto
+// with it, and selects the serial engine when it returns 1 (a
+// one-shard sharded runner still pays classification overhead).
 func AutoShards(n, procs int) int {
 	if procs < 1 {
 		procs = runtime.GOMAXPROCS(0)

@@ -2,9 +2,9 @@ package ssrank
 
 import (
 	"fmt"
+	"slices"
 
-	"ssrank/internal/ckpt"
-	"ssrank/internal/sim"
+	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/msgnet"
 )
 
@@ -86,91 +86,31 @@ type Faults struct {
 	ReorderProb float64
 }
 
-// toMsgnet converts the public fault knobs to the engine's fault
-// model.
-func (f Faults) toMsgnet() msgnet.Faults {
-	return msgnet.Faults{Drop: f.DropProb, Dup: f.DupProb, DelayMax: f.DelayMax, Reorder: f.ReorderProb}
-}
-
 // messageNetwork reports whether the configuration routes through the
 // message-network engine: any named scheduler (an explicit
 // SchedulerUniform included — it is the fault-free message-network
 // reference) or any fault injection. A zero Scheduler with zero
 // Faults keeps the fast in-place engines.
-func (cfg Config) messageNetwork() bool {
-	return cfg.Scheduler != "" || cfg.Faults != Faults{}
+func (cfg Config) messageNetwork() bool { return cfg.knobs().Network() }
+
+// knobs are the engine knobs internal/sim/engine builds the run from.
+func (cfg Config) knobs() engine.Knobs {
+	f := cfg.Faults
+	return engine.Knobs{
+		Seed:      cfg.Seed,
+		InitSalt:  initSeedSalt,
+		Shards:    cfg.Shards,
+		Workers:   cfg.ShardWorkers,
+		Scheduler: string(cfg.Scheduler),
+		Faults:    msgnet.Faults{Drop: f.DropProb, Dup: f.DupProb, DelayMax: f.DelayMax, Reorder: f.ReorderProb},
+	}
 }
 
 // checkNetwork validates the communication-model knobs (normalize
 // calls it for every entry point).
 func checkNetwork(cfg Config) error {
-	if cfg.Scheduler != "" {
-		ok := false
-		for _, s := range Schedulers() {
-			if cfg.Scheduler == s {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("ssrank: unknown scheduler %q (have %v)", cfg.Scheduler, Schedulers())
-		}
+	if cfg.Scheduler != "" && !slices.Contains(Schedulers(), cfg.Scheduler) {
+		return fmt.Errorf("ssrank: unknown scheduler %q (have %v)", cfg.Scheduler, Schedulers())
 	}
-	return cfg.Faults.toMsgnet().Validate()
-}
-
-// newMsgNet builds the message network for a vetted Config.
-func newMsgNet[S any, P sim.Protocol[S]](cfg Config, p P, init []S) (*msgnet.Network[S, P], error) {
-	sched, err := msgnet.NewScheduler(string(cfg.Scheduler), cfg.N, 0, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return msgnet.New[S](p, init, msgnet.Config{
-		Sched:   sched,
-		Faults:  cfg.Faults.toMsgnet(),
-		Workers: cfg.ShardWorkers,
-		Seed:    cfg.Seed,
-	}), nil
-}
-
-// netEngine runs the population on the message network. Control is
-// round-granular — Step(k) and the stop checks advance whole
-// communication rounds — so interaction counts overshoot their targets
-// by up to one round. Every call goes through msgnet.Network.RunUntil,
-// so every call has one round backstop: the rounds it executes are
-// bounded by the interactions it has left to deliver.
-type netEngine[S any, P sim.Protocol[S]] struct {
-	nw    *msgnet.Network[S, P]
-	valid func([]S) bool
-}
-
-func (e *netEngine[S, P]) states() []S   { return e.nw.States() }
-func (e *netEngine[S, P]) steps() int64  { return e.nw.Steps() }
-func (e *netEngine[S, P]) rounds() int64 { return e.nw.Rounds() }
-
-// step advances rounds until k more interactions were delivered — or
-// k rounds have passed, the backstop for regimes that deliver almost
-// nothing (e.g. DropProb 1).
-func (e *netEngine[S, P]) step(k int64) {
-	e.nw.RunUntil(func([]S) bool { return false }, e.nw.Steps()+k)
-}
-
-// runUntil polls the stop condition once per round, so a stop is
-// never exact (hit -1); the window end target is part of the polled
-// predicate, and the backstop is the rest of the budget.
-func (e *netEngine[S, P]) runUntil(target, budget int64) (int64, bool) {
-	stable := false
-	e.nw.RunUntil(func(states []S) bool {
-		stable = e.valid(states)
-		return stable || e.nw.Steps() >= target
-	}, budget)
-	return -1, stable
-}
-
-// checkpoint rejects checkpointing: the message network's in-flight
-// mailboxes, per-agent protocol phases and fault stream positions are
-// not serializable state, and Result.Exact is never true on this path
-// anyway — see DESIGN.md §8.
-func (e *netEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
-	return 0, nil, fmt.Errorf("ssrank: message-network simulations are not checkpointable")
+	return cfg.knobs().Faults.Validate()
 }

@@ -9,7 +9,7 @@ import (
 	"ssrank/internal/proto"
 	"ssrank/internal/rng"
 	"ssrank/internal/sim"
-	"ssrank/internal/sim/shard"
+	"ssrank/internal/sim/engine"
 )
 
 // Snapshot is one observation of a Simulation: the derived quantities
@@ -231,78 +231,37 @@ type simHandle interface {
 	marshal(w *ckpt.Writer) error
 }
 
-// engine is the part of a run that differs between the serial, sharded
-// and message-network engines: how interactions execute, how a stop is
-// found, and the checkpoint section. Everything read through the
-// descriptor is the driver's.
-type engine[S any] interface {
-	states() []S
-	steps() int64
-	// rounds is the message network's round counter, 0 on the in-place
-	// engines.
-	rounds() int64
-	step(k int64)
-	// runUntil executes interactions until the stop condition holds or
-	// target interactions were executed. It reports whether the
-	// condition holds, and the exact hitting time when the engine can
-	// pin one (-1 otherwise: the message network polls per round).
-	// budget is the caller's whole interaction budget (target ≤
-	// budget); only the message network's round backstop reads it.
-	runUntil(target, budget int64) (hit int64, stable bool)
-	// checkpoint returns the engine's checkpoint kind and the writer of
-	// its stream section, or an error if the engine cannot checkpoint.
-	checkpoint() (kind uint64, streams func(*ckpt.Writer), err error)
-}
-
 // driver is the generic driver behind every facade entry point,
-// instantiated per protocol from its descriptor. hit remembers the
-// exact hitting time of the last uninterrupted stop-condition run (-1
-// otherwise): manual stepping and fault injection invalidate it, since
-// they change the trajectory the hit was exact for.
+// instantiated per protocol from its descriptor. It drives the engine
+// internal/sim/engine built for the normalized Config, as the
+// experiment harness does, and reads everything else through the
+// descriptor. hit remembers the exact hitting time of the last
+// uninterrupted stop-condition run (-1 otherwise): manual stepping and
+// fault injection invalidate it, since they change the trajectory the
+// hit was exact for.
 type driver[S any, P sim.TouchReporter[S]] struct {
 	d   proto.Descriptor[S, P]
 	p   P
 	cfg Config
-	eng engine[S]
+	eng *engine.Engine[S, P]
 	hit int64
 }
 
-// startDriver builds the configured initial configuration and the
-// driver over it.
+// startDriver builds the configured initial configuration on the
+// engine the normalized Config selects.
 func startDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P]) (*driver[S, P], error) {
-	p := d.New(cfg.N)
-	init, err := descInit(cfg, d, p)
+	eng, err := engine.New(d, cfg.N, string(cfg.Init), cfg.knobs())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ssrank: %w", err)
 	}
-	return newDriver(cfg, d, p, init)
+	return &driver[S, P]{d: d, p: eng.Protocol(), cfg: cfg, eng: eng, hit: -1}, nil
 }
 
-// newDriver puts states on the engine the normalized Config selects:
-// the message network when it names a Scheduler or Faults, the sharded
-// engine above one shard, the serial engine otherwise.
-func newDriver[S any, P sim.TouchReporter[S]](cfg Config, d proto.Descriptor[S, P], p P, states []S) (*driver[S, P], error) {
-	var eng engine[S]
-	switch {
-	case cfg.messageNetwork():
-		nw, err := newMsgNet[S](cfg, p, states)
-		if err != nil {
-			return nil, err
-		}
-		eng = &netEngine[S, P]{nw: nw, valid: d.Valid}
-	case cfg.Shards > 1:
-		eng = &shardEngine[S, P]{r: shard.New[S](p, states, cfg.Seed, cfg.Shards, cfg.ShardWorkers), cond: sim.DescCond(d, p)}
-	default:
-		eng = &serialEngine[S, P]{r: sim.New[S](p, states, cfg.Seed), cond: sim.DescCond(d, p)}
-	}
-	return &driver[S, P]{d: d, p: p, cfg: cfg, eng: eng, hit: -1}, nil
-}
-
-func (s *driver[S, P]) n() int { return len(s.eng.states()) }
+func (s *driver[S, P]) n() int { return len(s.eng.States()) }
 
 func (s *driver[S, P]) step(k int64) {
 	s.hit = -1
-	s.eng.step(k)
+	s.eng.Run(k)
 }
 
 func (s *driver[S, P]) runUntilStable(maxSteps int64) bool {
@@ -310,7 +269,7 @@ func (s *driver[S, P]) runUntilStable(maxSteps int64) bool {
 }
 
 func (s *driver[S, P]) runUntil(target, budget int64) bool {
-	hit, ok := s.eng.runUntil(target, budget)
+	hit, ok := s.eng.RunUntilStable(target, budget)
 	if ok {
 		s.hit = hit
 	}
@@ -329,17 +288,17 @@ func (s *driver[S, P]) observe(every, maxSteps int64, obs func(Snapshot)) {
 		every = int64(s.n())
 	}
 	obs(s.snapshot())
-	for s.eng.steps() < maxSteps {
+	for s.eng.Steps() < maxSteps {
 		next := maxSteps
-		if every < maxSteps-s.eng.steps() {
-			next = s.eng.steps() + every
+		if every < maxSteps-s.eng.Steps() {
+			next = s.eng.Steps() + every
 		}
 		if s.runUntil(next, maxSteps) {
 			obs(s.snapshotAt(s.hit))
 			return
 		}
 		obs(s.snapshot())
-		if s.eng.steps() < next {
+		if s.eng.Steps() < next {
 			return
 		}
 	}
@@ -351,9 +310,9 @@ func (s *driver[S, P]) snapshot() Snapshot { return s.snapshotAt(-1) }
 // interaction count at (the engine position when at < 0).
 func (s *driver[S, P]) snapshotAt(at int64) Snapshot {
 	if at < 0 {
-		at = s.eng.steps()
+		at = s.eng.Steps()
 	}
-	states := s.eng.states()
+	states := s.eng.States()
 	snap := Snapshot{
 		Interactions: at,
 		Ranks:        s.d.Ranks(states),
@@ -361,7 +320,7 @@ func (s *driver[S, P]) snapshotAt(at int64) Snapshot {
 		Stable:       s.d.Valid(states),
 		Leader:       s.d.LeaderOf(states),
 		Resets:       s.resets(),
-		Rounds:       s.eng.rounds(),
+		Rounds:       s.eng.Rounds(),
 	}
 	if len(s.d.Probes) > 0 {
 		snap.Probes = make(map[string]float64, len(s.d.Probes))
@@ -372,11 +331,11 @@ func (s *driver[S, P]) snapshotAt(at int64) Snapshot {
 	return snap
 }
 
-func (s *driver[S, P]) interactions() int64 { return s.eng.steps() }
-func (s *driver[S, P]) stable() bool        { return s.d.Valid(s.eng.states()) }
-func (s *driver[S, P]) ranks() []int        { return s.d.Ranks(s.eng.states()) }
-func (s *driver[S, P]) rankedCount() int    { return s.d.RankedCount(s.eng.states()) }
-func (s *driver[S, P]) leader() int         { return s.d.LeaderOf(s.eng.states()) }
+func (s *driver[S, P]) interactions() int64 { return s.eng.Steps() }
+func (s *driver[S, P]) stable() bool        { return s.d.Valid(s.eng.States()) }
+func (s *driver[S, P]) ranks() []int        { return s.d.Ranks(s.eng.States()) }
+func (s *driver[S, P]) rankedCount() int    { return s.d.RankedCount(s.eng.States()) }
+func (s *driver[S, P]) leader() int         { return s.d.LeaderOf(s.eng.States()) }
 
 func (s *driver[S, P]) resets() int64 {
 	if s.d.Resets == nil {
@@ -400,13 +359,13 @@ func (s *driver[S, P]) corrupt(k int, r *rng.RNG) error {
 		return fmt.Errorf("ssrank: protocol %q has no fault-injection primitive (it is not self-stabilizing)", s.d.Name)
 	}
 	s.hit = -1
-	faults.Corrupt(s.eng.states(), k, r, func(rr *rng.RNG) S { return s.d.RandomState(s.p, rr) })
+	faults.Corrupt(s.eng.States(), k, r, func(rr *rng.RNG) S { return s.d.RandomState(s.p, rr) })
 	return nil
 }
 
 func (s *driver[S, P]) swap(k int, r *rng.RNG) {
 	s.hit = -1
-	faults.Swap(s.eng.states(), k, r)
+	faults.Swap(s.eng.States(), k, r)
 }
 
 // duplicate copies one uniformly chosen agent's state over another,
@@ -417,24 +376,18 @@ func (s *driver[S, P]) duplicate(r *rng.RNG) (int, int, error) {
 		return 0, 0, fmt.Errorf("ssrank: protocol %q is not self-stabilizing, duplicating a state can wedge it permanently", s.d.Name)
 	}
 	s.hit = -1
-	src, dst := faults.Duplicate(s.eng.states(), r)
+	src, dst := faults.Duplicate(s.eng.States(), r)
 	return src, dst, nil
 }
 
 func (s *driver[S, P]) result() Result {
-	return descResult(s.d, s.p, s.cfg, s.eng.states(), s.eng.steps(), s.eng.rounds(), s.hit)
+	return descResult(s.d, s.p, s.cfg, s.eng.States(), s.eng.Steps(), s.eng.Rounds(), s.hit)
 }
 
 func (s *driver[S, P]) marshal(w *ckpt.Writer) error {
-	kind, streams, err := s.eng.checkpoint()
-	if err != nil {
-		return err
+	if err := s.eng.Checkpoint(w, s.hit); err != nil {
+		return fmt.Errorf("ssrank: %w", err)
 	}
-	w.Uvarint(kind)
-	w.Varint(s.hit)
-	w.Varint(s.eng.steps())
-	streams(w)
-	s.d.WriteState(s.p, s.eng.states(), w)
 	return nil
 }
 
@@ -473,60 +426,4 @@ func outcome(res Result) (Result, error) {
 		return res, fmt.Errorf("ssrank: %s after %d interactions: %w", res.Config.Protocol, res.Interactions, ErrNotConverged)
 	}
 	return res, nil
-}
-
-// serialEngine runs the population on the serial engine; its stop is
-// the exact loop sim.RunUntilCondT.
-type serialEngine[S any, P sim.TouchReporter[S]] struct {
-	r    *sim.Runner[S, P]
-	cond sim.Condition[S]
-}
-
-func (e *serialEngine[S, P]) states() []S   { return e.r.States() }
-func (e *serialEngine[S, P]) steps() int64  { return e.r.Steps() }
-func (e *serialEngine[S, P]) rounds() int64 { return 0 }
-func (e *serialEngine[S, P]) step(k int64)  { e.r.Run(k) }
-
-func (e *serialEngine[S, P]) runUntil(target, _ int64) (int64, bool) {
-	hit, err := sim.RunUntilCondT(e.r, e.cond, target)
-	if err != nil {
-		return -1, false
-	}
-	return hit, true
-}
-
-func (e *serialEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
-	st := e.r.EngineState()
-	return ckptKindSerial, func(w *ckpt.Writer) { ckpt.WritePairState(w, st.Pairs) }, nil
-}
-
-// shardEngine runs the population on the sharded engine. Control is
-// batch-granular — Step and the stop-condition runs advance the engine
-// in barrier-synchronized batches, with the final batch of every call
-// truncated to the call's budget — so the trajectory is a pure function
-// of (seed, shard count, sequence of cut points). Stepping in multiples
-// of the engine's batch period keeps the barrier schedule identical to
-// an uninterrupted Run, which is what the checkpoint layer relies on
-// for split-run equivalence.
-type shardEngine[S any, P sim.TouchReporter[S]] struct {
-	r    *shard.Runner[S, P]
-	cond sim.Condition[S]
-}
-
-func (e *shardEngine[S, P]) states() []S   { return e.r.States() }
-func (e *shardEngine[S, P]) steps() int64  { return e.r.Steps() }
-func (e *shardEngine[S, P]) rounds() int64 { return 0 }
-func (e *shardEngine[S, P]) step(k int64)  { e.r.Run(k) }
-
-func (e *shardEngine[S, P]) runUntil(target, _ int64) (int64, bool) {
-	hit, err := e.r.RunUntilExact(e.cond, target)
-	if err != nil {
-		return -1, false
-	}
-	return hit, true
-}
-
-func (e *shardEngine[S, P]) checkpoint() (uint64, func(*ckpt.Writer), error) {
-	st := e.r.EngineState()
-	return ckptKindShard, func(w *ckpt.Writer) { ckpt.WriteShardStreams(w, st.Master, st.Shards, st.Classes) }, nil
 }

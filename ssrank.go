@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 
+	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/shard"
 )
 
@@ -125,8 +126,13 @@ type Config struct {
 	// contiguous ranges whose interactions apply concurrently between
 	// deterministic batch barriers. The result is a pure function of
 	// (Config incl. Shards) — it differs from the serial engine's
-	// trajectory but follows the same law, and does not depend on
-	// ShardWorkers. Worth it for very large populations (n ≥ ~10⁵) on
+	// trajectory and does not depend on ShardWorkers. Its law matches
+	// the serial engine's only when the run spans many batches of
+	// B = max(512, N/2) interactions, since a batch applies all its
+	// intra-shard pairs before its cross pairs: for cai, mean T is
+	// 49.66 serial against 570.24 with Shards: 2 at N = 5, and 2125
+	// against 2639 (+24%) at N = 16 (4000 seeds per cell, every run
+	// Exact). Worth it for very large populations (n ≥ ~10⁵) on
 	// multi-core machines; below that the serial engine is typically
 	// faster outright (DESIGN.md §3.2). The sentinel AutoShards (-1)
 	// derives the count from N and the machine's core count, staying
@@ -306,31 +312,11 @@ func normalize(cfg Config) (*Descriptor, Config, error) {
 	if cfg.MaxInteractions == 0 {
 		cfg.MaxInteractions = d.DefaultBudget(cfg.N)
 	}
-	cfg.Shards = resolveShards(cfg)
-	return d, cfg, nil
-}
-
-// resolveShards canonicalizes Config.Shards: 0 on the message-network
-// path (which has no shard structure), otherwise the AutoShards
-// sentinel expanded against N and this machine's core count and the
-// result clamped to [1, N/2] — the clamp the sharded engine applies,
-// hoisted into the canonical form so Config.Shards, Result.Shards and
-// the engine's effective count all agree.
-func resolveShards(cfg Config) int {
+	cfg.Shards = engine.ResolveShards(cfg.Shards, cfg.N)
 	if cfg.messageNetwork() {
-		return 0
+		cfg.Shards = 0 // no shard structure
 	}
-	s := cfg.Shards
-	if s == AutoShards {
-		s = shard.AutoShards(cfg.N, 0)
-	}
-	if s > cfg.N/2 {
-		s = cfg.N / 2
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return d, cfg, nil
 }
 
 // defaultBudget returns the registered default interaction budget for
