@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -44,24 +45,39 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"N":64,"Sede":3}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// A distributed blocker job holds the manager's one worker in
-		// the gate, so the job under test stays queued and the
-		// measurement sees the handler's allocation alone.
-		g := gate{in: make(chan struct{}), out: make(chan struct{})}
-		m := jobs.NewManager(jobs.Config{Workers: 1, SliceInteractions: 1024, MaxSlabBytes: fuzzSlabBytes, Dist: g})
-		if _, err := m.Submit(ssrank.Config{N: 16, Workers: 2}); err != nil {
-			t.Fatal(err)
+		// submit posts the body to a fresh manager and returns the
+		// response and the bytes the handler allocated. A distributed
+		// blocker job holds the manager's one worker in the gate, so
+		// the job under test stays queued and the measurement sees the
+		// handler's allocation alone.
+		submit := func() (*httptest.ResponseRecorder, uint64) {
+			g := gate{in: make(chan struct{}), out: make(chan struct{})}
+			m := jobs.NewManager(jobs.Config{Workers: 1, SliceInteractions: 1024, MaxSlabBytes: fuzzSlabBytes, Dist: g})
+			if _, err := m.Submit(ssrank.Config{N: 16, Workers: 2}); err != nil {
+				t.Fatal(err)
+			}
+			<-g.in
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			newMux(m).ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			close(g.out)
+			m.Close()
+			return rec, after.TotalAlloc - before.TotalAlloc
 		}
-		<-g.in
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		newMux(m).ServeHTTP(rec, req)
-		runtime.ReadMemStats(&after)
-		close(g.out)
-		m.Close()
-		if a := after.TotalAlloc - before.TotalAlloc; a > 64<<10+64*uint64(len(body)) {
+		// The fuzz engine can allocate on its own goroutines while an
+		// input runs, so the bound is checked on the least of three
+		// submissions.
+		var rec *httptest.ResponseRecorder
+		a := uint64(math.MaxUint64)
+		for range 3 {
+			var got uint64
+			rec, got = submit()
+			a = min(a, got)
+		}
+		if a > 64<<10+64*uint64(len(body)) {
 			t.Errorf("a %d-byte body allocated %d bytes", len(body), a)
 		}
 		switch rec.Code {

@@ -178,17 +178,22 @@ func TestTouchReportingMatchesRescan(t *testing.T) {
 }
 
 // rescanCond wraps an incremental tracker and cross-checks it against
-// a brute-force full rescan of the states slice it is fed, at every
-// Done() call. Both engines consult Done() exactly once per
+// a brute-force full rescan, at every Done() call, of a private copy
+// of the configuration: Init copies the states, and every Update(i)
+// copies in agent i's state as the fold presents it. The sharded
+// barrier fold swaps each record's at-touch states into the live slab
+// only for the tracker's reads, so Update(i) sees exactly agent i's
+// state at that canonical prefix and nothing else of the slab is
+// meaningful. An agent's projection changes only at its touches, all
+// of which are folded, so the copy is projection-faithful at every
+// prefix and the rescan is exactly the predicate the tracker claims to
+// maintain incrementally. Both engines consult Done() exactly once per
 // interaction — after all of the interaction's Updates — so the check
 // runs at interaction boundaries, where tracker and configuration must
 // agree (between the two Updates of a both-touched interaction they
-// legitimately differ). Inside the sharded barrier fold the slice fed
-// to Update is the shadow configuration, which is projection-faithful
-// at every canonical prefix — so the rescan is exactly the predicate
-// the tracker claims to maintain incrementally. (The same wrapper
-// would be UNSOUND on the serial engine: there Update reads the live
-// array, which at fold time is already past the current sub-batch.)
+// legitimately differ). (The same wrapper would be UNSOUND on the
+// serial engine: there Update reads the live array, which at fold
+// time is already past the current sub-batch.)
 type rescanCond[S any] struct {
 	t      *testing.T
 	inner  sim.Condition[S]
@@ -199,19 +204,19 @@ type rescanCond[S any] struct {
 
 func (c *rescanCond[S]) Init(states []S) {
 	c.inner.Init(states)
-	c.states = states
+	c.states = append(c.states[:0], states...)
 }
 
 func (c *rescanCond[S]) Update(i int, states []S) {
 	c.calls++
 	c.inner.Update(i, states)
-	c.states = states
+	c.states[i] = states[i]
 }
 
 func (c *rescanCond[S]) Done() bool {
 	got := c.inner.Done()
 	if want := c.valid(c.states); got != want {
-		c.t.Fatalf("after update %d: tracker Done() = %v, full rescan of the shadow = %v", c.calls, got, want)
+		c.t.Fatalf("after update %d: tracker Done() = %v, full rescan of the fold's configuration = %v", c.calls, got, want)
 	}
 	return got
 }
@@ -220,7 +225,8 @@ func (c *rescanCond[S]) Done() bool {
 // rescanning tracker at several shard counts (including an odd one,
 // which exercises the tournament's bye rounds): every per-shard
 // tracker delta folded at a barrier must leave the incremental state
-// equal to a full rescan of the shadow configuration. Stable checks
+// equal to a full rescan of the configuration the fold presents.
+// Stable checks
 // the silent path, interval the whole-state projection, and sudo the
 // transient path (uniqueness can break again within the same batch).
 func TestShardedFoldMatchesRescan(t *testing.T) {

@@ -233,8 +233,11 @@ type Config struct {
 	// build: Submit refuses a Config whose N × the protocol's
 	// Descriptor.AgentBytes, plus the sharded engine's cross-class
 	// state (Shards(Shards−1)/2 × shard.ClassBytes), exceeds it with
-	// ErrSlabTooLarge, before anything is sized by N or Shards. Zero
-	// means no bound.
+	// ErrSlabTooLarge, before anything is sized by N or Shards. The
+	// bound covers the one slab a job builds on either in-place engine:
+	// the sharded engine's exact stop folds touch records into the live
+	// slab and keeps no second copy of the population (stop trackers
+	// add a few bytes per agent beside it). Zero means no bound.
 	MaxSlabBytes int64
 }
 

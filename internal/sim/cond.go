@@ -7,7 +7,10 @@ package sim
 // must run in O(1) (amortized) so the exact stop loops (RunUntilCondT,
 // and the sharded engine's barrier fold) can afford to evaluate the
 // condition after every touching interaction instead of rescanning the
-// population on a poll cadence.
+// population on a poll cadence. Update(i, states) must read no agent
+// but states[i]: the sharded barrier fold presents agent i's state at
+// the folded interaction in that slot and leaves the other slots
+// holding later states (shard.Folder).
 type Condition[S any] interface {
 	Init(states []S)
 	Update(i int, states []S)

@@ -7,17 +7,20 @@ import (
 	"testing"
 
 	"ssrank/internal/ckpt"
+	"ssrank/internal/sim/slab"
 	"ssrank/internal/stable"
 )
 
 // largeRuns are StableRanking runs at populations whose slabs are far
-// larger than any golden's: the engines' hot loops walk them at the
-// sizes the benchmark's sharded workloads do. Each digest covers the
-// checkpoint engine section after the run — the step count, every
+// larger than any golden's. The 2¹⁷-agent runs are past the fetch gate
+// (slab.FetchBytes), so the serial loops, the shard units and the
+// sharded fold all run with each window's agent lines fetched first;
+// the 2¹⁶-agent runs pin the exact stops below it. Each digest covers
+// the checkpoint engine section after the run — the step count, every
 // stream position, the agent slab and the reset counters — together
-// with the exact stop's outcome. The digests were recorded before any
-// of these loops learned to fetch agent lines ahead of their
-// transitions, and must never move.
+// with the exact stop's outcome. The digests were recorded before the
+// loops learned to fetch and before the sharded fold moved from a
+// shadow copy onto the live slab, and must never move.
 var largeRuns = []struct {
 	name   string
 	n      int
@@ -32,12 +35,21 @@ var largeRuns = []struct {
 	{"fresh n=2^17 shards=4", 1 << 17, "fresh", 4, false, "1986c2995e8943c70a5f7a7777d30303c7b7ae8c0b1bfa3ae74de04c98d598cf"},
 	{"worst-case n=2^16 serial exact", 1 << 16, "worst-case", 1, true, "4368474e9dda8c5b7c2301a3cdc1ac53805cd28b916f1505b31be3eac7424809"},
 	{"worst-case n=2^16 shards=4 exact", 1 << 16, "worst-case", 4, true, "95becc4c5b9e9aff4ef3fe92de6f966ada3db2ea993e781af7d0b481670c6306"},
+	{"worst-case n=2^17 serial exact", 1 << 17, "worst-case", 1, true, "2d29f8e9bed4727ae90cd3fe27dc042c25fd6e75793cce8f6b6de29b34cbdfb4"},
+	{"worst-case n=2^17 shards=2 exact", 1 << 17, "worst-case", 2, true, "02ad5f0f3d54e2694c193b40f326a627cadf41c030d367022482c7b62409fb23"},
+	// From random states almost every early interaction moves a rank, so
+	// the fold replays records of agents the batch touches again later.
+	{"random n=2^16 shards=4 exact", 1 << 16, "random", 4, true, "0b23b16c39a7c26a4f3a1ef4c978da23e2d6df89e2e723a77266d77eed9bfe39"},
+	{"random n=2^17 shards=2 exact", 1 << 17, "random", 2, true, "d8e7039c869fb72b472577d51c9820a04459ab437357b8cf53f7982259f72ee4"},
 }
 
 // largeRunSteps is every large run's interaction budget.
 const largeRunSteps = 1_000_000
 
 func TestLargeRunDigests(t *testing.T) {
+	if !slab.Fetches[stable.State](1 << 17) {
+		t.Fatalf("a slab of 2^17 StableRanking agents is below the fetch gate of %d B: the digests no longer cover the fetch", slab.FetchBytes)
+	}
 	d := stable.Describe()
 	for _, tc := range largeRuns {
 		e, err := New(d, tc.n, tc.init, Knobs{Seed: 11, Shards: tc.shards})

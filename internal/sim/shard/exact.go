@@ -16,19 +16,23 @@ import "ssrank/internal/sim"
 // incremental stop tracker, identifying the exact first interaction of
 // the batch after which the condition held.
 //
-// The fold replays against a persistent shadow configuration rather
-// than the live states: a recorded state is written into the shadow
-// before the tracker's Update reads it. The shadow is
-// projection-faithful at every prefix of the canonical order — an
-// agent's projection only changes at its touches, all of which are
-// recorded, so between touches the shadow holds exactly the
-// projection the live trajectory held at that point. The live array
-// cannot serve here: by barrier time it already holds end-of-batch
-// states, and conflicting touches of one agent within a batch would
-// make mid-batch tracker reads see the future. Condition trackers read
-// only the updated agent's state (the Condition contract), so a
-// shadow whose *other* components lag is indistinguishable from the
-// live mid-batch configuration.
+// The fold replays against the live states, one record at a time: it
+// saves the live states of the record's two agents, writes the
+// recorded post-interaction states into those two slots, runs the
+// tracker's Updates and restores both slots. By barrier time the live
+// array holds end-of-batch states, and an agent touched twice in one
+// batch would make a plain mid-batch tracker read see the future; the
+// swap-in removes that for the one agent each Update reads. It is exact
+// for two reasons. First, a tracker's Update reads only the updated
+// agent's state (the Condition contract; sim.RankCond,
+// interval.DisjointCond and sudo.LeaderCond all do), and that slot
+// holds the agent's state just after the recorded interaction, so
+// whatever the other slots hold is never read. Second, nothing else
+// reads or writes the slab while the fold runs: in process the records
+// are emitted after the last phase barrier, and in the distributed
+// runtime after the wire barrier and the commit of the batch's deltas.
+// Restoring the two slots after each record leaves the live array as
+// the batch left it, so no second copy of the population is needed.
 //
 // Soundness of the canonical order itself is DESIGN.md §3: a batch of
 // uniformly sampled pairs may be applied in the canonical order (intra
@@ -41,15 +45,15 @@ import "ssrank/internal/sim"
 // count: records are written by the unit that owns them, offsets are
 // assigned before dispatch, and the fold runs after the barrier.
 //
-// The fold path is shared with the distributed runtime: Folder holds
-// the shadow and replays record slices, and RunExactBatches
+// The fold path is shared with the distributed runtime: Folder replays
+// record slices against the bound live states, and RunExactBatches
 // (exchange.go) drives any BarrierExchange — the in-process Runner or
 // a wire-backed coordinator — through the identical batch/fold loop.
 
 // TouchRec is one touched interaction of a batch: its canonical batch
 // position, which agents to fold (mask bit 1 = initiator, bit 2 =
 // responder), and both agents' states just after the interaction — the
-// values the shadow replay rewinds to. Records cross process
+// values the fold swaps into the live slots. Records cross process
 // boundaries in the distributed runtime, so the fields are exported;
 // the canonical wire encoding lives in internal/dist.
 type TouchRec[S any] struct {
@@ -71,46 +75,50 @@ func newTouchRec[S any](pos int32, ut, vt bool, a, b int32, sa, sb S) TouchRec[S
 	return TouchRec[S]{Pos: pos, Mask: m, A: a, B: b, SA: sa, SB: sb}
 }
 
-// Folder replays touched-interaction records against a persistent
-// projection-faithful shadow configuration, feeding an incremental
-// condition tracker. One Folder serves one exact-stopping run: Reset
-// synchronizes the shadow with the run's current configuration, then
-// Fold consumes each batch's record slices in canonical order.
+// Folder replays touched-interaction records against a run's live
+// states, feeding an incremental condition tracker. One Folder serves
+// one exact-stopping run: Reset binds the run's live states, then Fold
+// consumes each batch's record slices in canonical order, after the
+// batch's barrier and before anything else touches the states.
 type Folder[S any] struct {
-	shadow []S
+	states []S
 }
 
-// NewFolder returns a Folder for a population of n agents.
+// NewFolder returns a Folder for a population of n agents. It holds no
+// per-agent memory: Reset binds the run's own states.
 func NewFolder[S any](n int) *Folder[S] {
-	return &Folder[S]{shadow: make([]S, n)}
+	return &Folder[S]{}
 }
 
-// Reset synchronizes the shadow with the given configuration; call it
-// once before the first batch of an exact-stopping run.
+// Reset binds the run's live states (not a copy: Fold writes into them
+// and restores them); call it once before the first batch of an
+// exact-stopping run.
 func (f *Folder[S]) Reset(states []S) {
-	copy(f.shadow, states)
+	f.states = states
 }
 
 // Fold replays one record slice into the condition tracker via the
-// shadow. It returns the batch position of the first interaction after
-// which the condition held, or -1. Callers fold a batch's slices in
+// bound states, which it leaves as it found them. It returns the batch
+// position of the first interaction after which the condition held, or
+// -1. Callers fold a batch's slices in
 // canonical unit order and stop consuming tracker updates after the
 // first hit (later slices of the batch still carry valid positions,
 // but the hitting time is the first).
 func (f *Folder[S]) Fold(cond sim.Condition[S], recs []TouchRec[S]) int64 {
+	states := f.states
 	for i := range recs {
 		t := &recs[i]
-		// Rewind both agents to their at-touch states before the
-		// tracker reads them; the untouched partner's write is a
-		// projection no-op that merely keeps the shadow current.
-		f.shadow[t.A] = t.SA
-		f.shadow[t.B] = t.SB
+		// Swap both agents' at-touch states in for the tracker's reads,
+		// then put the live states back.
+		la, lb := states[t.A], states[t.B]
+		states[t.A], states[t.B] = t.SA, t.SB
 		if t.Mask&1 != 0 {
-			cond.Update(int(t.A), f.shadow)
+			cond.Update(int(t.A), states)
 		}
 		if t.Mask&2 != 0 {
-			cond.Update(int(t.B), f.shadow)
+			cond.Update(int(t.B), states)
 		}
+		states[t.A], states[t.B] = la, lb
 		if cond.Done() {
 			return int64(t.Pos)
 		}

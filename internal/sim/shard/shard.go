@@ -166,6 +166,7 @@ type Runner[S any, P sim.TouchReporter[S]] struct {
 	workers int
 	batch   int
 	steps   int64
+	fetch   bool // the slab is past slab.FetchBytes: units fetch each window's agent lines first
 
 	// counts is the published per-batch multinomial over the S + 2C
 	// directional classes (C = S(S−1)/2 unordered cross units): entry
@@ -198,26 +199,30 @@ type Runner[S any, P sim.TouchReporter[S]] struct {
 	off               []int32
 	recs              [][]TouchRec[S]
 	dirty             [][]int32
-	folder            *Folder[S] // shadow replay state for in-process exact runs
+	folder            *Folder[S] // fold state for in-process exact runs
 }
 
 // shardMeta is one shard: its index range [lo, hi) in the population
-// array and its private pair stream over local indices [0, hi-lo).
+// array, its private pair stream over local indices [0, hi-lo), and
+// the sink its intra unit folds fetched agent bytes into (slab.Fetch).
 type shardMeta struct {
 	lo, hi int
 	pb     *rng.PairBatch
+	sink   uint8
 }
 
 // classMeta is one cross unit — the unordered shard pair {s, t},
 // s < t, covering both directional classes: the two slab origins,
 // precomputed index samplers over each slab, and the unit's private
-// endpoint stream. A cross pair is drawn entirely locally: one index
+// endpoint stream, plus the sink the unit folds fetched agent bytes
+// into (slab.Fetch). A cross pair is drawn entirely locally: one index
 // per slab, orientation already decided by the class multinomial.
 type classMeta struct {
 	s, t     int
 	los, lot int32
 	us, ut   rng.Uniform
 	g        *rng.RNG
+	sink     uint8
 }
 
 // crossChunk is the endpoint-fill granularity of a cross unit: indices
@@ -302,6 +307,7 @@ func New[S any, P sim.TouchReporter[S]](p P, states []S, seed uint64, shards, wo
 		states:  slab.Align(states),
 		master:  rng.New(seed),
 		workers: workers,
+		fetch:   slab.Fetches[S](n),
 		counts:  make([]int32, shards+2*nclasses),
 		classes: make([]classMeta, 0, nclasses),
 	}
@@ -452,7 +458,7 @@ func (r *Runner[S, P]) execUnit(u int, scratch *crossScratch) {
 // unit writes either, so distinct shards may execute concurrently.
 func (r *Runner[S, P]) ExecIntra(s int) {
 	sh := &r.shards[s]
-	slab := r.states[sh.lo:sh.hi]
+	local := r.states[sh.lo:sh.hi]
 	track, collect := r.tracking, r.collect
 	var recs []TouchRec[S]
 	var dirty []int32
@@ -467,10 +473,13 @@ func (r *Runner[S, P]) ExecIntra(s int) {
 	for cnt := int(r.counts[s]); cnt > 0; {
 		as, bs := sh.pb.Window()
 		m := min(cnt, len(as))
+		if r.fetch {
+			sh.sink ^= slab.Fetch(local, as[:m]) ^ slab.Fetch(local, bs[:m])
+		}
 		for i := 0; i < m; i++ {
 			a, b := as[i], bs[i]
-			if ut, vt := r.proto.TransitionT(&slab[a], &slab[b]); track && (ut || vt) {
-				recs = append(recs, newTouchRec(pos+int32(i), ut, vt, lo+a, lo+b, slab[a], slab[b]))
+			if ut, vt := r.proto.TransitionT(&local[a], &local[b]); track && (ut || vt) {
+				recs = append(recs, newTouchRec(pos+int32(i), ut, vt, lo+a, lo+b, local[a], local[b]))
 			}
 		}
 		if collect {
@@ -536,6 +545,9 @@ func (r *Runner[S, P]) applyDir(cl *classMeta, cnt int, reverse bool, scratch *c
 		m := min(cnt, crossChunk)
 		cl.us.FillInto(cl.g, scratch.as[:m])
 		cl.ut.FillInto(cl.g, scratch.bs[:m])
+		if r.fetch {
+			cl.sink ^= slab.Fetch(r.states[cl.los:], scratch.as[:m]) ^ slab.Fetch(r.states[cl.lot:], scratch.bs[:m])
+		}
 		for i := 0; i < m; i++ {
 			a, b := iorg+ias[i], rorg+ras[i]
 			if ut, vt := r.proto.TransitionT(&r.states[a], &r.states[b]); track && (ut || vt) {

@@ -55,6 +55,11 @@ type Runner[S any, P Protocol[S]] struct {
 	states []S
 	pairs  *rng.PairBatch
 	steps  int64
+	// fetch is set when the slab is past slab.FetchBytes: every window's
+	// agent lines are then fetched (slab.Fetch) into sink before the
+	// window's transitions.
+	fetch bool
+	sink  uint8
 }
 
 // New returns a Runner over the given initial configuration. The states
@@ -66,7 +71,12 @@ func New[S any, P Protocol[S]](p P, states []S, seed uint64) *Runner[S, P] {
 	if len(states) < 2 {
 		panic(fmt.Sprintf("sim: population needs at least 2 agents, got %d", len(states)))
 	}
-	return &Runner[S, P]{proto: p, states: slab.Align(states), pairs: rng.NewPairBatch(rng.New(seed), len(states))}
+	return &Runner[S, P]{
+		proto:  p,
+		states: slab.Align(states),
+		pairs:  rng.NewPairBatch(rng.New(seed), len(states)),
+		fetch:  slab.Fetches[S](len(states)),
+	}
 }
 
 // N returns the population size.
@@ -105,12 +115,21 @@ func (r *Runner[S, P]) Run(k int64) {
 		if int64(len(as)) > k {
 			as, bs = as[:k], bs[:k]
 		}
+		r.fetchWindow(as, bs)
 		for i, a := range as {
 			r.proto.Transition(&states[a], &states[bs[i]])
 		}
 		r.pairs.Advance(len(as))
 		r.steps += int64(len(as))
 		k -= int64(len(as))
+	}
+}
+
+// fetchWindow fetches the lines of a window's agents when the slab is
+// past the fetch gate.
+func (r *Runner[S, P]) fetchWindow(as, bs []int32) {
+	if r.fetch {
+		r.sink ^= slab.Fetch(r.states, as) ^ slab.Fetch(r.states, bs)
 	}
 }
 

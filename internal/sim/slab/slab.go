@@ -69,3 +69,44 @@ func Align[S any](s []S) []S {
 	copy(ns, s)
 	return ns
 }
+
+// FetchBytes is the slab size above which the engines fetch each
+// window's agent lines before the window's transitions (Fetch). Below
+// it the slab stays in the private caches, the fetch finds every line
+// already there and only adds its loads. It is a measured crossover,
+// not a tuning knob: on the 2-core recording machine (2 MiB of L2 per
+// core) the sharded engine paid about 10% for the fetch at a 2.6 MB
+// slab and gained about 10% at 5.2 MB (DESIGN.md §3.2).
+const FetchBytes = 4 << 20
+
+// Fetches reports whether a slab of n agents of type S is larger than
+// FetchBytes, so that the engines fetch its lines ahead (Fetch).
+func Fetches[S any](n int) bool {
+	var zero S
+	return uint64(n)*uint64(unsafe.Sizeof(zero)) > FetchBytes
+}
+
+// Fetch loads the first and last byte of s[i] for every index i in
+// idx and returns them XOR-folded into one byte. The engines' hot
+// loops are a walk over uniformly random agents, and each transition
+// waits on its two agents' cache misses one interaction at a time;
+// fetching a whole window's agents first puts its misses in flight
+// together, so the transitions that follow find their lines in cache.
+// The first and last byte cover both lines of a record that straddles
+// a line boundary. Callers keep the result in a field of the unit that
+// owns the window: the compiler must assume a field is read, so the
+// loads stay, and concurrent units never write the same field. Fetch
+// only reads, so it cannot change a trajectory.
+func Fetch[S any](s []S, idx []int32) uint8 {
+	var zero S
+	last := unsafe.Sizeof(zero) - 1
+	if last+1 == 0 {
+		return 0
+	}
+	var x uint8
+	for _, i := range idx {
+		p := unsafe.Pointer(&s[i])
+		x ^= *(*uint8)(p) ^ *(*uint8)(unsafe.Add(p, last))
+	}
+	return x
+}

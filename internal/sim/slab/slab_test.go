@@ -50,3 +50,32 @@ func TestAlignPreservesContents(t *testing.T) {
 		t.Fatalf("Align(nil) returned len %d", len(got))
 	}
 }
+
+func TestFetch(t *testing.T) {
+	type s8 struct{ a, b int32 }
+	s := New[s8](8)
+	for i := range s {
+		s[i] = s8{a: int32(i + 1), b: int32(i) << 24}
+	}
+	// Little-endian: s[i]'s first byte is i+1, its last i.
+	idx := []int32{3, 5, 5, 0}
+	var want uint8
+	for _, i := range idx {
+		want ^= uint8(i+1) ^ uint8(i)
+	}
+	if got := Fetch(s, idx); got != want {
+		t.Fatalf("Fetch = %#x, want %#x", got, want)
+	}
+	if got := Fetch(s, nil); got != 0 {
+		t.Fatalf("Fetch over no indices = %#x, want 0", got)
+	}
+	if got := Fetch(make([]struct{}, 4), idx[:2]); got != 0 {
+		t.Fatalf("Fetch over zero-size agents = %#x, want 0", got)
+	}
+}
+
+func TestFetches(t *testing.T) {
+	if n := FetchBytes / 16; Fetches[s16](n) || !Fetches[s16](n+1) {
+		t.Fatalf("Fetches[s16] does not switch on past %d agents (%d B)", n, FetchBytes)
+	}
+}

@@ -93,6 +93,7 @@ func (e *condEngine[S, P]) run(k int64) int64 {
 		if remaining := end - r.steps; int64(len(as)) > remaining {
 			as, bs = as[:remaining], bs[:remaining]
 		}
+		r.fetchWindow(as, bs)
 		e.pending = e.pending[:0]
 		np := 0
 		for i, a := range as {
