@@ -186,13 +186,11 @@ func (r *Runner[S, P]) RunUntilExact(cond sim.Condition[S], maxSteps int64) (int
 	if cond.Done() {
 		return r.steps, nil
 	}
-	if r.folder == nil {
-		r.folder = NewFolder[S](len(r.states))
-	}
-	r.folder.Reset(r.states)
+	f := NewFolder[S](len(r.states))
+	f.Reset(r.states)
 	stop := r.startWorkers()
 	defer stop()
-	_, hit, err := RunExactBatches[S](r, r.folder, cond, r.steps, maxSteps, r.batch)
+	_, hit, err := RunExactBatches[S](r, f, cond, r.steps, maxSteps, r.batch)
 	if err != nil {
 		return r.steps, err
 	}

@@ -199,7 +199,6 @@ type Runner[S any, P sim.TouchReporter[S]] struct {
 	off               []int32
 	recs              [][]TouchRec[S]
 	dirty             [][]int32
-	folder            *Folder[S] // fold state for in-process exact runs
 }
 
 // shardMeta is one shard: its index range [lo, hi) in the population
