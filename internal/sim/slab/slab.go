@@ -99,14 +99,14 @@ func Fetches[S any](n int) bool {
 // only reads, so it cannot change a trajectory.
 func Fetch[S any](s []S, idx []int32) uint8 {
 	var zero S
-	last := unsafe.Sizeof(zero) - 1
-	if last+1 == 0 {
+	size := unsafe.Sizeof(zero)
+	if size == 0 {
 		return 0
 	}
 	var x uint8
 	for _, i := range idx {
 		p := unsafe.Pointer(&s[i])
-		x ^= *(*uint8)(p) ^ *(*uint8)(unsafe.Add(p, last))
+		x ^= *(*uint8)(p) ^ *(*uint8)(unsafe.Add(p, size-1))
 	}
 	return x
 }
