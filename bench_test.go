@@ -143,6 +143,25 @@ func BenchmarkShardedRun1e6(b *testing.B) {
 	r.Run(int64(b.N))
 }
 
+// BenchmarkAutoShardsRun1e6 runs the count shard.AutoShards picks for
+// n = 10⁶ on this machine (serial on one core): CI's soft check
+// compares it with BenchmarkUnshardedRun1e6 and warns when the rule
+// users get is slower than the serial engine.
+func BenchmarkAutoShardsRun1e6(b *testing.B) {
+	const n = 1_000_000
+	p := stable.New(n, stable.DefaultParams())
+	s := shard.AutoShards(n, 0)
+	if s == 1 {
+		r := sim.New[stable.State](p, p.InitialStates(), 1)
+		b.ResetTimer()
+		r.Run(int64(b.N))
+		return
+	}
+	r := shard.New[stable.State](p, p.InitialStates(), 1, s, 0)
+	b.ResetTimer()
+	r.Run(int64(b.N))
+}
+
 func BenchmarkShardedRun1e7(b *testing.B) {
 	const n = 10_000_000
 	p := stable.New(n, stable.DefaultParams())

@@ -5,8 +5,8 @@
 // pick their engine by one rule: the message network when the knobs
 // name a scheduler or faults, the sharded engine above one resolved
 // shard, the serial engine otherwise. Stops are exact on the in-place
-// engines (sim.RunUntilCondT, shard.Runner.RunUntilExact) and polled
-// once per round on the message network.
+// engines (sim.CondLoop, shard.ExactLoop, each held across calls) and
+// polled once per round on the message network.
 package engine
 
 import (
@@ -76,6 +76,8 @@ type runner[S any] interface {
 	// network). budget is the caller's whole budget (target ≤ budget);
 	// only the message network's round backstop reads it.
 	RunUntilStable(target, budget int64) (hit int64, stable bool)
+	// resync marks the states as changed outside the exact stop loop.
+	resync()
 	// streams returns the checkpoint kind and the writer of its
 	// stream section, or an error if the engine cannot checkpoint.
 	streams() (kind uint64, write func(*ckpt.Writer), err error)
@@ -115,9 +117,11 @@ func start[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states 
 		cfg := msgnet.Config{Sched: sched, Faults: k.Faults, Workers: k.Workers, Seed: k.Seed}
 		e.runner = network[S, P]{msgnet.New[S](p, states, cfg), d.Valid}
 	case s > 1:
-		e.runner = sharded[S, P]{shard.New[S](p, states, k.Seed, s, k.Workers), sim.DescCond(d, p)}
+		r := shard.New[S](p, states, k.Seed, s, k.Workers)
+		e.runner = sharded[S, P]{r, shard.NewExactLoop(r, sim.DescCond(d, p))}
 	default:
-		e.runner = serial[S, P]{sim.New[S](p, states, k.Seed), sim.DescCond(d, p)}
+		r := sim.New[S](p, states, k.Seed)
+		e.runner = serial[S, P]{r, sim.NewCondLoop(r, sim.DescCond(d, p))}
 	}
 	return e, nil
 }
@@ -125,6 +129,13 @@ func start[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states 
 // Protocol returns the run's protocol instance, instrumentation
 // counters included.
 func (e *Engine[S, P]) Protocol() P { return e.p }
+
+// Resync tells the engine that its states were changed through States
+// (a fault injection). The in-place engines hold their stop tracker
+// across RunUntilStable calls, so a run advanced in slices pays no
+// O(n) rescan per slice; after Resync the next call rescans. Run
+// resyncs on its own.
+func (e *Engine[S, P]) Resync() { e.resync() }
 
 // exact converts an exact stop loop's outcome.
 func exact(hit int64, err error) (int64, bool) {
@@ -136,14 +147,21 @@ func exact(hit int64, err error) (int64, bool) {
 
 type serial[S any, P sim.TouchReporter[S]] struct {
 	*sim.Runner[S, P]
-	cond sim.Condition[S]
+	stop *sim.CondLoop[S, P]
 }
 
 func (serial[S, P]) Rounds() int64 { return 0 }
 
-func (e serial[S, P]) RunUntilStable(target, _ int64) (int64, bool) {
-	return exact(sim.RunUntilCondT(e.Runner, e.cond, target))
+func (e serial[S, P]) Run(k int64) {
+	e.stop.Resync()
+	e.Runner.Run(k)
 }
+
+func (e serial[S, P]) RunUntilStable(target, _ int64) (int64, bool) {
+	return exact(e.stop.Run(target))
+}
+
+func (e serial[S, P]) resync() { e.stop.Resync() }
 
 // sharded control is batch-granular, the last batch of every call cut
 // at the call's target, so its trajectory is a pure function of (seed,
@@ -151,14 +169,21 @@ func (e serial[S, P]) RunUntilStable(target, _ int64) (int64, bool) {
 // an uninterrupted run's barrier schedule.
 type sharded[S any, P sim.TouchReporter[S]] struct {
 	*shard.Runner[S, P]
-	cond sim.Condition[S]
+	stop *shard.ExactLoop[S, P]
 }
 
 func (sharded[S, P]) Rounds() int64 { return 0 }
 
-func (e sharded[S, P]) RunUntilStable(target, _ int64) (int64, bool) {
-	return exact(e.RunUntilExact(e.cond, target))
+func (e sharded[S, P]) Run(k int64) {
+	e.stop.Resync()
+	e.Runner.Run(k)
 }
+
+func (e sharded[S, P]) RunUntilStable(target, _ int64) (int64, bool) {
+	return exact(e.stop.Run(target))
+}
+
+func (e sharded[S, P]) resync() { e.stop.Resync() }
 
 // network goes through msgnet.Network.RunUntil on every call, so every
 // call has one round backstop: the rounds it executes are bounded by
@@ -184,3 +209,6 @@ func (e network[S, P]) RunUntilStable(target, budget int64) (int64, bool) {
 	}, budget)
 	return -1, stable
 }
+
+// resync has nothing to do: the message network polls its predicate.
+func (network[S, P]) resync() {}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,6 +21,8 @@ func TestResolveShards(t *testing.T) {
 		{4, 5, 2},             // clamped to n/2
 		{2, 3, 1},             // one shard of three agents: serial
 		{shard.Auto, 1000, 1}, // below the size where sharding pays
+		{shard.Auto, autoMinN - 1, 1},
+		{shard.Auto, autoMinN, autoAt(autoMinN)},
 	} {
 		if got := ResolveShards(tc.shards, tc.n); got != tc.want {
 			t.Errorf("ResolveShards(%d, %d) = %d, want %d", tc.shards, tc.n, got, tc.want)
@@ -27,6 +30,25 @@ func TestResolveShards(t *testing.T) {
 		if got := ResolveShards(ResolveShards(tc.shards, tc.n), tc.n); got != tc.want {
 			t.Errorf("ResolveShards is not idempotent at (%d, %d): %d", tc.shards, tc.n, got)
 		}
+	}
+}
+
+// autoMinN is shard.AutoShards' crossover; TestResolveShardsAtCrossover
+// checks that the literal still matches it.
+const autoMinN = 1 << 19
+
+// autoAt is the count Auto resolves to at n on this machine: two
+// shards per core, serial on one core.
+func autoAt(n int) int {
+	if procs := runtime.GOMAXPROCS(0); procs > 1 {
+		return min(2*procs, n/4096)
+	}
+	return 1
+}
+
+func TestResolveShardsAtCrossover(t *testing.T) {
+	if shard.AutoShards(autoMinN-1, 8) != 1 || shard.AutoShards(autoMinN, 8) != 16 {
+		t.Fatalf("shard.AutoShards no longer switches from serial to two shards per core at n = %d", autoMinN)
 	}
 }
 

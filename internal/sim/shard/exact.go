@@ -182,20 +182,52 @@ func (r *Runner[S, P]) ExecBatch(b int, track bool, emit func(recs []TouchRec[S]
 // interactions are no-ops, so the final configuration is the one at
 // the hitting time. The result is byte-identical at any worker count.
 func (r *Runner[S, P]) RunUntilExact(cond sim.Condition[S], maxSteps int64) (int64, error) {
-	cond.Init(r.states)
-	if cond.Done() {
+	return NewExactLoop(r, cond).Run(maxSteps)
+}
+
+// ExactLoop is RunUntilExact held across calls, for runs advanced in
+// slices: the condition is initialized on the first Run and after
+// Resync only. A Run that ends without a hit has folded every batch it
+// executed, so the tracker already describes the states; a hit leaves
+// the rest of its batch unfolded, so the loop resyncs itself after one.
+type ExactLoop[S any, P sim.TouchReporter[S]] struct {
+	r    *Runner[S, P]
+	cond sim.Condition[S]
+	f    Folder[S]
+	// synced is set while cond describes r's states.
+	synced bool
+}
+
+// NewExactLoop returns the exact stop loop of cond over r.
+func NewExactLoop[S any, P sim.TouchReporter[S]](r *Runner[S, P], cond sim.Condition[S]) *ExactLoop[S, P] {
+	return &ExactLoop[S, P]{r: r, cond: cond}
+}
+
+// Resync records that the runner's states changed outside the loop
+// (Run, a fault injection); the next Run rescans them.
+func (l *ExactLoop[S, P]) Resync() { l.synced = false }
+
+// Run is r.RunUntilExact(cond, maxSteps) on the held loop.
+func (l *ExactLoop[S, P]) Run(maxSteps int64) (int64, error) {
+	r := l.r
+	if !l.synced {
+		l.cond.Init(r.states)
+		l.synced = true
+	}
+	if l.cond.Done() {
 		return r.steps, nil
 	}
-	f := NewFolder[S](len(r.states))
-	f.Reset(r.states)
+	l.f.Reset(r.states)
 	stop := r.startWorkers()
 	defer stop()
-	_, hit, err := RunExactBatches[S](r, f, cond, r.steps, maxSteps, r.batch)
+	_, hit, err := RunExactBatches[S](r, &l.f, l.cond, r.steps, maxSteps, r.batch)
 	if err != nil {
+		l.synced = false
 		return r.steps, err
 	}
 	if hit < 0 {
 		return r.steps, sim.ErrBudgetExhausted
 	}
+	l.synced = false
 	return hit, nil
 }

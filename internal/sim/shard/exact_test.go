@@ -112,3 +112,45 @@ func TestRunUntilExactAllocation(t *testing.T) {
 		t.Fatalf("an exact run at n = %d allocated %d B, more than an eighth of the %d B slab", n, least, slabBytes)
 	}
 }
+
+// cycle increments the initiator modulo m on every interaction, so a
+// permutation of the ranks is destroyed by the next increment of any
+// of its agents: a transient condition under permanently dense touching.
+type cycle struct{ m int }
+
+func (p cycle) Transition(u, v *int) { *u = (*u + 1) % p.m }
+
+func (p cycle) TransitionT(u, v *int) (bool, bool) {
+	p.Transition(u, v)
+	return true, false
+}
+
+// TestExactLoopAcrossCalls checks that an ExactLoop held across calls
+// reports what a fresh RunUntilExact reports on every call: after a
+// call its budget cut, the held tracker is current; after a hit, which
+// leaves the rest of its batch unfolded, it rescans. cycle's ranking
+// is transient, so a tracker that kept those records stale would
+// report a hit the configuration no longer holds.
+func TestExactLoopAcrossCalls(t *testing.T) {
+	const n, S = 4, 2
+	rank := func(s *int) int { return *s }
+	held := New[int](cycle{n + 2}, make([]int, n), 3, S, 2)
+	fresh := New[int](cycle{n + 2}, make([]int, n), 3, S, 2)
+	loop := NewExactLoop(held, sim.NewRankCond(0, rank))
+	cond := sim.NewRankCond(0, rank)
+	hits := 0
+	for call := range 300 {
+		maxSteps := held.Steps() + 1 + int64(call%5)*200
+		got, gerr := loop.Run(maxSteps)
+		want, werr := fresh.RunUntilExact(cond, maxSteps)
+		if got != want || gerr != werr || !reflect.DeepEqual(held.States(), fresh.States()) {
+			t.Fatalf("call %d: held loop (%d, %v), fresh (%d, %v), or the states differ", call, got, gerr, want, werr)
+		}
+		if werr == nil {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no call hit; the comparison after a hit is vacuous")
+	}
+}

@@ -91,19 +91,21 @@ const maxBatch = 16384
 // of interactions.
 const minBatch = 512
 
-// autoMinN is the population size below which AutoShards stays serial.
-// Re-derived for the alias-table coordinator (DESIGN.md §3.2): the
-// serial overhead of the sharded engine at S = 4 is ~35% at n = 16384
-// on the recording machine — already recovered by a second core — so
-// the old 32768 floor (set when classification alone cost ~60%) halves.
-const autoMinN = 16384
+// autoMinN is the population size below which AutoShards stays
+// serial: the measured crossover on the 2-core recording machine
+// (DESIGN.md §3.2). There, in paired, alternated runs from a fresh
+// start, S = 4 on two workers took a median 1.35× the serial time per
+// interaction at n = 2¹⁴, 1.04× at 2¹⁷ and 2¹⁸ (winning about half the
+// pairs), 0.91× at 2¹⁹ (winning 62%) and 0.64–0.79× at 2²⁰–2²². Below
+// the crossover the serial engine is also the better engine on its own
+// terms: its law is exact at any horizon and its trajectory does not
+// depend on the machine.
+const autoMinN = 1 << 19
 
 // autoSlab is the minimum per-shard slab AutoShards maintains, so
 // barrier synchronization stays amortized over meaningful per-shard
-// work. Re-derived alongside autoMinN: with counts-only publication
-// the barrier period, not the slab, is the binding overhead, and
-// 4096-agent slabs keep the measured per-batch coordinator share
-// under 10% at the minimum population.
+// work: 4096-agent slabs keep the measured per-batch coordinator share
+// under 10%. At autoMinN it caps the count at 128 shards.
 const autoSlab = 4096
 
 // Auto is the shard-count sentinel meaning "derive the count from the
@@ -129,10 +131,18 @@ func ParseShards(s string) (int, error) {
 // AutoShards picks a shard count for a population of n agents on a
 // machine with procs available cores (procs < 1 reads
 // runtime.GOMAXPROCS(0)): serial below autoMinN agents or on a single
-// core, otherwise one shard per core capped so every shard keeps a
-// slab of at least autoSlab agents. engine.ResolveShards expands Auto
-// with it, and selects the serial engine when it returns 1 (a
-// one-shard sharded runner still pays classification overhead).
+// core, otherwise two shards per core, capped so every shard keeps a
+// slab of at least autoSlab agents. Two per core is the smallest count
+// whose tournament rounds each carry procs disjoint cross units, so
+// the cross phase, about (S−1)/S of every batch, keeps every core busy;
+// one shard per core leaves half the cores idle there (S = 2 has a
+// single cross unit). On two cores S = 4 tied with S = 8 as the
+// fastest count measured at n = 2²² (S = 2, 4, 6, 8 on two workers:
+// 91.7, 71.7, 78.8, 71.1 ns per interaction, medians of 7), and S = 4
+// is the smaller slab-count of the two. Machines with more than two
+// cores were not measured; the rule extends by its cross-phase
+// argument, with no cap beyond autoSlab. engine.ResolveShards expands Auto with
+// it, and selects the serial engine when it returns 1.
 func AutoShards(n, procs int) int {
 	if procs < 1 {
 		procs = runtime.GOMAXPROCS(0)
@@ -140,14 +150,7 @@ func AutoShards(n, procs int) int {
 	if n < autoMinN || procs < 2 {
 		return 1
 	}
-	s := procs
-	if lim := n / autoSlab; s > lim {
-		s = lim
-	}
-	if s < 2 {
-		return 1
-	}
-	return s
+	return min(2*procs, n/autoSlab) // n/autoSlab ≥ 128 above autoMinN
 }
 
 // Runner executes a protocol over a population partitioned into

@@ -32,11 +32,17 @@ type touchRec struct {
 	mask uint8 // 1 = initiator touched, 2 = responder touched
 }
 
-// condEngine is the core of RunUntilCondT: the collision scratch and
-// the sub-batch fold over an already-initialized condition.
-type condEngine[S any, P TouchReporter[S]] struct {
+// CondLoop is RunUntilCondT held across calls, for runs advanced in
+// slices: the collision scratch is allocated once, and the condition
+// is initialized on the first Run and after Resync only. A Run that
+// ends without a hit has folded every touched interaction, so the
+// tracker already describes the states; a hit leaves the rest of its
+// sub-batch unfolded, so the loop resyncs itself after one.
+type CondLoop[S any, P TouchReporter[S]] struct {
 	r    *Runner[S, P]
 	cond Condition[S]
+	// synced is set while cond describes r's states.
+	synced bool
 	// marks is the collision scratch: marks[a] == epoch while agent a
 	// has a recorded-but-unfolded touch in the current sub-batch.
 	marks   []uint32
@@ -44,14 +50,41 @@ type condEngine[S any, P TouchReporter[S]] struct {
 	pending []touchRec
 }
 
-func newCondEngine[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S]) *condEngine[S, P] {
-	return &condEngine[S, P]{r: r, cond: cond, marks: make([]uint32, len(r.states)), epoch: 1}
+// NewCondLoop returns the exact stop loop of cond over r.
+func NewCondLoop[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S]) *CondLoop[S, P] {
+	return &CondLoop[S, P]{r: r, cond: cond}
+}
+
+// Resync records that r's states changed outside the loop (Run, Step,
+// SetState, a fault injection); the next Run rescans them.
+func (e *CondLoop[S, P]) Resync() { e.synced = false }
+
+// Run is RunUntilCondT(r, cond, maxSteps) on the held loop.
+func (e *CondLoop[S, P]) Run(maxSteps int64) (int64, error) {
+	r := e.r
+	if !e.synced {
+		e.cond.Init(r.states)
+		e.synced = true
+	}
+	if e.cond.Done() {
+		return r.steps, nil
+	}
+	if k := maxSteps - r.steps; k > 0 {
+		if e.marks == nil {
+			e.marks = make([]uint32, len(r.states))
+		}
+		if hit := e.run(k); hit >= 0 {
+			e.synced = false
+			return hit, nil
+		}
+	}
+	return r.steps, ErrBudgetExhausted
 }
 
 // fold replays the recorded touched slots of the current sub-batch in
 // application order. It returns the window-relative slot of the first
 // interaction after which the condition held, or -1.
-func (e *condEngine[S, P]) fold(as, bs []int32) int32 {
+func (e *CondLoop[S, P]) fold(as, bs []int32) int32 {
 	states := e.r.states
 	for _, t := range e.pending {
 		if t.mask&1 != 0 {
@@ -84,10 +117,11 @@ func (e *condEngine[S, P]) fold(as, bs []int32) int32 {
 // projection, so the tracker sees exactly the per-interaction
 // trajectory and the first satisfying interaction is identified
 // exactly.
-func (e *condEngine[S, P]) run(k int64) int64 {
+func (e *CondLoop[S, P]) run(k int64) int64 {
 	r := e.r
 	states := r.states
 	end := r.steps + k
+	e.epoch++ // a fresh epoch: no earlier call's marks carry over
 	for r.steps < end {
 		as, bs := r.pairs.Window()
 		if remaining := end - r.steps; int64(len(as)) > remaining {
@@ -145,7 +179,7 @@ func (e *condEngine[S, P]) run(k int64) int64 {
 // loop. The protocol's TransitionT reports which agents changed
 // condition-relevant state, and only those interactions pay tracker
 // calls — unchanged interactions, the overwhelming majority near
-// convergence, run at plain Run-loop speed (see condEngine.run for the
+// convergence, run at plain Run-loop speed (see CondLoop.run for the
 // collision-free sub-batch machinery). The result is the hitting time
 // a per-interaction loop (Step, Update both agents, check Done) would
 // report.
@@ -158,14 +192,5 @@ func (e *condEngine[S, P]) run(k int64) int64 {
 // configuration) those trailing interactions are no-ops, so the final
 // configuration is the one at the hitting time.
 func RunUntilCondT[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S], maxSteps int64) (int64, error) {
-	cond.Init(r.states)
-	if cond.Done() {
-		return r.steps, nil
-	}
-	if k := maxSteps - r.steps; k > 0 {
-		if hit := newCondEngine(r, cond).run(k); hit >= 0 {
-			return hit, nil
-		}
-	}
-	return r.steps, ErrBudgetExhausted
+	return NewCondLoop(r, cond).Run(maxSteps)
 }

@@ -167,3 +167,35 @@ func TestRunUntilCondTBudget(t *testing.T) {
 		t.Fatalf("steps = %d, Steps() = %d, want exactly the budget", steps, r.Steps())
 	}
 }
+
+// TestCondLoopAcrossCalls checks that a CondLoop held across calls
+// reports what a fresh RunUntilCondT reports on every call: after a
+// call its budget cut, the held tracker is current; after a hit, which
+// leaves the rest of its sub-batch unfolded, it rescans. cycler's
+// validity is transient, so a tracker that kept those records stale
+// would report a hit the configuration no longer holds.
+func TestCondLoopAcrossCalls(t *testing.T) {
+	const n = 3
+	for seed := uint64(1); seed <= 8; seed++ {
+		held := New[int](cycler{n + 2}, make([]int, n), seed)
+		fresh := New[int](cycler{n + 2}, make([]int, n), seed)
+		loop := NewCondLoop(held, NewRankCond(0, intRank))
+		cond := NewRankCond(0, intRank)
+		hits := 0
+		for call := range 300 {
+			maxSteps := held.Steps() + 1 + int64(call%5)*4
+			got, gerr := loop.Run(maxSteps)
+			want, werr := RunUntilCondT(fresh, cond, maxSteps)
+			if got != want || gerr != werr || held.Steps() != fresh.Steps() {
+				t.Fatalf("seed %d, call %d: held loop (%d, %v) at step %d, fresh (%d, %v) at step %d",
+					seed, call, got, gerr, held.Steps(), want, werr, fresh.Steps())
+			}
+			if werr == nil {
+				hits++
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("seed %d: no call hit; the comparison after a hit is vacuous", seed)
+		}
+	}
+}

@@ -360,12 +360,14 @@ func (s *driver[S, P]) corrupt(k int, r *rng.RNG) error {
 	}
 	s.hit = -1
 	faults.Corrupt(s.eng.States(), k, r, func(rr *rng.RNG) S { return s.d.RandomState(s.p, rr) })
+	s.eng.Resync()
 	return nil
 }
 
 func (s *driver[S, P]) swap(k int, r *rng.RNG) {
 	s.hit = -1
 	faults.Swap(s.eng.States(), k, r)
+	s.eng.Resync()
 }
 
 // duplicate copies one uniformly chosen agent's state over another,
@@ -377,6 +379,7 @@ func (s *driver[S, P]) duplicate(r *rng.RNG) (int, int, error) {
 	}
 	s.hit = -1
 	src, dst := faults.Duplicate(s.eng.States(), r)
+	s.eng.Resync()
 	return src, dst, nil
 }
 

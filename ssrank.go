@@ -132,13 +132,14 @@ type Config struct {
 	// intra-shard pairs before its cross pairs: for cai, mean T is
 	// 49.66 serial against 570.24 with Shards: 2 at N = 5, and 2125
 	// against 2639 (+24%) at N = 16 (4000 seeds per cell, every run
-	// Exact). Worth it for very large populations (n ≥ ~10⁵) on
-	// multi-core machines; below that the serial engine is typically
-	// faster outright (DESIGN.md §3.2). The sentinel AutoShards (-1)
-	// derives the count from N and the machine's core count, staying
-	// serial for small populations — note the resolved count, and
-	// hence the trajectory, then depends on the machine; Result.Shards
-	// reports what was resolved. Sharded runs stop at the exact
+	// Exact). Worth it for very large populations on multi-core
+	// machines (from about 2¹⁹ agents on the 2-core machine measured);
+	// below that the serial engine is typically faster outright
+	// (DESIGN.md §3.2). The sentinel AutoShards (-1) derives the count
+	// from N and the machine's core count, staying serial below 2¹⁹
+	// agents and using two shards per core above — note the resolved
+	// count, and hence the trajectory, then depends on the machine;
+	// Result.Shards reports what was resolved. Sharded runs stop at the exact
 	// hitting time like serial runs (Result.Exact = true on
 	// convergence): per-shard touch records are folded into the stop
 	// tracker at each batch barrier, pinning the first satisfying
@@ -247,8 +248,9 @@ var ErrNotConverged = errors.New("ssrank: ranking did not converge within the in
 // AutoShards is the Config.Shards sentinel that picks the shard count
 // automatically from N and the machine's core count
 // (shard.AutoShards): serial below the population size where sharding
-// pays for its coordination, one shard per core (with a minimum slab
-// per shard) above.
+// was measured to beat the serial engine (2¹⁹ agents), two shards per
+// core (with a minimum slab per shard) above, so every round of the
+// cross phase keeps every core busy.
 const AutoShards = shard.Auto
 
 // Run executes the configured protocol until it reaches its stop
