@@ -12,15 +12,17 @@ import (
 )
 
 // largeRuns are StableRanking runs at populations whose slabs are far
-// larger than any golden's. The 2¹⁷-agent runs are past the fetch gate
-// (slab.FetchBytes), so the serial loops, the shard units and the
-// sharded fold all run with each window's agent lines fetched first;
-// the 2¹⁶-agent runs pin the exact stops below it. Each digest covers
-// the checkpoint engine section after the run — the step count, every
-// stream position, the agent slab and the reset counters — together
-// with the exact stop's outcome. The digests were recorded before the
-// loops learned to fetch and before the sharded fold moved from a
-// shadow copy onto the live slab, and must never move.
+// larger than any golden's. The 2¹⁷- and 2¹⁸-agent runs are past the
+// fetch gate (slab.FetchBytes), so the serial loops, the shard units
+// and the sharded fold all run with each window's agent lines fetched
+// first; the 2¹⁶-agent runs pin the exact stops below it. Each digest
+// covers the checkpoint engine section after the run — the step count,
+// every stream position, the agent slab and the reset counters —
+// together with the exact stop's outcome. The 2¹⁶- and 2¹⁷-agent
+// digests were recorded before the loops learned to fetch and before
+// the sharded fold moved from a shadow copy onto the live slab, the
+// 2¹⁸-agent ones with the 40-byte StableRanking state; none may ever
+// move.
 var largeRuns = []struct {
 	name   string
 	n      int
@@ -41,6 +43,12 @@ var largeRuns = []struct {
 	// the fold replays records of agents the batch touches again later.
 	{"random n=2^16 shards=4 exact", 1 << 16, "random", 4, true, "0b23b16c39a7c26a4f3a1ef4c978da23e2d6df89e2e723a77266d77eed9bfe39"},
 	{"random n=2^17 shards=2 exact", 1 << 17, "random", 2, true, "d8e7039c869fb72b472577d51c9820a04459ab437357b8cf53f7982259f72ee4"},
+	{"fresh n=2^18 serial", 1 << 18, "fresh", 1, false, "2609be221f111350c9a041f16642194b3c9fd5a16292082cdee0eeb477cfefda"},
+	{"fresh n=2^18 shards=2", 1 << 18, "fresh", 2, false, "cf8697bc4f07e3edddfeb6efb6a676f2702ba22dac2be6d3852fab4f42f8e61c"},
+	{"fresh n=2^18 shards=4", 1 << 18, "fresh", 4, false, "a50b9302f7728688a1ad7bca91609de99994f40333a28d13370b0c947c19baaa"},
+	{"worst-case n=2^18 serial exact", 1 << 18, "worst-case", 1, true, "514f8dc533e81b6835c1133dc9f5f6e3e153a9e94ebdeedcbf64b851cd76d39f"},
+	{"worst-case n=2^18 shards=4 exact", 1 << 18, "worst-case", 4, true, "13a8af79b3e58f565c00c09fa2ed4a093a635f5404803a3b9eeae75a8900a29c"},
+	{"random n=2^18 shards=4 exact", 1 << 18, "random", 4, true, "e6b1ea1bfe362c70e820085b848114feab72710e899f16160a7aeca450d0187d"},
 }
 
 // largeRunSteps is every large run's interaction budget.
