@@ -25,8 +25,8 @@ func StableStates(p *stable.Protocol) []stable.State {
 	}
 	for coin := uint8(0); coin <= 1; coin++ {
 		// PropagateReset, excluding the instantly-awakening (0, 0).
-		for rc := int32(0); rc <= p.RMax(); rc++ {
-			for dc := int32(0); dc <= p.DMax(); dc++ {
+		for rc := int16(0); rc <= p.RMax(); rc++ {
+			for dc := int16(0); dc <= p.DMax(); dc++ {
 				if rc == 0 && dc == 0 {
 					continue
 				}
@@ -35,19 +35,19 @@ func StableStates(p *stable.Protocol) []stable.State {
 		}
 		// FastLeaderElection: undecided (any coinCount), done loser,
 		// done leader.
-		for lec := int32(1); lec <= p.LEBudget(); lec++ {
-			for cc := int32(0); cc <= p.CoinInit(); cc++ {
+		for lec := int16(1); lec <= p.LEBudget(); lec++ {
+			for cc := int16(0); cc <= p.CoinInit(); cc++ {
 				out = append(out, stable.State{Mode: stable.ModeLE, Coin: coin, LECount: lec, CoinCount: cc})
 			}
 			out = append(out, stable.State{Mode: stable.ModeLE, Coin: coin, LECount: lec, LeaderDone: true})
 			out = append(out, stable.State{Mode: stable.ModeLE, Coin: coin, LECount: lec, LeaderDone: true, IsLeader: true})
 		}
 		// Main protocol: waiting and phase agents.
-		for alive := int32(1); alive <= p.LMax(); alive++ {
-			for w := int32(1); w <= p.WaitInit(); w++ {
+		for alive := int16(1); alive <= p.LMax(); alive++ {
+			for w := int16(1); w <= p.WaitInit(); w++ {
 				out = append(out, stable.State{Mode: stable.ModeWait, Coin: coin, Wait: w, Alive: alive})
 			}
-			for ph := int32(1); ph <= p.Phases().KMax(); ph++ {
+			for ph := int16(1); int32(ph) <= p.Phases().KMax(); ph++ {
 				out = append(out, stable.State{Mode: stable.ModePhase, Coin: coin, Phase: ph, Alive: alive})
 			}
 		}
@@ -95,16 +95,16 @@ func AwareStates(p *aware.Protocol) []aware.State {
 		for alive := int32(1); alive <= p.LMax(); alive++ {
 			out = append(out, aware.State{Mode: aware.ModeBlank, Coin: coin, Alive: alive})
 		}
-		for rc := int32(0); rc <= sp.RMax(); rc++ {
-			for dc := int32(0); dc <= sp.DMax(); dc++ {
+		for rc := int32(0); rc <= int32(sp.RMax()); rc++ {
+			for dc := int32(0); dc <= int32(sp.DMax()); dc++ {
 				if rc == 0 && dc == 0 {
 					continue
 				}
 				out = append(out, aware.State{Mode: aware.ModeReset, Coin: coin, ResetCount: rc, DelayCount: dc})
 			}
 		}
-		for lec := int32(1); lec <= sp.LEBudget(); lec++ {
-			for cc := int32(0); cc <= sp.CoinInit(); cc++ {
+		for lec := int32(1); lec <= int32(sp.LEBudget()); lec++ {
+			for cc := int32(0); cc <= int32(sp.CoinInit()); cc++ {
 				out = append(out, aware.State{Mode: aware.ModeLE, Coin: coin, LECount: lec, CoinCount: cc})
 			}
 			out = append(out, aware.State{Mode: aware.ModeLE, Coin: coin, LECount: lec, LeaderDone: true})

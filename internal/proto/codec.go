@@ -18,8 +18,10 @@ import (
 // An agent is its fields in declaration order, nested structs
 // flattened: an unsigned integer as a uvarint, a signed one as a
 // zigzag varint, a bool as one byte 0 or 1. There is no
-// self-description, so reordering, adding or retyping a state's fields
-// changes the checkpoint format.
+// self-description, so reordering, adding or removing a state's fields,
+// or changing a field's signedness, changes the checkpoint format.
+// Narrowing a field (int32 to int16, say) keeps the bytes of every
+// value that still fits and only narrows what the decoder accepts.
 
 // WriteSlab appends the agent slab: the agent count, then each agent's
 // fields in agent order.

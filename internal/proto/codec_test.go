@@ -14,17 +14,17 @@ import (
 )
 
 // TestLayoutStable pins the derived layout of StableRanking's state:
-// the image is the struct's memory, its bools and its four padding
+// the image is the struct's memory, its bools and its two padding
 // bytes located by offset.
 func TestLayoutStable(t *testing.T) {
 	l := proto.LayoutOf[stable.State]()
-	if l.Size != 40 {
-		t.Errorf("size %d, want 40", l.Size)
+	if l.Size != 24 {
+		t.Errorf("size %d, want 24", l.Size)
 	}
-	if want := []int{24, 25}; !slices.Equal(l.Bools, want) {
+	if want := []int{16, 17}; !slices.Equal(l.Bools, want) {
 		t.Errorf("bool offsets %v, want %v", l.Bools, want)
 	}
-	if want := []int{2, 3, 26, 27}; !slices.Equal(l.Pads, want) {
+	if want := []int{2, 3}; !slices.Equal(l.Pads, want) {
 		t.Errorf("padding offsets %v, want %v", l.Pads, want)
 	}
 	// Padding bytes that are not zero in memory are cleared, not
@@ -79,6 +79,11 @@ func TestSlabRejectsFieldValues(t *testing.T) {
 			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }},
 		{"sudo Leader (bool)", func(b []byte) error { return readSlab(su, b) }, 2, 0,
 			func(w *ckpt.Writer) { w.Raw([]byte{2}) }, func(w *ckpt.Writer) { w.Bool(true) }},
+		// The counters were int32 until the state shrank to 24 bytes:
+		// a checkpoint holding 2¹⁵ then resumed, and must now be
+		// refused rather than truncated.
+		{"stable Alive (int16)", func(b []byte) error { return readSlab(st, b) }, 12, 11,
+			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) }},
 		{"stable Rank (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 12, 2,
 			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Varint(-1 << 31) }},
 	} {

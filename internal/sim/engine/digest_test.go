@@ -12,10 +12,10 @@ import (
 )
 
 // largeRuns are StableRanking runs at populations whose slabs are far
-// larger than any golden's. The 2¹⁷- and 2¹⁸-agent runs are past the
-// fetch gate (slab.FetchBytes), so the serial loops, the shard units
-// and the sharded fold all run with each window's agent lines fetched
-// first; the 2¹⁶-agent runs pin the exact stops below it. Each digest
+// larger than any golden's. The 2¹⁸-agent runs are past the fetch gate
+// (slab.FetchBytes), so the serial loops, the shard units and the
+// sharded fold all run with each window's agent lines fetched first;
+// the 2¹⁶- and 2¹⁷-agent runs pin the runs below it. Each digest
 // covers the checkpoint engine section after the run — the step count,
 // every stream position, the agent slab and the reset counters —
 // together with the exact stop's outcome. The 2¹⁶- and 2¹⁷-agent
@@ -55,8 +55,8 @@ var largeRuns = []struct {
 const largeRunSteps = 1_000_000
 
 func TestLargeRunDigests(t *testing.T) {
-	if !slab.Fetches[stable.State](1 << 17) {
-		t.Fatalf("a slab of 2^17 StableRanking agents is below the fetch gate of %d B: the digests no longer cover the fetch", slab.FetchBytes)
+	if !slab.Fetches[stable.State](1 << 18) {
+		t.Fatalf("a slab of 2^18 StableRanking agents is below the fetch gate of %d B: the digests no longer cover the fetch", slab.FetchBytes)
 	}
 	d := stable.Describe()
 	for _, tc := range largeRuns {

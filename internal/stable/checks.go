@@ -116,7 +116,7 @@ func (p *Protocol) CheckInvariant(states []State) error {
 				return fmt.Errorf("agent %d: alive %d outside [1, %d]", i, s.Alive, p.lMax)
 			}
 		case ModePhase:
-			if s.Phase < 1 || s.Phase > p.phases.KMax() {
+			if s.Phase < 1 || int32(s.Phase) > p.phases.KMax() {
 				return fmt.Errorf("agent %d: phase %d outside [1, %d]", i, s.Phase, p.phases.KMax())
 			}
 			if s.Alive < 1 || s.Alive > p.lMax {

@@ -19,7 +19,7 @@ func (p *Protocol) WorstCaseInit() []State {
 	for i := 0; i < p.n-1; i++ {
 		states[i] = Ranked(int32(i + 2))
 	}
-	states[p.n-1] = State{Mode: ModePhase, Coin: 0, Phase: p.phases.KMax(), Alive: p.lMax}
+	states[p.n-1] = State{Mode: ModePhase, Coin: 0, Phase: int16(p.phases.KMax()), Alive: p.lMax}
 	return states
 }
 
@@ -75,11 +75,11 @@ func (p *Protocol) ManyUnrankedInit(k int) []State {
 	}
 	states := make([]State, p.n)
 	for i := 0; i < k; i++ {
-		alive := p.lMax - int32(i)%p.lMax
+		alive := p.lMax - int16(i%int(p.lMax))
 		if alive < 1 {
 			alive = 1
 		}
-		states[i] = State{Mode: ModePhase, Coin: uint8(i & 1), Phase: p.phases.KMax(), Alive: alive}
+		states[i] = State{Mode: ModePhase, Coin: uint8(i & 1), Phase: int16(p.phases.KMax()), Alive: alive}
 	}
 	// Ranks n, n−1, ..., down, skipping rank 1 so no unaware leader
 	// exists.
@@ -114,7 +114,7 @@ func (p *Protocol) RandomState(r *rng.RNG) State {
 		// Exclude the (0, 0) combination, which instantly awakens and
 		// is therefore not a persistent state.
 		for {
-			rc, dc := int32(r.Intn(int(p.rMax)+1)), int32(r.Intn(int(p.dMax)+1))
+			rc, dc := int16(r.Intn(int(p.rMax)+1)), int16(r.Intn(int(p.dMax)+1))
 			if rc != 0 || dc != 0 {
 				return State{Mode: ModeReset, Coin: coin, ResetCount: rc, DelayCount: dc}
 			}
@@ -125,8 +125,8 @@ func (p *Protocol) RandomState(r *rng.RNG) State {
 		return State{
 			Mode:       ModeLE,
 			Coin:       coin,
-			LECount:    int32(1 + r.Intn(int(p.leBudget))),
-			CoinCount:  int32(r.Intn(int(p.coinInit) + 1)),
+			LECount:    int16(1 + r.Intn(int(p.leBudget))),
+			CoinCount:  int16(r.Intn(int(p.coinInit) + 1)),
 			LeaderDone: done,
 			IsLeader:   isLeader,
 		}
@@ -134,15 +134,15 @@ func (p *Protocol) RandomState(r *rng.RNG) State {
 		return State{
 			Mode:  ModeWait,
 			Coin:  coin,
-			Wait:  int32(1 + r.Intn(int(p.waitInit))),
-			Alive: int32(1 + r.Intn(int(p.lMax))),
+			Wait:  int16(1 + r.Intn(int(p.waitInit))),
+			Alive: int16(1 + r.Intn(int(p.lMax))),
 		}
 	default:
 		return State{
 			Mode:  ModePhase,
 			Coin:  coin,
-			Phase: int32(1 + r.Intn(int(p.phases.KMax()))),
-			Alive: int32(1 + r.Intn(int(p.lMax))),
+			Phase: int16(1 + r.Intn(int(p.phases.KMax()))),
+			Alive: int16(1 + r.Intn(int(p.lMax))),
 		}
 	}
 }

@@ -23,7 +23,7 @@ func TestWorstCaseInitShape(t *testing.T) {
 			seen[s.Rank] = true
 		case ModePhase:
 			phaseAgents++
-			if s.Phase != p.Phases().KMax() || s.Alive != p.LMax() {
+			if int32(s.Phase) != p.Phases().KMax() || s.Alive != p.LMax() {
 				t.Fatalf("phase agent = %+v, want (kMax, LMax)", s)
 			}
 		default:

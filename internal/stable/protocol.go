@@ -56,12 +56,12 @@ func DefaultParams() Params {
 type Protocol struct {
 	n        int
 	phases   core.Phases
-	waitInit int32 // ⌈c_wait·log₂ n⌉
-	lMax     int32 // ⌈c_live·log₂ n⌉
-	leBudget int32 // FastLeaderElection interaction budget
-	rMax     int32
-	dMax     int32
-	coinInit int32 // ⌈log₂ n⌉ heads required by FastLeaderElection
+	waitInit int16 // ⌈c_wait·log₂ n⌉
+	lMax     int16 // ⌈c_live·log₂ n⌉
+	leBudget int16 // FastLeaderElection interaction budget
+	rMax     int16
+	dMax     int16
+	coinInit int16 // ⌈log₂ n⌉ heads required by FastLeaderElection
 	literal  bool
 
 	resets         atomic.Int64
@@ -119,22 +119,25 @@ func New(n int, params Params) *Protocol {
 		panic(fmt.Sprintf("stable: all parameter factors must be positive: %+v", params))
 	}
 	lg := float64(leaderelect.CeilLog2(n))
-	ceil := func(f float64) int32 {
-		v := int32(math.Ceil(f))
-		if v < 1 {
-			v = 1
+	// bound is ⌈factor·log₂ n⌉; the counters compared with it are
+	// int16, so a bound past their range must not wrap.
+	bound := func(param, name string, factor float64) int16 {
+		v := math.Ceil(factor * lg)
+		if !(v <= math.MaxInt16) {
+			panic(fmt.Sprintf("stable: %s = %g makes %s = ⌈%g·log₂ %d⌉ = %g, beyond the int16 counter range (%d)",
+				param, factor, name, factor, n, v, math.MaxInt16))
 		}
-		return v
+		return max(int16(v), 1)
 	}
 	return &Protocol{
 		n:        n,
 		phases:   core.NewPhases(n),
-		waitInit: ceil(params.CWait * lg),
-		lMax:     ceil(params.CLive * lg),
-		leBudget: ceil(params.LEBudgetFactor * lg),
-		rMax:     ceil(params.RMaxFactor * lg),
-		dMax:     ceil(params.DMaxFactor * lg),
-		coinInit: ceil(lg),
+		waitInit: bound("CWait", "waitInit", params.CWait),
+		lMax:     bound("CLive", "L_max", params.CLive),
+		leBudget: bound("LEBudgetFactor", "the LE budget", params.LEBudgetFactor),
+		rMax:     bound("RMaxFactor", "R_max", params.RMaxFactor),
+		dMax:     bound("DMaxFactor", "D_max", params.DMaxFactor),
+		coinInit: int16(lg),
 		literal:  params.PaperLiteralProductive,
 	}
 }
@@ -146,23 +149,23 @@ func (p *Protocol) N() int { return p.n }
 func (p *Protocol) Phases() core.Phases { return p.phases }
 
 // WaitInit returns ⌈c_wait·log₂ n⌉.
-func (p *Protocol) WaitInit() int32 { return p.waitInit }
+func (p *Protocol) WaitInit() int16 { return p.waitInit }
 
 // LMax returns ⌈c_live·log₂ n⌉.
-func (p *Protocol) LMax() int32 { return p.lMax }
+func (p *Protocol) LMax() int16 { return p.lMax }
 
 // LEBudget returns FastLeaderElection's initial interaction budget.
-func (p *Protocol) LEBudget() int32 { return p.leBudget }
+func (p *Protocol) LEBudget() int16 { return p.leBudget }
 
 // RMax returns the reset-epidemic hop budget.
-func (p *Protocol) RMax() int32 { return p.rMax }
+func (p *Protocol) RMax() int16 { return p.rMax }
 
 // DMax returns the dormancy duration.
-func (p *Protocol) DMax() int32 { return p.dMax }
+func (p *Protocol) DMax() int16 { return p.dMax }
 
 // CoinInit returns ⌈log₂ n⌉, the consecutive heads FastLeaderElection
 // requires.
-func (p *Protocol) CoinInit() int32 { return p.coinInit }
+func (p *Protocol) CoinInit() int16 { return p.coinInit }
 
 // Resets returns the number of resets this instance has triggered.
 func (p *Protocol) Resets() int64 { return p.resets.Load() }

@@ -2,9 +2,11 @@ package stable
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"ssrank/internal/leaderelect"
 	"ssrank/internal/rng"
 	"ssrank/internal/sim"
 )
@@ -96,7 +98,7 @@ func TestStabilizesFromAllPhaseMax(t *testing.T) {
 	p := New(n, DefaultParams())
 	states := make([]State, n)
 	for i := range states {
-		states[i] = State{Mode: ModePhase, Coin: uint8(i & 1), Phase: p.Phases().KMax(), Alive: 1}
+		states[i] = State{Mode: ModePhase, Coin: uint8(i & 1), Phase: int16(p.Phases().KMax()), Alive: 1}
 	}
 	mustStabilize(t, p, states, 6, 2000)
 }
@@ -250,6 +252,42 @@ func TestNewPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestNewRejectsOversizedBounds: the counters are int16, so a factor
+// whose bound ⌈factor·log₂ n⌉ leaves that range panics, naming the
+// parameter and the bound, instead of wrapping; the largest factor the
+// experiments use still constructs at every population size.
+func TestNewRejectsOversizedBounds(t *testing.T) {
+	for _, tc := range []struct {
+		params Params
+		want   []string
+	}{
+		{Params{CWait: 2, CLive: 2000, RMaxFactor: 4, DMaxFactor: 4, LEBudgetFactor: 8}, []string{"CLive = 2000", "L_max", "40000"}},
+		{Params{CWait: 2, CLive: 4, RMaxFactor: 4, DMaxFactor: 4, LEBudgetFactor: 1700}, []string{"LEBudgetFactor = 1700", "LE budget"}},
+		{Params{CWait: math.NaN(), CLive: 4, RMaxFactor: 4, DMaxFactor: 4, LEBudgetFactor: 8}, []string{"CWait = NaN", "waitInit"}},
+		{Params{CWait: 2, CLive: 4, RMaxFactor: 4, DMaxFactor: math.Inf(1), LEBudgetFactor: 8}, []string{"DMaxFactor = +Inf", "D_max"}},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				for _, w := range tc.want {
+					if !strings.Contains(msg, w) {
+						t.Errorf("New(2^20, %+v) panicked with %q, want it to name %q", tc.params, msg, w)
+					}
+				}
+			}()
+			New(1<<20, tc.params)
+		}()
+	}
+	big := Params{CWait: 32, CLive: 32, RMaxFactor: 32, DMaxFactor: 32, LEBudgetFactor: 32}
+	for _, n := range []int{2, 3, 1 << 20, math.MaxInt32} {
+		p := New(n, big)
+		want := int16(32 * leaderelect.CeilLog2(n))
+		if p.WaitInit() != want || p.LMax() != want || p.LEBudget() != want || p.RMax() != want || p.DMax() != want {
+			t.Errorf("n=%d: bounds %d %d %d %d %d, want %d", n, p.WaitInit(), p.LMax(), p.LEBudget(), p.RMax(), p.DMax(), want)
+		}
 	}
 }
 

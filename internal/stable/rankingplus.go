@@ -95,7 +95,7 @@ func (p *Protocol) isUnawareLeaderFor(u, v *State) bool {
 		bound := int32(p.n) >> uint(v.Phase)
 		return u.Rank >= 1 && u.Rank <= bound
 	}
-	return u.Rank >= 1 && u.Rank <= p.phases.Width(v.Phase)
+	return u.Rank >= 1 && u.Rank <= p.phases.Width(int32(v.Phase))
 }
 
 // baseRanking reimplements Ranking (Protocol 2) over stable.State,
@@ -116,7 +116,7 @@ func (p *Protocol) baseRanking(u, v *State) (uBecameWaiting, uTouched, vTouched 
 	}
 	switch u.Mode {
 	case ModeRanked:
-		k := v.Phase
+		k := int32(v.Phase)
 		width := p.phases.Width(k)
 		switch {
 		case u.Rank >= 1 && u.Rank <= width:
@@ -137,7 +137,7 @@ func (p *Protocol) baseRanking(u, v *State) (uBecameWaiting, uTouched, vTouched 
 			// u holds the last rank of v's phase: v advances
 			// (saturating at ⌈log₂ n⌉, DESIGN.md note 3).
 			if k < p.phases.KMax() {
-				v.Phase = k + 1
+				v.Phase = int16(k + 1)
 			}
 		}
 	case ModePhase:

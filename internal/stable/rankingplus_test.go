@@ -8,11 +8,11 @@ import (
 	"ssrank/internal/rng"
 )
 
-func mainPhase(coin uint8, phase, alive int32) State {
+func mainPhase(coin uint8, phase, alive int16) State {
 	return State{Mode: ModePhase, Coin: coin, Phase: phase, Alive: alive}
 }
 
-func mainWait(coin uint8, wait, alive int32) State {
+func mainWait(coin uint8, wait, alive int16) State {
 	return State{Mode: ModeWait, Coin: coin, Wait: wait, Alive: alive}
 }
 
@@ -129,7 +129,7 @@ func TestCoinZeroRefreshesLivenessForProductivePairs(t *testing.T) {
 	}
 
 	// Unaware leader refreshes a tails responder.
-	k := int32(2)
+	k := int16(2)
 	leader := Ranked(1)
 	v2 := mainPhase(0, k, 3)
 	p.Transition(&leader, &v2)
@@ -266,9 +266,9 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 		case ModeRanked:
 			return core.RankedState(s.Rank)
 		case ModeWait:
-			return core.WaitState(s.Wait)
+			return core.WaitState(int32(s.Wait))
 		case ModePhase:
-			return core.PhaseState(s.Phase)
+			return core.PhaseState(int32(s.Phase))
 		}
 		panic("not a main state")
 	}
@@ -277,9 +277,9 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 		case core.KindRanked:
 			return Ranked(c.Rank)
 		case core.KindWait:
-			return State{Mode: ModeWait, Coin: orig.Coin, Wait: c.Wait, Alive: orig.Alive}
+			return State{Mode: ModeWait, Coin: orig.Coin, Wait: int16(c.Wait), Alive: orig.Alive}
 		case core.KindPhase:
-			return State{Mode: ModePhase, Coin: orig.Coin, Phase: c.Phase, Alive: orig.Alive}
+			return State{Mode: ModePhase, Coin: orig.Coin, Phase: int16(c.Phase), Alive: orig.Alive}
 		}
 		panic("unexpected core kind")
 	}
@@ -289,9 +289,9 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 		case 0:
 			return Ranked(int32(1 + r.Intn(n)))
 		case 1:
-			return mainWait(uint8(r.Intn(2)), int32(1+r.Intn(int(ps.WaitInit()))), int32(1+r.Intn(int(ps.LMax()))))
+			return mainWait(uint8(r.Intn(2)), int16(1+r.Intn(int(ps.WaitInit()))), int16(1+r.Intn(int(ps.LMax()))))
 		default:
-			return mainPhase(uint8(r.Intn(2)), int32(1+r.Intn(int(ps.Phases().KMax()))), int32(1+r.Intn(int(ps.LMax()))))
+			return mainPhase(uint8(r.Intn(2)), int16(1+r.Intn(int(ps.Phases().KMax()))), int16(1+r.Intn(int(ps.LMax()))))
 		}
 	}
 

@@ -66,22 +66,22 @@ type State struct {
 	Rank int32
 
 	// ResetCount ∈ [0, Rmax], DelayCount ∈ [0, Dmax] — ModeReset.
-	ResetCount int32
-	DelayCount int32
+	ResetCount int16
+	DelayCount int16
 
 	// LECount ∈ [0, Lmax], CoinCount ∈ [0, ⌈log₂ n⌉], LeaderDone,
 	// IsLeader — ModeLE (Protocol 5).
-	LECount    int32
-	CoinCount  int32
+	LECount    int16
+	CoinCount  int16
 	LeaderDone bool
 	IsLeader   bool
 
 	// Wait ∈ [1, ⌈c_wait·log₂ n⌉] — ModeWait;
 	// Phase ∈ [1, ⌈log₂ n⌉] — ModePhase;
 	// Alive ∈ [1, Lmax] — both unranked main modes.
-	Wait  int32
-	Phase int32
-	Alive int32
+	Wait  int16
+	Phase int16
+	Alive int16
 }
 
 // Ranked returns a ranked-agent state.
