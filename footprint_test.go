@@ -32,7 +32,6 @@ func TestRunFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	t.Logf("least %d B, per agent %.2f", least, float64(least)/n)
 	if bound := uint64(n*(agentBytes+8+8) + 1<<20); least > bound {
 		t.Fatalf("a %d-agent sharded Run allocated %d B, more than the %d B of one slab, tracker and ranks", n, least, bound)
 	}

@@ -237,7 +237,9 @@ type Config struct {
 	// bound covers the one slab a job builds on either in-place engine:
 	// the sharded engine's exact stop folds touch records into the live
 	// slab and keeps no second copy of the population (stop trackers
-	// add a few bytes per agent beside it). Zero means no bound.
+	// add a few bytes per agent beside it). A StableRanking agent is
+	// 24 B, so 1 GiB admits about 44.7 million of them. Zero means no
+	// bound.
 	MaxSlabBytes int64
 }
 

@@ -79,9 +79,7 @@ func TestSlabRejectsFieldValues(t *testing.T) {
 			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }},
 		{"sudo Leader (bool)", func(b []byte) error { return readSlab(su, b) }, 2, 0,
 			func(w *ckpt.Writer) { w.Raw([]byte{2}) }, func(w *ckpt.Writer) { w.Bool(true) }},
-		// The counters were int32 until the state shrank to 24 bytes:
-		// a checkpoint holding 2¹⁵ then resumed, and must now be
-		// refused rather than truncated.
+		// 2¹⁵ is a valid varint but no int16: refused, not truncated.
 		{"stable Alive (int16)", func(b []byte) error { return readSlab(st, b) }, 12, 11,
 			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) }},
 		{"stable Rank (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 12, 2,
