@@ -47,7 +47,7 @@ func AblationCWait(opts Options) Figure {
 		// targets it directly.
 		invalid := 0
 		var coreNorms []float64
-		coreRes := runTrialsStat(opts, fmt.Sprintf("E8 core c_wait=%.2g", cw), uint64(cw*100)^0x8, trials,
+		coreRes := runTrials(opts, fmt.Sprintf("E8 core c_wait=%.2g", cw), uint64(cw*100)^0x8, trials,
 			func(t stepsResult) (float64, bool) {
 				if t.ok {
 					return 0, true
@@ -77,7 +77,7 @@ func AblationCWait(opts Options) Figure {
 			resets float64
 		}
 		var stNorms, stRe []float64
-		for _, t := range runTrialsStat(opts, fmt.Sprintf("E8 stable c_wait=%.2g", cw), uint64(cw*100)^0x8a5, trials/2,
+		for _, t := range runTrials(opts, fmt.Sprintf("E8 stable c_wait=%.2g", cw), uint64(cw*100)^0x8a5, trials/2,
 			func(t trialR) (float64, bool) { return t.steps, t.ok },
 			func(_ int, seed uint64) trialR {
 				params := stable.DefaultParams()
@@ -130,7 +130,7 @@ func CoinBalance(opts Options) Figure {
 	paperLine := plot.Series{Name: "paper bound n/(4 log n)"}
 	sqrtLine := plot.Series{Name: "sqrt(n)"}
 	for _, n := range ns {
-		imb := runTrialsStat(opts, fmt.Sprintf("E9 n=%d", n), uint64(9*n), trials, statIdent,
+		imb := runTrials(opts, fmt.Sprintf("E9 n=%d", n), uint64(9*n), trials, statIdent,
 			func(_ int, seed uint64) float64 {
 				p := coin.NewPopulation(coin.AllZero(n), seed)
 				p.Step(4 * coin.WarmupInteractions(n))

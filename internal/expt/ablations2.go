@@ -49,7 +49,7 @@ func AblationResetWave(opts Options) Figure {
 		}
 		covered := 0
 		var waves, norms, resets []float64
-		res := runTrialsStat(opts, fmt.Sprintf("E15 factor=%.2g", f), uint64(f*1000)^0xe15, trials,
+		res := runTrials(opts, fmt.Sprintf("E15 factor=%.2g", f), uint64(f*1000)^0xe15, trials,
 			func(t trialR) (float64, bool) { return t.norm, t.stabilized },
 			func(_ int, seed uint64) trialR {
 				var out trialR
@@ -142,7 +142,7 @@ func AblationLEBudget(opts Options) Figure {
 			leResets, resets float64
 		}
 		var leResets, total, norms []float64
-		for _, t := range runTrialsStat(opts, fmt.Sprintf("E16 factor=%.2g", f), uint64(f*100)^0xe16, trials,
+		for _, t := range runTrials(opts, fmt.Sprintf("E16 factor=%.2g", f), uint64(f*100)^0xe16, trials,
 			func(t trialR) (float64, bool) { return t.steps, t.ok },
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, params)

@@ -51,7 +51,7 @@ func BaselineComparison(opts Options) Figure {
 		caiBud := pilotBudget(opts, caiLabel, uint64(61*n)^0xca1,
 			int64(2000)*int64(n)*int64(n)*int64(n), caiOnce)
 		var caiTimes []float64
-		for _, t := range runTrialsStat(opts, caiLabel, uint64(61*n)^0xca1, trials, statSteps,
+		for _, t := range runTrials(opts, caiLabel, uint64(61*n)^0xca1, trials, statSteps,
 			func(_ int, seed uint64) stepsResult {
 				steps, ok := caiOnce(seed, caiBud)
 				return stepsResult{float64(steps), ok}
@@ -74,7 +74,7 @@ func BaselineComparison(opts Options) Figure {
 		}
 		stBud := pilotBudget(opts, stLabel, uint64(61*n)^0x57ab1e, budget(n, 3000), stOnce)
 		var stTimes []float64
-		for _, t := range runTrialsStat(opts, stLabel, uint64(61*n)^0x57ab1e, trials, statSteps,
+		for _, t := range runTrials(opts, stLabel, uint64(61*n)^0x57ab1e, trials, statSteps,
 			func(_ int, seed uint64) stepsResult {
 				steps, ok := stOnce(seed, stBud)
 				return stepsResult{float64(steps), ok}
@@ -137,7 +137,7 @@ func TradeoffEpsilon(opts Options) Figure {
 		}
 		bud := pilotBudget(opts, label, uint64(eps*1000)^uint64(n), int64(5000)*int64(n)*int64(n), runOnce)
 		var times []float64
-		for _, t := range runTrialsStat(opts, label, uint64(eps*1000)^uint64(n), trials, statSteps,
+		for _, t := range runTrials(opts, label, uint64(eps*1000)^uint64(n), trials, statSteps,
 			func(_ int, seed uint64) stepsResult {
 				steps, ok := runOnce(seed, bud)
 				return stepsResult{float64(steps), ok}

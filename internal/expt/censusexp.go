@@ -34,7 +34,7 @@ func CensusTable(opts Options) Figure {
 	// The observed-state runs are the only expensive part of the
 	// census; fan them out across the ns. Each keeps the experiment
 	// seed (the observation is pinned to one reference run per n).
-	observedFor := runTrials(opts, "E3 observed-states", 0xce4545, len(ns), func(i int, _ uint64) int {
+	observedFor := runTrials(opts, "E3 observed-states", 0xce4545, len(ns), nil, func(i int, _ uint64) int {
 		if ns[i] > 512 {
 			return -1
 		}

@@ -38,7 +38,7 @@ func EpidemicTail(opts Options) Figure {
 		}
 		bound := epidemic.Bound(n, m, 1)
 		violations := 0
-		times := runTrialsStat(opts, fmt.Sprintf("E13 m=%d", m), uint64(13*m), trials, statIdent,
+		times := runTrials(opts, fmt.Sprintf("E13 m=%d", m), uint64(13*m), trials, statIdent,
 			func(_ int, seed uint64) float64 {
 				return float64(epidemic.CompletionTime(n, m, rng.New(seed)))
 			})

@@ -22,7 +22,6 @@ import (
 	"ssrank/internal/sim"
 	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/replicate"
-	"ssrank/internal/stats"
 )
 
 // Options control experiment scale.
@@ -54,10 +53,13 @@ type Options struct {
 	// Precision, when > 0, enables CI-adaptive stopping: each
 	// replication loop that designates a statistic stops as soon as
 	// the 95% CI half-width of that statistic falls below
-	// Precision·|mean| (never before replicate.DefaultMinTrials
-	// commits, never after the loop's trial ceiling). The stop
-	// decision is a pure function of the committed trial prefix, so
-	// results stay bit-identical at any Workers setting.
+	// Precision·|mean|. It never fires before the loop has
+	// accumulated replicate.DefaultMinTrials statistic samples (trials
+	// whose statistic is excluded do not count), holds a zero-spread
+	// sample to twice that many, and never runs past the loop's trial
+	// ceiling. The stop decision is a pure function of the committed
+	// trial prefix, so results stay bit-identical at any Workers
+	// setting.
 	Precision float64
 	// MaxTrials, when > 0, overrides every replication loop's trial
 	// ceiling — raise it to give Precision room beyond the small
@@ -165,57 +167,31 @@ var Registry = map[string]func(Options) Figure{
 	"E19": MsgNetFaultRegimes,
 }
 
-// runTrials fans a fixed work list out over the streaming engine —
-// the structural variant (one slot per population size, or E1's single
-// pinned trajectory) where the trial count is part of the experiment's
-// shape. It streams and reports progress but ignores Precision and
-// MaxTrials: stopping a structural fan-out early would drop work
-// items, not replications. salt decorrelates the several loops of one
-// experiment from each other; every trial's randomness must derive
-// from the seed passed to run, which depends only on (Options.Seed,
-// salt, trial) — never on scheduling order.
-func runTrials[R any](o Options, label string, salt uint64, trials int, run func(trial int, seed uint64) R) []R {
-	return streamTrials(o, label, salt, trials, nil, run)
-}
-
-// runTrialsStat is the replication-loop variant: trials are
-// exchangeable repetitions and stat designates the loop's primary
-// statistic (ok=false excludes a trial, e.g. one that exhausted its
-// budget). It honors Options.MaxTrials as the ceiling and
-// Options.Precision for CI-adaptive stopping, returning the committed
-// prefix.
-func runTrialsStat[R any](o Options, label string, salt uint64, trials int, stat func(R) (float64, bool), run func(trial int, seed uint64) R) []R {
-	if o.MaxTrials > 0 {
+// runTrials drives one trial loop through replicate.ReplicateStream,
+// reporting each commit to Options.Progress. salt decorrelates the
+// several loops of one experiment from each other; every trial's
+// randomness must derive from the seed passed to run, which depends
+// only on (Options.Seed, salt, trial) — never on scheduling order.
+//
+// A nil stat marks a structural fan-out (one slot per population
+// size, or E1's single pinned trajectory) whose trial count is part of
+// the experiment's shape: it ignores Precision and MaxTrials, since
+// stopping it early would drop work items, not replications. A
+// replication loop passes its primary statistic as stat (ok=false
+// excludes a trial, e.g. one that exhausted its budget); it honors
+// Options.MaxTrials as the ceiling and Options.Precision for
+// CI-adaptive stopping, returning the committed prefix.
+func runTrials[R any](o Options, label string, salt uint64, trials int, stat func(R) (float64, bool), run func(trial int, seed uint64) R) []R {
+	if stat != nil && o.MaxTrials > 0 {
 		trials = o.MaxTrials
 	}
-	return streamTrials(o, label, salt, trials, stat, run)
-}
-
-// streamTrials drives one loop through replicate.ReplicateStream,
-// sharing a single Welford accumulator between the progress reports
-// and the precision stop rule so both read the same committed prefix.
-func streamTrials[R any](o Options, label string, salt uint64, trials int, stat func(R) (float64, bool), run func(trial int, seed uint64) R) []R {
-	s := replicate.Stream[R]{Workers: o.Workers, Trials: trials, Root: o.Seed ^ salt}
-	var acc stats.Running
-	if stat != nil || o.Progress != nil {
+	s := replicate.Stream[R]{Workers: o.Workers, Trials: trials, Root: o.Seed ^ salt, Stat: stat, Rel: o.Precision}
+	if o.Progress != nil {
 		s.OnCommit = func(c replicate.Commit[R]) {
-			if stat != nil {
-				if v, ok := stat(c.Result); ok {
-					acc.Add(v)
-				}
-			}
-			if o.Progress != nil {
-				o.Progress(Progress{
-					Label: label, Trial: c.Trial, Committed: c.Committed, Max: trials,
-					Mean: acc.Mean(), CI95: acc.CI95Half(),
-				})
-			}
-		}
-	}
-	if o.Precision > 0 && stat != nil {
-		policy := replicate.Precision{Rel: o.Precision}
-		s.Stop = func(c replicate.Commit[R]) bool {
-			return policy.Met(&acc)
+			o.Progress(Progress{
+				Label: label, Trial: c.Trial, Committed: c.Committed, Max: trials,
+				Mean: c.Mean, CI95: c.CI95,
+			})
 		}
 	}
 	return replicate.ReplicateStream(s, run)

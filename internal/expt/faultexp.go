@@ -49,7 +49,7 @@ func FaultRecovery(opts Options) Figure {
 		}
 		var norms, resets []float64
 		recovered := 0
-		res := runTrialsStat(opts, fmt.Sprintf("E10 k=%d", k), uint64(10*k+n), trials,
+		res := runTrials(opts, fmt.Sprintf("E10 k=%d", k), uint64(10*k+n), trials,
 			func(t trialR) (float64, bool) { return t.norm, t.recovered },
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, stable.DefaultParams())
@@ -134,7 +134,7 @@ func DeadConfigReset(opts Options) Figure {
 		}
 		var detect, total []float64
 		reasons := map[string]int64{}
-		e14res := runTrialsStat(opts, fmt.Sprintf("E14 %s", cfg.name), uint64(14*n)^uint64(ci)<<8, trials,
+		e14res := runTrials(opts, fmt.Sprintf("E14 %s", cfg.name), uint64(14*n)^uint64(ci)<<8, trials,
 			func(t trialR) (float64, bool) { return t.detect, t.detected },
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, stable.DefaultParams())

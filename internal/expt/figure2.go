@@ -42,7 +42,7 @@ func Figure2(opts Options) Figure {
 	// With opts.Shards > 1 the trajectory runs on the sharded engine —
 	// the single-trial figure where intra-run parallelism is the only
 	// parallelism there is.
-	res := runTrials(opts, "E1", 0, 1, func(int, uint64) fig2run {
+	res := runTrials(opts, "E1", 0, 1, nil, func(int, uint64) fig2run {
 		r := newEngine(opts, opts.Workers, stable.Describe(), n, "worst-case", 0, opts.Seed)
 		p := r.Protocol()
 		out := fig2run{stabilizedAt: -1}

@@ -97,7 +97,7 @@ func Figure3(opts Options) Figure {
 		// The precision statistic is the slowest fraction's hitting
 		// time (15/16): it dominates the row's variance, so a CI tight
 		// there is tight everywhere.
-		for _, times := range runTrialsStat(opts, fmt.Sprintf("E2 n=%d", n), uint64(n), trials,
+		for _, times := range runTrials(opts, fmt.Sprintf("E2 n=%d", n), uint64(n), trials,
 			func(times []float64) (float64, bool) {
 				last := times[len(times)-1]
 				return last, last >= 0

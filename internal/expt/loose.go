@@ -52,7 +52,7 @@ func LooseVsSilent(opts Options) Figure {
 		}
 		var convs []float64
 		survived := 0
-		for _, t := range runTrialsStat(opts, fmt.Sprintf("E18 loose n=%d", n), uint64(18*n), trials,
+		for _, t := range runTrials(opts, fmt.Sprintf("E18 loose n=%d", n), uint64(18*n), trials,
 			func(t looseR) (float64, bool) { return t.steps, t.ok },
 			func(_ int, seed uint64) looseR {
 				r := newEngine(opts, 1, sudo.Describe(sudo.DefaultTimeoutFactor), n, "fresh", 0, seed)
@@ -103,7 +103,7 @@ func LooseVsSilent(opts Options) Figure {
 		}
 		silentBud := pilotBudget(opts, silentLabel, uint64(18*n)^0x511e47, budget(n, 3000), silentOnce)
 		var silentConvs []float64
-		for _, t := range runTrialsStat(opts, silentLabel, uint64(18*n)^0x511e47, trials/2+1, statSteps,
+		for _, t := range runTrials(opts, silentLabel, uint64(18*n)^0x511e47, trials/2+1, statSteps,
 			func(_ int, seed uint64) stepsResult {
 				steps, ok := silentOnce(seed, silentBud)
 				return stepsResult{float64(steps), ok}

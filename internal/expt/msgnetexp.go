@@ -77,7 +77,7 @@ func MsgNetFaultRegimes(opts Options) Figure {
 				steps     float64
 			}
 			salt := uint64(0xe19)<<16 ^ uint64(gi)<<8 ^ uint64(ri)
-			res := runTrialsStat(opts, fmt.Sprintf("E19 %s/%s", graph, regime.name), salt, trials,
+			res := runTrials(opts, fmt.Sprintf("E19 %s/%s", graph, regime.name), salt, trials,
 				func(t trialR) (float64, bool) { return t.rounds, t.converged },
 				func(_ int, seed uint64) trialR {
 					nw, err := engine.New(d, n, d.Inits[0], engine.Knobs{

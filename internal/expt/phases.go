@@ -39,7 +39,7 @@ func PhaseStructure(opts Options) Figure {
 	converged := 0
 	// The statistic is the convergence indicator: phase-duration rows
 	// need converged runs, so the precision rule targets their rate.
-	for _, t := range runTrialsStat(opts, fmt.Sprintf("E17 n=%d", n), uint64(17*n), trials,
+	for _, t := range runTrials(opts, fmt.Sprintf("E17 n=%d", n), uint64(17*n), trials,
 		func(t trialR) (float64, bool) {
 			if t.ok {
 				return 1, true

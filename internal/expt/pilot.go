@@ -51,7 +51,7 @@ type pilotOutcome struct {
 // can never exceed the old hard-coded budget.
 func pilotBudget(o Options, label string, salt uint64, ceiling int64, run func(seed uint64, cap int64) (int64, bool)) int64 {
 	worst := int64(-1)
-	for _, p := range runTrials(o, label+" pilot", salt^pilotSalt, pilotTrials, func(_ int, seed uint64) pilotOutcome {
+	for _, p := range runTrials(o, label+" pilot", salt^pilotSalt, pilotTrials, nil, func(_ int, seed uint64) pilotOutcome {
 		steps, ok := run(seed, ceiling)
 		return pilotOutcome{steps, ok}
 	}) {

@@ -38,7 +38,7 @@ func Theorem1Shape(opts Options) Figure {
 		bud := pilotBudget(opts, label, uint64(3*n), budget(n, 200), runOnce)
 		var norms []float64
 		converged := 0
-		res := runTrialsStat(opts, label, uint64(3*n), trials, statSteps, func(_ int, seed uint64) stepsResult {
+		res := runTrials(opts, label, uint64(3*n), trials, statSteps, func(_ int, seed uint64) stepsResult {
 			steps, ok := runOnce(seed, bud)
 			return stepsResult{float64(steps), ok}
 		})
@@ -109,7 +109,7 @@ func Theorem2Shape(opts Options) Figure {
 					return steps, ok
 				})
 			var norms, resets []float64
-			for _, t := range runTrialsStat(opts, label, uint64(n*(ii+1)), trials,
+			for _, t := range runTrials(opts, label, uint64(n*(ii+1)), trials,
 				func(t trialR) (float64, bool) { return t.steps, t.ok },
 				func(_ int, seed uint64) trialR {
 					steps, ok, re := runOnce(seed, bud)
@@ -153,7 +153,7 @@ func LEShape(opts Options) Figure {
 		lg := math.Log2(float64(n))
 		var norms []float64
 		unique := 0
-		res := runTrialsStat(opts, fmt.Sprintf("E11 n=%d", n), uint64(11*n), trials, statSteps,
+		res := runTrials(opts, fmt.Sprintf("E11 n=%d", n), uint64(11*n), trials, statSteps,
 			func(_ int, seed uint64) stepsResult {
 				p := leaderelect.New(n)
 				r := sim.New[leaderelect.State](p, p.InitialStates(), seed)
@@ -199,7 +199,7 @@ func FastLESuccess(opts Options) Figure {
 		uniqueC, zeroC, multiC := 0, 0, 0
 		// The statistic is the unique-winner indicator: the precision
 		// rule then targets the success probability the lemma bounds.
-		res := runTrialsStat(opts, fmt.Sprintf("E12 n=%d", n), uint64(12*n), trials,
+		res := runTrials(opts, fmt.Sprintf("E12 n=%d", n), uint64(12*n), trials,
 			func(leaders int) (float64, bool) {
 				if leaders == 1 {
 					return 1, true

@@ -125,7 +125,11 @@ func readAgents[S any](l *Layout, states []S, data []byte) (int, error) {
 				k += m
 			}
 			if u > f.max {
-				return k, fmt.Errorf("agent %d: field value %d does not fit the field at offset %d", i, u, f.off)
+				var v any = u
+				if f.kind >= i8 {
+					v = unzigzag(u)
+				}
+				return k, fmt.Errorf("agent %d: field value %d does not fit the field at offset %d", i, v, f.off)
 			}
 			q := unsafe.Add(p, f.off)
 			switch f.kind {

@@ -2,6 +2,7 @@ package proto_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -62,7 +63,9 @@ func readSlab[S, P any](d proto.Descriptor[S, P], b []byte) error {
 
 // TestSlabRejectsFieldValues: the derived decoder rejects, per field
 // kind, a value that does not fit its field (uint8, int16, bool) and an
-// overlong varint, and accepts the largest value that fits.
+// overlong varint, naming the value as written (a signed field's
+// decoded value, not its zigzag code), and accepts the largest value
+// that fits.
 func TestSlabRejectsFieldValues(t *testing.T) {
 	st, co, su := stable.Describe(), core.Describe(), sudo.Describe(sudo.DefaultTimeoutFactor)
 	for _, tc := range []struct {
@@ -72,24 +75,31 @@ func TestSlabRejectsFieldValues(t *testing.T) {
 		before int
 		bad    func(w *ckpt.Writer)
 		good   func(w *ckpt.Writer)
+		says   string
 	}{
 		{"stable Mode (uint8)", func(b []byte) error { return readSlab(st, b) }, 12, 0,
-			func(w *ckpt.Writer) { w.Uvarint(256) }, func(w *ckpt.Writer) { w.Uvarint(255) }},
+			func(w *ckpt.Writer) { w.Uvarint(256) }, func(w *ckpt.Writer) { w.Uvarint(255) }, "field value 256 "},
 		{"core LE.Level (int16)", func(b []byte) error { return readSlab(co, b) }, 14, 7,
-			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }},
+			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }, "field value 32768 "},
 		{"sudo Leader (bool)", func(b []byte) error { return readSlab(su, b) }, 2, 0,
-			func(w *ckpt.Writer) { w.Raw([]byte{2}) }, func(w *ckpt.Writer) { w.Bool(true) }},
-		// 2¹⁵ is a valid varint but no int16: refused, not truncated.
+			func(w *ckpt.Writer) { w.Raw([]byte{2}) }, func(w *ckpt.Writer) { w.Bool(true) }, "field value 2 "},
+		// 2¹⁵ is a valid varint but no int16: refused, not truncated,
+		// and named as 32768, not as its zigzag code 65536 (the
+		// stable_counter_overflow checkpoint fuzz seed).
 		{"stable Alive (int16)", func(b []byte) error { return readSlab(st, b) }, 12, 11,
-			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) }},
+			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) }, "field value 32768 "},
+		{"stable Alive (negative int16)", func(b []byte) error { return readSlab(st, b) }, 12, 11,
+			func(w *ckpt.Writer) { w.Varint(-1<<15 - 1) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }, "field value -32769 "},
 		{"stable Rank (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 12, 2,
-			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Varint(-1 << 31) }},
+			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Varint(-1 << 31) }, "overlong"},
 	} {
 		if err := tc.read(slab(tc.fields, tc.before, tc.good)); err != nil {
 			t.Errorf("%s: largest fitting value rejected: %v", tc.name, err)
 		}
 		if err := tc.read(slab(tc.fields, tc.before, tc.bad)); err == nil {
 			t.Errorf("%s: value that does not fit accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: error %q does not say %q", tc.name, err, tc.says)
 		}
 	}
 }

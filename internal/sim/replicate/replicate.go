@@ -12,11 +12,7 @@
 // without sacrificing reproducibility.
 package replicate
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "runtime"
 
 // Seed derives the seed of trial `trial` from the experiment root
 // seed. The derivation depends only on (root, trial), uses the
@@ -29,18 +25,9 @@ func Seed(root uint64, trial int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Seeds returns the per-trial seeds Replicate would hand out.
-func Seeds(root uint64, trials int) []uint64 {
-	out := make([]uint64, trials)
-	for i := range out {
-		out[i] = Seed(root, i)
-	}
-	return out
-}
-
-// Workers resolves a worker-count request: values < 1 mean "one per
+// workers resolves a worker-count request: values < 1 mean "one per
 // CPU", and the count is clamped to the number of trials.
-func Workers(requested, trials int) int {
+func workers(requested, trials int) int {
 	w := requested
 	if w < 1 {
 		w = runtime.GOMAXPROCS(0)
@@ -52,42 +39,4 @@ func Workers(requested, trials int) int {
 		w = 1
 	}
 	return w
-}
-
-// Replicate runs `trials` independent trials of run and returns their
-// results in trial order. run receives the trial index and the trial's
-// deterministic seed (Seed(root, trial)) and must derive ALL of its
-// randomness from that seed for the engine's determinism guarantee to
-// hold. Trials execute on `workers` goroutines (< 1 = one per CPU);
-// the returned slice does not depend on the worker count or on
-// scheduling order.
-func Replicate[R any](workers, trials int, root uint64, run func(trial int, seed uint64) R) []R {
-	if trials <= 0 {
-		return nil
-	}
-	results := make([]R, trials)
-	workers = Workers(workers, trials)
-	if workers == 1 {
-		for i := range results {
-			results[i] = run(i, Seed(root, i))
-		}
-		return results
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= trials {
-					return
-				}
-				results[i] = run(i, Seed(root, i))
-			}
-		}()
-	}
-	wg.Wait()
-	return results
 }

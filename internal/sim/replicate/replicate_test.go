@@ -18,15 +18,6 @@ func TestSeedDependsOnlyOnRootAndTrial(t *testing.T) {
 	}
 }
 
-func TestSeedsMatchesSeed(t *testing.T) {
-	seeds := Seeds(99, 16)
-	for i, s := range seeds {
-		if s != Seed(99, i) {
-			t.Fatalf("Seeds[%d] = %d, want %d", i, s, Seed(99, i))
-		}
-	}
-}
-
 func TestSeedAvalanche(t *testing.T) {
 	// Adjacent trials must not produce near-identical seeds: over 64
 	// consecutive trials every seed must be distinct and the low bits
@@ -47,36 +38,40 @@ func TestSeedAvalanche(t *testing.T) {
 }
 
 func TestWorkersResolution(t *testing.T) {
-	if got := Workers(0, 100); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Workers(0, 100) = %d, want GOMAXPROCS", got)
+	if got := workers(0, 100); got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers(0, 100) = %d, want GOMAXPROCS", got)
 	}
-	if got := Workers(8, 3); got != 3 {
-		t.Fatalf("Workers(8, 3) = %d, want clamp to trials", got)
+	if got := workers(8, 3); got != 3 {
+		t.Fatalf("workers(8, 3) = %d, want clamp to trials", got)
 	}
-	if got := Workers(-1, 0); got != 1 {
-		t.Fatalf("Workers(-1, 0) = %d, want 1", got)
+	if got := workers(-1, 0); got != 1 {
+		t.Fatalf("workers(-1, 0) = %d, want 1", got)
 	}
 }
 
+// TestReplicateOrderAndDeterminism pins the seed contract: trial i
+// runs with Seed(root, i) and lands at index i, at every worker count
+// (a forced pool interleaves even on one core).
 func TestReplicateOrderAndDeterminism(t *testing.T) {
 	run := func(trial int, seed uint64) [2]uint64 {
 		return [2]uint64{uint64(trial), rng.New(seed).Uint64()}
 	}
-	serial := Replicate(1, 64, 7, run)
-	parallel := Replicate(8, 64, 7, run) // forced pool: interleaves even on one core
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("trial %d differs: serial %v parallel %v", i, serial[i], parallel[i])
+	for _, workers := range []int{1, 4, 16} {
+		got := ReplicateStream(Stream[[2]uint64]{Workers: workers, Trials: 48, Root: 11}, run)
+		if len(got) != 48 {
+			t.Fatalf("workers=%d: %d results, want 48", workers, len(got))
 		}
-		if serial[i][0] != uint64(i) {
-			t.Fatalf("trial %d result out of order: %v", i, serial[i])
+		for i := range got {
+			if got[i] != run(i, Seed(11, i)) {
+				t.Fatalf("workers=%d trial %d: %v, want %v", workers, i, got[i], run(i, Seed(11, i)))
+			}
 		}
 	}
 }
 
 func TestReplicateRunsEveryTrialOnce(t *testing.T) {
 	var calls [40]atomic.Int32
-	Replicate(4, 40, 1, func(trial int, _ uint64) struct{} {
+	ReplicateStream(Stream[struct{}]{Workers: 4, Trials: 40, Root: 1}, func(trial int, _ uint64) struct{} {
 		calls[trial].Add(1)
 		return struct{}{}
 	})
@@ -88,13 +83,19 @@ func TestReplicateRunsEveryTrialOnce(t *testing.T) {
 }
 
 func TestReplicateEmpty(t *testing.T) {
-	if got := Replicate(4, 0, 1, func(int, uint64) int { return 1 }); got != nil {
-		t.Fatalf("Replicate with 0 trials = %v, want nil", got)
+	for _, trials := range []int{0, -1} {
+		if got := ReplicateStream(Stream[int]{Workers: 4, Trials: trials, Root: 1},
+			func(int, uint64) int { return 1 }); got != nil {
+			t.Fatalf("stream with %d trials = %v, want nil", trials, got)
+		}
 	}
 }
 
+// BenchmarkReplicateOverhead measures the engine alone — seed
+// derivation, worker pool and ordered commit — on trials that do no
+// work.
 func BenchmarkReplicateOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Replicate(0, 64, uint64(i), func(trial int, seed uint64) uint64 { return seed })
+		ReplicateStream(Stream[uint64]{Trials: 64, Root: uint64(i)}, func(_ int, seed uint64) uint64 { return seed })
 	}
 }

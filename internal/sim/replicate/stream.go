@@ -18,6 +18,10 @@ type Commit[R any] struct {
 	Committed int
 	// Result is the trial's result.
 	Result R
+	// Mean and CI95 are the running mean and 95% confidence half-width
+	// of the stream's statistic over the committed prefix, this trial
+	// included (NaN and 0 while no sample has been accumulated).
+	Mean, CI95 float64
 }
 
 // Stream configures ReplicateStream.
@@ -25,54 +29,94 @@ type Stream[R any] struct {
 	// Workers bounds the worker pool (< 1 = one per CPU).
 	Workers int
 	// Trials is the trial ceiling: the stream never commits more than
-	// this many trials, and commits exactly this many unless Stop
-	// aborts earlier.
+	// this many trials, and commits exactly this many unless the
+	// precision rule stops it earlier.
 	Trials int
 	// Root is the experiment root seed; trial i runs with
-	// Seed(Root, i), exactly as Replicate.
+	// Seed(Root, i).
 	Root uint64
-	// OnCommit, when non-nil, observes every commit in trial-index
-	// order — the progress hook. It runs on the caller's goroutine.
-	OnCommit func(c Commit[R])
-	// Stop, when non-nil, is the early-abort hook: it is consulted
-	// after each commit (after OnCommit) and a true return freezes the
-	// output at the current committed prefix. Because commits are
-	// delivered in trial order regardless of which worker finished
-	// first, any decision computed from the sequence of commits is a
-	// pure function of the committed prefix — and therefore identical
-	// at every worker count. Trials that were already in flight past
+	// Stat, when non-nil, maps a committed result to the stream's
+	// statistic; ok = false leaves the trial out of it (e.g. a trial
+	// that exhausted its budget has no convergence time). Values fold
+	// into a Welford accumulator in commit order, which Commit reports
+	// and Rel stops on.
+	Stat func(R) (float64, bool)
+	// Rel, when > 0, stops the stream once the statistic's 95% CI
+	// half-width falls to Rel·|mean| (see met). The output then
+	// freezes at the committed prefix. Because commits are delivered
+	// in trial order regardless of which worker finished first, the
+	// decision is a pure function of that prefix — and therefore
+	// identical at every worker count. Trials already in flight past
 	// the stop point complete but their results are discarded.
-	Stop func(c Commit[R]) bool
+	Rel float64
+	// OnCommit, when non-nil, observes every commit in trial-index
+	// order — the progress hook. It runs on the caller's goroutine
+	// and is not called after the stop.
+	OnCommit func(c Commit[R])
+}
+
+// DefaultMinTrials is the number of statistic samples the precision
+// rule insists on before its sequential CI is allowed to stop a
+// stream.
+const DefaultMinTrials = 8
+
+// met reports whether the statistic samples folded into acc meet the
+// relative precision target rel: ci95_half ≤ rel·|mean|.
+//
+// The minimum is enforced on acc.N() — accumulated statistic samples,
+// not committed trials — so a prefix whose trials mostly failed
+// (ok=false, excluded from the CI) cannot stop on a two-point
+// interval. A zero-spread sample needs 2·DefaultMinTrials values
+// before it stops: "constant so far" is not proof of a constant
+// statistic (an indicator whose rate is small looks constant for a
+// long time), and by the rule of three, 2·DefaultMinTrials straight
+// identical Bernoulli outcomes at least bound the opposite-outcome
+// rate near 3/(2·DefaultMinTrials) — while a genuinely deterministic
+// statistic only pays the few extra trials once.
+func met(acc *stats.Running, rel float64) bool {
+	if acc.N() < DefaultMinTrials {
+		return false
+	}
+	r := acc.RelCI95()
+	if r == 0 {
+		return acc.N() >= 2*DefaultMinTrials
+	}
+	return !math.IsInf(r, 1) && r <= rel
 }
 
 // ReplicateStream runs up to s.Trials independent trials of run and
-// returns the committed prefix of results in trial order. It is the
-// streaming variant of Replicate: results flow through an ordered
-// commit pipeline (buffered until every earlier trial has committed),
-// so callbacks see them in trial-index order even when a fast later
-// trial finishes before a slow earlier one. With a nil Stop it returns
-// exactly Replicate's output; with a Stop hook it may return a shorter
-// prefix, still bit-identical at any worker count.
+// returns the committed prefix of results in trial order. run receives
+// the trial index and the trial's deterministic seed Seed(s.Root,
+// trial) and must derive all of its randomness from that seed. Results
+// flow through an ordered commit pipeline (buffered until every
+// earlier trial has committed), so the statistic, the stop and
+// OnCommit see them in trial-index order even when a fast later trial
+// finishes before a slow earlier one. The returned prefix is
+// bit-identical at any worker count.
 func ReplicateStream[R any](s Stream[R], run func(trial int, seed uint64) R) []R {
 	trials := s.Trials
 	if trials <= 0 {
 		return nil
 	}
-	workers := Workers(s.Workers, trials)
-
-	commit := func(results []R, c Commit[R]) (stop bool) {
-		results[c.Trial] = c.Result
-		if s.OnCommit != nil {
-			s.OnCommit(c)
+	results := make([]R, trials)
+	var acc stats.Running
+	commit := func(i int, r R) (stop bool) {
+		results[i] = r
+		if s.Stat != nil {
+			if v, ok := s.Stat(r); ok {
+				acc.Add(v)
+			}
 		}
-		return s.Stop != nil && s.Stop(c)
+		if s.OnCommit != nil {
+			s.OnCommit(Commit[R]{Trial: i, Committed: i + 1, Result: r, Mean: acc.Mean(), CI95: acc.CI95Half()})
+		}
+		return s.Rel > 0 && met(&acc, s.Rel)
 	}
 
-	if workers == 1 {
-		results := make([]R, trials)
-		for i := 0; i < trials; i++ {
-			c := Commit[R]{Trial: i, Committed: i + 1, Result: run(i, Seed(s.Root, i))}
-			if commit(results, c) {
+	w := workers(s.Workers, trials)
+	if w == 1 {
+		for i := range results {
+			if commit(i, run(i, Seed(s.Root, i))) {
 				return results[:i+1]
 			}
 		}
@@ -93,8 +137,8 @@ func ReplicateStream[R any](s Stream[R], run func(trial int, seed uint64) R) []R
 		trial int
 		r     R
 	}
-	ch := make(chan item, workers)
-	for w := 0; w < workers; w++ {
+	ch := make(chan item, w)
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -115,7 +159,6 @@ func ReplicateStream[R any](s Stream[R], run func(trial int, seed uint64) R) []R
 	// Commit pipeline, on the caller's goroutine: buffer out-of-order
 	// arrivals, commit in trial-index order, and after a stop keep
 	// draining the channel (discarding) so workers never block.
-	results := make([]R, trials)
 	pending := make(map[int]R)
 	committed := 0
 	stopped := false
@@ -130,9 +173,8 @@ func ReplicateStream[R any](s Stream[R], run func(trial int, seed uint64) R) []R
 				break
 			}
 			delete(pending, committed)
-			c := Commit[R]{Trial: committed, Committed: committed + 1, Result: r}
 			committed++
-			if commit(results, c) {
+			if commit(committed-1, r) {
 				stopped = true
 				horizon.Store(int64(committed))
 				break
@@ -140,68 +182,4 @@ func ReplicateStream[R any](s Stream[R], run func(trial int, seed uint64) R) []R
 		}
 	}
 	return results[:committed]
-}
-
-// Precision is a sequential stopping policy: stop replicating once the
-// 95% confidence interval of a per-trial statistic is tight enough,
-// relative to its running mean.
-type Precision struct {
-	// Rel is the target relative half-width: stop once
-	// ci95_half ≤ Rel·|mean|. Must be > 0.
-	Rel float64
-	// MinTrials is the minimum number of committed trials before the
-	// rule may fire (default 8): early CIs computed from two or three
-	// trials are too noisy to trust as stopping evidence.
-	MinTrials int
-}
-
-// DefaultMinTrials is the pilot prefix Precision insists on before its
-// sequential CI is allowed to stop a stream.
-const DefaultMinTrials = 8
-
-// Met reports whether the policy is satisfied by the statistic values
-// folded into acc from a committed prefix. It exists separately from
-// StopFunc so callers that already maintain a Running accumulator
-// (e.g. for progress reporting) can share it with the stop rule.
-//
-// MinTrials is enforced on acc.N() — accumulated statistic samples,
-// not committed trials — so a prefix whose trials mostly failed
-// (ok=false, excluded from the CI) cannot stop on a two-point
-// interval. A zero-spread sample needs 2·MinTrials values before it
-// stops: "constant so far" is not proof of a constant statistic (an
-// indicator whose rate is small looks constant for a long time), and
-// by the rule of three, 2·MinTrials straight identical Bernoulli
-// outcomes at least bound the opposite-outcome rate near 3/(2·MinTrials)
-// — while a genuinely deterministic statistic only pays the few extra
-// trials once.
-func (p Precision) Met(acc *stats.Running) bool {
-	minTrials := p.MinTrials
-	if minTrials <= 0 {
-		minTrials = DefaultMinTrials
-	}
-	if acc.N() < minTrials {
-		return false
-	}
-	rel := acc.RelCI95()
-	if rel == 0 {
-		return acc.N() >= 2*minTrials
-	}
-	return !math.IsInf(rel, 1) && rel <= p.Rel
-}
-
-// StopFunc builds a Stream.Stop hook implementing the policy for a
-// caller-chosen statistic. stat maps a trial result to its statistic
-// value; a false ok excludes the trial from the CI (e.g. a trial that
-// exhausted its budget has no convergence time) without stopping the
-// stream. The hook folds committed values into a Welford accumulator,
-// so the decision depends only on the committed prefix — the
-// determinism contract of ReplicateStream.
-func StopFunc[R any](p Precision, stat func(R) (float64, bool)) func(Commit[R]) bool {
-	var acc stats.Running
-	return func(c Commit[R]) bool {
-		if v, ok := stat(c.Result); ok {
-			acc.Add(v)
-		}
-		return p.Met(&acc)
-	}
 }

@@ -1,6 +1,7 @@
 package replicate
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,24 +15,6 @@ import (
 // under this schedule.
 func adversarialDelay(trial, trials int) {
 	time.Sleep(time.Duration(trials-trial) * time.Millisecond)
-}
-
-func TestStreamMatchesReplicate(t *testing.T) {
-	run := func(trial int, seed uint64) [2]uint64 {
-		return [2]uint64{uint64(trial), rng.New(seed).Uint64()}
-	}
-	want := Replicate(1, 48, 11, run)
-	for _, workers := range []int{1, 4, 16} {
-		got := ReplicateStream(Stream[[2]uint64]{Workers: workers, Trials: 48, Root: 11}, run)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d trial %d: %v != %v", workers, i, got[i], want[i])
-			}
-		}
-	}
 }
 
 func TestStreamCommitsInTrialOrder(t *testing.T) {
@@ -66,29 +49,37 @@ func TestStreamCommitsInTrialOrder(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyAbortPrefix pins the early-abort hook contract: a
-// Stop firing at commit k freezes the output at exactly the first k+1
-// trials, at every worker count, even when in-flight later trials have
-// already completed.
+// TestStreamEarlyAbortPrefix pins the early-stop contract: a stop
+// firing at commit k freezes the output at exactly the first k
+// trials, and OnCommit is not called again, at every worker count,
+// even when in-flight later trials have already completed. A constant
+// statistic is not trusted at DefaultMinTrials samples (it may be a
+// rare-event indicator) and stops at exactly twice that.
 func TestStreamEarlyAbortPrefix(t *testing.T) {
-	const trials, stopAt = 40, 9
+	const trials, stopAt = 40, 2 * DefaultMinTrials
 	for _, workers := range []int{1, 4, 16} {
 		var commits atomic.Int32
 		got := ReplicateStream(Stream[uint64]{
-			Workers:  workers,
-			Trials:   trials,
-			Root:     5,
-			OnCommit: func(Commit[uint64]) { commits.Add(1) },
-			Stop:     func(c Commit[uint64]) bool { return c.Trial >= stopAt },
+			Workers: workers,
+			Trials:  trials,
+			Root:    5,
+			Stat:    func(uint64) (float64, bool) { return 7, true },
+			Rel:     0.01,
+			OnCommit: func(c Commit[uint64]) {
+				commits.Add(1)
+				if c.Mean != 7 || c.CI95 != 0 {
+					t.Errorf("commit %d reports mean %v ± %v, want 7 ± 0", c.Trial, c.Mean, c.CI95)
+				}
+			},
 		}, func(trial int, seed uint64) uint64 {
 			adversarialDelay(trial, trials)
 			return seed
 		})
-		if len(got) != stopAt+1 {
-			t.Fatalf("workers=%d: committed %d trials, want %d", workers, len(got), stopAt+1)
+		if len(got) != stopAt {
+			t.Fatalf("workers=%d: committed %d trials, want %d", workers, len(got), stopAt)
 		}
-		if int(commits.Load()) != stopAt+1 {
-			t.Fatalf("workers=%d: OnCommit ran %d times after stop", workers, commits.Load())
+		if int(commits.Load()) != stopAt {
+			t.Fatalf("workers=%d: OnCommit ran %d times, want %d", workers, commits.Load(), stopAt)
 		}
 		for i := range got {
 			if got[i] != Seed(5, i) {
@@ -100,14 +91,14 @@ func TestStreamEarlyAbortPrefix(t *testing.T) {
 
 // streamStat is the per-trial statistic of the invariance test: a
 // deterministic function of the trial seed alone, noisy enough that
-// the precision rule stops well after MinTrials but well before the
-// ceiling.
+// the precision rule stops well after DefaultMinTrials but well before
+// the ceiling.
 func streamStat(seed uint64) float64 {
 	return 100 + 100*(rng.New(seed).Float64()-0.5)
 }
 
 // TestStreamPrecisionWorkerInvariance is the determinism regression
-// test of the CI-adaptive stopping rule: with Precision stopping, the
+// test of the CI-adaptive stopping rule: with a precision stop, the
 // committed result prefix must be bit-identical at 1, 4, and 16
 // workers — including under an adversarial completion schedule where
 // every later trial finishes before its predecessors. The stop
@@ -123,28 +114,24 @@ func TestStreamPrecisionWorkerInvariance(t *testing.T) {
 			return streamStat(seed)
 		}
 	}
-	type outcome struct {
-		prefix []float64
-	}
-	results := map[int]outcome{}
+	results := map[int][]float64{}
 	for _, workers := range []int{1, 4, 16} {
 		got := ReplicateStream(Stream[float64]{
 			Workers: workers,
 			Trials:  trials,
 			Root:    0x5eed,
-			Stop: StopFunc(Precision{Rel: 0.1}, func(v float64) (float64, bool) {
-				return v, true
-			}),
+			Stat:    func(v float64) (float64, bool) { return v, true },
+			Rel:     0.1,
 		}, runFor(workers > 1))
-		results[workers] = outcome{got}
+		results[workers] = got
 	}
-	base := results[1].prefix
+	base := results[1]
 	if len(base) < DefaultMinTrials || len(base) >= trials {
 		t.Fatalf("stop point %d not strictly inside (%d, %d): test statistic mistuned",
 			len(base), DefaultMinTrials, trials)
 	}
 	for _, workers := range []int{4, 16} {
-		got := results[workers].prefix
+		got := results[workers]
 		if len(got) != len(base) {
 			t.Fatalf("workers=%d stopped at %d trials, workers=1 at %d", workers, len(got), len(base))
 		}
@@ -156,46 +143,42 @@ func TestStreamPrecisionWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestStopFuncExcludesFailedTrials(t *testing.T) {
+func TestStatExcludesFailedTrials(t *testing.T) {
 	// Failed trials (ok=false) must not feed the CI: with every trial
-	// failed the rule can never fire and the stream runs to its
-	// ceiling.
-	stop := StopFunc(Precision{Rel: 0.5}, func(int) (float64, bool) { return 0, false })
-	got := ReplicateStream(Stream[int]{Workers: 4, Trials: 32, Root: 1, Stop: stop},
-		func(trial int, _ uint64) int { return trial })
+	// failed the rule can never fire, the stream runs to its ceiling
+	// and no commit reports a mean.
+	got := ReplicateStream(Stream[int]{
+		Workers: 4,
+		Trials:  32,
+		Root:    1,
+		Stat:    func(int) (float64, bool) { return 0, false },
+		Rel:     0.5,
+		OnCommit: func(c Commit[int]) {
+			if !math.IsNaN(c.Mean) {
+				t.Errorf("commit %d reports mean %v over no samples", c.Trial, c.Mean)
+			}
+		},
+	}, func(trial int, _ uint64) int { return trial })
 	if len(got) != 32 {
 		t.Fatalf("stream with all-failed statistic stopped at %d/32", len(got))
-	}
-	// A zero-spread sample is not trusted at MinTrials — "constant so
-	// far" may be a rare-event indicator — but stops at 2·MinTrials.
-	stop = StopFunc(Precision{Rel: 0.01, MinTrials: 5}, func(int) (float64, bool) { return 7, true })
-	got = ReplicateStream(Stream[int]{Workers: 1, Trials: 32, Root: 1, Stop: stop},
-		func(trial int, _ uint64) int { return trial })
-	if len(got) != 10 {
-		t.Fatalf("constant statistic stopped at %d, want 2·MinTrials=10", len(got))
 	}
 }
 
 // TestPrecisionMetNeedsSamplesNotCommits pins the guard against
-// failed-trial-diluted prefixes: MinTrials counts accumulated
+// failed-trial-diluted prefixes: the minimum counts accumulated
 // statistic values, so a long committed prefix whose trials mostly
 // failed must not stop on a two-point CI.
 func TestPrecisionMetNeedsSamplesNotCommits(t *testing.T) {
 	// 20 committed trials, but only trials 0 and 1 converged, with
 	// nearly equal statistics — a tiny two-point CI.
-	stop := StopFunc(Precision{Rel: 0.05}, func(trial int) (float64, bool) {
-		return 100 + float64(trial), trial < 2
-	})
-	got := ReplicateStream(Stream[int]{Workers: 1, Trials: 20, Root: 1, Stop: stop},
-		func(trial int, _ uint64) int { return trial })
+	got := ReplicateStream(Stream[int]{
+		Workers: 1,
+		Trials:  20,
+		Root:    1,
+		Stat:    func(trial int) (float64, bool) { return 100 + float64(trial), trial < 2 },
+		Rel:     0.05,
+	}, func(trial int, _ uint64) int { return trial })
 	if len(got) != 20 {
 		t.Fatalf("stream stopped at %d/20 on a two-sample CI", len(got))
-	}
-}
-
-func TestStreamZeroTrials(t *testing.T) {
-	if got := ReplicateStream(Stream[int]{Workers: 4, Trials: 0, Root: 1},
-		func(int, uint64) int { return 1 }); got != nil {
-		t.Fatalf("0-trial stream = %v, want nil", got)
 	}
 }

@@ -78,31 +78,14 @@ func Replicate(cfg Config, opt ReplicateOptions) (Replication, error) {
 		return Replication{}, fmt.Errorf("ssrank: ReplicateOptions.Precision must be >= 0, got %v", opt.Precision)
 	}
 
-	// One Welford accumulator shared between the precision stop rule
-	// and the final summary: both read the same committed prefix.
-	var acc stats.Running
-	var lo, hi float64
-	stream := replicate.Stream[Result]{Workers: opt.Workers, Trials: opt.Trials, Root: cfg.Seed}
-	stream.OnCommit = func(c replicate.Commit[Result]) {
-		if c.Result.Converged {
-			v := float64(c.Result.Interactions)
-			if acc.N() == 0 || v < lo {
-				lo = v
-			}
-			if acc.N() == 0 || v > hi {
-				hi = v
-			}
-			acc.Add(v)
-		}
-		if opt.OnTrial != nil {
-			opt.OnTrial(c.Trial, c.Committed, c.Result)
-		}
+	stream := replicate.Stream[Result]{
+		Workers: opt.Workers, Trials: opt.Trials, Root: cfg.Seed,
+		Stat: func(r Result) (float64, bool) { return float64(r.Interactions), r.Converged },
+		Rel:  opt.Precision,
 	}
-	if opt.Precision > 0 {
-		policy := replicate.Precision{Rel: opt.Precision}
-		stream.Stop = func(replicate.Commit[Result]) bool { return policy.Met(&acc) }
+	if opt.OnTrial != nil {
+		stream.OnCommit = func(c replicate.Commit[Result]) { opt.OnTrial(c.Trial, c.Committed, c.Result) }
 	}
-
 	results := replicate.ReplicateStream(stream, func(_ int, seed uint64) Result {
 		c := cfg
 		c.Seed = seed
@@ -112,34 +95,36 @@ func Replicate(cfg Config, opt ReplicateOptions) (Replication, error) {
 		return res
 	})
 
-	rep := Replication{Results: results, Trials: len(results)}
-	var resets stats.Running
-	var rlo, rhi float64
+	rep := Replication{
+		Results:      results,
+		Trials:       len(results),
+		Interactions: summarize(results, func(r Result) int64 { return r.Interactions }),
+		Resets:       summarize(results, func(r Result) int64 { return r.Resets }),
+	}
+	rep.Converged = rep.Interactions.N
+	return rep, nil
+}
+
+// summarize folds one statistic of the converged results, in trial
+// order, through a Welford accumulator into a Summary.
+func summarize(results []Result, stat func(Result) int64) Summary {
+	var acc stats.Running
+	var lo, hi float64
 	for _, r := range results {
 		if !r.Converged {
 			continue
 		}
-		rep.Converged++
-		v := float64(r.Resets)
-		if resets.N() == 0 || v < rlo {
-			rlo = v
+		v := float64(stat(r))
+		if acc.N() == 0 || v < lo {
+			lo = v
 		}
-		if resets.N() == 0 || v > rhi {
-			rhi = v
+		if acc.N() == 0 || v > hi {
+			hi = v
 		}
-		resets.Add(v)
+		acc.Add(v)
 	}
-	rep.Interactions = summarize(&acc, lo, hi)
-	rep.Resets = summarize(&resets, rlo, rhi)
-	return rep, nil
-}
-
-// summarize reads a Welford accumulator out into a Summary.
-func summarize(acc *stats.Running, lo, hi float64) Summary {
-	s := Summary{N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), CI95: acc.CI95Half()}
-	if s.N > 0 {
-		s.Min, s.Max = lo, hi
-	} else {
+	s := Summary{N: acc.N(), Mean: acc.Mean(), StdDev: acc.StdDev(), CI95: acc.CI95Half(), Min: lo, Max: hi}
+	if s.N == 0 {
 		s.Min, s.Max = s.Mean, s.Mean // NaN
 	}
 	return s
