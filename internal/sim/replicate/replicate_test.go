@@ -83,11 +83,9 @@ func TestReplicateRunsEveryTrialOnce(t *testing.T) {
 }
 
 func TestReplicateEmpty(t *testing.T) {
-	for _, trials := range []int{0, -1} {
-		if got := ReplicateStream(Stream[int]{Workers: 4, Trials: trials, Root: 1},
-			func(int, uint64) int { return 1 }); got != nil {
-			t.Fatalf("stream with %d trials = %v, want nil", trials, got)
-		}
+	if got := ReplicateStream(Stream[int]{Workers: 4, Trials: -1, Root: 1},
+		func(int, uint64) int { return 1 }); got != nil {
+		t.Fatalf("stream with -1 trials = %v, want nil", got)
 	}
 }
 

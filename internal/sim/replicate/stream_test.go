@@ -17,6 +17,35 @@ func adversarialDelay(trial, trials int) {
 	time.Sleep(time.Duration(trials-trial) * time.Millisecond)
 }
 
+// TestStreamMatchesReplicate pins that the statistic and the progress
+// hook only observe: a stream with Stat and OnCommit attached but no
+// precision stop (Rel = 0) commits every trial and returns exactly the
+// results of the bare one-worker replication, at every worker count.
+func TestStreamMatchesReplicate(t *testing.T) {
+	run := func(trial int, seed uint64) [2]uint64 {
+		return [2]uint64{uint64(trial), rng.New(seed).Uint64()}
+	}
+	want := ReplicateStream(Stream[[2]uint64]{Workers: 1, Trials: 48, Root: 11}, run)
+	for _, workers := range []int{1, 4, 16} {
+		commits := 0
+		got := ReplicateStream(Stream[[2]uint64]{
+			Workers:  workers,
+			Trials:   48,
+			Root:     11,
+			Stat:     func(r [2]uint64) (float64, bool) { return float64(r[1] % 7), true },
+			OnCommit: func(Commit[[2]uint64]) { commits++ },
+		}, run)
+		if len(got) != len(want) || commits != len(want) {
+			t.Fatalf("workers=%d: %d results, %d commits, want %d", workers, len(got), commits, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d trial %d: %v != %v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestStreamCommitsInTrialOrder(t *testing.T) {
 	const trials = 24
 	var order []int
@@ -180,5 +209,19 @@ func TestPrecisionMetNeedsSamplesNotCommits(t *testing.T) {
 	}, func(trial int, _ uint64) int { return trial })
 	if len(got) != 20 {
 		t.Fatalf("stream stopped at %d/20 on a two-sample CI", len(got))
+	}
+}
+
+func TestStreamZeroTrials(t *testing.T) {
+	got := ReplicateStream(Stream[int]{
+		Workers:  4,
+		Trials:   0,
+		Root:     1,
+		Stat:     func(int) (float64, bool) { return 1, true },
+		Rel:      0.1,
+		OnCommit: func(Commit[int]) { t.Error("OnCommit called on a 0-trial stream") },
+	}, func(int, uint64) int { return 1 })
+	if got != nil {
+		t.Fatalf("0-trial stream = %v, want nil", got)
 	}
 }
