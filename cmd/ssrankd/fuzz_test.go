@@ -43,6 +43,11 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"N":48,"Seed":9}`))
 	f.Add([]byte(`{"N":4000000000,"Seed":9}`))
 	f.Add([]byte(`{"N":64,"Sede":3}`))
+	// Unchecked, a negative ε panics in the worker, not the handler.
+	// The gate holds the one worker, so this target sees only the
+	// handler and can never observe a worker-side panic;
+	// TestServerRejects covers that path.
+	f.Add([]byte(`{"N":16,"Protocol":"interval","Epsilon":-1}`))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// submit posts the body to a fresh manager and returns the

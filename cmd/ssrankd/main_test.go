@@ -116,7 +116,8 @@ func TestServerLifecycle(t *testing.T) {
 }
 
 // TestServerRejects pins the error paths: malformed JSON, unknown
-// fields, invalid configs, and missing job ids.
+// fields, invalid configs, and missing job ids; the daemon still
+// accepts a valid job afterwards.
 func TestServerRejects(t *testing.T) {
 	m := jobs.NewManager(jobs.Config{Workers: 1})
 	defer m.Close()
@@ -127,6 +128,11 @@ func TestServerRejects(t *testing.T) {
 		"malformed":     `{"N":`,
 		"unknown field": `{"N":64,"Sede":3}`,
 		"invalid N":     `{"N":1}`,
+		// Unchecked, each of these would panic or hang the worker,
+		// not the handler.
+		"negative epsilon":  `{"N":16,"Protocol":"interval","Epsilon":-1}`,
+		"epsilon too large": `{"N":1048576,"Protocol":"interval","Epsilon":1100}`,
+		"delay overflows":   `{"N":16,"Faults":{"DelayMax":9223372036854775807}}`,
 	} {
 		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -136,6 +142,14 @@ func TestServerRejects(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
+	}
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"N":16,"Seed":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("valid job after the rejections: status %d, want 202", resp.StatusCode)
 	}
 	for _, path := range []string{"/jobs/job-99", "/jobs/job-99/events"} {
 		resp, err := http.Get(srv.URL + path)

@@ -39,7 +39,7 @@ func NewDisjointCond(m int32) *DisjointCond {
 	if m < 1 || m&(m-1) != 0 {
 		panic("interval: DisjointCond needs a power-of-two identifier space")
 	}
-	return &DisjointCond{m: m, cnt: make([]int32, 2*m), desc: make([]int32, 2*m)}
+	return &DisjointCond{m: m, cnt: make([]int32, 2*int(m)), desc: make([]int32, 2*int(m))}
 }
 
 // nodeOf maps an interval to its tree node in heap order (root 1,

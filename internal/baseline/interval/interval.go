@@ -36,21 +36,27 @@ type Protocol struct {
 	m int32 // identifier-space size: power of two ≥ ⌈(1+ε)n⌉
 }
 
-// New builds the protocol for n ≥ 2 agents and slack ε ≥ 0. The
-// identifier space is the smallest power of two ≥ max(n, ⌈(1+ε)n⌉), so
-// the effective range may exceed (1+ε)n by up to 2× (intervals are
-// binary-tree nodes; the census reports the effective m).
+// MaxSpace bounds (1+ε)n: the identifier space, a power of two, must
+// fit State's int32 endpoints and DisjointCond's int32 heap indices.
+const MaxSpace = 1 << 30
+
+// New builds the protocol for n ≥ 2 agents and finite slack ε ≥ 0 with
+// (1+ε)n ≤ MaxSpace. The identifier space is the smallest power of
+// two ≥ max(n, ⌈(1+ε)n⌉), so the effective range may exceed (1+ε)n by
+// up to 2× (intervals are binary-tree nodes; the census reports the
+// effective m).
 func New(n int, epsilon float64) *Protocol {
 	if n < 2 {
 		panic(fmt.Sprintf("interval: n must be >= 2, got %d", n))
 	}
-	if epsilon < 0 {
+	if !(epsilon >= 0) {
 		panic(fmt.Sprintf("interval: epsilon must be >= 0, got %v", epsilon))
 	}
-	want := int32(float64(n) * (1 + epsilon))
-	if want < int32(n) {
-		want = int32(n)
+	space := float64(n) * (1 + epsilon)
+	if space > MaxSpace {
+		panic(fmt.Sprintf("interval: (1+ε)n = %v exceeds the identifier-space limit %d", space, MaxSpace))
 	}
+	want := int32(space)
 	m := int32(1)
 	for m < want {
 		m <<= 1

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -31,6 +32,7 @@ func TestNewRoundsToPowerOfTwo(t *testing.T) {
 		{100, 0, 128},
 		{100, 1.0, 256},
 		{2, 0, 2},
+		{2, MaxSpace/2 - 1, MaxSpace},
 	}
 	for _, tc := range cases {
 		if got := New(tc.n, tc.eps).M(); got != tc.want {
@@ -217,6 +219,11 @@ func TestNewPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { New(1, 0) },
 		func() { New(8, -0.1) },
+		func() { New(8, math.NaN()) },
+		func() { New(8, math.Inf(1)) },
+		func() { New(8, 1e10) },
+		func() { New(1<<27, 7.5) },
+		func() { New(1<<20, 1100) },
 	} {
 		func() {
 			defer func() {

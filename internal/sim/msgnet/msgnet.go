@@ -35,7 +35,8 @@
 // snapshotted at send time), so they commute. Workers therefore trade
 // wall clock for cores only; the trajectory is a pure function of
 // (initial configuration, Config) at any worker count — locked by the
-// worker-invariance and record/replay tests.
+// worker-invariance test — so re-running the seed reproduces any
+// execution, faulty ones included, exactly.
 //
 // The package exists for fidelity, not speed: the
 // message store costs two orders of magnitude more per interaction
@@ -113,21 +114,26 @@ type Faults struct {
 	Reorder float64
 }
 
+// MaxDelay bounds Faults.DelayMax, so that drawing a delay in
+// [0, DelayMax] and adding it to a round number cannot overflow.
+const MaxDelay = math.MaxInt32
+
 // None reports whether the configuration injects no faults.
 func (f Faults) None() bool { return f == Faults{} }
 
-// Validate rejects probabilities outside [0, 1] and negative delays.
+// Validate rejects probabilities outside [0, 1] (NaN included) and
+// delays outside [0, MaxDelay].
 func (f Faults) Validate() error {
 	for _, p := range []struct {
 		name string
 		v    float64
 	}{{"Drop", f.Drop}, {"Dup", f.Dup}, {"Reorder", f.Reorder}} {
-		if p.v < 0 || p.v > 1 {
+		if !(p.v >= 0 && p.v <= 1) {
 			return fmt.Errorf("msgnet: fault probability %s = %v outside [0, 1]", p.name, p.v)
 		}
 	}
-	if f.DelayMax < 0 {
-		return fmt.Errorf("msgnet: DelayMax = %d must be >= 0", f.DelayMax)
+	if f.DelayMax < 0 || f.DelayMax > MaxDelay {
+		return fmt.Errorf("msgnet: DelayMax = %d outside [0, %d]", f.DelayMax, MaxDelay)
 	}
 	return nil
 }
@@ -146,9 +152,6 @@ type Config struct {
 	// Seed drives the fault stream (salted; the scheduler carries its
 	// own stream).
 	Seed uint64
-	// Record captures the run's trace (contacts and delivery order
-	// per round) for Replay; retrieve it with Trace.
-	Record bool
 }
 
 // Stats reports a network's cumulative fault and traffic counters.
@@ -201,10 +204,6 @@ type Network[S any, P sim.Protocol[S]] struct {
 
 	blocked, deferred, dropped, duplicated, delayed, reordered int64
 
-	rec          *Trace
-	replay       *Trace
-	replayCopies map[int64]int32
-
 	// Per-round scratch, reused across rounds.
 	rawContacts [][2]int32
 	contactBuf  [][2]int32
@@ -235,7 +234,7 @@ func New[S any, P sim.Protocol[S]](p P, states []S, cfg Config) *Network[S, P] {
 	if sched == nil {
 		sched = NewUniform(len(states), 0, cfg.Seed)
 	}
-	nw := &Network[S, P]{
+	return &Network[S, P]{
 		proto:    p,
 		states:   states,
 		sched:    sched,
@@ -247,38 +246,6 @@ func New[S any, P sim.Protocol[S]](p P, states []S, cfg Config) *Network[S, P] {
 		busy:     make([]bool, len(states)),
 		releases: map[int64][]int32{},
 		taken:    make([]bool, len(states)),
-	}
-	if cfg.Record {
-		nw.rec = &Trace{N: len(states)}
-	}
-	return nw
-}
-
-// Replay reconstructs a recorded run: the trace supplies every
-// nondeterministic choice (contacts after rendezvous filtering, fault
-// fates, delivery order), so neither a scheduler nor a fault stream
-// is consulted and the trajectory is identical to the recorded one —
-// at any worker count, from the same initial configuration and
-// protocol. Running past the end of the trace panics.
-func Replay[S any, P sim.Protocol[S]](p P, states []S, tr *Trace, workers int) *Network[S, P] {
-	if len(states) != tr.N {
-		panic(fmt.Sprintf("msgnet: replaying a trace of %d agents over %d states", tr.N, len(states)))
-	}
-	counts := make(map[int64]int32)
-	for _, rd := range tr.Rounds {
-		for _, id := range rd.Deliveries {
-			counts[id]++
-		}
-	}
-	return &Network[S, P]{
-		proto:        p,
-		states:       states,
-		workers:      resolveWorkers(workers),
-		msgs:         map[int64]*msg[S]{},
-		due:          map[int64][]int64{},
-		busy:         make([]bool, len(states)),
-		replay:       tr,
-		replayCopies: counts,
 	}
 }
 
@@ -320,11 +287,6 @@ func (nw *Network[S, P]) Stats() Stats {
 	}
 }
 
-// Trace returns the recorded trace (nil unless Config.Record). The
-// trace grows as the network runs; marshal or replay it only after
-// the run segment of interest is complete.
-func (nw *Network[S, P]) Trace() *Trace { return nw.rec }
-
 // Round executes one communication round:
 //
 //  1. rendezvous locks whose reply was dropped time out; the
@@ -339,8 +301,7 @@ func (nw *Network[S, P]) Trace() *Trace { return nw.rec }
 //     messages whose delay expires — is optionally shuffled
 //     (Reorder); a serial lock pass then releases the rendezvous lock
 //     of each reply's recipient and defers requests addressed to
-//     still-engaged agents to the next round, and the surviving queue
-//     is recorded;
+//     still-engaged agents to the next round;
 //  3. messages are delivered, partitioned by recipient across the
 //     worker pool: a request applies Transition(snapshot, responder)
 //     and stages a reply carrying the updated snapshot; a reply
@@ -350,49 +311,31 @@ func (nw *Network[S, P]) Trace() *Trace { return nw.rec }
 func (nw *Network[S, P]) Round() {
 	r := nw.round
 
-	// 1. Contacts and request creation. IDs are assigned to every
-	// surviving contact so replay allocates the same ID sequence from
-	// the recorded (post-filter) contacts.
-	var contacts [][2]int32
-	if nw.replay != nil {
-		if r >= int64(len(nw.replay.Rounds)) {
-			panic("msgnet: Round past the end of the replayed trace")
+	// 1. Contacts and request creation: IDs are assigned to the
+	// surviving contacts in schedule order.
+	if rel := nw.releases[r]; rel != nil {
+		for _, a := range rel {
+			nw.busy[a] = false
 		}
-		contacts = nw.replay.Rounds[r].Contacts
-	} else {
-		if rel := nw.releases[r]; rel != nil {
-			for _, a := range rel {
-				nw.busy[a] = false
-			}
-			delete(nw.releases, r)
-		}
-		nw.rawContacts = nw.sched.Contacts(nw.rawContacts[:0])
-		nw.contactBuf = nw.contactBuf[:0]
-		for _, c := range nw.rawContacts {
-			a, b := c[0], c[1]
-			if nw.busy[a] || nw.busy[b] || nw.taken[a] || nw.taken[b] {
-				nw.blocked++
-				continue
-			}
-			nw.taken[a], nw.taken[b] = true, true
-			nw.contactBuf = append(nw.contactBuf, c)
-		}
-		for _, c := range nw.contactBuf {
-			nw.taken[c[0]], nw.taken[c[1]] = false, false
-		}
-		contacts = nw.contactBuf
+		delete(nw.releases, r)
 	}
+	nw.rawContacts = nw.sched.Contacts(nw.rawContacts[:0])
+	contacts := nw.contactBuf[:0]
+	for _, c := range nw.rawContacts {
+		a, b := c[0], c[1]
+		if nw.busy[a] || nw.busy[b] || nw.taken[a] || nw.taken[b] {
+			nw.blocked++
+			continue
+		}
+		nw.taken[a], nw.taken[b] = true, true
+		contacts = append(contacts, c)
+	}
+	nw.contactBuf = contacts
 	reqBase := nw.nextID
 	for i, c := range contacts {
-		id := reqBase + int64(i)
-		if nw.replay != nil {
-			if k := nw.replayCopies[id]; k > 0 {
-				nw.msgs[id] = &msg[S]{kind: kindRequest, src: c[0], dst: c[1], copies: k, payload: nw.states[c[0]]}
-			}
-		} else {
-			nw.busy[c[0]] = true
-			nw.send(id, kindRequest, c[0], c[1], nw.states[c[0]], r)
-		}
+		nw.taken[c[0]], nw.taken[c[1]] = false, false
+		nw.busy[c[0]] = true
+		nw.send(reqBase+int64(i), kindRequest, c[0], c[1], nw.states[c[0]], r)
 	}
 	nw.nextID = reqBase + int64(len(contacts))
 
@@ -401,45 +344,32 @@ func (nw *Network[S, P]) Round() {
 	// deterministic send order — last round's replies before this
 	// round's requests, which is what keeps a fault-free round
 	// sequentially consistent at each recipient.
-	var dueIDs []int64
-	if nw.replay != nil {
-		dueIDs = nw.replay.Rounds[r].Deliveries
-	} else {
-		dueIDs = nw.due[r]
-		delete(nw.due, r)
-		if nw.faults.Reorder > 0 && len(dueIDs) > 1 && nw.faultR.Float64() < nw.faults.Reorder {
-			nw.faultR.Shuffle(len(dueIDs), func(i, j int) { dueIDs[i], dueIDs[j] = dueIDs[j], dueIDs[i] })
-			nw.reordered++
-		}
-		// Serial lock pass, in queue order: a reply releases its
-		// recipient's rendezvous lock; a request addressed to an agent
-		// still engaged in its own interaction is deferred to the next
-		// round (it cannot respond mid-rendezvous — delivering anyway
-		// would let the engaged agent's inbound reply overwrite the
-		// interaction, corrupting even a fault-free run). The recorded
-		// trace holds the post-deferral queue, so replay needs no lock
-		// bookkeeping at all.
-		kept := dueIDs[:0]
-		for _, id := range dueIDs {
-			m := nw.msgs[id]
-			if m.kind == kindRequest && nw.busy[m.dst] {
-				nw.due[r+1] = append(nw.due[r+1], id)
-				nw.deferred++
-				continue
-			}
-			if m.kind == kindReply {
-				nw.busy[m.dst] = false
-			}
-			kept = append(kept, id)
-		}
-		dueIDs = kept
-		if nw.rec != nil {
-			nw.rec.Rounds = append(nw.rec.Rounds, TraceRound{
-				Contacts:   append([][2]int32(nil), contacts...),
-				Deliveries: append([]int64(nil), dueIDs...),
-			})
-		}
+	dueIDs := nw.due[r]
+	delete(nw.due, r)
+	if nw.faults.Reorder > 0 && len(dueIDs) > 1 && nw.faultR.Float64() < nw.faults.Reorder {
+		nw.faultR.Shuffle(len(dueIDs), func(i, j int) { dueIDs[i], dueIDs[j] = dueIDs[j], dueIDs[i] })
+		nw.reordered++
 	}
+	// Serial lock pass, in queue order: a reply releases its
+	// recipient's rendezvous lock; a request addressed to an agent
+	// still engaged in its own interaction is deferred to the next
+	// round (it cannot respond mid-rendezvous — delivering anyway
+	// would let the engaged agent's inbound reply overwrite the
+	// interaction, corrupting even a fault-free run).
+	kept := dueIDs[:0]
+	for _, id := range dueIDs {
+		m := nw.msgs[id]
+		if m.kind == kindRequest && nw.busy[m.dst] {
+			nw.due[r+1] = append(nw.due[r+1], id)
+			nw.deferred++
+			continue
+		}
+		if m.kind == kindReply {
+			nw.busy[m.dst] = false
+		}
+		kept = append(kept, id)
+	}
+	dueIDs = kept
 
 	// 3. Delivery (the only phase that may run on workers).
 	nw.deliver(dueIDs)
@@ -453,14 +383,7 @@ func (nw *Network[S, P]) Round() {
 		if !pr.ok {
 			continue
 		}
-		id := replyBase + int64(i)
-		if nw.replay != nil {
-			if k := nw.replayCopies[id]; k > 0 {
-				nw.msgs[id] = &msg[S]{kind: kindReply, src: pr.src, dst: pr.dst, copies: k, payload: pr.payload}
-			}
-		} else {
-			nw.send(id, kindReply, pr.src, pr.dst, pr.payload, r+1)
-		}
+		nw.send(replyBase+int64(i), kindReply, pr.src, pr.dst, pr.payload, r+1)
 	}
 	nw.nextID = replyBase + int64(len(dueIDs))
 
@@ -620,8 +543,7 @@ func (nw *Network[S, P]) Run(k int64) {
 // delivering (almost) nothing, e.g. Drop = 1, from spinning forever.
 // The backstop counts this call's rounds, never the absolute round
 // counter: a network that already burned more rounds than maxSteps
-// still gets its remaining budget's worth. On a replayed network the
-// trace length is a further bound.
+// still gets its remaining budget's worth.
 func (nw *Network[S, P]) RunUntil(stop func([]S) bool, maxSteps int64) (int64, error) {
 	if stop(nw.states) {
 		return nw.steps, nil
@@ -629,9 +551,6 @@ func (nw *Network[S, P]) RunUntil(stop func([]S) bool, maxSteps int64) (int64, e
 	// Clamped so the cap cannot overflow near MaxInt64.
 	roundCap := nw.round + min(max(maxSteps-nw.steps, 0), math.MaxInt64-nw.round)
 	for nw.steps < maxSteps && nw.round < roundCap {
-		if nw.replay != nil && nw.round >= int64(len(nw.replay.Rounds)) {
-			return nw.steps, ErrBudgetExhausted
-		}
 		nw.Round()
 		if stop(nw.states) {
 			return nw.steps, nil

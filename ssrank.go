@@ -31,7 +31,9 @@ package ssrank
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"ssrank/internal/baseline/interval"
 	"ssrank/internal/sim/engine"
 	"ssrank/internal/sim/shard"
 )
@@ -119,7 +121,8 @@ type Config struct {
 	// default budget — several times the expected stabilization time,
 	// saturating at MaxInt64 for very large n.
 	MaxInteractions int64
-	// Epsilon is the range slack for Interval (default 1.0).
+	// Epsilon is the range slack for Interval (default 1.0). It must be
+	// finite and ≥ 0, and an Interval run needs N·(1+Epsilon) ≤ 2³⁰.
 	Epsilon float64
 	// Shards, when > 1, executes the run on the sharded population
 	// engine (internal/sim/shard): agents are partitioned into Shards
@@ -307,6 +310,12 @@ func normalize(cfg Config) (*Descriptor, Config, error) {
 	}
 	if cfg.Epsilon == 0 {
 		cfg.Epsilon = 1.0
+	}
+	if !(cfg.Epsilon > 0) || math.IsInf(cfg.Epsilon, 1) {
+		return nil, cfg, fmt.Errorf("ssrank: Epsilon must be finite and >= 0, got %v", cfg.Epsilon)
+	}
+	if cfg.Protocol == Interval && float64(cfg.N)*(1+cfg.Epsilon) > interval.MaxSpace {
+		return nil, cfg, fmt.Errorf("ssrank: Interval needs N·(1+Epsilon) <= %d, got %v", interval.MaxSpace, float64(cfg.N)*(1+cfg.Epsilon))
 	}
 	if err := checkNetwork(cfg); err != nil {
 		return nil, cfg, err

@@ -151,6 +151,43 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadEpsilonAndFaults: every ε or fault value the
+// engines cannot run is an error from Run, never a panic or a hang in
+// the engine. Unchecked, a negative ε panics in Interval's
+// constructor, N·(1+ε) past 2³⁰ overflows its int32 identifier space,
+// a NaN probability injects nothing, and DelayMax = MaxInt overflows
+// the delay draw.
+func TestRunRejectsBadEpsilonAndFaults(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"negative epsilon":          {N: 16, Protocol: Interval, Epsilon: -1},
+		"NaN epsilon":               {N: 16, Protocol: Interval, Epsilon: math.NaN()},
+		"infinite epsilon":          {N: 16, Protocol: Interval, Epsilon: math.Inf(1)},
+		"negative infinite epsilon": {N: 16, Protocol: Interval, Epsilon: math.Inf(-1)},
+		"epsilon 1e10":              {N: 16, Protocol: Interval, Epsilon: 1e10},
+		"space past 2^30":           {N: 1 << 20, Protocol: Interval, Epsilon: 1100},
+		"hang case":                 {N: 1 << 27, Protocol: Interval, Epsilon: 7.5},
+		"negative epsilon, stable":  {N: 16, Epsilon: -1},
+		"NaN DropProb":              {N: 16, Faults: Faults{DropProb: math.NaN()}},
+		"NaN DupProb":               {N: 16, Faults: Faults{DupProb: math.NaN()}},
+		"NaN ReorderProb":           {N: 16, Faults: Faults{ReorderProb: math.NaN()}},
+		"DelayMax MaxInt":           {N: 16, Faults: Faults{DelayMax: math.MaxInt}},
+		"DelayMax past 2^31-1":      {N: 16, Faults: Faults{DelayMax: math.MaxInt32 + 1}},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: Run(%+v) accepted", name, cfg)
+		}
+	}
+	// The limits themselves are legal.
+	for name, cfg := range map[string]Config{
+		"space exactly 2^30":   {N: 2, Protocol: Interval, Epsilon: 1<<29 - 1},
+		"DelayMax exactly max": {N: 16, Faults: Faults{DelayMax: math.MaxInt32}},
+	} {
+		if _, err := cfg.Normalized(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestRunBudgetExhaustion(t *testing.T) {
 	res, err := Run(Config{N: 64, Seed: 1, MaxInteractions: 10})
 	if !errors.Is(err, ErrNotConverged) {
