@@ -12,17 +12,18 @@ import (
 )
 
 // largeRuns are StableRanking runs at populations whose slabs are far
-// larger than any golden's. The 2¹⁸-agent runs are past the fetch gate
+// larger than any golden's. The 2²⁰-agent runs are past the fetch gate
 // (slab.FetchBytes), so the serial loops, the shard units and the
 // sharded fold all run with each window's agent lines fetched first;
-// the 2¹⁶- and 2¹⁷-agent runs pin the runs below it. Each digest
-// covers the checkpoint engine section after the run — the step count,
-// every stream position, the agent slab and the reset counters —
-// together with the exact stop's outcome. The 2¹⁶- and 2¹⁷-agent
-// digests were recorded before the loops learned to fetch and before
-// the sharded fold moved from a shadow copy onto the live slab, the
-// 2¹⁸-agent ones with the 40-byte StableRanking state; none may ever
-// move.
+// the smaller runs pin the runs below it. Each digest covers the
+// checkpoint engine section after the run — the step count, every
+// stream position, the agent slab and the reset counters — together
+// with the exact stop's outcome. The 2¹⁶- and 2¹⁷-agent digests were
+// recorded before the loops learned to fetch and before the sharded
+// fold moved from a shadow copy onto the live slab, the 2¹⁸-agent ones
+// with the 40-byte StableRanking state and the 2²⁰-agent ones with the
+// 24-byte state; none may move unless the slab's bytes do, and
+// largeRunTrajectories pins that the trajectory never does.
 var largeRuns = []struct {
 	name   string
 	n      int
@@ -49,27 +50,24 @@ var largeRuns = []struct {
 	{"worst-case n=2^18 serial exact", 1 << 18, "worst-case", 1, true, "514f8dc533e81b6835c1133dc9f5f6e3e153a9e94ebdeedcbf64b851cd76d39f"},
 	{"worst-case n=2^18 shards=4 exact", 1 << 18, "worst-case", 4, true, "13a8af79b3e58f565c00c09fa2ed4a093a635f5404803a3b9eeae75a8900a29c"},
 	{"random n=2^18 shards=4 exact", 1 << 18, "random", 4, true, "e6b1ea1bfe362c70e820085b848114feab72710e899f16160a7aeca450d0187d"},
+	{"fresh n=2^20 serial", 1 << 20, "fresh", 1, false, "9d4de17b98bcec3a8cb16f0f8d600bd145da12f508c27ce73062a0fb81d98429"},
+	{"fresh n=2^20 shards=4", 1 << 20, "fresh", 4, false, "3d857196c2a7d246b0e4908edd055b814ead049ed2df9098eacc1433d635f3d8"},
+	{"worst-case n=2^20 shards=4 exact", 1 << 20, "worst-case", 4, true, "470d7422928a5d2de69ff4dc7d164a0a909fd6e571290d86ae29a2386c9685ca"},
 }
 
 // largeRunSteps is every large run's interaction budget.
 const largeRunSteps = 1_000_000
 
 func TestLargeRunDigests(t *testing.T) {
-	if !slab.Fetches[stable.State](1 << 18) {
-		t.Fatalf("a slab of 2^18 StableRanking agents is below the fetch gate of %d B: the digests no longer cover the fetch", slab.FetchBytes)
-	}
-	d := stable.Describe()
+	fetchN := 0
 	for _, tc := range largeRuns {
-		e, err := New(d, tc.n, tc.init, Knobs{Seed: 11, Shards: tc.shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hit, ok := int64(-1), false
-		if tc.exact {
-			hit, ok = e.RunUntilStable(largeRunSteps, largeRunSteps)
-		} else {
-			e.Run(largeRunSteps)
-		}
+		fetchN = max(fetchN, tc.n)
+	}
+	if !slab.Fetches[stable.State](fetchN) {
+		t.Fatalf("a slab of %d StableRanking agents is below the fetch gate of %d B: the digests no longer cover the fetch", fetchN, slab.FetchBytes)
+	}
+	for _, tc := range largeRuns {
+		e, hit, ok := runLarge(t, tc.n, tc.init, tc.shards, tc.exact)
 		var w ckpt.Writer
 		if err := e.Checkpoint(&w, hit); err != nil {
 			t.Fatal(err)
@@ -81,4 +79,81 @@ func TestLargeRunDigests(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s (steps %d, hit %d, stable %v)", tc.name, got, tc.want, e.Steps(), hit, ok)
 		}
 	}
+}
+
+// largeRunTrajectories pins largeRuns' trajectories independently of
+// how StableRanking lays out an agent: each digest covers the exact
+// stop's outcome, the engine kind, the recorded hit, the step count,
+// every stream position, the reset counters and each agent's
+// stable.Canonical view, so a change of the state's memory layout or
+// of the slab codec leaves it alone while the byte-level digest of
+// TestLargeRunDigests moves. Recorded with the 24-byte state.
+var largeRunTrajectories = map[string]string{
+	"fresh n=2^17 serial":              "9aaf247062e6c296d7b5e0f7d6a77c259ed86987d9c8bc6bfa0fc3b7c515aea7",
+	"fresh n=2^17 shards=2":            "cf826e095338a4c475d84aa5f36379f25f84fc4b8bb5d21537315c6df8eb0d9f",
+	"fresh n=2^17 shards=4":            "e2a30bcaf2c58b9576cbd44367953f5908d8e72eb86580df717bb36f484fda85",
+	"worst-case n=2^16 serial exact":   "869e363a666d29780496c48c926ddc79a59feed4e573772fc5f330472ecdd24a",
+	"worst-case n=2^16 shards=4 exact": "0a7facb1e34c8f14ba526eb5fc505161c87dbef5450bf753c05be5e603229793",
+	"worst-case n=2^17 serial exact":   "4eb970dbc1ebe1621416015b96291be1a74d2181ce5c1ed53d2c4652d6c7418d",
+	"worst-case n=2^17 shards=2 exact": "e6e643efe032528a9c66ba3056b4b74f43437f8c6f1b62fbe1abf680009f0da8",
+	"random n=2^16 shards=4 exact":     "563819c50bddd0d1fe1bed6ea5034293172cdb770f83d471a7c3b7afb1031624",
+	"random n=2^17 shards=2 exact":     "498a7ae8ac5d06f113c3e69b13508f1fcdabb28ca5331b4111b9666b3cdc345f",
+	"fresh n=2^18 serial":              "f7d3542b4d447783380dc86e11d1f92c847a2aef8f53a7843af14073251fdc99",
+	"fresh n=2^18 shards=2":            "3f8e8380dada9ecf3d71710ab61df1bf2f3ab2140c48216386bf0d344a90cab2",
+	"fresh n=2^18 shards=4":            "84db5bce4b5e58aacbecb0e7994c920c8587e2d1fc24bc8e2c39ca69a6735c21",
+	"worst-case n=2^18 serial exact":   "44bbd9511e86d9dedae41d1a951729211616cb4b969a609e4918c96d2477b370",
+	"worst-case n=2^18 shards=4 exact": "bd0dbd8b75df680c017786c8ecfba4dfafc1b5b89f8676168e23861023d57836",
+	"random n=2^18 shards=4 exact":     "aba4394f1ce55c0af69156785c96ba1dbf7046590e989cd8f1e10fa06eb4c8fd",
+	"fresh n=2^20 serial":              "7585ecf45e3b7b2e48657827b2d793b78d66e3e98d55ad0235db87160a0016d3",
+	"fresh n=2^20 shards=4":            "f02810e050303e9fd5f8dd040a49ae469dc292bd5b898ff8af7ddd747a1db87c",
+	"worst-case n=2^20 shards=4 exact": "d333d01897a0ae21c9d63b14031db268424c6138692a383f6ea3da84dd9bc192",
+}
+
+func TestLargeRunTrajectories(t *testing.T) {
+	for _, tc := range largeRuns {
+		e, hit, ok := runLarge(t, tc.n, tc.init, tc.shards, tc.exact)
+		kind, write, err := e.streams()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w ckpt.Writer
+		w.Uvarint(kind)
+		w.Varint(hit)
+		w.Varint(e.Steps())
+		write(&w)
+		for _, v := range stable.Instr(e.Protocol()) {
+			w.Varint(v)
+		}
+		states := e.States()
+		for i := range states {
+			for _, v := range stable.Canonical(&states[i]) {
+				w.Varint(v)
+			}
+		}
+		h := sha256.New()
+		fmt.Fprintf(h, "%v ", ok)
+		h.Write(w.Bytes())
+		if got := hex.EncodeToString(h.Sum(nil)); got != largeRunTrajectories[tc.name] {
+			t.Errorf("%s: trajectory digest %s, want %s (steps %d, hit %d, stable %v)", tc.name, got, largeRunTrajectories[tc.name], e.Steps(), hit, ok)
+		}
+	}
+}
+
+// runLarge runs one StableRanking population from init for
+// largeRunSteps interactions, through the tracked stop loop when exact,
+// and returns the engine with the exact stop's outcome (-1, false when
+// not exact).
+func runLarge(t *testing.T, n int, init string, shards int, exact bool) (*Engine[stable.State, *stable.Protocol], int64, bool) {
+	t.Helper()
+	e, err := New(stable.Describe(), n, init, Knobs{Seed: 11, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, ok := int64(-1), false
+	if exact {
+		hit, ok = e.RunUntilStable(largeRunSteps, largeRunSteps)
+	} else {
+		e.Run(largeRunSteps)
+	}
+	return e, hit, ok
 }

@@ -123,3 +123,35 @@ func (s State) String() string {
 		return fmt.Sprintf("invalid(%d)", uint8(s.Mode))
 	}
 }
+
+// Canonical returns the agent's layout-independent view: mode, rank,
+// ResetCount, DelayCount, LECount, CoinCount, LeaderDone, IsLeader,
+// Wait, Phase, Alive and coin, in that order, with every variable the
+// agent's mode does not carry reported as 0. Digests over it pin a
+// trajectory across changes of State's memory layout and of the
+// checkpoint codec that derives from it.
+func Canonical(s *State) [12]int64 {
+	v := [12]int64{0: int64(s.Mode)}
+	if s.HasCoin() {
+		v[11] = int64(s.Coin)
+	}
+	switch s.Mode {
+	case ModeRanked:
+		v[1] = int64(s.Rank)
+	case ModeReset:
+		v[2], v[3] = int64(s.ResetCount), int64(s.DelayCount)
+	case ModeLE:
+		v[4], v[5] = int64(s.LECount), int64(s.CoinCount)
+		if s.LeaderDone {
+			v[6] = 1
+		}
+		if s.IsLeader {
+			v[7] = 1
+		}
+	case ModeWait:
+		v[8], v[10] = int64(s.Wait), int64(s.Alive)
+	case ModePhase:
+		v[9], v[10] = int64(s.Phase), int64(s.Alive)
+	}
+	return v
+}
