@@ -64,7 +64,7 @@ import (
 // returns an error for them.
 const (
 	ckptMagic   = "sscp"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 // Checkpoint serializes the simulation's complete state into the

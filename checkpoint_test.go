@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -322,7 +321,7 @@ func TestResumeRejectsRetiredShardV1(t *testing.T) {
 //
 //	go test -run '^$' -fuzz '^FuzzResumeSimulation$' -fuzztime 20s .
 func FuzzResumeSimulation(f *testing.F) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
+	fixture, err := os.ReadFile(checkpointFixture)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -46,6 +46,17 @@ func main() {
 	os.Exit(run())
 }
 
+// printErr writes err to stderr as one "ssrank: ..." line. The
+// facade's errors already start with the package name, so the prefix
+// is added only to errors that lack it.
+func printErr(err error) {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "ssrank: ") {
+		msg = "ssrank: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
+}
+
 // protocolNames renders the registry for the -protocol flag help, so
 // the CLI cannot drift from the registered set.
 func protocolNames() string {
@@ -95,12 +106,12 @@ func run() int {
 
 	stopProf, err := prof.Start(*cpuprof, *memprof)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssrank:", err)
+		printErr(err)
 		return 2
 	}
 	defer func() {
 		if err := stopProf(); err != nil {
-			fmt.Fprintln(os.Stderr, "ssrank:", err)
+			printErr(err)
 		}
 	}()
 
@@ -116,7 +127,7 @@ func run() int {
 	}
 	shardCount, err := shard.ParseShards(*shards)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssrank:", err)
+		printErr(err)
 		return 2
 	}
 	if (*precision != 0 || *maxtrials != 0 || *progress) && *trials <= 0 {
@@ -189,7 +200,7 @@ func run() int {
 		Faults:          netFaults,
 	})
 	if err != nil && !errors.Is(err, ssrank.ErrNotConverged) {
-		fmt.Fprintln(os.Stderr, "ssrank:", err)
+		printErr(err)
 		return 2
 	}
 
@@ -260,7 +271,7 @@ func runReplicated(cfg ssrank.Config, trials, workers int, precision float64, pr
 	}
 	rep, err := ssrank.Replicate(cfg, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssrank:", err)
+		printErr(err)
 		return 2
 	}
 
@@ -298,7 +309,7 @@ func runTraced(n int, initName string, seed uint64, budget int64, path string) i
 		Seed:     seed,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssrank:", err)
+		printErr(err)
 		return 2
 	}
 
@@ -312,7 +323,7 @@ func runTraced(n int, initName string, seed uint64, budget int64, path string) i
 	})
 
 	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "ssrank:", err)
+		printErr(err)
 		return 2
 	}
 	fmt.Printf("traced %d samples over %d interactions -> %s (converged=%t, resets=%d)\n",

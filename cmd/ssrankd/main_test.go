@@ -238,6 +238,27 @@ func TestSubmitSlabBound(t *testing.T) {
 	}
 }
 
+// TestSubmitTrackerBound: under the default -maxslab of 1 GiB, a
+// 16-agent Interval job whose ε makes its stop tracker 16 GiB is
+// refused with 422 instead of being handed to a worker. Admission runs
+// before the manager's closed check, so a closed manager answers it:
+// should admission let the job through, the answer is 400 and no
+// worker starts it.
+func TestSubmitTrackerBound(t *testing.T) {
+	m := jobs.NewManager(jobs.Config{Workers: 1, MaxSlabBytes: 1 << 30})
+	m.Close()
+	srv := httptest.NewServer(newMux(m))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"N":16,"Protocol":"interval","Epsilon":67108862}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want %d", resp.StatusCode, http.StatusUnprocessableEntity)
+	}
+}
+
 func getJSON(t *testing.T, srv *httptest.Server, path string, v any) {
 	t.Helper()
 	resp, err := http.Get(srv.URL + path)

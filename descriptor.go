@@ -46,6 +46,11 @@ type Descriptor struct {
 	// N agents builds an agent slab of N × AgentBytes bytes (and every
 	// process of a distributed run holds one).
 	AgentBytes int
+	// TrackerBytes returns what the exact stop's tracker allocates for
+	// a normalized Config beyond a few bytes per agent: 0 for every
+	// protocol but Interval, whose tracker takes 16 B per identifier of
+	// its (1+Epsilon)·N space rounded up to a power of two.
+	TrackerBytes func(cfg Config) int64
 
 	// newSim and resume return a nil *driver inside the handle with
 	// any error: callers read the handle only when the error is nil.
@@ -146,6 +151,13 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		SelfStabilizing: meta.SelfStabilizing,
 		DefaultBudget:   meta.Budget,
 		AgentBytes:      proto.LayoutOf[S]().Size,
+		TrackerBytes: func(cfg Config) int64 {
+			d := mk(cfg)
+			if d.CondBytes == nil {
+				return 0
+			}
+			return d.CondBytes(d.New(cfg.N))
+		},
 		newSim: func(cfg Config) (simHandle, error) {
 			return startDriver(cfg, mk(cfg))
 		},

@@ -9,14 +9,14 @@ import (
 )
 
 // TestRunFootprint bounds what a large sharded Run allocates: one
-// agent slab of 24-byte StableRanking states, the exact stop's
+// agent slab of 8-byte StableRanking states, the exact stop's
 // per-agent tracker and the Result's ranks, 8 bytes each, and at most
 // 1 MiB beside them. A wider state, or a second population of the
 // slab, fails here rather than only in the benchmark's peak RSS. The
 // least of three measurements discounts what other goroutines
 // allocate.
 func TestRunFootprint(t *testing.T) {
-	const n, agentBytes = 1 << 18, 24
+	const n, agentBytes = 1 << 18, 8
 	d, _ := Describe(StableRanking)
 	if d.AgentBytes != agentBytes {
 		t.Fatalf("StableRanking agents take %d B, want %d", d.AgentBytes, agentBytes)

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"ssrank/internal/ckpt"
@@ -24,23 +25,41 @@ func goldenConfig() Config { return Config{N: 16, Seed: 1} }
 
 const goldenSteps = 1037
 
+// checkpointFixture is the committed checkpoint of goldenConfig after
+// goldenSteps interactions; checkpointFixtureV1 is the same run in the
+// version-1 format, which stored a 24-byte StableRanking agent as 12
+// fields.
+var (
+	checkpointFixture   = filepath.Join("testdata", "stable_n16_seed1_step1037.sscp")
+	checkpointFixtureV1 = filepath.Join("testdata", "stable_n16_seed1_step1037_v1.sscp")
+)
+
 // TestGoldenCheckpointBytes pins the on-disk checkpoint format against
 // a committed fixture. A checkpoint produced today from the fixture's
 // configuration must be byte-identical to the committed one: any codec
 // or layout change — even one that still round-trips — breaks this
 // test, forcing a deliberate version bump instead of a silent format
-// drift that would orphan previously saved checkpoints.
+// drift that would orphan previously saved checkpoints. Regenerate with
+//
+//	go test -run TestGoldenCheckpointBytes -update .
+//
+// only together with a version bump.
 func TestGoldenCheckpointBytes(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := NewSimulation(goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Step(goldenSteps)
 	got, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(checkpointFixture, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(checkpointFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +75,7 @@ func TestGoldenCheckpointBytes(t *testing.T) {
 // directly rather than through ResumeSimulation, so a decoder written
 // against DESIGN.md alone can be checked against it.
 func TestGoldenCheckpointDecodes(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
+	data, err := os.ReadFile(checkpointFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +129,7 @@ func TestGoldenCheckpointDecodes(t *testing.T) {
 // just well-formed: resuming the fixture and running to stability
 // yields exactly the Result of an uninterrupted Run.
 func TestGoldenCheckpointResumes(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
+	data, err := os.ReadFile(checkpointFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +161,7 @@ func TestGoldenCheckpointResumes(t *testing.T) {
 // names the same state in a second byte string, so it must be
 // rejected rather than resumed.
 func TestGoldenCheckpointRejectsOverlongVarint(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "stable_n16_seed1_step1037.sscp"))
+	data, err := os.ReadFile(checkpointFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +172,24 @@ func TestGoldenCheckpointRejectsOverlongVarint(t *testing.T) {
 	padded = append(padded, data[len(ckptMagic)+1:]...)
 	if _, err := ResumeSimulation(goldenConfig(), padded); err == nil {
 		t.Fatal("checkpoint with an overlong version varint accepted")
+	}
+}
+
+// TestGoldenCheckpointRefusesV1 pins the refusal of the retired
+// version-1 format, whose slab stored each StableRanking agent as the
+// 12 fields of the 24-byte state: the committed v1 fixture is refused
+// with an error naming its version, not decoded into another state.
+func TestGoldenCheckpointRefusesV1(t *testing.T) {
+	data, err := os.ReadFile(checkpointFixtureV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[len(ckptMagic)] != 1 {
+		t.Fatalf("v1 fixture version byte %#x", data[len(ckptMagic)])
+	}
+	_, err = ResumeSimulation(goldenConfig(), data)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint version 1,") {
+		t.Fatalf("v1 checkpoint: error %v, want one naming version 1", err)
 	}
 }
 

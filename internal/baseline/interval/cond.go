@@ -33,6 +33,10 @@ type DisjointCond struct {
 	malformed int     // agents whose interval is not a tree node
 }
 
+// DisjointCondBytes is what NewDisjointCond(m) allocates: two int32
+// counters per node of a 2m-node tree.
+func DisjointCondBytes(m int32) int64 { return 16 * int64(m) }
+
 // NewDisjointCond returns a tracker for the identifier space [1, m];
 // m must match the protocol's effective space (Protocol.M).
 func NewDisjointCond(m int32) *DisjointCond {

@@ -28,6 +28,7 @@ func Describe(epsilon float64) proto.Descriptor[State, *Protocol] {
 		Cond: func(p *Protocol) proto.Condition[State] {
 			return NewDisjointCond(p.M())
 		},
-		Budget: proto.BudgetN2(5000),
+		CondBytes: func(p *Protocol) int64 { return DisjointCondBytes(p.M()) },
+		Budget:    proto.BudgetN2(5000),
 	}
 }

@@ -7,18 +7,19 @@ import (
 	"slices"
 	"testing"
 
+	"ssrank/internal/baseline/aware"
 	"ssrank/internal/ckpt"
 	"ssrank/internal/proto"
 	"ssrank/internal/rng"
+	"ssrank/internal/sim"
 	"ssrank/internal/sim/shard"
 	"ssrank/internal/stable"
 )
 
-// imageFixture is a population of n random StableRanking states and a
-// valid delta section of k of them.
-func imageFixture(tb testing.TB, n, k int) (*proto.Layout, []stable.State, []int32, []byte) {
-	l := proto.LayoutOf[stable.State]()
-	d := stable.Describe()
+// imageFixture is a population of n random states of d's protocol and
+// a valid delta section of k of them.
+func imageFixture[S, P any](d proto.Descriptor[S, P], n, k int) (*proto.Layout, []S, []int32, []byte) {
+	l := proto.LayoutOf[S]()
 	states := d.Init(d.New(n), "random", rng.New(5))
 	idxs := make([]int32, k)
 	for i := range idxs {
@@ -33,7 +34,7 @@ func imageFixture(tb testing.TB, n, k int) (*proto.Layout, []stable.State, []int
 // restores exactly the encoded agents.
 func TestDeltaSectionRoundTrip(t *testing.T) {
 	const n, k = 256, 16
-	l, states, idxs, section := imageFixture(t, n, k)
+	l, states, idxs, section := imageFixture(stable.Describe(), n, k)
 	entries, err := readDeltaSection(l, n, ckpt.NewReader(section))
 	if err != nil {
 		t.Fatal(err)
@@ -50,43 +51,42 @@ func TestDeltaSectionRoundTrip(t *testing.T) {
 // TestImageDecodeRejects: each malformed delta or record section is
 // rejected by the shared validation and by the worker's ApplyDeltas,
 // without panicking and without allocating more than the section's own
-// size.
+// size. StableRanking's image has no bool or padding byte, so Aware's,
+// which has both, covers those rejections.
 func TestImageDecodeRejects(t *testing.T) {
+	t.Run("stable", func(t *testing.T) { testImageDecodeRejects(t, stable.Describe()) })
+	t.Run("aware", func(t *testing.T) { testImageDecodeRejects(t, aware.Describe()) })
+}
+
+func testImageDecodeRejects[S any, P sim.TouchReporter[S]](t *testing.T, d proto.Descriptor[S, P]) {
 	const n, k, b = 256, 64, 64
-	l, states, _, section := imageFixture(t, n, k)
+	l, states, _, section := imageFixture(d, n, k)
 	e := 4 + l.Size
 	head := len(section) - k*e // the count's varint
 	entry := func(s []byte, j int) []byte { return s[head+j*e : head+(j+1)*e] }
 
-	recs := make([]shard.TouchRec[stable.State], 24)
+	recs := make([]shard.TouchRec[S], 24)
 	for j := range recs {
 		a, bj := int32(3*j), int32(3*j+1)
-		recs[j] = shard.TouchRec[stable.State]{Pos: int32(2 * j), Mask: uint8(j % 4), A: a, B: bj, SA: states[a], SB: states[bj]}
+		recs[j] = shard.TouchRec[S]{Pos: int32(2 * j), Mask: uint8(j % 4), A: a, B: bj, SA: states[a], SB: states[bj]}
 	}
 	var rw ckpt.Writer
 	appendRecSection(l, &rw, recs)
 	recSection := rw.Bytes()
 	re := recHeader + 2*l.Size
 
-	for _, tc := range []struct {
+	type mutation struct {
 		name   string
 		record bool
 		mutate func(s []byte) []byte
-	}{
+	}
+	cases := []mutation{
 		{"index equals n", false, func(s []byte) []byte {
 			binary.LittleEndian.PutUint32(entry(s, 3), n)
 			return s
 		}},
 		{"index near 2^32", false, func(s []byte) []byte {
 			binary.LittleEndian.PutUint32(entry(s, 0), 1<<32-1)
-			return s
-		}},
-		{"bool byte 2", false, func(s []byte) []byte {
-			entry(s, 5)[4+l.Bools[1]] = 2
-			return s
-		}},
-		{"nonzero padding", false, func(s []byte) []byte {
-			entry(s, k-1)[4+l.Pads[0]] = 1
 			return s
 		}},
 		{"truncated entry", false, func(s []byte) []byte { return s[:len(s)-1] }},
@@ -108,15 +108,29 @@ func TestImageDecodeRejects(t *testing.T) {
 			binary.LittleEndian.PutUint32(s[1+8:], n)
 			return s
 		}},
-		{"record post-state bool byte 2", true, func(s []byte) []byte {
-			s[1+re+recHeader+l.Size+l.Bools[0]] = 2
-			return s
-		}},
 		{"record count beyond section", true, func(s []byte) []byte {
 			s[0] = 25
 			return s
 		}},
-	} {
+	}
+	if len(l.Bools) > 0 {
+		cases = append(cases,
+			mutation{"bool byte 2", false, func(s []byte) []byte {
+				entry(s, 5)[4+l.Bools[len(l.Bools)-1]] = 2
+				return s
+			}},
+			mutation{"record post-state bool byte 2", true, func(s []byte) []byte {
+				s[1+re+recHeader+l.Size+l.Bools[0]] = 2
+				return s
+			}})
+	}
+	if len(l.Pads) > 0 {
+		cases = append(cases, mutation{"nonzero padding", false, func(s []byte) []byte {
+			entry(s, k-1)[4+l.Pads[0]] = 1
+			return s
+		}})
+	}
+	for _, tc := range cases {
 		src := section
 		if tc.record {
 			src = recSection
@@ -126,7 +140,7 @@ func TestImageDecodeRejects(t *testing.T) {
 		goruntime.ReadMemStats(&before)
 		var err error
 		if tc.record {
-			_, err = readRecSection[stable.State](l, b, n, ckpt.NewReader(in), nil)
+			_, err = readRecSection[S](l, b, n, ckpt.NewReader(in), nil)
 		} else {
 			_, err = readDeltaSection(l, n, ckpt.NewReader(in))
 		}
@@ -140,15 +154,14 @@ func TestImageDecodeRejects(t *testing.T) {
 		if tc.record {
 			continue
 		}
-		p := stable.Describe().New(n)
-		rt := &runtime[stable.State, *stable.Protocol]{lay: l, r: shard.New[stable.State](p, slices.Clone(states), 1, 2, 1)}
+		rt := &runtime[S, P]{lay: l, r: shard.New[S](d.New(n), slices.Clone(states), 1, 2, 1)}
 		if err := rt.ApplyDeltas(ckpt.NewReader(in)); err == nil {
 			t.Errorf("%s: ApplyDeltas accepted", tc.name)
 		}
 	}
 
 	// The unmutated record section round-trips.
-	got, err := readRecSection[stable.State](l, b, n, ckpt.NewReader(recSection), nil)
+	got, err := readRecSection[S](l, b, n, ckpt.NewReader(recSection), nil)
 	if err != nil || !reflect.DeepEqual(got, recs) {
 		t.Errorf("record section round trip: %v, %+v", err, got)
 	}
@@ -160,7 +173,7 @@ func TestImageDecodeRejects(t *testing.T) {
 // in ns per agent.
 func BenchmarkDeltaSection(b *testing.B) {
 	const n, k = 1 << 20, 16384
-	l, states, idxs, section := imageFixture(b, n, k)
+	l, states, idxs, section := imageFixture(stable.Describe(), n, k)
 	perAgent := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/k, "ns/agent")
 	}

@@ -241,7 +241,7 @@ func oneShotFastLE(n int, seed uint64) int {
 	r := sim.New[stable.State](p, p.InitialStates(), seed)
 	decided := func(_ int64, ss []stable.State) bool {
 		for i := range ss {
-			if ss[i].Mode == stable.ModeLE && !ss[i].LeaderDone {
+			if ss[i].Mode == stable.ModeLE && !ss[i].LeaderDone() {
 				return false
 			}
 		}
@@ -253,8 +253,8 @@ func oneShotFastLE(n int, seed uint64) int {
 	leaders := 0
 	for _, s := range r.States() {
 		if s.Mode == stable.ModeWait ||
-			(s.Mode == stable.ModeLE && s.IsLeader) ||
-			(s.Mode == stable.ModeRanked && s.Rank == 1) {
+			(s.Mode == stable.ModeLE && s.IsLeader()) ||
+			(s.Mode == stable.ModeRanked && s.Rank() == 1) {
 			// A winner is waiting, still flagged, or already took its
 			// rank-1 seat.
 			leaders++

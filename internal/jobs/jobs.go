@@ -232,14 +232,15 @@ type Config struct {
 	// MaxSlabBytes, when positive, is the largest agent slab a job may
 	// build: Submit refuses a Config whose N × the protocol's
 	// Descriptor.AgentBytes, plus the sharded engine's cross-class
-	// state (Shards(Shards−1)/2 × shard.ClassBytes), exceeds it with
+	// state (Shards(Shards−1)/2 × shard.ClassBytes) and the stop
+	// tracker's Descriptor.TrackerBytes, exceeds it with
 	// ErrSlabTooLarge, before anything is sized by N or Shards. The
 	// bound covers the one slab a job builds on either in-place engine:
 	// the sharded engine's exact stop folds touch records into the live
-	// slab and keeps no second copy of the population (stop trackers
-	// add a few bytes per agent beside it). A StableRanking agent is
-	// 24 B, so 1 GiB admits about 44.7 million of them. Zero means no
-	// bound.
+	// slab and keeps no second copy of the population (the default stop
+	// trackers add a few bytes per agent beside it). A StableRanking
+	// agent is 8 B, so 1 GiB admits about 134 million of them. Zero
+	// means no bound.
 	MaxSlabBytes int64
 }
 
@@ -334,6 +335,11 @@ func (m *Manager) Submit(cfg ssrank.Config) (*Job, error) {
 		if slab := float64(norm.N)*float64(d.AgentBytes) + classes*shard.ClassBytes; slab > float64(m.maxSlab) {
 			return nil, fmt.Errorf("%w: %d agents of %d bytes and %.0f cross classes of %d bytes is %.0f bytes, bound %d",
 				ErrSlabTooLarge, norm.N, d.AgentBytes, classes, shard.ClassBytes, slab, m.maxSlab)
+		} else if tracker := d.TrackerBytes(norm); slab+float64(tracker) > float64(m.maxSlab) {
+			// Checked second: the slab bound keeps N small enough to
+			// build the protocol that sizes the tracker.
+			return nil, fmt.Errorf("%w: a %.0f-byte slab and a %d-byte stop tracker exceed the bound %d",
+				ErrSlabTooLarge, slab, tracker, m.maxSlab)
 		}
 	}
 	key, err := Key(norm)

@@ -206,6 +206,32 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestSubmitChargesStopTracker: admission charges the stop tracker
+// beside the slab. An Interval run of 16 agents has a 128-byte slab,
+// but ε = 67108862 makes its identifier space 2³⁰ and its tracker
+// 16 GiB, so the default 1 GiB bound must refuse it before a worker
+// tries to allocate the tracker; the default ε stays admitted.
+// Admission runs before the closed check, so the refusal is asked of a
+// closed manager: should admission let the job through, no worker
+// could start it.
+func TestSubmitChargesStopTracker(t *testing.T) {
+	closed := NewManager(Config{Workers: 1, MaxSlabBytes: 1 << 30})
+	closed.Close()
+	_, err := closed.Submit(ssrank.Config{N: 16, Protocol: ssrank.Interval, Epsilon: 67108862})
+	if !errors.Is(err, ErrSlabTooLarge) {
+		t.Fatalf("Submit: %v, want ErrSlabTooLarge", err)
+	}
+	m := NewManager(Config{Workers: 1, MaxSlabBytes: 1 << 30})
+	defer m.Close()
+	j, err := m.Submit(ssrank.Config{N: 16, Protocol: ssrank.Interval, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err := wait(t, j); st != Done {
+		t.Fatalf("default-ε Interval job ended %s: %v", st, err)
+	}
+}
+
 // TestKeyStability pins the cache-key semantics: keys are stable
 // across calls, invariant under ShardWorkers and under
 // normalization-equivalent spellings, and sensitive to every

@@ -26,29 +26,29 @@ func StableStates(p *stable.Protocol) []stable.State {
 	for coin := uint8(0); coin <= 1; coin++ {
 		// PropagateReset, excluding the instantly-awakening (0, 0).
 		for rc := int16(0); rc <= p.RMax(); rc++ {
-			for dc := int16(0); dc <= p.DMax(); dc++ {
+			for dc := int32(0); dc <= p.DMax(); dc++ {
 				if rc == 0 && dc == 0 {
 					continue
 				}
-				out = append(out, stable.State{Mode: stable.ModeReset, Coin: coin, ResetCount: rc, DelayCount: dc})
+				out = append(out, stable.ResetState(coin, rc, dc))
 			}
 		}
 		// FastLeaderElection: undecided (any coinCount), done loser,
 		// done leader.
 		for lec := int16(1); lec <= p.LEBudget(); lec++ {
-			for cc := int16(0); cc <= p.CoinInit(); cc++ {
-				out = append(out, stable.State{Mode: stable.ModeLE, Coin: coin, LECount: lec, CoinCount: cc})
+			for cc := int32(0); cc <= p.CoinInit(); cc++ {
+				out = append(out, stable.LEState(coin, lec, cc, false, false))
 			}
-			out = append(out, stable.State{Mode: stable.ModeLE, Coin: coin, LECount: lec, LeaderDone: true})
-			out = append(out, stable.State{Mode: stable.ModeLE, Coin: coin, LECount: lec, LeaderDone: true, IsLeader: true})
+			out = append(out, stable.LEState(coin, lec, 0, true, false))
+			out = append(out, stable.LEState(coin, lec, 0, true, true))
 		}
 		// Main protocol: waiting and phase agents.
-		for alive := int16(1); alive <= p.LMax(); alive++ {
+		for alive := int32(1); alive <= p.LMax(); alive++ {
 			for w := int16(1); w <= p.WaitInit(); w++ {
-				out = append(out, stable.State{Mode: stable.ModeWait, Coin: coin, Wait: w, Alive: alive})
+				out = append(out, stable.WaitState(coin, w, alive))
 			}
 			for ph := int16(1); int32(ph) <= p.Phases().KMax(); ph++ {
-				out = append(out, stable.State{Mode: stable.ModePhase, Coin: coin, Phase: ph, Alive: alive})
+				out = append(out, stable.PhaseState(coin, ph, alive))
 			}
 		}
 	}
@@ -96,7 +96,7 @@ func AwareStates(p *aware.Protocol) []aware.State {
 			out = append(out, aware.State{Mode: aware.ModeBlank, Coin: coin, Alive: alive})
 		}
 		for rc := int32(0); rc <= int32(sp.RMax()); rc++ {
-			for dc := int32(0); dc <= int32(sp.DMax()); dc++ {
+			for dc := int32(0); dc <= sp.DMax(); dc++ {
 				if rc == 0 && dc == 0 {
 					continue
 				}
@@ -104,7 +104,7 @@ func AwareStates(p *aware.Protocol) []aware.State {
 			}
 		}
 		for lec := int32(1); lec <= int32(sp.LEBudget()); lec++ {
-			for cc := int32(0); cc <= int32(sp.CoinInit()); cc++ {
+			for cc := int32(0); cc <= sp.CoinInit(); cc++ {
 				out = append(out, aware.State{Mode: aware.ModeLE, Coin: coin, LECount: lec, CoinCount: cc})
 			}
 			out = append(out, aware.State{Mode: aware.ModeLE, Coin: coin, LECount: lec, LeaderDone: true})

@@ -15,29 +15,21 @@ import (
 )
 
 // TestLayoutStable pins the derived layout of StableRanking's state:
-// the image is the struct's memory, its bools and its two padding
-// bytes located by offset.
+// the 8-byte tagged union {Mode u8, flags u8, a i16, b i32}, with no
+// bool and no padding byte, so its image is its memory as it stands.
 func TestLayoutStable(t *testing.T) {
 	l := proto.LayoutOf[stable.State]()
-	if l.Size != 24 {
-		t.Errorf("size %d, want 24", l.Size)
+	if l.Size != 8 {
+		t.Errorf("size %d, want 8", l.Size)
 	}
-	if want := []int{16, 17}; !slices.Equal(l.Bools, want) {
-		t.Errorf("bool offsets %v, want %v", l.Bools, want)
+	if len(l.Bools) != 0 || len(l.Pads) != 0 {
+		t.Errorf("bool offsets %v and padding offsets %v, want none", l.Bools, l.Pads)
 	}
-	if want := []int{2, 3}; !slices.Equal(l.Pads, want) {
-		t.Errorf("padding offsets %v, want %v", l.Pads, want)
-	}
-	// Padding bytes that are not zero in memory are cleared, not
-	// shipped.
-	s := stable.State{Mode: 1, IsLeader: true, Alive: 5}
-	for _, o := range l.Pads {
-		unsafe.Slice((*byte)(unsafe.Pointer(&s)), l.Size)[o] = 0xaa
-	}
+	s := stable.LEState(1, 300, 70000, true, true)
 	img := make([]byte, l.Size)
 	proto.PutImage(l, img, &s)
-	if !l.Valid(img) {
-		t.Errorf("image % x of a state with dirty padding is invalid", img)
+	if !l.Valid(img) || !slices.Equal(img, unsafe.Slice((*byte)(unsafe.Pointer(&s)), l.Size)) {
+		t.Errorf("image % x is not the state's memory or is invalid", img)
 	}
 }
 
@@ -77,8 +69,9 @@ func TestSlabRejectsFieldValues(t *testing.T) {
 		good   func(w *ckpt.Writer)
 		says   string
 	}{
-		{"stable Mode (uint8)", func(b []byte) error { return readSlab(st, b) }, 12, 0,
-			func(w *ckpt.Writer) { w.Uvarint(256) }, func(w *ckpt.Writer) { w.Uvarint(255) }, "field value 256 "},
+		{"stable Mode (uint8)", func(b []byte) error { return readSlab(st, b) }, 4, 0,
+			func(w *ckpt.Writer) { w.Uvarint(256) }, func(w *ckpt.Writer) { w.Uvarint(255) },
+			"stable: agent 0: field value 256 does not fit the field at offset 0"},
 		{"core LE.Level (int16)", func(b []byte) error { return readSlab(co, b) }, 14, 7,
 			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }, "field value 32768 "},
 		{"sudo Leader (bool)", func(b []byte) error { return readSlab(su, b) }, 2, 0,
@@ -86,12 +79,18 @@ func TestSlabRejectsFieldValues(t *testing.T) {
 		// 2¹⁵ is a valid varint but no int16: refused, not truncated,
 		// and named as 32768, not as its zigzag code 65536 (the
 		// stable_counter_overflow checkpoint fuzz seed).
-		{"stable Alive (int16)", func(b []byte) error { return readSlab(st, b) }, 12, 11,
-			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) }, "field value 32768 "},
-		{"stable Alive (negative int16)", func(b []byte) error { return readSlab(st, b) }, 12, 11,
-			func(w *ckpt.Writer) { w.Varint(-1<<15 - 1) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }, "field value -32769 "},
-		{"stable Rank (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 12, 2,
-			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Varint(-1 << 31) }, "overlong"},
+		{"stable a (int16)", func(b []byte) error { return readSlab(st, b) }, 4, 2,
+			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) },
+			"stable: agent 0: field value 32768 does not fit the field at offset 2"},
+		{"stable a (negative int16)", func(b []byte) error { return readSlab(st, b) }, 4, 2,
+			func(w *ckpt.Writer) { w.Varint(-1<<15 - 1) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) },
+			"stable: agent 0: field value -32769 does not fit the field at offset 2"},
+		{"stable b (int32)", func(b []byte) error { return readSlab(st, b) }, 4, 3,
+			func(w *ckpt.Writer) { w.Varint(1 << 31) }, func(w *ckpt.Writer) { w.Varint(1<<31 - 1) },
+			"stable: agent 0: field value 2147483648 does not fit the field at offset 4"},
+		{"stable b (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 4, 3,
+			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Varint(-1 << 31) },
+			"stable: agent 0: truncated, overlong or overflowing varint"},
 	} {
 		if err := tc.read(slab(tc.fields, tc.before, tc.good)); err != nil {
 			t.Errorf("%s: largest fitting value rejected: %v", tc.name, err)

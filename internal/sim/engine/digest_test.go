@@ -18,12 +18,11 @@ import (
 // the smaller runs pin the runs below it. Each digest covers the
 // checkpoint engine section after the run — the step count, every
 // stream position, the agent slab and the reset counters — together
-// with the exact stop's outcome. The 2¹⁶- and 2¹⁷-agent digests were
-// recorded before the loops learned to fetch and before the sharded
-// fold moved from a shadow copy onto the live slab, the 2¹⁸-agent ones
-// with the 40-byte StableRanking state and the 2²⁰-agent ones with the
-// 24-byte state; none may move unless the slab's bytes do, and
-// largeRunTrajectories pins that the trajectory never does.
+// with the exact stop's outcome. All were re-recorded when the agent
+// became the 8-byte tagged union, whose slab codec writes 4 fields per
+// agent instead of 12; largeRunTrajectories, recorded before, shows
+// that no trajectory moved. A digest may move only with the slab's
+// bytes, never with the trajectory.
 var largeRuns = []struct {
 	name   string
 	n      int
@@ -33,26 +32,26 @@ var largeRuns = []struct {
 	exact bool
 	want  string
 }{
-	{"fresh n=2^17 serial", 1 << 17, "fresh", 1, false, "e6cae9fb1f5bd60992c18604eb802962030b1e2c0aaf876767796c2064477e7d"},
-	{"fresh n=2^17 shards=2", 1 << 17, "fresh", 2, false, "0b6b64c37ee80e36f0d5817d8f644c265e400e2c7134265318c49ebf4c443139"},
-	{"fresh n=2^17 shards=4", 1 << 17, "fresh", 4, false, "1986c2995e8943c70a5f7a7777d30303c7b7ae8c0b1bfa3ae74de04c98d598cf"},
-	{"worst-case n=2^16 serial exact", 1 << 16, "worst-case", 1, true, "4368474e9dda8c5b7c2301a3cdc1ac53805cd28b916f1505b31be3eac7424809"},
-	{"worst-case n=2^16 shards=4 exact", 1 << 16, "worst-case", 4, true, "95becc4c5b9e9aff4ef3fe92de6f966ada3db2ea993e781af7d0b481670c6306"},
-	{"worst-case n=2^17 serial exact", 1 << 17, "worst-case", 1, true, "2d29f8e9bed4727ae90cd3fe27dc042c25fd6e75793cce8f6b6de29b34cbdfb4"},
-	{"worst-case n=2^17 shards=2 exact", 1 << 17, "worst-case", 2, true, "02ad5f0f3d54e2694c193b40f326a627cadf41c030d367022482c7b62409fb23"},
+	{"fresh n=2^17 serial", 1 << 17, "fresh", 1, false, "7e6d7c15f1779e175efc34316065448b05a7af8924655bc52b3d6cc7034fcf4d"},
+	{"fresh n=2^17 shards=2", 1 << 17, "fresh", 2, false, "5d9097d8276d76c2388f2ebd86897b5675d10f6a3655d6cdfa84c056967eca54"},
+	{"fresh n=2^17 shards=4", 1 << 17, "fresh", 4, false, "9df86751dccf30818eaa30eb1d3ecf77529847ddc2fd8e304e8ba83d67e52482"},
+	{"worst-case n=2^16 serial exact", 1 << 16, "worst-case", 1, true, "e2953f8e4515f44d47c1f165d158935078894a5ebd57198dfde7aafcf7940dc9"},
+	{"worst-case n=2^16 shards=4 exact", 1 << 16, "worst-case", 4, true, "fdb51d4fe408279ed05163371984dce4b23b16ac751e09e4c678e96d7d9303c3"},
+	{"worst-case n=2^17 serial exact", 1 << 17, "worst-case", 1, true, "118d396b95068a3cc4dec9c0c9119b64be896e7c0c9efcd490f8b03a7ea60792"},
+	{"worst-case n=2^17 shards=2 exact", 1 << 17, "worst-case", 2, true, "f09fe487299fb9024adc79776d69f724aabc3b5a8d28243e00212e7a31c588ad"},
 	// From random states almost every early interaction moves a rank, so
 	// the fold replays records of agents the batch touches again later.
-	{"random n=2^16 shards=4 exact", 1 << 16, "random", 4, true, "0b23b16c39a7c26a4f3a1ef4c978da23e2d6df89e2e723a77266d77eed9bfe39"},
-	{"random n=2^17 shards=2 exact", 1 << 17, "random", 2, true, "d8e7039c869fb72b472577d51c9820a04459ab437357b8cf53f7982259f72ee4"},
-	{"fresh n=2^18 serial", 1 << 18, "fresh", 1, false, "2609be221f111350c9a041f16642194b3c9fd5a16292082cdee0eeb477cfefda"},
-	{"fresh n=2^18 shards=2", 1 << 18, "fresh", 2, false, "cf8697bc4f07e3edddfeb6efb6a676f2702ba22dac2be6d3852fab4f42f8e61c"},
-	{"fresh n=2^18 shards=4", 1 << 18, "fresh", 4, false, "a50b9302f7728688a1ad7bca91609de99994f40333a28d13370b0c947c19baaa"},
-	{"worst-case n=2^18 serial exact", 1 << 18, "worst-case", 1, true, "514f8dc533e81b6835c1133dc9f5f6e3e153a9e94ebdeedcbf64b851cd76d39f"},
-	{"worst-case n=2^18 shards=4 exact", 1 << 18, "worst-case", 4, true, "13a8af79b3e58f565c00c09fa2ed4a093a635f5404803a3b9eeae75a8900a29c"},
-	{"random n=2^18 shards=4 exact", 1 << 18, "random", 4, true, "e6b1ea1bfe362c70e820085b848114feab72710e899f16160a7aeca450d0187d"},
-	{"fresh n=2^20 serial", 1 << 20, "fresh", 1, false, "9d4de17b98bcec3a8cb16f0f8d600bd145da12f508c27ce73062a0fb81d98429"},
-	{"fresh n=2^20 shards=4", 1 << 20, "fresh", 4, false, "3d857196c2a7d246b0e4908edd055b814ead049ed2df9098eacc1433d635f3d8"},
-	{"worst-case n=2^20 shards=4 exact", 1 << 20, "worst-case", 4, true, "470d7422928a5d2de69ff4dc7d164a0a909fd6e571290d86ae29a2386c9685ca"},
+	{"random n=2^16 shards=4 exact", 1 << 16, "random", 4, true, "2e69b29fe33368d29d2be556d1d990f9ce4914ed26b3478e3eb6e02a36b981b3"},
+	{"random n=2^17 shards=2 exact", 1 << 17, "random", 2, true, "9b5a4ce70f3596b97a8eb737fcf6c2f1b4ce4a38e3199a0f95f54f554437d5c2"},
+	{"fresh n=2^18 serial", 1 << 18, "fresh", 1, false, "e106d165c3bfa475f1baefb099d6e317581da78d59f0e1d747c1e3962c8e556c"},
+	{"fresh n=2^18 shards=2", 1 << 18, "fresh", 2, false, "ec23fcac49cb8c0668c2cc2a2a20e9dbd9c3febe62cf6964fb6a69565c052494"},
+	{"fresh n=2^18 shards=4", 1 << 18, "fresh", 4, false, "c81db23f9c039e26e8f78f3a850d8acde7025038888a03c0f623a0e8d2e9871e"},
+	{"worst-case n=2^18 serial exact", 1 << 18, "worst-case", 1, true, "c965cb0b719db3022f9002b678eed93a748bd25d5942def0e6eac59c4e1952f5"},
+	{"worst-case n=2^18 shards=4 exact", 1 << 18, "worst-case", 4, true, "cd54198aefe68efc258ff16dce25fac23f2f626825d7524565bb823d0d8565ff"},
+	{"random n=2^18 shards=4 exact", 1 << 18, "random", 4, true, "53d5e82de1cb3f51d625584bbbe8a6346a2380746d281cec92e1b8f466769130"},
+	{"fresh n=2^20 serial", 1 << 20, "fresh", 1, false, "81d28fa4e9b47ad9311d13fefdae6427f8df07a9eef73976363a6a468367be4d"},
+	{"fresh n=2^20 shards=4", 1 << 20, "fresh", 4, false, "e560fd298310c5d653cf191ffcce303dca665538aba58e77c470b5eea27335e6"},
+	{"worst-case n=2^20 shards=4 exact", 1 << 20, "worst-case", 4, true, "93c540a1ae34661d9a8c448a72db46c70daaab5b4c9b99b531b168c8af309bb3"},
 }
 
 // largeRunSteps is every large run's interaction budget.
@@ -87,7 +86,8 @@ func TestLargeRunDigests(t *testing.T) {
 // every stream position, the reset counters and each agent's
 // stable.Canonical view, so a change of the state's memory layout or
 // of the slab codec leaves it alone while the byte-level digest of
-// TestLargeRunDigests moves. Recorded with the 24-byte state.
+// TestLargeRunDigests moves. Recorded with the 24-byte state, and
+// unchanged by the 8-byte one.
 var largeRunTrajectories = map[string]string{
 	"fresh n=2^17 serial":              "9aaf247062e6c296d7b5e0f7d6a77c259ed86987d9c8bc6bfa0fc3b7c515aea7",
 	"fresh n=2^17 shards=2":            "cf826e095338a4c475d84aa5f36379f25f84fc4b8bb5d21537315c6df8eb0d9f",

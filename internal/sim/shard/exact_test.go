@@ -48,8 +48,7 @@ func TestFoldLeavesLiveStates(t *testing.T) {
 			b++
 		}
 		// Recorded states that differ from every live state.
-		sa, sb := states[a], states[b]
-		sa.Rank, sb.Rank = n+1+pos, 2*n+1+pos
+		sa, sb := stable.Ranked(n+1+pos), stable.Ranked(2*n+1+pos)
 		recs = append(recs, newTouchRec(pos, pos%3 != 1, pos%3 != 0, a, b, sa, sb))
 	}
 	f := NewFolder[stable.State](n)

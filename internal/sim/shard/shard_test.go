@@ -86,7 +86,7 @@ type jitterProto struct {
 }
 
 func (j *jitterProto) Transition(u, v *stable.State) {
-	spin := (int(u.Rank)%13)*37 + (int(v.Phase)%5)*11
+	spin := (int(u.Rank())%13)*37 + (int(v.Phase())%5)*11
 	x := 0
 	for i := 0; i < spin; i++ {
 		x += i
@@ -96,7 +96,7 @@ func (j *jitterProto) Transition(u, v *stable.State) {
 }
 
 func (j *jitterProto) TransitionT(u, v *stable.State) (bool, bool) {
-	spin := (int(u.Rank)%13)*37 + (int(v.Phase)%5)*11
+	spin := (int(u.Rank())%13)*37 + (int(v.Phase())%5)*11
 	x := 0
 	for i := 0; i < spin; i++ {
 		x += i

@@ -8,10 +8,10 @@ func Valid(states []State) bool {
 	seen := make([]bool, len(states)+1)
 	for i := range states {
 		s := &states[i]
-		if s.Mode != ModeRanked || s.Rank < 1 || int(s.Rank) > len(states) || seen[s.Rank] {
+		if s.Mode != ModeRanked || s.Rank() < 1 || int(s.Rank()) > len(states) || seen[s.Rank()] {
 			return false
 		}
-		seen[s.Rank] = true
+		seen[s.Rank()] = true
 	}
 	return true
 }
@@ -24,7 +24,7 @@ func RankOf(s *State) int {
 	if s.Mode != ModeRanked {
 		return 0
 	}
-	return int(s.Rank)
+	return int(s.Rank())
 }
 
 // RankedCount returns the number of ranked agents (the blue series of
@@ -45,7 +45,7 @@ func MeanPhase(states []State) float64 {
 	sum, c := 0.0, 0
 	for i := range states {
 		if states[i].Mode == ModePhase {
-			sum += float64(states[i].Phase)
+			sum += float64(states[i].Phase())
 			c++
 		}
 	}
@@ -68,7 +68,7 @@ func CountModes(states []State) map[Mode]int {
 // With the paper's output function this is the elected leader.
 func LeaderRank1(states []State) int {
 	for i := range states {
-		if states[i].Mode == ModeRanked && states[i].Rank == 1 {
+		if states[i].Mode == ModeRanked && states[i].Rank() == 1 {
 			return i
 		}
 	}
@@ -83,48 +83,63 @@ func (p *Protocol) CheckInvariant(states []State) error {
 	n := int32(p.n)
 	for i := range states {
 		s := &states[i]
-		if s.HasCoin() && s.Coin > 1 {
-			return fmt.Errorf("agent %d: coin %d not a bit", i, s.Coin)
+		if extra := s.flags &^ modeFlags(s.Mode); extra != 0 {
+			return fmt.Errorf("agent %d: %s agent with flag bits %#x it does not carry", i, s.Mode, extra)
 		}
 		switch s.Mode {
 		case ModeRanked:
-			if s.Rank < 1 || s.Rank > n {
-				return fmt.Errorf("agent %d: rank %d outside [1, %d]", i, s.Rank, n)
+			if s.Rank() < 1 || s.Rank() > n {
+				return fmt.Errorf("agent %d: rank %d outside [1, %d]", i, s.Rank(), n)
+			}
+			if s.a != 0 {
+				return fmt.Errorf("agent %d: ranked agent with unused field %d", i, s.a)
 			}
 		case ModeReset:
-			if s.ResetCount < 0 || s.ResetCount > p.rMax {
-				return fmt.Errorf("agent %d: resetCount %d outside [0, %d]", i, s.ResetCount, p.rMax)
+			if s.ResetCount() < 0 || s.ResetCount() > p.rMax {
+				return fmt.Errorf("agent %d: resetCount %d outside [0, %d]", i, s.ResetCount(), p.rMax)
 			}
-			if s.DelayCount < 0 || s.DelayCount > p.dMax {
-				return fmt.Errorf("agent %d: delayCount %d outside [0, %d]", i, s.DelayCount, p.dMax)
+			if s.DelayCount() < 0 || s.DelayCount() > p.dMax {
+				return fmt.Errorf("agent %d: delayCount %d outside [0, %d]", i, s.DelayCount(), p.dMax)
 			}
-			if s.ResetCount == 0 && s.DelayCount == 0 {
+			if s.ResetCount() == 0 && s.DelayCount() == 0 {
 				return fmt.Errorf("agent %d: reset agent with both counters zero (should have awakened)", i)
 			}
 		case ModeLE:
-			if s.LECount < 1 || s.LECount > p.leBudget {
-				return fmt.Errorf("agent %d: LECount %d outside [1, %d]", i, s.LECount, p.leBudget)
+			if s.LECount() < 1 || s.LECount() > p.leBudget {
+				return fmt.Errorf("agent %d: LECount %d outside [1, %d]", i, s.LECount(), p.leBudget)
 			}
-			if s.CoinCount < 0 || s.CoinCount > p.coinInit {
-				return fmt.Errorf("agent %d: coinCount %d outside [0, %d]", i, s.CoinCount, p.coinInit)
+			if s.CoinCount() < 0 || s.CoinCount() > p.coinInit {
+				return fmt.Errorf("agent %d: coinCount %d outside [0, %d]", i, s.CoinCount(), p.coinInit)
 			}
 		case ModeWait:
-			if s.Wait < 1 || s.Wait > p.waitInit {
-				return fmt.Errorf("agent %d: wait %d outside [1, %d]", i, s.Wait, p.waitInit)
+			if s.Wait() < 1 || s.Wait() > p.waitInit {
+				return fmt.Errorf("agent %d: wait %d outside [1, %d]", i, s.Wait(), p.waitInit)
 			}
-			if s.Alive < 1 || s.Alive > p.lMax {
-				return fmt.Errorf("agent %d: alive %d outside [1, %d]", i, s.Alive, p.lMax)
+			if s.Alive() < 1 || s.Alive() > p.lMax {
+				return fmt.Errorf("agent %d: alive %d outside [1, %d]", i, s.Alive(), p.lMax)
 			}
 		case ModePhase:
-			if s.Phase < 1 || int32(s.Phase) > p.phases.KMax() {
-				return fmt.Errorf("agent %d: phase %d outside [1, %d]", i, s.Phase, p.phases.KMax())
+			if s.Phase() < 1 || int32(s.Phase()) > p.phases.KMax() {
+				return fmt.Errorf("agent %d: phase %d outside [1, %d]", i, s.Phase(), p.phases.KMax())
 			}
-			if s.Alive < 1 || s.Alive > p.lMax {
-				return fmt.Errorf("agent %d: alive %d outside [1, %d]", i, s.Alive, p.lMax)
+			if s.Alive() < 1 || s.Alive() > p.lMax {
+				return fmt.Errorf("agent %d: alive %d outside [1, %d]", i, s.Alive(), p.lMax)
 			}
 		default:
 			return fmt.Errorf("agent %d: invalid mode %d", i, s.Mode)
 		}
 	}
 	return nil
+}
+
+// modeFlags returns the flag bits an agent in mode m carries.
+func modeFlags(m Mode) uint8 {
+	switch m {
+	case ModeRanked:
+		return 0
+	case ModeLE:
+		return flagCoin | flagLeaderDone | flagIsLeader
+	default:
+		return flagCoin
+	}
 }

@@ -14,10 +14,10 @@ func TestDispatcherPrecedence(t *testing.T) {
 	p := New(64, DefaultParams())
 	mk := map[string]func() State{
 		"ranked": func() State { return Ranked(7) },
-		"reset":  func() State { return State{Mode: ModeReset, Coin: 1, ResetCount: 3, DelayCount: p.DMax()} },
+		"reset":  func() State { return ResetState(1, 3, p.DMax()) },
 		"le":     func() State { return p.LEInitial(1) },
-		"wait":   func() State { return State{Mode: ModeWait, Coin: 1, Wait: 3, Alive: 5} },
-		"phase":  func() State { return State{Mode: ModePhase, Coin: 1, Phase: 2, Alive: 5} },
+		"wait":   func() State { return WaitState(1, 3, 5) },
+		"phase":  func() State { return PhaseState(1, 2, 5) },
 	}
 	isReset := func(s State) bool { return s.Mode == ModeReset }
 
@@ -40,15 +40,15 @@ func TestDispatcherPrecedence(t *testing.T) {
 				}
 			case uBefore.Mode == ModeLE && vBefore.Mode == ModeLE:
 				// FastLE: the initiator pays budget.
-				if u.Mode == ModeLE && u.LECount != uBefore.LECount-1 {
+				if u.Mode == ModeLE && u.LECount() != uBefore.LECount()-1 {
 					t.Errorf("(%s, %s): initiator did not pay LE budget", uName, vName)
 				}
 			case uBefore.Mode == ModeLE && vBefore.IsMain():
-				if u.Mode != ModePhase || u.Phase != 1 {
+				if u.Mode != ModePhase || u.Phase() != 1 {
 					t.Errorf("(%s, %s): LE initiator not converted: %v", uName, vName, u)
 				}
 			case vBefore.Mode == ModeLE && uBefore.IsMain():
-				if v.Mode != ModePhase || v.Phase != 1 {
+				if v.Mode != ModePhase || v.Phase() != 1 {
 					t.Errorf("(%s, %s): LE responder not converted: %v", uName, vName, v)
 				}
 			}
@@ -58,8 +58,8 @@ func TestDispatcherPrecedence(t *testing.T) {
 			// (conversions and resets set their own coin).
 			if v.Mode == vBefore.Mode && v.HasCoin() && vBefore.HasCoin() &&
 				v.Mode != ModePhase && v.Mode != ModeWait {
-				if v.Coin != vBefore.Coin^1 {
-					t.Errorf("(%s, %s): responder coin not toggled (%d -> %d)", uName, vName, vBefore.Coin, v.Coin)
+				if v.Coin() != vBefore.Coin()^1 {
+					t.Errorf("(%s, %s): responder coin not toggled (%d -> %d)", uName, vName, vBefore.Coin(), v.Coin())
 				}
 			}
 		}
@@ -81,18 +81,18 @@ func TestCoinToggleExactness(t *testing.T) {
 	// Phase responder of an inert ranked initiator (not leader, not
 	// top-ranked, coin 1 so no refresh either): only the coin moves.
 	u = Ranked(30)
-	v = State{Mode: ModePhase, Coin: 1, Phase: 2, Alive: 5}
+	v = PhaseState(1, 2, 5)
 	p.Transition(&u, &v)
-	want := State{Mode: ModePhase, Coin: 0, Phase: 2, Alive: 5}
+	want := PhaseState(0, 2, 5)
 	if v != want {
 		t.Fatalf("phase responder = %v, want only the coin toggled (%v)", v, want)
 	}
 
 	// Same but coin 0: the initiator is not productive, so no refresh,
 	// and the coin toggles to 1.
-	v = State{Mode: ModePhase, Coin: 0, Phase: 2, Alive: 5}
+	v = PhaseState(0, 2, 5)
 	p.Transition(&u, &v)
-	want = State{Mode: ModePhase, Coin: 1, Phase: 2, Alive: 5}
+	want = PhaseState(1, 2, 5)
 	if v != want {
 		t.Fatalf("phase responder = %v, want %v", v, want)
 	}

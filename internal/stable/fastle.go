@@ -15,35 +15,35 @@ package stable
 // ≥ 1/(8e) per attempt, so O(log n) resets suffice w.h.p., Lemma 32).
 func (p *Protocol) fastLE(u, v *State) {
 	// Line 1: every initiator interaction costs budget.
-	u.LECount--
+	u.setLECount(u.LECount() - 1)
 
 	// Lines 13–15: out of budget without having started ranking.
-	if u.LECount <= 0 {
+	if u.LECount() <= 0 {
 		p.triggerReset(u, ReasonLEExpired)
 		return
 	}
 
-	if !u.LeaderDone {
-		if v.Coin == 0 {
+	if !u.LeaderDone() {
+		if v.Coin() == 0 {
 			// Line 2: a tail — u will not be leader. The residual
 			// coinCount is dropped so that "done" agents occupy a
 			// single state per LECount value (state accounting).
-			u.LeaderDone = true
-			u.CoinCount = 0
+			u.setLeaderDone()
+			u.setCoinCount(0)
 		} else {
 			// Lines 4–8: count consecutive heads.
-			u.CoinCount--
-			if u.CoinCount <= 0 {
-				u.CoinCount = 0
-				u.IsLeader = true
-				u.LeaderDone = true
+			u.setCoinCount(u.CoinCount() - 1)
+			if u.CoinCount() <= 0 {
+				u.setCoinCount(0)
+				u.setIsLeader()
+				u.setLeaderDone()
 			}
 		}
 	}
 
 	// Lines 9–12: a leader elected fast enough starts the main phase as
 	// the waiting agent.
-	if u.IsLeader && u.LECount >= p.leBudget/2 {
-		*u = State{Mode: ModeWait, Coin: u.Coin, Wait: p.waitInit, Alive: p.lMax}
+	if u.IsLeader() && u.LECount() >= p.leBudget/2 {
+		*u = WaitState(u.Coin(), p.waitInit, p.lMax)
 	}
 }

@@ -11,15 +11,15 @@ func TestFastLETailMakesNonLeader(t *testing.T) {
 	u := p.LEInitial(0)
 	v := p.LEInitial(0) // coin 0: a tail
 	p.Transition(&u, &v)
-	if !u.LeaderDone || u.IsLeader {
-		t.Fatalf("after a tail: done=%t leader=%t, want done non-leader", u.LeaderDone, u.IsLeader)
+	if !u.LeaderDone() || u.IsLeader() {
+		t.Fatalf("after a tail: done=%t leader=%t, want done non-leader", u.LeaderDone(), u.IsLeader())
 	}
-	if u.LECount != p.LEBudget()-1 {
-		t.Fatalf("LECount = %d, want %d", u.LECount, p.LEBudget()-1)
+	if u.LECount() != p.LEBudget()-1 {
+		t.Fatalf("LECount = %d, want %d", u.LECount(), p.LEBudget()-1)
 	}
 	// Responder's coin toggled by the dispatcher.
-	if v.Coin != 1 {
-		t.Fatalf("responder coin = %d, want toggled to 1", v.Coin)
+	if v.Coin() != 1 {
+		t.Fatalf("responder coin = %d, want toggled to 1", v.Coin())
 	}
 }
 
@@ -39,35 +39,35 @@ func TestFastLEConsecutiveHeadsElectAndTransition(t *testing.T) {
 	if u.Mode != ModeWait {
 		t.Fatalf("after %d heads u = %+v, want waiting", need, u)
 	}
-	if u.Wait != p.WaitInit() || u.Alive != p.LMax() {
+	if u.Wait() != p.WaitInit() || u.Alive() != p.LMax() {
 		t.Fatalf("waiting leader counters: wait=%d alive=%d, want (%d, %d)",
-			u.Wait, u.Alive, p.WaitInit(), p.LMax())
+			u.Wait(), u.Alive(), p.WaitInit(), p.LMax())
 	}
 }
 
 func TestFastLEDoneAgentIgnoresCoins(t *testing.T) {
 	p := New(256, DefaultParams())
 	u := p.LEInitial(0)
-	u.LeaderDone = true
-	cc := u.CoinCount
+	u.setLeaderDone()
+	cc := u.CoinCount()
 	v := p.LEInitial(1)
 	p.Transition(&u, &v)
-	if u.CoinCount != cc {
-		t.Fatalf("done agent's coinCount changed: %d -> %d", cc, u.CoinCount)
+	if u.CoinCount() != cc {
+		t.Fatalf("done agent's coinCount changed: %d -> %d", cc, u.CoinCount())
 	}
-	if u.LECount != p.LEBudget()-1 {
-		t.Fatalf("done agent must still pay budget: LECount = %d", u.LECount)
+	if u.LECount() != p.LEBudget()-1 {
+		t.Fatalf("done agent must still pay budget: LECount = %d", u.LECount())
 	}
 }
 
 func TestFastLEBudgetExpiryTriggersReset(t *testing.T) {
 	p := New(256, DefaultParams())
 	u := p.LEInitial(0)
-	u.LeaderDone = true // a loser waiting for someone else
-	u.LECount = 1
+	u.setLeaderDone() // a loser waiting for someone else
+	u.setLECount(1)
 	v := p.LEInitial(1)
 	p.Transition(&u, &v)
-	if u.Mode != ModeReset || u.ResetCount != p.RMax() {
+	if u.Mode != ModeReset || u.ResetCount() != p.RMax() {
 		t.Fatalf("expired agent = %+v, want triggered reset", u)
 	}
 	if p.ResetsFor(ReasonLEExpired) != 1 {
@@ -80,14 +80,14 @@ func TestFastLESlowLeaderDoesNotTransition(t *testing.T) {
 	// start the main phase (Protocol 5 line 9); it eventually expires.
 	p := New(256, DefaultParams())
 	u := p.LEInitial(0)
-	u.LECount = p.LEBudget()/2 - 1
-	u.CoinCount = 1
+	u.setLECount(p.LEBudget()/2 - 1)
+	u.setCoinCount(1)
 	v := p.LEInitial(1) // heads
 	p.Transition(&u, &v)
 	if u.Mode != ModeLE {
 		t.Fatalf("slow leader transitioned: %+v", u)
 	}
-	if !u.IsLeader || !u.LeaderDone {
+	if !u.IsLeader() || !u.LeaderDone() {
 		t.Fatalf("slow leader flags: %+v", u)
 	}
 }
@@ -95,9 +95,9 @@ func TestFastLESlowLeaderDoesNotTransition(t *testing.T) {
 func TestFastLEOnlyInitiatorUpdates(t *testing.T) {
 	p := New(256, DefaultParams())
 	u, v := p.LEInitial(0), p.LEInitial(1)
-	lc, cc := v.LECount, v.CoinCount
+	lc, cc := v.LECount(), v.CoinCount()
 	p.Transition(&u, &v)
-	if v.LECount != lc || v.CoinCount != cc {
+	if v.LECount() != lc || v.CoinCount() != cc {
 		t.Fatalf("responder LE variables changed: %+v", v)
 	}
 }
@@ -109,7 +109,7 @@ func TestLEAgentJoinsMainAsPhaseOne(t *testing.T) {
 	le := p.LEInitial(1)
 	main := Ranked(42)
 	p.Transition(&le, &main)
-	if le.Mode != ModePhase || le.Phase != 1 || le.Alive != p.LMax() || le.Coin != 1 {
+	if le.Mode != ModePhase || le.Phase() != 1 || le.Alive() != p.LMax() || le.Coin() != 1 {
 		t.Fatalf("LE initiator joined as %+v", le)
 	}
 
@@ -117,7 +117,7 @@ func TestLEAgentJoinsMainAsPhaseOne(t *testing.T) {
 	main2 := Ranked(42)
 	p.Transition(&main2, &le2)
 	// le2 is the responder: it joins and then its coin is toggled.
-	if le2.Mode != ModePhase || le2.Phase != 1 || le2.Coin != 0 {
+	if le2.Mode != ModePhase || le2.Phase() != 1 || le2.Coin() != 0 {
 		t.Fatalf("LE responder joined as %+v", le2)
 	}
 }
@@ -138,7 +138,7 @@ func TestFastLEUniqueWinnerProbability(t *testing.T) {
 		// reset).
 		decided := func(_ int64, ss []State) bool {
 			for i := range ss {
-				if ss[i].Mode == ModeLE && !ss[i].LeaderDone {
+				if ss[i].Mode == ModeLE && !ss[i].LeaderDone() {
 					return false
 				}
 			}
@@ -149,11 +149,11 @@ func TestFastLEUniqueWinnerProbability(t *testing.T) {
 		}
 		leaders := 0
 		for _, s := range r.States() {
-			if (s.Mode == ModeLE && s.IsLeader) || s.Mode == ModeWait || s.Mode == ModeRanked || s.Mode == ModePhase {
+			if (s.Mode == ModeLE && s.IsLeader()) || s.Mode == ModeWait || s.Mode == ModeRanked || s.Mode == ModePhase {
 				// Any agent already in the main protocol counts as an
 				// elected leader (it transitioned via line 9–12) —
 				// phase agents arise only from a leader's epidemic.
-				if s.Mode == ModeWait || (s.Mode == ModeLE && s.IsLeader) {
+				if s.Mode == ModeWait || (s.Mode == ModeLE && s.IsLeader()) {
 					leaders++
 				}
 			}

@@ -19,7 +19,7 @@ func (p *Protocol) WorstCaseInit() []State {
 	for i := 0; i < p.n-1; i++ {
 		states[i] = Ranked(int32(i + 2))
 	}
-	states[p.n-1] = State{Mode: ModePhase, Coin: 0, Phase: int16(p.phases.KMax()), Alive: p.lMax}
+	states[p.n-1] = PhaseState(0, int16(p.phases.KMax()), p.lMax)
 	return states
 }
 
@@ -34,10 +34,7 @@ func (p *Protocol) Fig3Init() []State {
 	states := make([]State, p.n)
 	states[0] = Ranked(1)
 	for i := 1; i < p.n; i++ {
-		s := p.LEInitial(uint8(i & 1))
-		s.LeaderDone = true
-		s.CoinCount = 0
-		states[i] = s
+		states[i] = LEState(uint8(i&1), p.leBudget, 0, true, false)
 	}
 	return states
 }
@@ -75,11 +72,8 @@ func (p *Protocol) ManyUnrankedInit(k int) []State {
 	}
 	states := make([]State, p.n)
 	for i := 0; i < k; i++ {
-		alive := p.lMax - int16(i%int(p.lMax))
-		if alive < 1 {
-			alive = 1
-		}
-		states[i] = State{Mode: ModePhase, Coin: uint8(i & 1), Phase: int16(p.phases.KMax()), Alive: alive}
+		alive := max(p.lMax-int32(i)%p.lMax, 1)
+		states[i] = PhaseState(uint8(i&1), int16(p.phases.KMax()), alive)
 	}
 	// Ranks n, n−1, ..., down, skipping rank 1 so no unaware leader
 	// exists.
@@ -114,35 +108,22 @@ func (p *Protocol) RandomState(r *rng.RNG) State {
 		// Exclude the (0, 0) combination, which instantly awakens and
 		// is therefore not a persistent state.
 		for {
-			rc, dc := int16(r.Intn(int(p.rMax)+1)), int16(r.Intn(int(p.dMax)+1))
+			rc, dc := int16(r.Intn(int(p.rMax)+1)), int32(r.Intn(int(p.dMax)+1))
 			if rc != 0 || dc != 0 {
-				return State{Mode: ModeReset, Coin: coin, ResetCount: rc, DelayCount: dc}
+				return ResetState(coin, rc, dc)
 			}
 		}
 	case ModeLE:
 		done := r.Bool()
 		isLeader := done && r.Bool()
-		return State{
-			Mode:       ModeLE,
-			Coin:       coin,
-			LECount:    int16(1 + r.Intn(int(p.leBudget))),
-			CoinCount:  int16(r.Intn(int(p.coinInit) + 1)),
-			LeaderDone: done,
-			IsLeader:   isLeader,
-		}
+		leCount := int16(1 + r.Intn(int(p.leBudget)))
+		coinCount := int32(r.Intn(int(p.coinInit) + 1))
+		return LEState(coin, leCount, coinCount, done, isLeader)
 	case ModeWait:
-		return State{
-			Mode:  ModeWait,
-			Coin:  coin,
-			Wait:  int16(1 + r.Intn(int(p.waitInit))),
-			Alive: int16(1 + r.Intn(int(p.lMax))),
-		}
+		wait := int16(1 + r.Intn(int(p.waitInit)))
+		return WaitState(coin, wait, int32(1+r.Intn(int(p.lMax))))
 	default:
-		return State{
-			Mode:  ModePhase,
-			Coin:  coin,
-			Phase: int16(1 + r.Intn(int(p.phases.KMax()))),
-			Alive: int16(1 + r.Intn(int(p.lMax))),
-		}
+		phase := int16(1 + r.Intn(int(p.phases.KMax())))
+		return PhaseState(coin, phase, int32(1+r.Intn(int(p.lMax))))
 	}
 }

@@ -17,13 +17,13 @@ func TestWorstCaseInitShape(t *testing.T) {
 	for _, s := range states {
 		switch s.Mode {
 		case ModeRanked:
-			if s.Rank < 2 || s.Rank > 256 || seen[s.Rank] {
-				t.Fatalf("bad rank %d", s.Rank)
+			if s.Rank() < 2 || s.Rank() > 256 || seen[s.Rank()] {
+				t.Fatalf("bad rank %d", s.Rank())
 			}
-			seen[s.Rank] = true
+			seen[s.Rank()] = true
 		case ModePhase:
 			phaseAgents++
-			if int32(s.Phase) != p.Phases().KMax() || s.Alive != p.LMax() {
+			if int32(s.Phase()) != p.Phases().KMax() || s.Alive() != p.LMax() {
 				t.Fatalf("phase agent = %+v, want (kMax, LMax)", s)
 			}
 		default:

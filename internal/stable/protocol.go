@@ -54,14 +54,16 @@ func DefaultParams() Params {
 // counts the resets *it* triggers, so construct one per trial
 // (construction is cheap) rather than sharing across trials.
 type Protocol struct {
-	n        int
-	phases   core.Phases
+	n      int
+	phases core.Phases
+
+	// Each bound has the width of the State field it bounds.
 	waitInit int16 // ⌈c_wait·log₂ n⌉
-	lMax     int16 // ⌈c_live·log₂ n⌉
+	lMax     int32 // ⌈c_live·log₂ n⌉
 	leBudget int16 // FastLeaderElection interaction budget
 	rMax     int16
-	dMax     int16
-	coinInit int16 // ⌈log₂ n⌉ heads required by FastLeaderElection
+	dMax     int32
+	coinInit int32 // ⌈log₂ n⌉ heads required by FastLeaderElection
 	literal  bool
 
 	resets         atomic.Int64
@@ -119,8 +121,9 @@ func New(n int, params Params) *Protocol {
 		panic(fmt.Sprintf("stable: all parameter factors must be positive: %+v", params))
 	}
 	lg := float64(leaderelect.CeilLog2(n))
-	// bound is ⌈factor·log₂ n⌉; the counters compared with it are
-	// int16, so a bound past their range must not wrap.
+	// bound is ⌈factor·log₂ n⌉. The int16 counters are compared with
+	// some of the bounds, so none may pass the int16 range, where it
+	// would wrap.
 	bound := func(param, name string, factor float64) int16 {
 		v := math.Ceil(factor * lg)
 		if !(v <= math.MaxInt16) {
@@ -133,11 +136,11 @@ func New(n int, params Params) *Protocol {
 		n:        n,
 		phases:   core.NewPhases(n),
 		waitInit: bound("CWait", "waitInit", params.CWait),
-		lMax:     bound("CLive", "L_max", params.CLive),
+		lMax:     int32(bound("CLive", "L_max", params.CLive)),
 		leBudget: bound("LEBudgetFactor", "the LE budget", params.LEBudgetFactor),
 		rMax:     bound("RMaxFactor", "R_max", params.RMaxFactor),
-		dMax:     bound("DMaxFactor", "D_max", params.DMaxFactor),
-		coinInit: int16(lg),
+		dMax:     int32(bound("DMaxFactor", "D_max", params.DMaxFactor)),
+		coinInit: int32(lg),
 		literal:  params.PaperLiteralProductive,
 	}
 }
@@ -152,7 +155,7 @@ func (p *Protocol) Phases() core.Phases { return p.phases }
 func (p *Protocol) WaitInit() int16 { return p.waitInit }
 
 // LMax returns ⌈c_live·log₂ n⌉.
-func (p *Protocol) LMax() int16 { return p.lMax }
+func (p *Protocol) LMax() int32 { return p.lMax }
 
 // LEBudget returns FastLeaderElection's initial interaction budget.
 func (p *Protocol) LEBudget() int16 { return p.leBudget }
@@ -161,11 +164,11 @@ func (p *Protocol) LEBudget() int16 { return p.leBudget }
 func (p *Protocol) RMax() int16 { return p.rMax }
 
 // DMax returns the dormancy duration.
-func (p *Protocol) DMax() int16 { return p.dMax }
+func (p *Protocol) DMax() int32 { return p.dMax }
 
 // CoinInit returns ⌈log₂ n⌉, the consecutive heads FastLeaderElection
 // requires.
-func (p *Protocol) CoinInit() int16 { return p.coinInit }
+func (p *Protocol) CoinInit() int32 { return p.coinInit }
 
 // Resets returns the number of resets this instance has triggered.
 func (p *Protocol) Resets() int64 { return p.resets.Load() }
@@ -194,12 +197,7 @@ func (p *Protocol) ResetBreakdown() map[string]int64 {
 // LEInitial returns the FastLeaderElection start state q_{0,coin}
 // (Appendix C), preserving the given coin value.
 func (p *Protocol) LEInitial(coin uint8) State {
-	return State{
-		Mode:      ModeLE,
-		Coin:      coin,
-		LECount:   p.leBudget,
-		CoinCount: p.coinInit,
-	}
+	return LEState(coin, p.leBudget, p.coinInit, false, false)
 }
 
 // InitialStates returns the canonical fresh start: every agent in the
@@ -224,9 +222,9 @@ func (p *Protocol) TriggerReset(s *State) { p.triggerReset(s, ReasonExternal) }
 func (p *Protocol) triggerReset(s *State, reason ResetReason) {
 	coin := uint8(0)
 	if s.HasCoin() {
-		coin = s.Coin
+		coin = s.Coin()
 	}
-	*s = State{Mode: ModeReset, Coin: coin, ResetCount: p.rMax, DelayCount: p.dMax}
+	*s = ResetState(coin, p.rMax, p.dMax)
 	// Atomic so concurrent shard workers may share the instance; resets
 	// are rare, so the hot path never pays for the synchronization. The
 	// totals are order-independent sums, hence still deterministic.
@@ -273,9 +271,9 @@ func (p *Protocol) TransitionT(u, v *State) (uTouched, vTouched bool) {
 	// Lines 4–6: a leader-electing agent meeting a main-protocol agent
 	// forgets its LE state and joins as a phase-1 agent (no ranks).
 	case u.Mode == ModeLE && v.IsMain():
-		*u = State{Mode: ModePhase, Coin: u.Coin, Phase: 1, Alive: p.lMax}
+		*u = PhaseState(u.Coin(), 1, p.lMax)
 	case v.Mode == ModeLE && u.IsMain():
-		*v = State{Mode: ModePhase, Coin: v.Coin, Phase: 1, Alive: p.lMax}
+		*v = PhaseState(v.Coin(), 1, p.lMax)
 
 	// Lines 7–8: both agents execute the main protocol, where ranks
 	// are assigned, advanced and (on detected errors) dropped;
@@ -287,7 +285,7 @@ func (p *Protocol) TransitionT(u, v *State) (uTouched, vTouched bool) {
 
 	// Lines 9–10: the responder's coin is toggled if it has one.
 	if v.HasCoin() {
-		v.Coin ^= 1
+		v.toggleCoin()
 	}
 	return uTouched, vTouched
 }

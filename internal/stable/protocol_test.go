@@ -88,7 +88,7 @@ func TestStabilizesFromAllWaiting(t *testing.T) {
 	p := New(n, DefaultParams())
 	states := make([]State, n)
 	for i := range states {
-		states[i] = State{Mode: ModeWait, Coin: uint8(i & 1), Wait: p.WaitInit(), Alive: p.LMax()}
+		states[i] = WaitState(uint8(i&1), p.WaitInit(), p.LMax())
 	}
 	mustStabilize(t, p, states, 5, 2000)
 }
@@ -98,7 +98,7 @@ func TestStabilizesFromAllPhaseMax(t *testing.T) {
 	p := New(n, DefaultParams())
 	states := make([]State, n)
 	for i := range states {
-		states[i] = State{Mode: ModePhase, Coin: uint8(i & 1), Phase: int16(p.Phases().KMax()), Alive: 1}
+		states[i] = PhaseState(uint8(i&1), int16(p.Phases().KMax()), 1)
 	}
 	mustStabilize(t, p, states, 6, 2000)
 }
@@ -285,7 +285,7 @@ func TestNewRejectsOversizedBounds(t *testing.T) {
 	for _, n := range []int{2, 3, 1 << 20, math.MaxInt32} {
 		p := New(n, big)
 		want := int16(32 * leaderelect.CeilLog2(n))
-		if p.WaitInit() != want || p.LMax() != want || p.LEBudget() != want || p.RMax() != want || p.DMax() != want {
+		if p.WaitInit() != want || p.LMax() != int32(want) || p.LEBudget() != want || p.RMax() != want || p.DMax() != int32(want) {
 			t.Errorf("n=%d: bounds %d %d %d %d %d, want %d", n, p.WaitInit(), p.LMax(), p.LEBudget(), p.RMax(), p.DMax(), want)
 		}
 	}
@@ -314,9 +314,9 @@ func TestModeAndReasonStrings(t *testing.T) {
 func TestStateStrings(t *testing.T) {
 	cases := map[string]State{
 		"rank(3)":            Ranked(3),
-		"reset(r=2,d=4,c=1)": {Mode: ModeReset, ResetCount: 2, DelayCount: 4, Coin: 1},
-		"wait(2,a=7,c=0)":    {Mode: ModeWait, Wait: 2, Alive: 7},
-		"phase(5,a=1,c=1)":   {Mode: ModePhase, Phase: 5, Alive: 1, Coin: 1},
+		"reset(r=2,d=4,c=1)": ResetState(1, 2, 4),
+		"wait(2,a=7,c=0)":    WaitState(0, 2, 7),
+		"phase(5,a=1,c=1)":   PhaseState(1, 5, 1),
 	}
 	for want, s := range cases {
 		if got := s.String(); got != want {

@@ -13,7 +13,7 @@ package stable
 // the engine's touch-aware exact stopping relies on.
 func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 	// Lines 1–4, error detection: duplicate ranks or two waiting agents.
-	if u.Mode == ModeRanked && v.Mode == ModeRanked && u.Rank == v.Rank {
+	if u.Mode == ModeRanked && v.Mode == ModeRanked && u.Rank() == v.Rank() {
 		p.triggerReset(u, ReasonDuplicateRank)
 		return true, false // u lost its rank; v keeps its (duplicate) one
 	}
@@ -25,11 +25,7 @@ func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 	// Lines 5–11, liveness checking.
 	if u.IsUnrankedMain() && v.IsUnrankedMain() {
 		// Lines 5–6: both check liveness — adopt the maximum minus one.
-		m := u.Alive
-		if v.Alive > m {
-			m = v.Alive
-		}
-		m--
+		m := max(u.Alive(), v.Alive()) - 1
 		if m <= 0 {
 			// The counter hit zero (DESIGN.md note 4). Both witnesses
 			// reset: aliveCount = 0 is outside the declared state
@@ -38,19 +34,20 @@ func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 			p.triggerReset(v, ReasonAliveExpired)
 			return false, false // both were unranked
 		}
-		u.Alive, v.Alive = m, m
+		u.setAlive(m)
+		v.setAlive(m)
 	}
-	if u.Mode == ModeRanked && u.Rank >= int32(p.n)-1 && v.IsUnrankedMain() {
+	if u.Mode == ModeRanked && u.Rank() >= int32(p.n)-1 && v.IsUnrankedMain() {
 		// Lines 7–11: meeting an agent ranked n−1 or n drains the
 		// responder's counter; expiry triggers a reset — on both
 		// agents, as above (the paper's pseudocode resets u; v's
 		// counter would otherwise sit at 0, outside its domain).
-		if v.Alive <= 1 {
+		if v.Alive() <= 1 {
 			p.triggerReset(u, ReasonAliveExpired)
 			p.triggerReset(v, ReasonAliveExpired)
 			return true, false // u was ranked, v was not
 		}
-		v.Alive--
+		v.setAlive(v.Alive() - 1)
 	}
 
 	if !v.IsUnrankedMain() {
@@ -60,26 +57,19 @@ func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 		return false, false
 	}
 
-	if v.Coin == 0 {
+	if v.Coin() == 0 {
 		// Lines 12–14: v's coin shows tails — refresh its liveness
 		// counter if the pair could have made progress (a "productive
 		// pair"): u is waiting, or u is the unaware leader for v's
 		// phase.
 		if u.Mode == ModeWait || p.isUnawareLeaderFor(u, v) {
-			v.Alive = p.lMax
+			v.setAlive(p.lMax)
 		}
 		return false, false
 	}
 
 	// Lines 15–18: v's coin shows heads — execute the base protocol.
-	became, ut, vt := p.baseRanking(u, v)
-	if became {
-		// Line 17–18: u became waiting — it regains a coin and a full
-		// liveness counter.
-		u.Coin = 0
-		u.Alive = p.lMax
-	}
-	return ut, vt
+	return p.baseRanking(u, v)
 }
 
 // isUnawareLeaderFor reports the productive-pair condition of Protocol 4
@@ -92,16 +82,17 @@ func (p *Protocol) isUnawareLeaderFor(u, v *State) bool {
 		return false
 	}
 	if p.literal {
-		bound := int32(p.n) >> uint(v.Phase)
-		return u.Rank >= 1 && u.Rank <= bound
+		bound := int32(p.n) >> uint(v.Phase())
+		return u.Rank() >= 1 && u.Rank() <= bound
 	}
-	return u.Rank >= 1 && u.Rank <= p.phases.Width(int32(v.Phase))
+	return u.Rank() >= 1 && u.Rank() <= p.phases.Width(int32(v.Phase()))
 }
 
 // baseRanking reimplements Ranking (Protocol 2) over stable.State,
 // including the bookkeeping Ranking+ needs: agents becoming ranked drop
-// their coin and liveness counter; the leader entering waiting is
-// reported to the caller (Protocol 4 line 17). Like rankingPlus it
+// their coin and liveness counter, and the leader entering waiting
+// regains a coin (0) and a full liveness counter (Protocol 4 lines
+// 17–18). Like rankingPlus it
 // reports rank-projection changes from the mutation sites: a rank
 // assigned (vTouched), the unaware leader's rank advancing or being
 // given up for waiting, and the waiting agent re-entering with rank 1
@@ -109,52 +100,52 @@ func (p *Protocol) isUnawareLeaderFor(u, v *State) bool {
 //
 // The transition logic mirrors core.(*Protocol).Ranking exactly; the
 // equivalence is checked by a cross-validation property test.
-func (p *Protocol) baseRanking(u, v *State) (uBecameWaiting, uTouched, vTouched bool) {
+func (p *Protocol) baseRanking(u, v *State) (uTouched, vTouched bool) {
 	// Line 1: if v is not a phase agent, do nothing.
 	if v.Mode != ModePhase {
-		return false, false, false
+		return false, false
 	}
 	switch u.Mode {
 	case ModeRanked:
-		k := int32(v.Phase)
+		k := int32(v.Phase())
 		width := p.phases.Width(k)
 		switch {
-		case u.Rank >= 1 && u.Rank <= width:
+		case u.Rank() >= 1 && u.Rank() <= width:
 			// u is the unaware leader: assign the next rank of phase k.
-			*v = Ranked(p.phases.F(k+1) + u.Rank)
+			*v = Ranked(p.phases.F(k+1) + u.Rank())
 			vTouched = true
-			if u.Rank < width {
-				u.Rank++ // the leader's rank value moved
+			if u.Rank() < width {
+				u.setRank(u.Rank() + 1) // the leader's rank value moved
 				uTouched = true
 			} else if k < p.phases.KMax() {
 				// End of a non-final phase: forget the rank, wait out
 				// the phase transition.
-				*u = State{Mode: ModeWait, Coin: 0, Wait: p.waitInit, Alive: 0}
-				return true, true, true
+				*u = WaitState(0, p.waitInit, p.lMax)
+				return true, true
 			}
 			// k = kMax: the leader keeps rank 1 unchanged.
-		case u.Rank == p.phases.F(k):
+		case u.Rank() == p.phases.F(k):
 			// u holds the last rank of v's phase: v advances
 			// (saturating at ⌈log₂ n⌉, DESIGN.md note 3).
 			if k < p.phases.KMax() {
-				v.Phase = int16(k + 1)
+				v.setPhase(int16(k + 1))
 			}
 		}
 	case ModePhase:
 		// Two phase agents adopt the more advanced phase.
-		if u.Phase > v.Phase {
-			v.Phase = u.Phase
+		if u.Phase() > v.Phase() {
+			v.setPhase(u.Phase())
 		} else {
-			u.Phase = v.Phase
+			u.setPhase(v.Phase())
 		}
 	case ModeWait:
 		// The waiting agent counts down against phase agents and
 		// ultimately re-enters with rank 1.
-		u.Wait--
-		if u.Wait <= 0 {
+		u.setWait(u.Wait() - 1)
+		if u.Wait() <= 0 {
 			*u = Ranked(1)
 			uTouched = true
 		}
 	}
-	return false, uTouched, vTouched
+	return uTouched, vTouched
 }

@@ -9,11 +9,11 @@ import (
 )
 
 func mainPhase(coin uint8, phase, alive int16) State {
-	return State{Mode: ModePhase, Coin: coin, Phase: phase, Alive: alive}
+	return PhaseState(coin, phase, int32(alive))
 }
 
 func mainWait(coin uint8, wait, alive int16) State {
-	return State{Mode: ModeWait, Coin: coin, Wait: wait, Alive: alive}
+	return WaitState(coin, wait, int32(alive))
 }
 
 func TestDuplicateRankTriggersReset(t *testing.T) {
@@ -58,8 +58,8 @@ func TestLivenessMaxMinusOne(t *testing.T) {
 	u := mainPhase(0, 1, 7)
 	v := mainPhase(0, 1, 3)
 	p.Transition(&u, &v)
-	if u.Alive != 6 || v.Alive != 6 {
-		t.Fatalf("alive = (%d, %d), want (6, 6)", u.Alive, v.Alive)
+	if u.Alive() != 6 || v.Alive() != 6 {
+		t.Fatalf("alive = (%d, %d), want (6, 6)", u.Alive(), v.Alive())
 	}
 }
 
@@ -82,8 +82,8 @@ func TestTopRankedDrainLiveness(t *testing.T) {
 		u := Ranked(rank)
 		v := mainPhase(1, 3, 5)
 		p.Transition(&u, &v)
-		if v.Alive != 4 {
-			t.Fatalf("rank %d: alive = %d, want 4", rank, v.Alive)
+		if v.Alive() != 4 {
+			t.Fatalf("rank %d: alive = %d, want 4", rank, v.Alive())
 		}
 		if u != Ranked(rank) {
 			t.Fatalf("rank %d initiator changed: %+v", rank, u)
@@ -93,8 +93,8 @@ func TestTopRankedDrainLiveness(t *testing.T) {
 	u := Ranked(62)
 	v := mainPhase(1, 3, 5)
 	p.Transition(&u, &v)
-	if v.Alive != 5 {
-		t.Fatalf("rank 62 drained: alive = %d", v.Alive)
+	if v.Alive() != 5 {
+		t.Fatalf("rank 62 drained: alive = %d", v.Alive())
 	}
 }
 
@@ -118,14 +118,14 @@ func TestCoinZeroRefreshesLivenessForProductivePairs(t *testing.T) {
 	u := mainWait(0, 3, 5)
 	v := mainPhase(0, 2, 3)
 	p.Transition(&u, &v)
-	if v.Alive != p.LMax() {
-		t.Fatalf("alive = %d, want refreshed to %d", v.Alive, p.LMax())
+	if v.Alive() != p.LMax() {
+		t.Fatalf("alive = %d, want refreshed to %d", v.Alive(), p.LMax())
 	}
-	if u.Wait != 3 {
-		t.Fatalf("wait counter must not move on tails: %d", u.Wait)
+	if u.Wait() != 3 {
+		t.Fatalf("wait counter must not move on tails: %d", u.Wait())
 	}
-	if v.Coin != 1 {
-		t.Fatalf("responder coin not toggled: %d", v.Coin)
+	if v.Coin() != 1 {
+		t.Fatalf("responder coin not toggled: %d", v.Coin())
 	}
 
 	// Unaware leader refreshes a tails responder.
@@ -133,8 +133,8 @@ func TestCoinZeroRefreshesLivenessForProductivePairs(t *testing.T) {
 	leader := Ranked(1)
 	v2 := mainPhase(0, k, 3)
 	p.Transition(&leader, &v2)
-	if v2.Alive != p.LMax() {
-		t.Fatalf("unaware leader did not refresh: alive = %d", v2.Alive)
+	if v2.Alive() != p.LMax() {
+		t.Fatalf("unaware leader did not refresh: alive = %d", v2.Alive())
 	}
 	if v2.Mode != ModePhase {
 		t.Fatalf("tails responder must not be ranked: %+v", v2)
@@ -144,8 +144,8 @@ func TestCoinZeroRefreshesLivenessForProductivePairs(t *testing.T) {
 	other := Ranked(40)
 	v3 := mainPhase(0, k, 3)
 	p.Transition(&other, &v3)
-	if v3.Alive != 3 {
-		t.Fatalf("non-leader refreshed: alive = %d", v3.Alive)
+	if v3.Alive() != 3 {
+		t.Fatalf("non-leader refreshed: alive = %d", v3.Alive())
 	}
 }
 
@@ -155,11 +155,9 @@ func TestCoinOneRunsBaseProtocol(t *testing.T) {
 	v := mainPhase(1, 1, 5)
 	p.Transition(&leader, &v)
 	wantRank := p.Phases().F(2) + 1
-	if v.Mode != ModeRanked || v.Rank != wantRank {
+	// == also checks that no coin or liveness counter survived.
+	if v != Ranked(wantRank) {
 		t.Fatalf("heads responder got %+v, want rank(%d)", v, wantRank)
-	}
-	if v.Coin != 0 || v.Alive != 0 {
-		t.Fatalf("ranked agent retained coin/alive: %+v", v)
 	}
 	if leader != Ranked(2) {
 		t.Fatalf("leader = %+v, want rank(2)", leader)
@@ -176,10 +174,10 @@ func TestLeaderBecomingWaitingGetsCoinAndAlive(t *testing.T) {
 	if leader.Mode != ModeWait {
 		t.Fatalf("leader = %+v, want waiting", leader)
 	}
-	if leader.Coin != 0 || leader.Alive != p.LMax() || leader.Wait != p.WaitInit() {
+	if leader.Coin() != 0 || leader.Alive() != p.LMax() || leader.Wait() != p.WaitInit() {
 		t.Fatalf("waiting leader counters wrong: %+v", leader)
 	}
-	if v.Mode != ModeRanked || v.Rank != p.Phases().F(1) {
+	if v.Mode != ModeRanked || v.Rank() != p.Phases().F(1) {
 		t.Fatalf("last assignment of phase 1: %+v, want rank(%d)", v, p.Phases().F(1))
 	}
 }
@@ -190,14 +188,14 @@ func TestWaitingCountdownOnHeadsOnly(t *testing.T) {
 
 	tails := mainPhase(0, 1, 5)
 	p.Transition(&u, &tails)
-	if u.Wait != 2 {
-		t.Fatalf("wait moved on tails: %d", u.Wait)
+	if u.Wait() != 2 {
+		t.Fatalf("wait moved on tails: %d", u.Wait())
 	}
 
 	heads := mainPhase(1, 1, 5)
 	p.Transition(&u, &heads)
-	if u.Wait != 1 {
-		t.Fatalf("wait = %d after heads, want 1", u.Wait)
+	if u.Wait() != 1 {
+		t.Fatalf("wait = %d after heads, want 1", u.Wait())
 	}
 	heads2 := mainPhase(1, 1, 5)
 	p.Transition(&u, &heads2)
@@ -211,16 +209,16 @@ func TestPhaseEpidemicUnderCoin(t *testing.T) {
 	u := mainPhase(0, 4, 5)
 	v := mainPhase(1, 2, 5) // heads: base protocol runs
 	p.Transition(&u, &v)
-	if u.Phase != 4 || v.Phase != 4 {
-		t.Fatalf("phases = (%d, %d), want (4, 4)", u.Phase, v.Phase)
+	if u.Phase() != 4 || v.Phase() != 4 {
+		t.Fatalf("phases = (%d, %d), want (4, 4)", u.Phase(), v.Phase())
 	}
 
 	// Tails: base protocol does not run, phases unchanged.
 	u2 := mainPhase(0, 4, 5)
 	v2 := mainPhase(0, 2, 5)
 	p.Transition(&u2, &v2)
-	if u2.Phase != 4 || v2.Phase != 2 {
-		t.Fatalf("tails interaction moved phases: (%d, %d)", u2.Phase, v2.Phase)
+	if u2.Phase() != 4 || v2.Phase() != 2 {
+		t.Fatalf("tails interaction moved phases: (%d, %d)", u2.Phase(), v2.Phase())
 	}
 }
 
@@ -241,16 +239,16 @@ func TestPaperLiteralProductiveCondition(t *testing.T) {
 	u := Ranked(1)
 	v := mainPhase(0, 3, 2)
 	p.Transition(&u, &v)
-	if v.Alive != 2 {
-		t.Fatalf("literal condition refreshed at phase 3 for n=5: alive=%d", v.Alive)
+	if v.Alive() != 2 {
+		t.Fatalf("literal condition refreshed at phase 3 for n=5: alive=%d", v.Alive())
 	}
 
 	pExact := New(5, DefaultParams())
 	v2 := mainPhase(0, 3, 2)
 	u2 := Ranked(1)
 	pExact.Transition(&u2, &v2)
-	if v2.Alive != pExact.LMax() {
-		t.Fatalf("exact condition did not refresh at phase 3 for n=5: alive=%d", v2.Alive)
+	if v2.Alive() != pExact.LMax() {
+		t.Fatalf("exact condition did not refresh at phase 3 for n=5: alive=%d", v2.Alive())
 	}
 }
 
@@ -264,11 +262,11 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 	toCore := func(s State) core.State {
 		switch s.Mode {
 		case ModeRanked:
-			return core.RankedState(s.Rank)
+			return core.RankedState(s.Rank())
 		case ModeWait:
-			return core.WaitState(int32(s.Wait))
+			return core.WaitState(int32(s.Wait()))
 		case ModePhase:
-			return core.PhaseState(int32(s.Phase))
+			return core.PhaseState(int32(s.Phase()))
 		}
 		panic("not a main state")
 	}
@@ -277,9 +275,9 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 		case core.KindRanked:
 			return Ranked(c.Rank)
 		case core.KindWait:
-			return State{Mode: ModeWait, Coin: orig.Coin, Wait: int16(c.Wait), Alive: orig.Alive}
+			return WaitState(orig.Coin(), int16(c.Wait), orig.Alive())
 		case core.KindPhase:
-			return State{Mode: ModePhase, Coin: orig.Coin, Phase: int16(c.Phase), Alive: orig.Alive}
+			return PhaseState(orig.Coin(), int16(c.Phase), orig.Alive())
 		}
 		panic("unexpected core kind")
 	}
@@ -302,7 +300,8 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 			cu, cv := toCore(u), toCore(v)
 
 			su, sv := u, v
-			becameS, _, _ := ps.baseRanking(&su, &sv)
+			ps.baseRanking(&su, &sv)
+			becameS := u.Mode == ModeRanked && su.Mode == ModeWait
 			becameC := pc.Ranking(&cu, &cv)
 			if becameS != becameC {
 				t.Logf("became mismatch on (%v, %v)", u, v)
@@ -312,21 +311,20 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 			// coin/alive bookkeeping that only stable carries.
 			wu, wv := fromCore(cu, u), fromCore(cv, v)
 			if becameS {
-				// stable sets the fresh waiting agent's alive to 0 here
-				// (rankingPlus fills it in); align for comparison.
-				wu.Alive = su.Alive
-				wu.Coin = su.Coin
+				// stable gives the fresh waiting agent coin 0 and a
+				// full liveness counter; align for comparison.
+				wu = WaitState(su.Coin(), int16(cu.Wait), su.Alive())
 			}
 			if sv.Mode == ModeRanked {
 				// stable clears coin/alive on ranking; fromCore
 				// preserves orig's — align.
-				wv = Ranked(sv.Rank)
-				if cv.Kind != core.KindRanked || cv.Rank != sv.Rank {
+				wv = Ranked(sv.Rank())
+				if cv.Kind != core.KindRanked || cv.Rank != sv.Rank() {
 					t.Logf("rank mismatch on (%v, %v): stable %v core %v", u, v, sv, cv)
 					return false
 				}
 			}
-			if su.Mode == ModeRanked && su.Rank == 1 && u.Mode == ModeWait {
+			if su.Mode == ModeRanked && su.Rank() == 1 && u.Mode == ModeWait {
 				wu = Ranked(1)
 			}
 			if su != wu || sv != wv {

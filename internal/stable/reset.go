@@ -25,45 +25,42 @@ func (p *Protocol) propagateReset(u, v *State) {
 
 	switch {
 	case uProp && vProp:
-		m := u.ResetCount
-		if v.ResetCount > m {
-			m = v.ResetCount
-		}
-		m--
-		u.ResetCount, v.ResetCount = m, m
+		m := max(u.ResetCount(), v.ResetCount()) - 1
+		u.setResetCount(m)
+		v.setResetCount(m)
 
 	case uProp:
-		u.ResetCount--
+		u.setResetCount(u.ResetCount() - 1)
 		if vDorm {
-			v.DelayCount--
+			v.setDelayCount(v.DelayCount() - 1)
 		} else {
 			// v is computing: it becomes propagating.
 			coin := uint8(0)
 			if v.HasCoin() {
-				coin = v.Coin
+				coin = v.Coin()
 			}
-			*v = State{Mode: ModeReset, Coin: coin, ResetCount: u.ResetCount, DelayCount: p.dMax}
+			*v = ResetState(coin, u.ResetCount(), p.dMax)
 		}
 
 	case vProp:
-		v.ResetCount--
+		v.setResetCount(v.ResetCount() - 1)
 		if uDorm {
-			u.DelayCount--
+			u.setDelayCount(u.DelayCount() - 1)
 		} else {
 			coin := uint8(0)
 			if u.HasCoin() {
-				coin = u.Coin
+				coin = u.Coin()
 			}
-			*u = State{Mode: ModeReset, Coin: coin, ResetCount: v.ResetCount, DelayCount: p.dMax}
+			*u = ResetState(coin, v.ResetCount(), p.dMax)
 		}
 
 	default:
 		// At least one dormant agent, no propagating ones.
 		if uDorm {
-			u.DelayCount--
+			u.setDelayCount(u.DelayCount() - 1)
 		}
 		if vDorm {
-			v.DelayCount--
+			v.setDelayCount(v.DelayCount() - 1)
 		}
 	}
 
@@ -74,7 +71,7 @@ func (p *Protocol) propagateReset(u, v *State) {
 // awaken moves a reset agent whose dormancy has run out into the
 // FastLeaderElection initial state, preserving its coin (§V-A).
 func (p *Protocol) awaken(s *State) {
-	if s.Mode == ModeReset && s.ResetCount <= 0 && s.DelayCount <= 0 {
-		*s = p.LEInitial(s.Coin)
+	if s.Mode == ModeReset && s.ResetCount() <= 0 && s.DelayCount() <= 0 {
+		*s = p.LEInitial(s.Coin())
 	}
 }

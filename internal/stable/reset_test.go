@@ -9,18 +9,17 @@ import (
 func TestTriggerResetClearsAllButCoin(t *testing.T) {
 	p := New(64, DefaultParams())
 
-	s := State{Mode: ModePhase, Coin: 1, Phase: 3, Alive: 5}
+	s := PhaseState(1, 3, 5)
 	p.TriggerReset(&s)
-	want := State{Mode: ModeReset, Coin: 1, ResetCount: p.RMax(), DelayCount: p.DMax()}
+	want := ResetState(1, p.RMax(), p.DMax())
 	if s != want {
 		t.Fatalf("after trigger: %+v, want %+v", s, want)
 	}
 
 	// A ranked agent has no coin; it is initialized to 0.
 	s = Ranked(17)
-	s.Coin = 0
 	p.TriggerReset(&s)
-	if s.Coin != 0 || s.Mode != ModeReset {
+	if s.Coin() != 0 || s.Mode != ModeReset {
 		t.Fatalf("ranked agent after trigger: %+v", s)
 	}
 
@@ -31,19 +30,19 @@ func TestTriggerResetClearsAllButCoin(t *testing.T) {
 
 func TestPropagatingInfectsComputing(t *testing.T) {
 	p := New(64, DefaultParams())
-	prop := State{Mode: ModeReset, Coin: 0, ResetCount: 5, DelayCount: p.DMax()}
-	comp := State{Mode: ModePhase, Coin: 1, Phase: 2, Alive: 3}
+	prop := ResetState(0, 5, p.DMax())
+	comp := PhaseState(1, 2, 3)
 
 	p.Transition(&prop, &comp)
-	if prop.ResetCount != 4 {
-		t.Fatalf("propagating agent resetCount = %d, want 4", prop.ResetCount)
+	if prop.ResetCount() != 4 {
+		t.Fatalf("propagating agent resetCount = %d, want 4", prop.ResetCount())
 	}
-	if comp.Mode != ModeReset || comp.ResetCount != 4 || comp.DelayCount != p.DMax() {
+	if comp.Mode != ModeReset || comp.ResetCount() != 4 || comp.DelayCount() != p.DMax() {
 		t.Fatalf("computing agent became %+v, want propagating (4, Dmax)", comp)
 	}
 	// The dispatcher toggles the responder's coin after the subprotocol.
-	if comp.Coin != 0 {
-		t.Fatalf("infected agent's coin = %d, want original 1 toggled to 0", comp.Coin)
+	if comp.Coin() != 0 {
+		t.Fatalf("infected agent's coin = %d, want original 1 toggled to 0", comp.Coin())
 	}
 }
 
@@ -51,63 +50,63 @@ func TestPropagatingInfectsComputingAsResponder(t *testing.T) {
 	// The epidemic is role-agnostic.
 	p := New(64, DefaultParams())
 	comp := Ranked(9)
-	prop := State{Mode: ModeReset, Coin: 0, ResetCount: 3, DelayCount: p.DMax()}
+	prop := ResetState(0, 3, p.DMax())
 	p.Transition(&comp, &prop)
-	if comp.Mode != ModeReset || comp.ResetCount != 2 {
+	if comp.Mode != ModeReset || comp.ResetCount() != 2 {
 		t.Fatalf("initiator computing agent became %+v, want propagating with 2", comp)
 	}
-	if prop.ResetCount != 2 {
-		t.Fatalf("responder propagating resetCount = %d, want 2", prop.ResetCount)
+	if prop.ResetCount() != 2 {
+		t.Fatalf("responder propagating resetCount = %d, want 2", prop.ResetCount())
 	}
 }
 
 func TestTwoPropagatingTakeMaxMinusOne(t *testing.T) {
 	p := New(64, DefaultParams())
-	a := State{Mode: ModeReset, Coin: 0, ResetCount: 7, DelayCount: p.DMax()}
-	b := State{Mode: ModeReset, Coin: 0, ResetCount: 3, DelayCount: p.DMax()}
+	a := ResetState(0, 7, p.DMax())
+	b := ResetState(0, 3, p.DMax())
 	p.Transition(&a, &b)
-	if a.ResetCount != 6 || b.ResetCount != 6 {
-		t.Fatalf("resetCounts = (%d, %d), want (6, 6)", a.ResetCount, b.ResetCount)
+	if a.ResetCount() != 6 || b.ResetCount() != 6 {
+		t.Fatalf("resetCounts = (%d, %d), want (6, 6)", a.ResetCount(), b.ResetCount())
 	}
 }
 
 func TestPropagatingMeetsDormant(t *testing.T) {
 	p := New(64, DefaultParams())
-	prop := State{Mode: ModeReset, Coin: 0, ResetCount: 2, DelayCount: p.DMax()}
-	dorm := State{Mode: ModeReset, Coin: 0, ResetCount: 0, DelayCount: 5}
+	prop := ResetState(0, 2, p.DMax())
+	dorm := ResetState(0, 0, 5)
 	p.Transition(&prop, &dorm)
-	if prop.ResetCount != 1 {
-		t.Fatalf("propagating resetCount = %d, want 1", prop.ResetCount)
+	if prop.ResetCount() != 1 {
+		t.Fatalf("propagating resetCount = %d, want 1", prop.ResetCount())
 	}
-	if dorm.DelayCount != 4 {
-		t.Fatalf("dormant delayCount = %d, want 4", dorm.DelayCount)
+	if dorm.DelayCount() != 4 {
+		t.Fatalf("dormant delayCount = %d, want 4", dorm.DelayCount())
 	}
 }
 
 func TestDormantDecrementsAgainstAnyone(t *testing.T) {
 	p := New(64, DefaultParams())
-	dorm := State{Mode: ModeReset, Coin: 0, ResetCount: 0, DelayCount: 3}
+	dorm := ResetState(0, 0, 3)
 	other := Ranked(5)
 	p.Transition(&dorm, &other)
-	if dorm.DelayCount != 2 {
-		t.Fatalf("delayCount = %d, want 2", dorm.DelayCount)
+	if dorm.DelayCount() != 2 {
+		t.Fatalf("delayCount = %d, want 2", dorm.DelayCount())
 	}
 	if other != Ranked(5) {
 		t.Fatalf("computing partner changed: %+v", other)
 	}
 
 	// Two dormant agents both decrement.
-	a := State{Mode: ModeReset, Coin: 0, ResetCount: 0, DelayCount: 3}
-	b := State{Mode: ModeReset, Coin: 1, ResetCount: 0, DelayCount: 2}
+	a := ResetState(0, 0, 3)
+	b := ResetState(1, 0, 2)
 	p.Transition(&a, &b)
-	if a.DelayCount != 2 || b.DelayCount != 1 {
-		t.Fatalf("delayCounts = (%d, %d), want (2, 1)", a.DelayCount, b.DelayCount)
+	if a.DelayCount() != 2 || b.DelayCount() != 1 {
+		t.Fatalf("delayCounts = (%d, %d), want (2, 1)", a.DelayCount(), b.DelayCount())
 	}
 }
 
 func TestDormantAwakensIntoLeaderElection(t *testing.T) {
 	p := New(64, DefaultParams())
-	dorm := State{Mode: ModeReset, Coin: 1, ResetCount: 0, DelayCount: 1}
+	dorm := ResetState(1, 0, 1)
 	other := Ranked(5)
 	p.Transition(&dorm, &other)
 	want := p.LEInitial(1)
@@ -118,8 +117,8 @@ func TestDormantAwakensIntoLeaderElection(t *testing.T) {
 
 func TestExpiredPropagatorBecomesDormantNotAwake(t *testing.T) {
 	p := New(64, DefaultParams())
-	a := State{Mode: ModeReset, Coin: 0, ResetCount: 1, DelayCount: p.DMax()}
-	b := State{Mode: ModeReset, Coin: 0, ResetCount: 1, DelayCount: p.DMax()}
+	a := ResetState(0, 1, p.DMax())
+	b := ResetState(0, 1, p.DMax())
 	p.Transition(&a, &b)
 	if !a.IsDormant() || !b.IsDormant() {
 		t.Fatalf("agents after max-1 from (1,1): %+v, %+v — want dormant", a, b)

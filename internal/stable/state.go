@@ -52,40 +52,116 @@ func (m Mode) String() string {
 	}
 }
 
-// State is the per-agent state of StableRanking. Only the fields
-// relevant to the current Mode are meaningful; constructors zero the
-// rest so that states are comparable with == in tests.
+// State is the per-agent state of StableRanking: a tagged union of 8
+// bytes. Mode selects the branch of the paper's disjoint state space,
+// and the payload holds only that branch's variables:
+//
+//	mode     flags                         a           b
+//	ranked   —                             —           rank
+//	reset    coin                          ResetCount  DelayCount
+//	LE       coin, LeaderDone, IsLeader    LECount     CoinCount
+//	wait     coin                          Wait        Alive
+//	phase    coin                          Phase       Alive
+//
+// Reads and writes go through the accessors and mode constructors
+// below, which read and write each variable at the width of the field
+// that holds it (an int32 b is read as an int32, never narrowed). The
+// constructors zero every field their mode does not use, so states are
+// comparable with ==.
 type State struct {
-	Mode Mode
-
-	// Coin is the synthetic coin, present for every mode except
-	// ModeRanked; it is toggled whenever the agent is the responder.
-	Coin uint8
-
-	// Rank ∈ [1, n] — ModeRanked.
-	Rank int32
-
-	// ResetCount ∈ [0, Rmax], DelayCount ∈ [0, Dmax] — ModeReset.
-	ResetCount int16
-	DelayCount int16
-
-	// LECount ∈ [0, Lmax], CoinCount ∈ [0, ⌈log₂ n⌉], LeaderDone,
-	// IsLeader — ModeLE (Protocol 5).
-	LECount    int16
-	CoinCount  int16
-	LeaderDone bool
-	IsLeader   bool
-
-	// Wait ∈ [1, ⌈c_wait·log₂ n⌉] — ModeWait;
-	// Phase ∈ [1, ⌈log₂ n⌉] — ModePhase;
-	// Alive ∈ [1, Lmax] — both unranked main modes.
-	Wait  int16
-	Phase int16
-	Alive int16
+	Mode  Mode
+	flags uint8
+	a     int16
+	b     int32
 }
 
+// The bits of State.flags.
+const (
+	flagCoin       uint8 = 1 << iota // the synthetic coin (every mode but ranked)
+	flagLeaderDone                   // ModeLE: the lottery is decided
+	flagIsLeader                     // ModeLE: the lottery was won
+)
+
 // Ranked returns a ranked-agent state.
-func Ranked(rank int32) State { return State{Mode: ModeRanked, Rank: rank} }
+func Ranked(rank int32) State { return State{Mode: ModeRanked, b: rank} }
+
+// ResetState returns a PropagateReset state (ModeReset).
+func ResetState(coin uint8, resetCount int16, delayCount int32) State {
+	return State{Mode: ModeReset, flags: coin & flagCoin, a: resetCount, b: delayCount}
+}
+
+// LEState returns a FastLeaderElection state (ModeLE).
+func LEState(coin uint8, leCount int16, coinCount int32, leaderDone, isLeader bool) State {
+	f := coin & flagCoin
+	if leaderDone {
+		f |= flagLeaderDone
+	}
+	if isLeader {
+		f |= flagIsLeader
+	}
+	return State{Mode: ModeLE, flags: f, a: leCount, b: coinCount}
+}
+
+// WaitState returns a waiting main-protocol state (ModeWait).
+func WaitState(coin uint8, wait int16, alive int32) State {
+	return State{Mode: ModeWait, flags: coin & flagCoin, a: wait, b: alive}
+}
+
+// PhaseState returns an unranked main-protocol phase state
+// (ModePhase).
+func PhaseState(coin uint8, phase int16, alive int32) State {
+	return State{Mode: ModePhase, flags: coin & flagCoin, a: phase, b: alive}
+}
+
+// Coin is the synthetic coin, present for every mode except
+// ModeRanked; the dispatcher toggles it whenever the agent is the
+// responder.
+func (s State) Coin() uint8 { return s.flags & flagCoin }
+
+// Rank ∈ [1, n] — ModeRanked.
+func (s State) Rank() int32 { return s.b }
+
+// ResetCount ∈ [0, R_max] — ModeReset.
+func (s State) ResetCount() int16 { return s.a }
+
+// DelayCount ∈ [0, D_max] — ModeReset.
+func (s State) DelayCount() int32 { return s.b }
+
+// LECount ∈ [0, L_max] — ModeLE (Protocol 5).
+func (s State) LECount() int16 { return s.a }
+
+// CoinCount ∈ [0, ⌈log₂ n⌉] — ModeLE.
+func (s State) CoinCount() int32 { return s.b }
+
+// LeaderDone reports that the agent's lottery is decided — ModeLE.
+func (s State) LeaderDone() bool { return s.flags&flagLeaderDone != 0 }
+
+// IsLeader reports that the agent won its lottery — ModeLE.
+func (s State) IsLeader() bool { return s.flags&flagIsLeader != 0 }
+
+// Wait ∈ [1, ⌈c_wait·log₂ n⌉] — ModeWait.
+func (s State) Wait() int16 { return s.a }
+
+// Phase ∈ [1, ⌈log₂ n⌉] — ModePhase.
+func (s State) Phase() int16 { return s.a }
+
+// Alive ∈ [1, L_max] — both unranked main modes.
+func (s State) Alive() int32 { return s.b }
+
+// The setters of the variables transitions change in place, each at
+// its field's width; a change of mode replaces the whole state through
+// a constructor instead.
+func (s *State) setRank(rank int32)    { s.b = rank }
+func (s *State) setResetCount(c int16) { s.a = c }
+func (s *State) setDelayCount(c int32) { s.b = c }
+func (s *State) setLECount(c int16)    { s.a = c }
+func (s *State) setCoinCount(c int32)  { s.b = c }
+func (s *State) setLeaderDone()        { s.flags |= flagLeaderDone }
+func (s *State) setIsLeader()          { s.flags |= flagIsLeader }
+func (s *State) setWait(w int16)       { s.a = w }
+func (s *State) setPhase(phase int16)  { s.a = phase }
+func (s *State) setAlive(alive int32)  { s.b = alive }
+func (s *State) toggleCoin()           { s.flags ^= flagCoin }
 
 // IsUnrankedMain reports whether the agent is a main-protocol agent
 // without a rank (waiting or phase), i.e. carries coin and aliveCount.
@@ -98,10 +174,10 @@ func (s *State) IsMain() bool {
 }
 
 // IsPropagating reports whether the agent is a propagating reset agent.
-func (s *State) IsPropagating() bool { return s.Mode == ModeReset && s.ResetCount > 0 }
+func (s *State) IsPropagating() bool { return s.Mode == ModeReset && s.a > 0 }
 
 // IsDormant reports whether the agent is a dormant reset agent.
-func (s *State) IsDormant() bool { return s.Mode == ModeReset && s.ResetCount == 0 }
+func (s *State) IsDormant() bool { return s.Mode == ModeReset && s.a == 0 }
 
 // HasCoin reports whether the state carries a synthetic coin.
 func (s *State) HasCoin() bool { return s.Mode != ModeRanked }
@@ -110,15 +186,15 @@ func (s *State) HasCoin() bool { return s.Mode != ModeRanked }
 func (s State) String() string {
 	switch s.Mode {
 	case ModeRanked:
-		return fmt.Sprintf("rank(%d)", s.Rank)
+		return fmt.Sprintf("rank(%d)", s.Rank())
 	case ModeReset:
-		return fmt.Sprintf("reset(r=%d,d=%d,c=%d)", s.ResetCount, s.DelayCount, s.Coin)
+		return fmt.Sprintf("reset(r=%d,d=%d,c=%d)", s.ResetCount(), s.DelayCount(), s.Coin())
 	case ModeLE:
-		return fmt.Sprintf("le(cnt=%d,cc=%d,done=%t,ldr=%t,c=%d)", s.LECount, s.CoinCount, s.LeaderDone, s.IsLeader, s.Coin)
+		return fmt.Sprintf("le(cnt=%d,cc=%d,done=%t,ldr=%t,c=%d)", s.LECount(), s.CoinCount(), s.LeaderDone(), s.IsLeader(), s.Coin())
 	case ModeWait:
-		return fmt.Sprintf("wait(%d,a=%d,c=%d)", s.Wait, s.Alive, s.Coin)
+		return fmt.Sprintf("wait(%d,a=%d,c=%d)", s.Wait(), s.Alive(), s.Coin())
 	case ModePhase:
-		return fmt.Sprintf("phase(%d,a=%d,c=%d)", s.Phase, s.Alive, s.Coin)
+		return fmt.Sprintf("phase(%d,a=%d,c=%d)", s.Phase(), s.Alive(), s.Coin())
 	default:
 		return fmt.Sprintf("invalid(%d)", uint8(s.Mode))
 	}
@@ -133,25 +209,25 @@ func (s State) String() string {
 func Canonical(s *State) [12]int64 {
 	v := [12]int64{0: int64(s.Mode)}
 	if s.HasCoin() {
-		v[11] = int64(s.Coin)
+		v[11] = int64(s.Coin())
 	}
 	switch s.Mode {
 	case ModeRanked:
-		v[1] = int64(s.Rank)
+		v[1] = int64(s.Rank())
 	case ModeReset:
-		v[2], v[3] = int64(s.ResetCount), int64(s.DelayCount)
+		v[2], v[3] = int64(s.ResetCount()), int64(s.DelayCount())
 	case ModeLE:
-		v[4], v[5] = int64(s.LECount), int64(s.CoinCount)
-		if s.LeaderDone {
+		v[4], v[5] = int64(s.LECount()), int64(s.CoinCount())
+		if s.LeaderDone() {
 			v[6] = 1
 		}
-		if s.IsLeader {
+		if s.IsLeader() {
 			v[7] = 1
 		}
 	case ModeWait:
-		v[8], v[10] = int64(s.Wait), int64(s.Alive)
+		v[8], v[10] = int64(s.Wait()), int64(s.Alive())
 	case ModePhase:
-		v[9], v[10] = int64(s.Phase), int64(s.Alive)
+		v[9], v[10] = int64(s.Phase()), int64(s.Alive())
 	}
 	return v
 }
