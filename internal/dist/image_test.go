@@ -59,13 +59,17 @@ func TestImageDecodeRejects(t *testing.T) {
 }
 
 func testImageDecodeRejects[S any, P sim.TouchReporter[S]](t *testing.T, d proto.Descriptor[S, P]) {
-	const n, k, b = 256, 64, 64
+	// A rejection builds one error value, which takes up to about
+	// 0.9 KB under -race, so k and the record count keep both sections
+	// above 1.4 KB for 8-byte agents, the size they had with 24-byte
+	// ones; the allocation bound below stays the section's own size.
+	const n, k, b = 256, 150, 128
 	l, states, _, section := imageFixture(d, n, k)
 	e := 4 + l.Size
 	head := len(section) - k*e // the count's varint
 	entry := func(s []byte, j int) []byte { return s[head+j*e : head+(j+1)*e] }
 
-	recs := make([]shard.TouchRec[S], 24)
+	recs := make([]shard.TouchRec[S], 51)
 	for j := range recs {
 		a, bj := int32(3*j), int32(3*j+1)
 		recs[j] = shard.TouchRec[S]{Pos: int32(2 * j), Mask: uint8(j % 4), A: a, B: bj, SA: states[a], SB: states[bj]}
@@ -109,7 +113,7 @@ func testImageDecodeRejects[S any, P sim.TouchReporter[S]](t *testing.T, d proto
 			return s
 		}},
 		{"record count beyond section", true, func(s []byte) []byte {
-			s[0] = 25
+			s[0] = byte(len(recs) + 1)
 			return s
 		}},
 	}

@@ -332,12 +332,14 @@ func (m *Manager) Submit(cfg ssrank.Config) (*Job, error) {
 	if m.maxSlab > 0 {
 		d, _ := ssrank.Describe(norm.Protocol)
 		classes := float64(norm.Shards) * float64(norm.Shards-1) / 2
-		if slab := float64(norm.N)*float64(d.AgentBytes) + classes*shard.ClassBytes; slab > float64(m.maxSlab) {
+		slab := float64(norm.N)*float64(d.AgentBytes) + classes*shard.ClassBytes
+		if slab > float64(m.maxSlab) {
 			return nil, fmt.Errorf("%w: %d agents of %d bytes and %.0f cross classes of %d bytes is %.0f bytes, bound %d",
 				ErrSlabTooLarge, norm.N, d.AgentBytes, classes, shard.ClassBytes, slab, m.maxSlab)
-		} else if tracker := d.TrackerBytes(norm); slab+float64(tracker) > float64(m.maxSlab) {
-			// Checked second: the slab bound keeps N small enough to
-			// build the protocol that sizes the tracker.
+		}
+		// Checked second: the slab bound keeps N small enough to build
+		// the protocol that sizes the tracker.
+		if tracker := d.TrackerBytes(norm); slab+float64(tracker) > float64(m.maxSlab) {
 			return nil, fmt.Errorf("%w: a %.0f-byte slab and a %d-byte stop tracker exceed the bound %d",
 				ErrSlabTooLarge, slab, tracker, m.maxSlab)
 		}
