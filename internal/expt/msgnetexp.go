@@ -85,10 +85,6 @@ func MsgNetFaultRegimes(opts Options) Figure {
 						InitSalt:  msgnetInitSalt,
 						Scheduler: graph,
 						Faults:    regime.f,
-						// The trial pool owns the cores; deliveries
-						// stay serial (the trajectory is identical
-						// either way).
-						Workers: 1,
 					})
 					if err != nil {
 						panic(err)

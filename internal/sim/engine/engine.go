@@ -21,8 +21,9 @@ import (
 )
 
 // Knobs are the engine settings of one run. Workers bounds the shard
-// or delivery worker pool (< 1 means one per CPU) and never changes a
-// trajectory; every other field is part of the trajectory's identity.
+// worker pool (< 1 means one per CPU; the message network delivers
+// serially and ignores it) and never changes a trajectory; every other
+// field is part of the trajectory's identity.
 type Knobs struct {
 	// Seed drives the scheduler and the message network's fault fates;
 	// the init randomness is drawn from rng.New(Seed ^ InitSalt).
@@ -114,7 +115,7 @@ func start[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states 
 		if err != nil {
 			return nil, err
 		}
-		cfg := msgnet.Config{Sched: sched, Faults: k.Faults, Workers: k.Workers, Seed: k.Seed}
+		cfg := msgnet.Config{Sched: sched, Faults: k.Faults, Seed: k.Seed}
 		e.runner = network[S, P]{msgnet.New[S](p, states, cfg), d.Valid}
 	case s > 1:
 		r := shard.New[S](p, states, k.Seed, s, k.Workers)

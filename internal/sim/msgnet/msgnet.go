@@ -25,33 +25,23 @@
 // initiator has moved on).
 //
 // Determinism. Every nondeterministic choice — contact pairs,
-// rendezvous filtering, fault fates, delivery order — is made
-// serially by the coordinator from two seed-derived streams
-// (scheduler and fault), before and after the round's delivery phase.
-// The delivery phase itself only applies choices already made:
-// messages due in a round are partitioned by recipient, each
-// recipient's messages apply in queue order, and deliveries to
-// distinct recipients touch disjoint state (a message's payload was
-// snapshotted at send time), so they commute. Workers therefore trade
-// wall clock for cores only; the trajectory is a pure function of
-// (initial configuration, Config) at any worker count — locked by the
-// worker-invariance test — so re-running the seed reproduces any
+// rendezvous filtering, fault fates, delivery order — is drawn from
+// two seed-derived streams (scheduler and fault), and a round applies
+// its delivery queue serially, in queue order; deliveries draw no
+// randomness, so fault fates are drawn in the order messages are
+// sent. The trajectory is therefore a pure function of (initial
+// configuration, Config), and re-running the seed reproduces any
 // execution, faulty ones included, exactly.
 //
-// The package exists for fidelity, not speed: the
-// message store costs two orders of magnitude more per interaction
-// than the in-place hot loop. Use it to measure what imperfect
-// communication does to stabilization, not to measure stabilization
-// fast.
+// The package exists for fidelity, not speed: a message round trip
+// costs an order of magnitude more per interaction than the in-place
+// hot loop. Use it to measure what imperfect communication does to
+// stabilization, not to measure stabilization fast.
 package msgnet
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 
 	"ssrank/internal/rng"
 	"ssrank/internal/sim"
@@ -62,11 +52,6 @@ import (
 // change every seeded faulty run.
 const faultSalt = 0x6d73676e // "msgn"
 
-// ErrBudgetExhausted is returned by RunUntil when the stop condition
-// did not hold within the interaction budget (or, for regimes that
-// deliver nothing, within the round backstop).
-var ErrBudgetExhausted = errors.New("msgnet: interaction budget exhausted before stop condition held")
-
 type msgKind uint8
 
 const (
@@ -74,21 +59,17 @@ const (
 	kindReply
 )
 
-// msg is one in-flight message. payload is the state snapshot taken
-// at send time; copies counts the outstanding deliveries (2 for a
-// duplicated message), so the store can free the message after its
-// last delivery.
+// msg is one in-flight message delivery. payload is the state
+// snapshot taken at send time; a duplicated message is two of them.
 type msg[S any] struct {
 	kind     msgKind
 	src, dst int32
-	copies   int32
 	payload  S
 }
 
 // Faults configures the per-message fault model. Every fate is drawn
 // from the dedicated fault stream at send time, in creation order, so
-// fault outcomes are a pure function of (seed, Faults) — independent
-// of workers and of wall clock. The zero value injects nothing.
+// fault outcomes are a pure function of (seed, Faults). The zero value injects nothing.
 type Faults struct {
 	// Drop is the probability a sent message is lost. A dropped
 	// request is an interaction that never happens; a dropped reply
@@ -108,9 +89,10 @@ type Faults struct {
 	DelayMax int
 	// Reorder is the probability that a round's delivery queue is
 	// shuffled instead of processed in creation order. Only the
-	// per-recipient order is observable (deliveries to distinct
-	// recipients commute), which is exactly the order a real
-	// network's interleaving perturbs.
+	// per-recipient order is observable (a message's payload was
+	// snapshotted at send time, so deliveries to distinct recipients
+	// commute), which is exactly the order a real network's
+	// interleaving perturbs.
 	Reorder float64
 }
 
@@ -146,9 +128,6 @@ type Config struct {
 	Sched Scheduler
 	// Faults is the fault model (zero value = perfect network).
 	Faults Faults
-	// Workers bounds the delivery worker pool; < 1 means one per CPU.
-	// The trajectory never depends on it.
-	Workers int
 	// Seed drives the fault stream (salted; the scheduler carries its
 	// own stream).
 	Seed uint64
@@ -177,28 +156,24 @@ type Stats struct {
 }
 
 // Network runs a protocol over a round-based message network. It is
-// not safe for concurrent use by multiple goroutines (the worker pool
-// is internal to a round).
+// not safe for concurrent use by multiple goroutines.
 type Network[S any, P sim.Protocol[S]] struct {
-	proto   P
-	states  []S
-	sched   Scheduler
-	faults  Faults
-	faultR  *rng.RNG
-	workers int
+	proto  P
+	states []S
+	sched  Scheduler
+	faults Faults
+	faultR *rng.RNG
 
-	round    int64
-	steps    int64
-	nextID   int64
-	msgs     map[int64]*msg[S]
-	due      map[int64][]int64
+	round int64
+	steps int64
+	// due holds the deliveries of each future round, in send order.
+	due      map[int64][]msg[S]
 	inflight int64
 
 	// busy marks agents with an outstanding reply (engaged in an
 	// interaction); releases schedules lock releases for agents whose
 	// reply was dropped at send (the timeout path — normally the reply
-	// delivery itself releases the lock). Both are coordinator-only
-	// state: the parallel delivery phase never touches them.
+	// delivery itself releases the lock).
 	busy     []bool
 	releases map[int64][]int32
 
@@ -208,17 +183,6 @@ type Network[S any, P sim.Protocol[S]] struct {
 	rawContacts [][2]int32
 	contactBuf  [][2]int32
 	taken       []bool
-	order       []int32
-	replies     []pendingReply[S]
-}
-
-// pendingReply is a reply produced during the delivery phase, staged
-// by delivery slot so workers write disjoint entries; the coordinator
-// turns them into messages (and draws their fates) serially afterward.
-type pendingReply[S any] struct {
-	ok       bool
-	src, dst int32
-	payload  S
 }
 
 // New starts a network over the given initial configuration. The
@@ -240,20 +204,11 @@ func New[S any, P sim.Protocol[S]](p P, states []S, cfg Config) *Network[S, P] {
 		sched:    sched,
 		faults:   cfg.Faults,
 		faultR:   rng.New(cfg.Seed ^ faultSalt),
-		workers:  resolveWorkers(cfg.Workers),
-		msgs:     map[int64]*msg[S]{},
-		due:      map[int64][]int64{},
+		due:      map[int64][]msg[S]{},
 		busy:     make([]bool, len(states)),
 		releases: map[int64][]int32{},
 		taken:    make([]bool, len(states)),
 	}
-}
-
-func resolveWorkers(w int) int {
-	if w < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
 }
 
 // N returns the population size.
@@ -299,20 +254,17 @@ func (nw *Network[S, P]) Stats() Stats {
 //  2. the delivery queue for this round — replies sent last round
 //     with delay 0, requests sent now with delay 0, plus earlier
 //     messages whose delay expires — is optionally shuffled
-//     (Reorder); a serial lock pass then releases the rendezvous lock
-//     of each reply's recipient and defers requests addressed to
+//     (Reorder); a lock pass then releases the rendezvous lock of
+//     each reply's recipient and defers requests addressed to
 //     still-engaged agents to the next round;
-//  3. messages are delivered, partitioned by recipient across the
-//     worker pool: a request applies Transition(snapshot, responder)
-//     and stages a reply carrying the updated snapshot; a reply
-//     overwrites the initiator's state;
-//  4. staged replies become messages due no earlier than the next
-//     round, their fates drawn serially in delivery-slot order.
+//  3. the queue is delivered in order: a request applies
+//     Transition(snapshot, responder) and at once sends a reply
+//     carrying the updated snapshot, due no earlier than the next
+//     round; a reply overwrites the initiator's state.
 func (nw *Network[S, P]) Round() {
 	r := nw.round
 
-	// 1. Contacts and request creation: IDs are assigned to the
-	// surviving contacts in schedule order.
+	// 1. Contacts and request creation, in schedule order.
 	if rel := nw.releases[r]; rel != nil {
 		for _, a := range rel {
 			nw.busy[a] = false
@@ -331,81 +283,67 @@ func (nw *Network[S, P]) Round() {
 		contacts = append(contacts, c)
 	}
 	nw.contactBuf = contacts
-	reqBase := nw.nextID
-	for i, c := range contacts {
+	for _, c := range contacts {
 		nw.taken[c[0]], nw.taken[c[1]] = false, false
 		nw.busy[c[0]] = true
-		nw.send(reqBase+int64(i), kindRequest, c[0], c[1], nw.states[c[0]], r)
+		nw.send(kindRequest, c[0], c[1], nw.states[c[0]], r)
 	}
-	nw.nextID = reqBase + int64(len(contacts))
 
-	// 2. Delivery queue. Occurrences were appended in creation order
-	// (IDs are monotonic), so without Reorder the queue is the
-	// deterministic send order — last round's replies before this
+	// 2. Delivery queue. Deliveries were appended in send order, so
+	// without Reorder the queue is last round's replies before this
 	// round's requests, which is what keeps a fault-free round
 	// sequentially consistent at each recipient.
-	dueIDs := nw.due[r]
+	queue := nw.due[r]
 	delete(nw.due, r)
-	if nw.faults.Reorder > 0 && len(dueIDs) > 1 && nw.faultR.Float64() < nw.faults.Reorder {
-		nw.faultR.Shuffle(len(dueIDs), func(i, j int) { dueIDs[i], dueIDs[j] = dueIDs[j], dueIDs[i] })
+	if nw.faults.Reorder > 0 && len(queue) > 1 && nw.faultR.Float64() < nw.faults.Reorder {
+		nw.faultR.Shuffle(len(queue), func(i, j int) { queue[i], queue[j] = queue[j], queue[i] })
 		nw.reordered++
 	}
-	// Serial lock pass, in queue order: a reply releases its
-	// recipient's rendezvous lock; a request addressed to an agent
-	// still engaged in its own interaction is deferred to the next
-	// round (it cannot respond mid-rendezvous — delivering anyway
+	// Lock pass, in queue order and before any delivery: a reply
+	// releases its recipient's rendezvous lock; a request addressed to
+	// an agent still engaged in its own interaction is deferred to the
+	// next round (it cannot respond mid-rendezvous — delivering anyway
 	// would let the engaged agent's inbound reply overwrite the
-	// interaction, corrupting even a fault-free run).
-	kept := dueIDs[:0]
-	for _, id := range dueIDs {
-		m := nw.msgs[id]
+	// interaction, corrupting even a fault-free run). Deferred requests
+	// queue ahead of this round's replies.
+	kept := queue[:0]
+	for _, m := range queue {
 		if m.kind == kindRequest && nw.busy[m.dst] {
-			nw.due[r+1] = append(nw.due[r+1], id)
+			nw.due[r+1] = append(nw.due[r+1], m)
 			nw.deferred++
 			continue
 		}
 		if m.kind == kindReply {
 			nw.busy[m.dst] = false
 		}
-		kept = append(kept, id)
+		kept = append(kept, m)
 	}
-	dueIDs = kept
 
-	// 3. Delivery (the only phase that may run on workers).
-	nw.deliver(dueIDs)
-
-	// 4. Staged replies become messages, fates drawn serially in slot
-	// order; due no earlier than round r+1 (no intra-round cascades —
-	// that is what keeps deliveries commutative within a round).
-	replyBase := nw.nextID
-	for i := range nw.replies {
-		pr := &nw.replies[i]
-		if !pr.ok {
-			continue
-		}
-		nw.send(replyBase+int64(i), kindReply, pr.src, pr.dst, pr.payload, r+1)
-	}
-	nw.nextID = replyBase + int64(len(dueIDs))
-
-	// Free fully delivered messages.
-	for _, id := range dueIDs {
-		m := nw.msgs[id]
-		if m.copies--; m.copies == 0 {
-			delete(nw.msgs, id)
+	// 3. Delivery. A reply is due no earlier than round r+1, so no
+	// delivery reaches this round's queue.
+	for i := range kept {
+		m := &kept[i]
+		if m.kind == kindRequest {
+			nw.steps++
+			u := m.payload
+			nw.proto.Transition(&u, &nw.states[m.dst])
+			nw.send(kindReply, m.dst, m.src, u, r+1)
+		} else {
+			nw.states[m.dst] = m.payload
 		}
 	}
-	nw.inflight -= int64(len(dueIDs))
+	nw.inflight -= int64(len(kept))
 	nw.round++
 }
 
 // send assigns fault fates to a freshly created message and schedules
-// its delivery occurrences. earliest is the first round the message
-// may be delivered in (the current round for requests, the next for
+// its deliveries. earliest is the first round the message may be
+// delivered in (the current round for requests, the next for
 // replies). Fate draws happen only for enabled fault axes, so a
 // zero-fault configuration consumes no fault randomness. A dropped
 // message schedules the initiator's rendezvous release (the agent
 // times out instead of waiting forever for a reply that cannot come).
-func (nw *Network[S, P]) send(id int64, kind msgKind, src, dst int32, payload S, earliest int64) {
+func (nw *Network[S, P]) send(kind msgKind, src, dst int32, payload S, earliest int64) {
 	f := nw.faults
 	if f.Drop > 0 && nw.faultR.Float64() < f.Drop {
 		nw.dropped++
@@ -416,13 +354,13 @@ func (nw *Network[S, P]) send(id int64, kind msgKind, src, dst int32, payload S,
 		nw.releases[earliest+1] = append(nw.releases[earliest+1], initiator)
 		return
 	}
-	copies := int32(1)
+	copies := 1
 	if f.Dup > 0 && nw.faultR.Float64() < f.Dup {
 		copies = 2
 		nw.duplicated++
 	}
-	nw.msgs[id] = &msg[S]{kind: kind, src: src, dst: dst, copies: copies, payload: payload}
-	for c := int32(0); c < copies; c++ {
+	m := msg[S]{kind: kind, src: src, dst: dst, payload: payload}
+	for c := 0; c < copies; c++ {
 		delay := int64(0)
 		if f.DelayMax > 0 {
 			delay = int64(nw.faultR.Intn(f.DelayMax + 1))
@@ -430,101 +368,8 @@ func (nw *Network[S, P]) send(id int64, kind msgKind, src, dst int32, payload S,
 				nw.delayed++
 			}
 		}
-		dueRound := earliest + delay
-		nw.due[dueRound] = append(nw.due[dueRound], id)
+		nw.due[earliest+delay] = append(nw.due[earliest+delay], m)
 		nw.inflight++
-	}
-}
-
-// deliver applies one round's delivery queue. Slots are grouped by
-// recipient (stable in queue order within a group) and groups are
-// split across the worker pool; deliveries to distinct recipients
-// commute — payloads were snapshotted at send time and a delivery
-// mutates only its recipient's state and its own staged-reply slot
-// (lock bookkeeping already happened in the coordinator's serial lock
-// pass) — so the result is identical at every worker count.
-func (nw *Network[S, P]) deliver(ids []int64) {
-	n := len(ids)
-	if cap(nw.replies) < n {
-		nw.replies = make([]pendingReply[S], n)
-	}
-	nw.replies = nw.replies[:n]
-	for i := range nw.replies {
-		nw.replies[i] = pendingReply[S]{}
-	}
-	if n == 0 {
-		return
-	}
-
-	// Interactions are counted serially so steps never depend on the
-	// worker schedule.
-	for _, id := range ids {
-		if nw.msgs[id].kind == kindRequest {
-			nw.steps++
-		}
-	}
-
-	if cap(nw.order) < n {
-		nw.order = make([]int32, n)
-	}
-	order := nw.order[:n]
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := nw.msgs[ids[order[i]]].dst, nw.msgs[ids[order[j]]].dst
-		if di != dj {
-			return di < dj
-		}
-		return order[i] < order[j]
-	})
-
-	// Group boundaries: starts[g] is the first slot of recipient
-	// group g in order.
-	starts := []int{0}
-	for i := 1; i < n; i++ {
-		if nw.msgs[ids[order[i]]].dst != nw.msgs[ids[order[i-1]]].dst {
-			starts = append(starts, i)
-		}
-	}
-	starts = append(starts, n)
-	groups := len(starts) - 1
-
-	workers := nw.workers
-	if workers > groups {
-		workers = groups
-	}
-	if workers <= 1 || n < 64 {
-		nw.deliverSlots(ids, order, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := starts[w*groups/workers], starts[(w+1)*groups/workers]
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			nw.deliverSlots(ids, order, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// deliverSlots applies the deliveries of order[lo:hi] — whole
-// recipient groups, in per-recipient queue order.
-func (nw *Network[S, P]) deliverSlots(ids []int64, order []int32, lo, hi int) {
-	for _, slot := range order[lo:hi] {
-		m := nw.msgs[ids[slot]]
-		if m.kind == kindRequest {
-			u := m.payload
-			nw.proto.Transition(&u, &nw.states[m.dst])
-			nw.replies[slot] = pendingReply[S]{ok: true, src: m.dst, dst: m.src, payload: u}
-		} else {
-			nw.states[m.dst] = m.payload
-		}
 	}
 }
 
@@ -537,7 +382,7 @@ func (nw *Network[S, P]) Run(k int64) {
 
 // RunUntil executes rounds until stop holds over the configuration
 // (polled once per round — stops are round-granular, never exact),
-// returning ErrBudgetExhausted once maxSteps interactions were
+// returning sim.ErrBudgetExhausted once maxSteps interactions were
 // delivered, or once this call has executed as many rounds as it had
 // interactions left to deliver — the backstop that keeps regimes
 // delivering (almost) nothing, e.g. Drop = 1, from spinning forever.
@@ -556,5 +401,5 @@ func (nw *Network[S, P]) RunUntil(stop func([]S) bool, maxSteps int64) (int64, e
 			return nw.steps, nil
 		}
 	}
-	return nw.steps, ErrBudgetExhausted
+	return nw.steps, sim.ErrBudgetExhausted
 }

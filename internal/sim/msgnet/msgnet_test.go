@@ -74,54 +74,21 @@ func TestStabilizesUnderFaults(t *testing.T) {
 
 // lossyConfig is the heavy-fault configuration the determinism tests
 // exercise: every fault axis on at once.
-func lossyConfig(seed uint64, workers int) Config {
+func lossyConfig(seed uint64) Config {
 	return Config{
-		Seed:    seed,
-		Workers: workers,
-		Faults:  Faults{Drop: 0.1, Dup: 0.1, DelayMax: 3, Reorder: 0.5},
+		Seed:   seed,
+		Faults: Faults{Drop: 0.1, Dup: 0.1, DelayMax: 3, Reorder: 0.5},
 	}
 }
 
-// newLossy starts the stable protocol from its fresh configuration
-// under cfg.
-func newLossy(n int, cfg Config) *Network[stable.State, *stable.Protocol] {
+// runLossy runs the stable protocol from its fresh configuration for
+// `rounds` rounds under cfg and returns the network.
+func runLossy(n int, rounds int64, cfg Config) *Network[stable.State, *stable.Protocol] {
 	d := stable.Describe()
 	p := d.New(n)
-	return New[stable.State](p, descInit(d, p, "fresh", cfg.Seed), cfg)
-}
-
-// runLossy runs the stable protocol for `rounds` rounds under cfg and
-// returns the network.
-func runLossy(n int, rounds int64, cfg Config) *Network[stable.State, *stable.Protocol] {
-	nw := newLossy(n, cfg)
+	nw := New[stable.State](p, descInit(d, p, "fresh", cfg.Seed), cfg)
 	nw.Run(rounds)
 	return nw
-}
-
-// TestWorkerInvariance locks the core determinism contract: the
-// trajectory and the fault and traffic counters are identical at every
-// worker count, after every round — not only at the end of the run.
-func TestWorkerInvariance(t *testing.T) {
-	const n, rounds = 200, 60
-	ref := newLossy(n, lossyConfig(testSeed, 1))
-	workerCounts := []int{2, 4, 8}
-	nws := make([]*Network[stable.State, *stable.Protocol], len(workerCounts))
-	for i, workers := range workerCounts {
-		nws[i] = newLossy(n, lossyConfig(testSeed, workers))
-	}
-	for r := 1; r <= rounds; r++ {
-		ref.Round()
-		for i, nw := range nws {
-			workers := workerCounts[i]
-			nw.Round()
-			if !reflect.DeepEqual(nw.Snapshot(), ref.Snapshot()) {
-				t.Fatalf("round %d: states diverge between 1 and %d workers", r, workers)
-			}
-			if nw.Stats() != ref.Stats() {
-				t.Fatalf("round %d: counters diverge between 1 and %d workers: %+v vs %+v", r, workers, nw.Stats(), ref.Stats())
-			}
-		}
-	}
 }
 
 // TestSeedDeterminism asserts fault outcomes are a pure function of
@@ -129,12 +96,12 @@ func TestWorkerInvariance(t *testing.T) {
 // diverges.
 func TestSeedDeterminism(t *testing.T) {
 	const n, rounds = 100, 40
-	a := runLossy(n, rounds, lossyConfig(testSeed, 0))
-	b := runLossy(n, rounds, lossyConfig(testSeed, 0))
+	a := runLossy(n, rounds, lossyConfig(testSeed))
+	b := runLossy(n, rounds, lossyConfig(testSeed))
 	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) || a.Stats() != b.Stats() {
 		t.Fatal("same (seed, config) produced different runs")
 	}
-	c := runLossy(n, rounds, lossyConfig(testSeed+1, 0))
+	c := runLossy(n, rounds, lossyConfig(testSeed+1))
 	if a.Stats() == c.Stats() && reflect.DeepEqual(a.Snapshot(), c.Snapshot()) {
 		t.Fatal("different seeds produced identical runs — fault stream is not seeded")
 	}
@@ -143,7 +110,7 @@ func TestSeedDeterminism(t *testing.T) {
 // TestFaultCounters sanity-checks that every enabled fault axis
 // actually fires and is counted.
 func TestFaultCounters(t *testing.T) {
-	nw := runLossy(300, 40, lossyConfig(testSeed, 0))
+	nw := runLossy(300, 40, lossyConfig(testSeed))
 	st := nw.Stats()
 	if st.Dropped == 0 || st.Duplicated == 0 || st.Delayed == 0 || st.ReorderedRounds == 0 {
 		t.Fatalf("enabled fault axes did not all fire: %+v", st)
@@ -167,7 +134,7 @@ func TestDropEverythingTerminates(t *testing.T) {
 		Faults: Faults{Drop: 1},
 	})
 	steps, err := nw.RunUntil(d.Valid, 500)
-	if !errors.Is(err, ErrBudgetExhausted) {
+	if !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
 	}
 	if steps != 0 {
@@ -190,7 +157,7 @@ func TestRunUntilBackstopCountsThisCall(t *testing.T) {
 		Faults: Faults{Drop: 1},
 	})
 	nw.Run(1000)
-	if _, err := nw.RunUntil(d.Valid, 300); !errors.Is(err, ErrBudgetExhausted) {
+	if _, err := nw.RunUntil(d.Valid, 300); !errors.Is(err, sim.ErrBudgetExhausted) {
 		t.Fatalf("want ErrBudgetExhausted, got %v", err)
 	}
 	if nw.Rounds() != 1300 {

@@ -1,8 +1,9 @@
 package msgnet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ssrank/internal/rng"
 )
@@ -207,11 +208,8 @@ func expanderEdges(n int, seed uint64) [][2]int32 {
 	// Canonical order: the map tracked membership, the slice preserved
 	// insertion order; sort so the edge list is a pure function of
 	// (n, seed) with no dependence on construction incidentals.
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
+	slices.SortFunc(edges, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
 	return edges
 }

@@ -17,13 +17,14 @@ import (
 // request/reply state snapshots, contacts are drawn from the selected
 // topology, and the configured faults perturb the messages in flight.
 //
-// Message-network runs are exactly reproducible — the trajectory is a
-// pure function of (Config) at any ShardWorkers setting — but they
-// follow a different law than the in-place engines (rounds, rendezvous
-// blocking, two-phase interactions), so their interaction counts are
-// comparable between message-network runs, not with the uniform
-// in-place numbers. Stops are polled per round (Result.Exact = false)
-// and Config.Shards is ignored on this path.
+// Message-network runs are exactly reproducible — the network delivers
+// serially, so the trajectory is a pure function of (Config) — but
+// they follow a different law than the in-place engines (rounds,
+// rendezvous blocking, two-phase interactions), so their interaction
+// counts are comparable between message-network runs, not with the
+// uniform in-place numbers. Stops are polled per round (Result.Exact =
+// false) and Config.Shards and Config.ShardWorkers are ignored on this
+// path.
 //
 // A caveat that is itself a finding: the paper's ranking protocols
 // resolve rank conflicts by direct meetings, so they converge on the

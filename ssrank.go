@@ -150,10 +150,11 @@ type Config struct {
 	// here is clamped to [1, N/2] (every shard needs at least two
 	// agents).
 	Shards int
-	// ShardWorkers bounds the shard worker pool when Shards > 1 —
-	// and the message network's delivery worker pool when the run
-	// routes through it: < 1 means one worker per CPU. It trades wall
-	// clock for cores only; the Result is identical at every setting.
+	// ShardWorkers bounds the shard worker pool when Shards > 1:
+	// < 1 means one worker per CPU. It trades wall clock for cores
+	// only; the Result is identical at every setting. Like Shards, it
+	// has no effect on a run that routes through the message network,
+	// which delivers serially.
 	ShardWorkers int
 	// Workers, when > 1, asks a job service (ssrankd with a registered
 	// worker pool) to execute the run across that many worker
