@@ -16,7 +16,8 @@ import (
 )
 
 // fuzzSlabBytes is FuzzSubmit's admission bound: the golden Configs
-// (48 agents of at most 44 bytes) fit, and accepted jobs stay tiny.
+// (48 agents of at most 44 bytes, with their stop trackers) fit, and
+// accepted jobs stay tiny.
 const fuzzSlabBytes = 4 << 10
 
 // FuzzSubmit drives arbitrary POST /jobs bodies through the daemon's

@@ -193,15 +193,19 @@ func TestSubmitBodyLimit(t *testing.T) {
 }
 
 // TestSubmitSlabBound: a job whose agent slab (N × the protocol's
-// per-agent state size) exceeds the daemon's bound is refused with 422
-// before anything is sized by N, and a job exactly at the bound is
-// accepted. The sharded engine's cross classes count against the bound
+// per-agent state size) and exact-stop state exceed the daemon's bound
+// is refused with 422 before anything is sized by N, and a job exactly
+// at the bound is accepted. The sharded engine's cross classes count against the bound
 // too (it builds Shards² / 2 of them): one class tips an exact-fit job
 // over.
 func TestSubmitSlabBound(t *testing.T) {
 	d, _ := ssrank.Describe(ssrank.StableRanking)
 	const n = 48
-	bound := int64(n * d.AgentBytes)
+	fit, err := ssrank.Config{N: n, Seed: 9}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := int64(n*d.AgentBytes) + d.TrackerBytes(fit)
 	m := jobs.NewManager(jobs.Config{Workers: 1, MaxSlabBytes: bound})
 	defer m.Close()
 	srv := httptest.NewServer(newMux(m))

@@ -46,10 +46,13 @@ type Descriptor struct {
 	// N agents builds an agent slab of N × AgentBytes bytes (and every
 	// process of a distributed run holds one).
 	AgentBytes int
-	// TrackerBytes returns what the exact stop's tracker allocates for
-	// a normalized Config beyond a few bytes per agent: 0 for every
-	// protocol but Interval, whose tracker takes 16 B per identifier of
-	// its (1+Epsilon)·N space rounded up to a power of two.
+	// TrackerBytes returns the whole exact-stop state a run of a
+	// normalized Config holds beside its agent slab: the stop
+	// tracker's arrays (for the rank tracker, 4 B per agent and 4 B per
+	// rank; Interval's takes 16 B per identifier of its (1+Epsilon)·N
+	// space rounded up to a power of two), plus the serial loop's 4 B
+	// per agent of collision marks when Shards is 1. It is 0 on the
+	// message network, which polls Valid and keeps no tracker.
 	TrackerBytes func(cfg Config) int64
 
 	// newSim and resume return a nil *driver inside the handle with
@@ -152,11 +155,15 @@ func describe[S any, P sim.TouchReporter[S]](mk func(Config) proto.Descriptor[S,
 		DefaultBudget:   meta.Budget,
 		AgentBytes:      proto.LayoutOf[S]().Size,
 		TrackerBytes: func(cfg Config) int64 {
-			d := mk(cfg)
-			if d.CondBytes == nil {
+			if cfg.messageNetwork() {
 				return 0
 			}
-			return d.CondBytes(d.New(cfg.N))
+			d := mk(cfg)
+			b := sim.DescCondBytes(d, d.New(cfg.N), cfg.N)
+			if cfg.Shards == 1 {
+				b += sim.CondLoopBytes(cfg.N)
+			}
+			return b
 		},
 		newSim: func(cfg Config) (simHandle, error) {
 			return startDriver(cfg, mk(cfg))

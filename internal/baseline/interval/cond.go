@@ -33,9 +33,10 @@ type DisjointCond struct {
 	malformed int     // agents whose interval is not a tree node
 }
 
-// DisjointCondBytes is what NewDisjointCond(m) allocates: two int32
-// counters per node of a 2m-node tree.
-func DisjointCondBytes(m int32) int64 { return 16 * int64(m) }
+// DisjointCondBytes is what a DisjointCond over [1, m] holds once Init
+// has seen n agents: two int32 counters per node of a 2m-node tree and
+// one cached node per agent.
+func DisjointCondBytes(m int32, n int) int64 { return 16*int64(m) + 4*int64(n) }
 
 // NewDisjointCond returns a tracker for the identifier space [1, m];
 // m must match the protocol's effective space (Protocol.M).

@@ -28,7 +28,7 @@ func Describe(epsilon float64) proto.Descriptor[State, *Protocol] {
 		Cond: func(p *Protocol) proto.Condition[State] {
 			return NewDisjointCond(p.M())
 		},
-		CondBytes: func(p *Protocol) int64 { return DisjointCondBytes(p.M()) },
+		CondBytes: func(p *Protocol) int64 { return DisjointCondBytes(p.M(), p.N()) },
 		Budget:    proto.BudgetN2(5000),
 	}
 }

@@ -16,6 +16,10 @@ type LeaderCond struct {
 	leaders int
 }
 
+// LeaderCondBytes is what a LeaderCond holds once Init has seen n
+// agents: one cached leader bit per agent, a byte each.
+func LeaderCondBytes(n int) int64 { return int64(n) }
+
 // NewLeaderCond returns an empty tracker.
 func NewLeaderCond() *LeaderCond { return &LeaderCond{} }
 

@@ -48,6 +48,7 @@ func Describe(timeoutFactor float64) proto.Descriptor[State, *Protocol] {
 		Cond: func(p *Protocol) proto.Condition[State] {
 			return NewLeaderCond()
 		},
+		CondBytes: func(p *Protocol) int64 { return LeaderCondBytes(p.N()) },
 		RandomState: func(p *Protocol, r *rng.RNG) State {
 			return State{Leader: r.Bool(), Timeout: int32(r.Intn(int(p.TMax()) + 1))}
 		},

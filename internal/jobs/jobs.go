@@ -232,15 +232,16 @@ type Config struct {
 	// MaxSlabBytes, when positive, is the largest agent slab a job may
 	// build: Submit refuses a Config whose N × the protocol's
 	// Descriptor.AgentBytes, plus the sharded engine's cross-class
-	// state (Shards(Shards−1)/2 × shard.ClassBytes) and the stop
-	// tracker's Descriptor.TrackerBytes, exceeds it with
+	// state (Shards(Shards−1)/2 × shard.ClassBytes) and the exact
+	// stop's state (Descriptor.TrackerBytes: the tracker's arrays, plus
+	// the serial loop's collision marks), exceeds it with
 	// ErrSlabTooLarge, before anything is sized by N or Shards. The
 	// bound covers the one slab a job builds on either in-place engine:
 	// the sharded engine's exact stop folds touch records into the live
-	// slab and keeps no second copy of the population (the default stop
-	// trackers add a few bytes per agent beside it). A StableRanking
-	// agent is 8 B, so 1 GiB admits about 134 million of them. Zero
-	// means no bound.
+	// slab and keeps no second copy of the population. A StableRanking
+	// job takes 20 B per agent serially (8 B of agent, 12 B of tracker
+	// and marks) and 16 B sharded, so 1 GiB admits about 54 million
+	// agents serially. Zero means no bound.
 	MaxSlabBytes int64
 }
 

@@ -104,11 +104,12 @@ type Descriptor[S any, P any] struct {
 	// leader-count tracker).
 	Cond func(p P) Condition[S]
 
-	// CondBytes returns the bytes Cond's tracker allocates when they
-	// do not scale with the population: the relaxed-range tracker
-	// takes 16 B per identifier of its space, which ε can make far
-	// larger than the agent slab. Admission control charges them
-	// beside the slab. Nil means a few bytes per agent at most.
+	// CondBytes returns every byte Cond's tracker holds for p once
+	// Init has seen the population, per-agent arrays included: the
+	// relaxed-range tracker takes 4 B per agent and 16 B per
+	// identifier of its space, which ε can make far larger than the
+	// agent slab. Admission control charges them beside the slab.
+	// Required when Cond is set.
 	CondBytes func(p P) int64
 
 	// Leader returns the index of the elected leader, -1 if none.

@@ -50,6 +50,10 @@ type CondLoop[S any, P TouchReporter[S]] struct {
 	pending []touchRec
 }
 
+// CondLoopBytes is the collision scratch a CondLoop over n agents
+// allocates beside its condition: one uint32 mark per agent.
+func CondLoopBytes(n int) int64 { return 4 * int64(n) }
+
 // NewCondLoop returns the exact stop loop of cond over r.
 func NewCondLoop[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S]) *CondLoop[S, P] {
 	return &CondLoop[S, P]{r: r, cond: cond}
