@@ -76,36 +76,37 @@ type streamConn struct {
 func (c streamConn) Read(b []byte) (int, error) { return c.r.Read(b) }
 
 // TestFrameReaderReuse: batch frames reuse one read buffer, while an
-// Assign frame's slab-sized buffer is released after the read.
+// Assign frame's slab-sized buffer is released after the read. The
+// allocations are averaged over many reads of one prebuilt frame, so a
+// stray allocation of another goroutine cannot fail the test.
 func TestFrameReaderReuse(t *testing.T) {
-	var stream []byte
-	for _, fr := range []struct {
-		typ  byte
-		size int
-	}{{frameDeltas, 2 * frameChunk}, {frameDeltas, frameChunk}, {frameAssign, 4 * frameChunk}} {
+	frame := func(typ byte, size int) []byte {
 		var w frameWriter
-		w.begin(fr.typ).Raw(make([]byte, fr.size))
-		stream = append(stream, w.frame()...)
+		w.begin(typ).Raw(make([]byte, size))
+		return w.frame()
 	}
-	var c net.Conn = streamConn{r: bytes.NewReader(stream)}
+	batch := frame(frameDeltas, frameChunk)
+	assign := frame(frameAssign, 4*frameChunk)
+	rd := bytes.NewReader(frame(frameDeltas, 2*frameChunk))
+	var c net.Conn = streamConn{r: rd}
 	var f frameReader
 	if _, _, err := f.read(c, 0); err != nil {
 		t.Fatal(err)
 	}
 	kept := cap(f.buf)
-	var before, after goruntime.MemStats
-	goruntime.ReadMemStats(&before)
-	_, _, err := f.read(c, 0)
-	goruntime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
+	allocs := testing.AllocsPerRun(200, func() {
+		rd.Reset(batch)
+		if _, _, err := f.read(c, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if kept <= 2*frameChunk || cap(f.buf) != kept {
 		t.Fatalf("buffer capacity %d after a %d-byte frame, %d after the next; want it kept", kept, 2*frameChunk+1, cap(f.buf))
 	}
-	if d := after.Mallocs - before.Mallocs; d != 0 {
-		t.Errorf("reading a frame into the kept buffer made %d allocations", d)
+	if allocs != 0 {
+		t.Errorf("reading a frame into the kept buffer made %v allocations per read", allocs)
 	}
+	rd.Reset(assign)
 	if _, _, err := f.read(c, 0); err != nil {
 		t.Fatal(err)
 	}
