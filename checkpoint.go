@@ -38,8 +38,8 @@ import (
 //	protocol string, init string, n uvarint,
 //	seed u64, epsilon f64 (IEEE bit pattern), shards uvarint
 //	fault stream: 4×u64 (xoshiro256** words)
-//	engine kind uvarint (0 serial, 2 sharded; 1 is the retired
-//	  pre-alias sharded layout and is rejected)
+//	engine kind uvarint (0 serial, 2 sharded; 1, the pre-alias
+//	  sharded layout of version 1, is refused as unknown)
 //	hit varint (-1 = no exact hit recorded), steps varint
 //	engine streams:
 //	  serial (kind 0): one pair stream — n uvarint, 4×u64 source
@@ -54,10 +54,9 @@ import (
 //	  every protocol, derived from the state type's layout,
 //	  proto.Descriptor.WriteState
 //
-// The engine section is versioned by its kind, not by ckptVersion:
-// retiring a scheduler layout mints a new kind and rejects the old one
-// with a targeted error, while blobs of the other engines — and the
-// serial golden fixture in particular — stay byte-stable.
+// The engine section is versioned by its kind as well: retiring a
+// scheduler layout mints a new kind, and the old kind is then refused
+// as unknown.
 //
 // Message-network simulations are not checkpointable (their in-flight
 // mailboxes and fault streams are not serializable state); Checkpoint

@@ -257,10 +257,11 @@ func TestResumeSimulationRejects(t *testing.T) {
 // TestResumeRejectsRetiredShardV1 pins the engine-kind versioning: a
 // blob carrying the retired pre-alias sharded layout (kind 1) names a
 // trajectory this build's scheduler cannot reproduce, so resume must
-// refuse it with a targeted message — not decode it into a plausible
-// but different run. The blob is forged from a current sharded
-// checkpoint by locating the engine-kind byte through a header re-parse
-// (position, not guesswork) and rewriting it to the retired kind.
+// refuse it as an unknown kind — not decode it into a plausible but
+// different run. Only version-1 checkpoints ever carried kind 1, and
+// they are refused by version first, so the blob is forged from a
+// current sharded checkpoint by locating the engine-kind byte through a
+// header re-parse (position, not guesswork) and rewriting it.
 func TestResumeRejectsRetiredShardV1(t *testing.T) {
 	cfg := Config{N: 64, Seed: 3, Shards: 4}
 	s, err := NewSimulation(cfg)
@@ -296,13 +297,13 @@ func TestResumeRejectsRetiredShardV1(t *testing.T) {
 	}
 
 	forged := append([]byte(nil), data...)
-	forged[kindOff] = engine.KindShardV1
+	forged[kindOff] = 1
 	_, err = ResumeSimulation(cfg, forged)
 	if err == nil {
 		t.Fatal("resume accepted a retired v1 sharded checkpoint")
 	}
-	if !strings.Contains(err.Error(), "retired v1 sharded engine layout") {
-		t.Fatalf("v1 reject error does not identify the retired layout: %v", err)
+	if !strings.Contains(err.Error(), "unknown checkpoint engine kind 1") {
+		t.Fatalf("kind-1 reject error does not name the unknown kind: %v", err)
 	}
 
 	// The unforged blob still resumes: the reject is the kind, not the

@@ -11,8 +11,9 @@ import (
 // blob), and the distributed runtime's wire frames, whose Assign
 // payload is a per-shard-group sub-blob of exactly these sections. The
 // layouts here were originally private to the facade; they are part of
-// the frozen sscp v1 encoding, so they must never change shape — a new
-// layout means a new function, not an edit.
+// the sscp checkpoint encoding and of the wire transcript, so they must
+// never change shape — a new layout means a new function and a version
+// bump, not an edit.
 
 // pairStateMin is the shortest WritePairState encoding: one-byte n,
 // 4×u64, one-byte consumed, bool.

@@ -11,13 +11,12 @@ import (
 )
 
 // Checkpoint engine kinds, the first field of the engine section. They
-// version the stream layout that follows.
+// version the stream layout that follows. Kind 1, the pre-alias
+// sharded layout, appears only in version-1 checkpoints, which the
+// facade refuses before the engine section; Resume reads it as
+// unknown.
 const (
 	KindSerial = 0
-	// KindShardV1 is the retired pre-alias sharded layout (no class
-	// streams). Its scheduler no longer exists, so Resume rejects it
-	// instead of silently diverging.
-	KindShardV1 = 1
 	// KindShard is the alias-classification sharded layout.
 	KindShard = 2
 )
@@ -66,8 +65,6 @@ func Resume[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], n int, k Kn
 			return nil, 0, fmt.Errorf("serial checkpoint, config resolves to %d shards", shards)
 		}
 		st.serial = sim.EngineState{Steps: steps, Pairs: ckpt.ReadPairState(r)}
-	case KindShardV1:
-		return nil, 0, errors.New("checkpoint uses the retired v1 sharded engine layout (pre-alias-classification); its trajectory cannot be resumed by this build — re-run the simulation or resume with a build that predates the alias-table scheduler")
 	case KindShard:
 		if shards < 2 {
 			return nil, 0, fmt.Errorf("sharded checkpoint, config resolves to %d shard(s)", shards)

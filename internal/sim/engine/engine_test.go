@@ -118,7 +118,7 @@ func TestResumeRejectsMismatchedEngine(t *testing.T) {
 		{"serial into sharded", section(Knobs{}), Knobs{Shards: 2}, "serial checkpoint, config resolves to 2 shards"},
 		{"sharded into serial", section(Knobs{Shards: 2}), Knobs{}, "sharded checkpoint, config resolves to 1 shard(s)"},
 		{"two shards into four", section(Knobs{Shards: 2}), Knobs{Shards: 4}, "checkpoint pair streams"},
-		{"retired layout", []byte{KindShardV1, 1, 0}, Knobs{Shards: 2}, "retired v1 sharded engine layout"},
+		{"retired layout", []byte{1, 1, 0}, Knobs{Shards: 2}, "unknown checkpoint engine kind 1"},
 		{"unknown kind", []byte{7, 1, 0}, Knobs{}, "unknown checkpoint engine kind 7"},
 		{"truncated", []byte{KindSerial}, Knobs{}, "malformed checkpoint engine section"},
 	} {
