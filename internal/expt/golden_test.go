@@ -4,24 +4,24 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure CSVs under testdata/")
 
-// TestGoldenFigureCSV pins the E1 and E6 quick-scale CSVs at the
-// default seed as golden files: any engine, seed-derivation, budget,
-// or migration change that perturbs experiment output fails tier-1
-// tests here instead of silently shifting published numbers. After an
+// TestGoldenFigureCSV pins every experiment's quick-scale CSV at the
+// default seed as a golden file, plus sharded counterparts of the
+// generators whose sharded output is pinned on its own: any engine,
+// seed-derivation, budget, or migration change that perturbs
+// experiment output fails tier-1 tests here instead of silently
+// shifting published numbers. The serial pins are driven by the
+// experiment index, so a new experiment cannot go unpinned. After an
 // *intentional* output change, regenerate with
 //
 //	go test ./internal/expt/ -run TestGoldenFigureCSV -update
 //
-// and review the CSV diff like code. E1 is the single pinned
-// worst-case trajectory (seeded directly by Options.Seed), E6 a
-// multi-protocol replication sweep with pilot-derived budgets —
-// between them they cover both seeding paths and the adaptive-budget
-// derivation.
+// and review the CSV diff like code.
 func TestGoldenFigureCSV(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
@@ -32,32 +32,28 @@ func TestGoldenFigureCSV(t *testing.T) {
 			return gen(o)
 		}
 	}
-	for _, tc := range []struct {
+	type pin struct {
 		golden string
 		gen    func(Options) Figure
-	}{
-		{"e1_quick.golden.csv", Figure2},
-		{"e6_quick.golden.csv", BaselineComparison},
-		// The sharded counterpart pins the largest-n quick CSV that
-		// runs through internal/sim/shard (E2, the Fig. 3 scaling
-		// sweep): any change to batch classification, shard-stream
-		// derivation, or cross reconciliation order fails here instead
-		// of silently shifting sharded experiment output.
-		{"e2_quick_shards4.golden.csv", shards4(Figure3)},
-		// E6 sharded pins descStabilize's sharded exact stop across
-		// three protocols' trackers.
-		{"e6_quick_shards4.golden.csv", shards4(BaselineComparison)},
-		// E18 pins Loose's transient exact stop followed by Run
-		// probes on the same engine, serial and sharded.
-		{"e18_quick.golden.csv", LooseVsSilent},
-		{"e18_quick_shards4.golden.csv", shards4(LooseVsSilent)},
-		// The message-network counterpart pins the E19 fault-regime
-		// grid: any change to the msgnet round structure, fault-fate
-		// stream, scheduler graphs, or rendezvous bookkeeping shifts
-		// rounds/steps and fails here instead of silently rewriting
-		// the fault-tolerance findings.
-		{"e19_quick.golden.csv", MsgNetFaultRegimes},
-	} {
+	}
+	var pins []pin
+	for id, gen := range Registry {
+		pins = append(pins, pin{strings.ToLower(id) + "_quick.golden.csv", gen})
+	}
+	pins = append(pins,
+		// E2 is the largest-n quick CSV that runs through
+		// internal/sim/shard (the Fig. 3 scaling sweep): any change to
+		// batch classification, shard-stream derivation, or cross
+		// reconciliation order fails here.
+		pin{"e2_quick_shards4.golden.csv", shards4(Figure3)},
+		// E6 pins the sharded exact stop across three protocols'
+		// trackers.
+		pin{"e6_quick_shards4.golden.csv", shards4(BaselineComparison)},
+		// E18 pins Loose's transient exact stop followed by Run probes
+		// on the same sharded engine.
+		pin{"e18_quick_shards4.golden.csv", shards4(LooseVsSilent)},
+	)
+	for _, tc := range pins {
 		t.Run(tc.golden, func(t *testing.T) {
 			t.Parallel()
 			got := tc.gen(QuickOptions()).CSV()
