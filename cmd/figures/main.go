@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"ssrank/internal/expt"
@@ -51,7 +52,7 @@ func run() int {
 		e         = flag.String("e", "", "alias of -only")
 		seed      = flag.Uint64("seed", 0x5eed, "experiment seed")
 		parallel  = flag.Int("parallel", 0, "replication workers: 0 = one per CPU, 1 = serial (output is identical either way)")
-		shards    = flag.String("shards", "0", "run single trials of the stabilization experiments (E1, E2, E4-E7, E18) on this many population shards, or 'auto' to derive the count from n and the core count; output depends on the resolved shard count but not on -parallel")
+		shards    = flag.String("shards", "0", "run the experiments' protocol trials on this many population shards, or 'auto' to derive the count from n and the core count; output depends on the resolved shard count but not on -parallel")
 		precision = flag.Float64("precision", 0, "stop each replication loop once the 95% CI half-width of its statistic falls below this fraction of the mean (0 = fixed trial counts)")
 		maxtrials = flag.Int("maxtrials", 0, "override per-loop replication trial ceilings (0 = generator defaults); raise it to give -precision room")
 		progress  = flag.Bool("progress", false, "stream per-trial replication progress to stderr")
@@ -98,19 +99,17 @@ func run() int {
 		}
 		sel += *e
 	}
-	ids := make([]string, 0, len(expt.Registry))
+	exps := expt.Registry
 	if sel != "" {
+		exps = nil
 		for _, id := range strings.Split(sel, ",") {
 			id = strings.TrimSpace(id)
-			if expt.Registry[id] == nil {
+			i := slices.IndexFunc(expt.Registry, func(x expt.Experiment) bool { return x.ID == id })
+			if i < 0 {
 				fmt.Fprintf(os.Stderr, "figures: unknown experiment %q\n", id)
 				return 2
 			}
-			ids = append(ids, id)
-		}
-	} else {
-		for i := 1; i <= len(expt.Registry); i++ {
-			ids = append(ids, fmt.Sprintf("E%d", i))
+			exps = append(exps, expt.Registry[i])
 		}
 	}
 
@@ -119,10 +118,10 @@ func run() int {
 		return 2
 	}
 
-	for _, id := range ids {
-		fig := expt.Registry[id](opts)
+	for _, x := range exps {
+		fig := x.Gen(opts)
 		fmt.Println(fig.String())
-		path := filepath.Join(*out, strings.ToLower(id)+".csv")
+		path := filepath.Join(*out, strings.ToLower(x.ID)+".csv")
 		if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			return 2

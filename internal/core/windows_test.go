@@ -1,76 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
-
-func TestTrackWindowsAlternation(t *testing.T) {
-	const n = 128
-	p := New(n, DefaultParams())
-	budget := int64(200 * float64(n) * float64(n) * math.Log2(float64(n)))
-	windows, ok := TrackWindows(p, 3, int64(n), budget)
-	if !ok {
-		t.Skip("run did not converge for this seed (w.h.p. caveat)")
-	}
-	if len(windows) < 2 {
-		t.Fatalf("only %d windows", len(windows))
-	}
-	// Windows alternate waiting, ranking, waiting, ... and phases are
-	// 1, 1, 2, 2, 3, 3, ...
-	for i, w := range windows {
-		wantKind := WindowWaiting
-		if i%2 == 1 {
-			wantKind = WindowRanking
-		}
-		if w.Kind != wantKind {
-			t.Fatalf("window %d kind = %v, want %v", i, w.Kind, wantKind)
-		}
-		if wantPhase := int32(i/2 + 1); w.Phase != wantPhase {
-			t.Fatalf("window %d phase = %d, want %d", i, w.Phase, wantPhase)
-		}
-		if w.Duration() < 0 {
-			t.Fatalf("window %d has negative duration", i)
-		}
-		if i > 0 && w.Start != windows[i-1].End {
-			t.Fatalf("window %d not contiguous: start %d, previous end %d", i, w.Start, windows[i-1].End)
-		}
-	}
-	// A clean run has exactly kMax waiting windows and kMax ranking
-	// windows (the final phase's ranking window ends at validity).
-	kMax := int(p.Phases().KMax())
-	if len(windows) != 2*kMax {
-		t.Fatalf("got %d windows, want %d (2·kMax)", len(windows), 2*kMax)
-	}
-}
-
-func TestWaitingWindowsGrowGeometrically(t *testing.T) {
-	// Lemma 6: the phase-k waiting window scales like 2^k·n·log n. The
-	// last window must dwarf the first.
-	const n = 256
-	p := New(n, DefaultParams())
-	budget := int64(200 * float64(n) * float64(n) * math.Log2(float64(n)))
-	windows, ok := TrackWindows(p, 9, int64(n), budget)
-	if !ok {
-		t.Skip("run did not converge for this seed")
-	}
-	var first, last int64 = -1, -1
-	for _, w := range windows {
-		if w.Kind != WindowWaiting {
-			continue
-		}
-		if first < 0 {
-			first = w.Duration()
-		}
-		last = w.Duration()
-	}
-	if first <= 0 || last <= 0 {
-		t.Fatal("missing waiting windows")
-	}
-	if last < 8*first {
-		t.Fatalf("waiting windows did not grow: first %d, last %d", first, last)
-	}
-}
+import "testing"
 
 func TestPredictedMeansShape(t *testing.T) {
 	p := New(1024, DefaultParams())
@@ -89,11 +19,5 @@ func TestPredictedMeansShape(t *testing.T) {
 		if m < 0.5*n2 || m > 4*n2 {
 			t.Fatalf("rank mean at k=%d out of band: %.3g (n² = %.3g)", k, m, n2)
 		}
-	}
-}
-
-func TestWindowKindString(t *testing.T) {
-	if WindowWaiting.String() != "waiting" || WindowRanking.String() != "ranking" {
-		t.Fatal("WindowKind strings wrong")
 	}
 }

@@ -56,12 +56,12 @@ func AblationCWait(opts Options) Figure {
 			},
 			func(_ int, seed uint64) stepsResult {
 				p := core.New(n, core.Params{CWait: cw})
-				r := sim.New[core.State](p, p.InitialStates(), seed)
+				e := startEngine(opts, core.Describe(), p, p.InitialStates(), seed)
 				silent := func(_ int64, ss []core.State) bool { return core.Silent(ss) }
-				if _, err := sim.Poll(r, 0, budget(n, 300), silent); err != nil {
+				if _, err := sim.Poll(e, 0, budget(n, 300), silent); err != nil {
 					return stepsResult{0, false} // never went silent: also a failure
 				}
-				return stepsResult{float64(r.Steps()), core.Valid(r.States())}
+				return stepsResult{float64(e.Steps()), core.Valid(e.States())}
 			})
 		for _, t := range coreRes {
 			if t.ok {
@@ -83,9 +83,9 @@ func AblationCWait(opts Options) Figure {
 				params := stable.DefaultParams()
 				params.CWait = cw
 				p := stable.New(n, params)
-				r := sim.New[stable.State](p, p.InitialStates(), seed)
-				steps, err := stabilize(r, budget(n, 5000))
-				return trialR{stepsResult{float64(steps), err == nil}, float64(p.Resets())}
+				cap := budget(n, 5000)
+				steps, ok := startEngine(opts, stable.Describe(), p, p.InitialStates(), seed).RunUntilStable(cap, cap)
+				return trialR{stepsResult{float64(steps), ok}, float64(p.Resets())}
 			}) {
 			if !t.ok {
 				continue

@@ -62,7 +62,7 @@ func AblationResetWave(opts Options) Figure {
 					states[i] = stable.Ranked(int32(i + 1))
 				}
 				p.TriggerReset(&states[0])
-				r := sim.New[stable.State](p, states, seed)
+				e := startEngine(opts, stable.Describe(), p, states, seed)
 				fullyOut := func(_ int64, ss []stable.State) bool {
 					for i := range ss {
 						if ss[i].IsMain() {
@@ -72,7 +72,7 @@ func AblationResetWave(opts Options) Figure {
 					return true
 				}
 				waveBudget := int64(200 * float64(n) * math.Log2(float64(n)) * (f + 1))
-				if steps, err := sim.Poll(r, 0, waveBudget, fullyOut); err == nil {
+				if steps, err := sim.Poll(e, 0, waveBudget, fullyOut); err == nil {
 					out.covered = true
 					out.wave = float64(steps) / (float64(n) * math.Log2(float64(n)))
 				}
@@ -80,8 +80,8 @@ func AblationResetWave(opts Options) Figure {
 				// Phase 2: end-to-end stabilization cost with these
 				// constants, from the worst-case start.
 				p2 := stable.New(n, params)
-				r2 := sim.New[stable.State](p2, p2.WorstCaseInit(), seed^0x9e15)
-				if s2, err := stabilize(r2, budget(n, 5000)); err == nil {
+				cap := budget(n, 5000)
+				if s2, ok := startEngine(opts, stable.Describe(), p2, p2.WorstCaseInit(), seed^0x9e15).RunUntilStable(cap, cap); ok {
 					out.stabilized = true
 					out.norm = float64(s2) / (float64(n) * float64(n) * math.Log2(float64(n)))
 					out.resets = float64(p2.Resets())
@@ -146,9 +146,9 @@ func AblationLEBudget(opts Options) Figure {
 			func(t trialR) (float64, bool) { return t.steps, t.ok },
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, params)
-				r := sim.New[stable.State](p, p.InitialStates(), seed)
-				s, err := stabilize(r, budget(n, 5000))
-				return trialR{stepsResult{float64(s), err == nil},
+				cap := budget(n, 5000)
+				s, ok := startEngine(opts, stable.Describe(), p, p.InitialStates(), seed).RunUntilStable(cap, cap)
+				return trialR{stepsResult{float64(s), ok},
 					float64(p.ResetsFor(stable.ReasonLEExpired)), float64(p.Resets())}
 			}) {
 			if t.ok {

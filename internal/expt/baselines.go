@@ -43,21 +43,11 @@ func BaselineComparison(opts Options) Figure {
 		// cai is where the pilot budget earns its keep: the hard
 		// ceiling is 2000·n³ interactions, so a single non-converging
 		// trial at n=256 would cost more than the whole sweep.
-		caiLabel := fmt.Sprintf("E6 cai n=%d", n)
-		caiOnce := func(seed uint64, cap int64) (int64, bool) {
-			steps, ok, _ := descStabilize(opts, cai.Describe(), n, "fresh", 0, seed, cap)
-			return steps, ok
-		}
-		caiBud := pilotBudget(opts, caiLabel, uint64(61*n)^0xca1,
-			int64(2000)*int64(n)*int64(n)*int64(n), caiOnce)
 		var caiTimes []float64
-		for _, t := range runTrials(opts, caiLabel, uint64(61*n)^0xca1, trials, statSteps,
-			func(_ int, seed uint64) stepsResult {
-				steps, ok := caiOnce(seed, caiBud)
-				return stepsResult{float64(steps), ok}
-			}) {
+		for _, t := range stabilizeSweep(opts, fmt.Sprintf("E6 cai n=%d", n), uint64(61*n)^0xca1, trials,
+			int64(2000)*int64(n)*int64(n)*int64(n), cai.Describe(), n, "fresh", 0) {
 			if t.ok {
-				caiTimes = append(caiTimes, t.steps)
+				caiTimes = append(caiTimes, float64(t.steps))
 			}
 		}
 		med := stats.Median(caiTimes)
@@ -67,20 +57,11 @@ func BaselineComparison(opts Options) Figure {
 		caiX = append(caiX, float64(n))
 		caiY = append(caiY, med)
 
-		stLabel := fmt.Sprintf("E6 stable n=%d", n)
-		stOnce := func(seed uint64, cap int64) (int64, bool) {
-			steps, ok, _ := descStabilize(opts, stable.Describe(), n, "fresh", 0, seed, cap)
-			return steps, ok
-		}
-		stBud := pilotBudget(opts, stLabel, uint64(61*n)^0x57ab1e, budget(n, 3000), stOnce)
 		var stTimes []float64
-		for _, t := range runTrials(opts, stLabel, uint64(61*n)^0x57ab1e, trials, statSteps,
-			func(_ int, seed uint64) stepsResult {
-				steps, ok := stOnce(seed, stBud)
-				return stepsResult{float64(steps), ok}
-			}) {
+		for _, t := range stabilizeSweep(opts, fmt.Sprintf("E6 stable n=%d", n), uint64(61*n)^0x57ab1e, trials,
+			budget(n, 3000), stable.Describe(), n, "fresh", 0) {
 			if t.ok {
-				stTimes = append(stTimes, t.steps)
+				stTimes = append(stTimes, float64(t.steps))
 			}
 		}
 		med = stats.Median(stTimes)
@@ -130,20 +111,11 @@ func TradeoffEpsilon(opts Options) Figure {
 	bound := plot.Series{Name: "lower bound n(n-1)/(2(r+1))"}
 	for _, eps := range epsilons {
 		p := interval.New(n, eps)
-		label := fmt.Sprintf("E7 eps=%.2f", eps)
-		runOnce := func(seed uint64, cap int64) (int64, bool) {
-			steps, ok, _ := descStabilize(opts, interval.Describe(eps), n, "fresh", 0, seed, cap)
-			return steps, ok
-		}
-		bud := pilotBudget(opts, label, uint64(eps*1000)^uint64(n), int64(5000)*int64(n)*int64(n), runOnce)
 		var times []float64
-		for _, t := range runTrials(opts, label, uint64(eps*1000)^uint64(n), trials, statSteps,
-			func(_ int, seed uint64) stepsResult {
-				steps, ok := runOnce(seed, bud)
-				return stepsResult{float64(steps), ok}
-			}) {
+		for _, t := range stabilizeSweep(opts, fmt.Sprintf("E7 eps=%.2f", eps), uint64(eps*1000)^uint64(n), trials,
+			int64(5000)*int64(n)*int64(n), interval.Describe(eps), n, "fresh", 0) {
 			if t.ok {
-				times = append(times, t.steps)
+				times = append(times, float64(t.steps))
 			}
 		}
 		slack := int(p.M()) - n

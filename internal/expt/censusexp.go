@@ -10,7 +10,6 @@ import (
 	"ssrank/internal/census"
 	"ssrank/internal/core"
 	"ssrank/internal/plot"
-	"ssrank/internal/sim"
 	"ssrank/internal/stable"
 )
 
@@ -38,7 +37,7 @@ func CensusTable(opts Options) Figure {
 		if ns[i] > 512 {
 			return -1
 		}
-		return observedStableStates(ns[i], opts.Seed)
+		return observedStableStates(opts, ns[i])
 	})
 	for i, n := range ns {
 		sp := stable.New(n, stable.DefaultParams())
@@ -76,11 +75,11 @@ func CensusTable(opts Options) Figure {
 
 func sq(x float64) float64 { return x * x }
 
-// observedStableStates runs StableRanking to stabilization and counts
-// the distinct states visited.
-func observedStableStates(n int, seed uint64) int {
-	p := stable.New(n, stable.DefaultParams())
-	r := sim.New[stable.State](p, p.InitialStates(), seed)
+// observedStableStates runs StableRanking from the fresh start to
+// stabilization, seeded by the experiment seed, and counts the
+// distinct states visited.
+func observedStableStates(opts Options, n int) int {
+	r := newEngine(opts, 1, stable.Describe(), n, "fresh", 0, opts.Seed)
 	tr := census.NewTracker[stable.State]()
 	tr.Observe(r.States())
 	max := budget(n, 3000)

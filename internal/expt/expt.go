@@ -1,16 +1,22 @@
 // Package expt defines the experiment harness: one generator per paper
-// figure and per measurable claim (the E1..E14 index of DESIGN.md §4).
-// Each generator returns a Figure carrying machine-readable rows (CSV)
-// and a terminal rendering (ASCII chart or table), plus notes comparing
-// the measurement against what the paper predicts.
+// figure and per measurable claim, listed in order by Registry (the
+// E1..E19 index of DESIGN.md §4). Each generator returns a Figure
+// carrying machine-readable rows (CSV) and a terminal rendering (ASCII
+// chart or table), plus notes comparing the measurement against what
+// the paper predicts.
 //
 // All experiments are deterministic functions of Options.Seed: trial
 // replications run through the parallel engine in
 // internal/sim/replicate, whose per-trial seeds depend only on (seed,
 // trial index), so the produced figures are bit-identical at any
-// worker count. A trial builds its run through internal/sim/engine, the
-// layer the public facade builds its runs through, so a figure and an
-// ssrank.Run with the same knobs pick their engine by one rule.
+// worker count. Every trial of a registered protocol is built through
+// internal/sim/engine, the layer the public facade builds its runs
+// through — newEngine for a named init, startEngine for a hand-built
+// configuration — so a figure and an ssrank.Run with the same knobs
+// pick their engine by one rule, and exact stops go through
+// Engine.RunUntilStable. The pilot-budgeted stabilization sweeps share
+// one function, stabilizeSweep. Only E11 builds its runner directly:
+// the leader-election substrate has no descriptor.
 package expt
 
 import (
@@ -35,20 +41,20 @@ type Options struct {
 	// Workers bounds the replication worker pool: < 1 means one worker
 	// per CPU, 1 forces serial execution. Results do not depend on it.
 	// With Shards > 1 the same setting bounds the intra-run shard
-	// workers of the generators that adopt the sharded engine.
+	// workers of a single-trajectory generator (E1).
 	Workers int
-	// Shards, when > 1, runs the trials of the sharded-engine adopters
-	// (E1, E2, and the descriptor-driven stabilization generators
-	// E4-E7 and E18) on the sharded engine, resolved and selected by
-	// internal/sim/engine as for ssrank.Config.Shards; shard.Auto
-	// derives the count from n and the core count, so the output then
-	// depends on the machine. Output depends on (Seed, Shards) but
-	// never on Workers; Shards ≤ 1 keeps the serial engine and its
-	// pinned golden outputs. As for Config.Shards, the sharded law
-	// matches the serial one only when a trial's T spans many batches
-	// of B = max(512, n/2) interactions (cai at n = 16, T ≈ 2100: +24%
-	// at 2 shards). Sharding pays off when single trials dominate
-	// (large n, few replications).
+	// Shards, when > 1, runs every protocol trial built through
+	// internal/sim/engine on the sharded engine, resolved and selected
+	// as for ssrank.Config.Shards (E19's message network ignores it, as
+	// a Config with a Scheduler does); shard.Auto derives the count
+	// from n and the core count, so the output then depends on the
+	// machine. Output depends on (Seed, Shards) but never on Workers;
+	// Shards ≤ 1 keeps the serial engine and its pinned golden
+	// outputs. As for Config.Shards, the sharded law matches the
+	// serial one only when a trial's T spans many batches of
+	// B = max(512, n/2) interactions (cai at n = 16, T ≈ 2100: +24% at
+	// 2 shards). Sharding pays off when single trials dominate (large
+	// n, few replications).
 	Shards int
 	// Precision, when > 0, enables CI-adaptive stopping: each
 	// replication loop that designates a statistic stops as soon as
@@ -119,52 +125,35 @@ func (f Figure) String() string {
 	return out
 }
 
-// All runs every experiment in index order.
-func All(opts Options) []Figure {
-	return []Figure{
-		Figure2(opts),
-		Figure3(opts),
-		CensusTable(opts),
-		Theorem1Shape(opts),
-		Theorem2Shape(opts),
-		BaselineComparison(opts),
-		TradeoffEpsilon(opts),
-		AblationCWait(opts),
-		CoinBalance(opts),
-		FaultRecovery(opts),
-		LEShape(opts),
-		FastLESuccess(opts),
-		EpidemicTail(opts),
-		DeadConfigReset(opts),
-		AblationResetWave(opts),
-		AblationLEBudget(opts),
-		PhaseStructure(opts),
-		LooseVsSilent(opts),
-		MsgNetFaultRegimes(opts),
-	}
+// Experiment is one entry of the experiment index: its ID (DESIGN.md
+// §4) and the generator that produces its figure.
+type Experiment struct {
+	ID  string
+	Gen func(Options) Figure
 }
 
-// Registry maps experiment IDs to their generators, for the CLI.
-var Registry = map[string]func(Options) Figure{
-	"E1":  Figure2,
-	"E2":  Figure3,
-	"E3":  CensusTable,
-	"E4":  Theorem1Shape,
-	"E5":  Theorem2Shape,
-	"E6":  BaselineComparison,
-	"E7":  TradeoffEpsilon,
-	"E8":  AblationCWait,
-	"E9":  CoinBalance,
-	"E10": FaultRecovery,
-	"E11": LEShape,
-	"E12": FastLESuccess,
-	"E13": EpidemicTail,
-	"E14": DeadConfigReset,
-	"E15": AblationResetWave,
-	"E16": AblationLEBudget,
-	"E17": PhaseStructure,
-	"E18": LooseVsSilent,
-	"E19": MsgNetFaultRegimes,
+// Registry is the experiment index in ID order: the CLI, the golden
+// figure pins and the smoke tests all read it.
+var Registry = []Experiment{
+	{"E1", Figure2},
+	{"E2", Figure3},
+	{"E3", CensusTable},
+	{"E4", Theorem1Shape},
+	{"E5", Theorem2Shape},
+	{"E6", BaselineComparison},
+	{"E7", TradeoffEpsilon},
+	{"E8", AblationCWait},
+	{"E9", CoinBalance},
+	{"E10", FaultRecovery},
+	{"E11", LEShape},
+	{"E12", FastLESuccess},
+	{"E13", EpidemicTail},
+	{"E14", DeadConfigReset},
+	{"E15", AblationResetWave},
+	{"E16", AblationLEBudget},
+	{"E17", PhaseStructure},
+	{"E18", LooseVsSilent},
+	{"E19", MsgNetFaultRegimes},
 }
 
 // runTrials drives one trial loop through replicate.ReplicateStream,
@@ -212,20 +201,16 @@ func newEngine[S any, P sim.TouchReporter[S]](o Options, workers int, d proto.De
 	return e
 }
 
-// descStabilize runs one descriptor trial to the exact hitting time of
-// its stop condition, returning the stop step, convergence and the
-// protocol's reset count (0 without reset instrumentation).
-func descStabilize[S any, P sim.TouchReporter[S]](o Options, d proto.Descriptor[S, P], n int, init string, salt, seed uint64, cap int64) (int64, bool, int64) {
-	e := newEngine(o, 1, d, n, init, salt, seed)
-	hit, ok := e.RunUntilStable(cap, cap)
-	if !ok {
-		hit = e.Steps()
+// startEngine starts a replicated trial from a hand-built
+// configuration of p (custom parameters, a dead configuration, a fault
+// probe) through internal/sim/engine, on the engine o selects, as
+// newEngine does for a named init.
+func startEngine[S any, P sim.TouchReporter[S]](o Options, d proto.Descriptor[S, P], p P, states []S, seed uint64) *engine.Engine[S, P] {
+	e, err := engine.Start(d, p, states, engine.Knobs{Seed: seed, Shards: o.Shards, Workers: 1})
+	if err != nil {
+		panic("expt: " + err.Error())
 	}
-	var resets int64
-	if d.Resets != nil {
-		resets = d.Resets(e.Protocol())
-	}
-	return hit, ok, resets
+	return e
 }
 
 // statSteps designates a stabilization loop's interaction count as its

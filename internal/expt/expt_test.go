@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,17 +13,11 @@ func TestAllQuickExperimentsProduceData(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
 	}
-	opts := QuickOptions()
-	figs := All(opts)
-	if len(figs) != len(Registry) {
-		t.Fatalf("All returned %d figures, registry has %d", len(figs), len(Registry))
-	}
-	seen := map[string]bool{}
-	for _, f := range figs {
-		if seen[f.ID] {
-			t.Fatalf("duplicate figure ID %s", f.ID)
+	for _, x := range Registry {
+		f := x.Gen(QuickOptions())
+		if f.ID != x.ID {
+			t.Fatalf("%s's generator returned figure %s", x.ID, f.ID)
 		}
-		seen[f.ID] = true
 		if len(f.Rows) == 0 {
 			t.Errorf("%s: no data rows", f.ID)
 		}
@@ -43,10 +38,15 @@ func TestAllQuickExperimentsProduceData(t *testing.T) {
 	}
 }
 
+// TestRegistryHasAllExperiments checks that the experiment index
+// lists E1, E2, … in order, each with a generator.
 func TestRegistryHasAllExperiments(t *testing.T) {
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18"} {
-		if Registry[id] == nil {
-			t.Errorf("registry missing %s", id)
+	if len(Registry) != 19 {
+		t.Errorf("registry has %d experiments, want 19", len(Registry))
+	}
+	for i, x := range Registry {
+		if want := fmt.Sprintf("E%d", i+1); x.ID != want || x.Gen == nil {
+			t.Errorf("registry entry %d = %s (generator set: %t), want %s", i, x.ID, x.Gen != nil, want)
 		}
 	}
 }
@@ -97,7 +97,7 @@ func TestOneShotFastLECounts(t *testing.T) {
 	// frequently 1.
 	ones, total := 0, 40
 	for seed := 0; seed < total; seed++ {
-		l := oneShotFastLE(128, uint64(seed))
+		l := oneShotFastLE(QuickOptions(), 128, uint64(seed))
 		if l < 0 {
 			t.Fatalf("seed %d: did not decide", seed)
 		}

@@ -12,14 +12,6 @@ import (
 	"ssrank/internal/stats"
 )
 
-// stabilize runs a serial StableRanking trial until its ranking is
-// valid, stopping at the exact hitting time (sim.RunUntilCondT over
-// the rank tracker), which it returns; sim.Poll is left to the
-// sweeps' predicates that have no tracker.
-func stabilize(r *sim.Runner[stable.State, *stable.Protocol], maxSteps int64) (int64, error) {
-	return sim.RunUntilCondT(r, sim.NewRankCond(0, stable.RankOf), maxSteps)
-}
-
 // FaultRecovery (E10) is the self-stabilization experiment the theorem
 // promises but the paper's evaluation only samples (Fig. 2 is one
 // worst-case instance): corrupt k agents of a stabilized population
@@ -52,22 +44,25 @@ func FaultRecovery(opts Options) Figure {
 		res := runTrials(opts, fmt.Sprintf("E10 k=%d", k), uint64(10*k+n), trials,
 			func(t trialR) (float64, bool) { return t.norm, t.recovered },
 			func(_ int, seed uint64) trialR {
-				p := stable.New(n, stable.DefaultParams())
-				r := sim.New[stable.State](p, p.InitialStates(), seed)
-				if _, err := stabilize(r, budget(n, 3000)); err != nil {
+				e := newEngine(opts, 1, stable.Describe(), n, "fresh", 0, seed)
+				p := e.Protocol()
+				cap := budget(n, 3000)
+				if _, ok := e.RunUntilStable(cap, cap); !ok {
 					return trialR{}
 				}
-				// A valid ranking is silent: the sub-batch the exact stop
-				// may have run past the hit left the configuration as is.
-				start := r.Steps()
-				faults.Corrupt(r.States(), k, rng.New(seed^0xfa017), p.RandomState)
-				if stable.Valid(r.States()) {
+				// A valid ranking is silent: the sub-batch (or batch) the
+				// exact stop may have run past the hit left the
+				// configuration as is.
+				start := e.Steps()
+				faults.Corrupt(e.States(), k, rng.New(seed^0xfa017), p.RandomState)
+				e.Resync()
+				if stable.Valid(e.States()) {
 					// The corruption happened to preserve the permutation
 					// (possible for tiny k); recovery time is zero.
 					return trialR{recovered: true}
 				}
-				hit, err := stabilize(r, start+budget(n, 3000))
-				if err != nil {
+				hit, ok := e.RunUntilStable(start+cap, start+cap)
+				if !ok {
 					return trialR{}
 				}
 				return trialR{
@@ -138,14 +133,15 @@ func DeadConfigReset(opts Options) Figure {
 			func(t trialR) (float64, bool) { return t.detect, t.detected },
 			func(_ int, seed uint64) trialR {
 				p := stable.New(n, stable.DefaultParams())
-				r := sim.New[stable.State](p, cfg.make(p), seed)
-				steps, err := sim.Poll(r, 0, budget(n, 3000), func(int64, []stable.State) bool { return p.Resets() > 0 })
+				e := startEngine(opts, stable.Describe(), p, cfg.make(p), seed)
+				cap := budget(n, 3000)
+				steps, err := sim.Poll(e, 0, cap, func(int64, []stable.State) bool { return p.Resets() > 0 })
 				if err != nil {
 					return trialR{}
 				}
 				norm := float64(n) * float64(n) * math.Log2(float64(n))
 				out := trialR{detected: true, detect: float64(steps) / norm, breakdown: p.ResetBreakdown()}
-				if hit, err := stabilize(r, steps+budget(n, 3000)); err == nil {
+				if hit, ok := e.RunUntilStable(steps+cap, steps+cap); ok {
 					out.total, out.hasTotal = float64(hit)/norm, true
 				}
 				return out

@@ -37,8 +37,8 @@ func TestGoldenFigureCSV(t *testing.T) {
 		gen    func(Options) Figure
 	}
 	var pins []pin
-	for id, gen := range Registry {
-		pins = append(pins, pin{strings.ToLower(id) + "_quick.golden.csv", gen})
+	for _, x := range Registry {
+		pins = append(pins, pin{strings.ToLower(x.ID) + "_quick.golden.csv", x.Gen})
 	}
 	pins = append(pins,
 		// E2 is the largest-n quick CSV that runs through

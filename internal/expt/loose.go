@@ -96,20 +96,11 @@ func LooseVsSilent(opts Options) Figure {
 
 		// Silent (the paper's protocol): convergence to a valid ranking
 		// = permanent leader.
-		silentLabel := fmt.Sprintf("E18 silent n=%d", n)
-		silentOnce := func(seed uint64, cap int64) (int64, bool) {
-			steps, ok, _ := descStabilize(opts, stable.Describe(), n, "fresh", 0, seed, cap)
-			return steps, ok
-		}
-		silentBud := pilotBudget(opts, silentLabel, uint64(18*n)^0x511e47, budget(n, 3000), silentOnce)
 		var silentConvs []float64
-		for _, t := range runTrials(opts, silentLabel, uint64(18*n)^0x511e47, trials/2+1, statSteps,
-			func(_ int, seed uint64) stepsResult {
-				steps, ok := silentOnce(seed, silentBud)
-				return stepsResult{float64(steps), ok}
-			}) {
+		for _, t := range stabilizeSweep(opts, fmt.Sprintf("E18 silent n=%d", n), uint64(18*n)^0x511e47, trials/2+1,
+			budget(n, 3000), stable.Describe(), n, "fresh", 0) {
 			if t.ok {
-				silentConvs = append(silentConvs, t.steps/(float64(n)*float64(n)*lg))
+				silentConvs = append(silentConvs, float64(t.steps)/(float64(n)*float64(n)*lg))
 			}
 		}
 

@@ -5,8 +5,91 @@ import (
 
 	"ssrank/internal/core"
 	"ssrank/internal/plot"
+	"ssrank/internal/sim"
 	"ssrank/internal/stats"
 )
+
+// windowKind distinguishes the two alternating regimes the analysis of
+// §IV-A tracks: waiting configurations (the leader counts down its
+// wait counter, Lemma 6) and ranking configurations (the unaware
+// leader assigns the ranks of one phase, Lemma 7).
+type windowKind uint8
+
+const (
+	// windowWaiting is a maximal time span with a waiting agent
+	// present.
+	windowWaiting windowKind = iota + 1
+	// windowRanking is a maximal span between waiting spans in which
+	// ranks are being assigned.
+	windowRanking
+)
+
+// String implements fmt.Stringer.
+func (k windowKind) String() string {
+	if k == windowWaiting {
+		return "waiting"
+	}
+	return "ranking"
+}
+
+// window is one maximal span of a regime. phase is 1-based: the j-th
+// waiting window precedes phase j's ranking window (Definition 5's
+// C_{j,wait} → C_{j,rank} alternation).
+type window struct {
+	kind  windowKind
+	phase int32
+	// start and end are interaction counts (end exclusive, sampled on
+	// the tracking cadence).
+	start, end int64
+}
+
+// duration returns the window length in interactions.
+func (w window) duration() int64 { return w.end - w.start }
+
+// trackWindows runs SpaceEfficientRanking from its fresh start on the
+// engine opts selects and segments the run into waiting/ranking
+// windows by sampling every n interactions. It returns the windows and
+// whether the run reached a valid ranking within 200·n²·log₂ n
+// interactions. The first window starts when the leader-election phase
+// ends (the first sample with a waiting agent).
+func trackWindows(opts Options, n int, seed uint64) ([]window, bool) {
+	r := newEngine(opts, 1, core.Describe(), n, "fresh", 0, seed)
+	var windows []window
+	var cur *window
+	phase := int32(0)
+
+	flush := func(at int64) {
+		if cur != nil {
+			cur.end = at
+			windows = append(windows, *cur)
+			cur = nil
+		}
+	}
+
+	sim.Poll(r, int64(n), budget(n, 200), func(steps int64, states []core.State) bool {
+		_, wait, _, _ := core.CountKinds(states)
+		waiting := wait > 0
+		switch {
+		case cur == nil && waiting:
+			// Leader elected: first waiting window (phase 1).
+			phase++
+			cur = &window{kind: windowWaiting, phase: phase, start: steps}
+		case cur == nil:
+			// Still in leader election.
+		case cur.kind == windowWaiting && !waiting:
+			flush(steps)
+			cur = &window{kind: windowRanking, phase: phase, start: steps}
+		case cur.kind == windowRanking && waiting:
+			flush(steps)
+			phase++
+			cur = &window{kind: windowWaiting, phase: phase, start: steps}
+		}
+		return core.Valid(states)
+	})
+
+	flush(r.Steps())
+	return windows, core.Valid(r.States())
+}
 
 // PhaseStructure (E17) opens the hood on Lemmas 6 and 7: it segments
 // SpaceEfficientRanking runs into the alternating waiting/ranking
@@ -28,7 +111,7 @@ func PhaseStructure(opts Options) Figure {
 	kMax := p.Phases().KMax()
 
 	type trialR struct {
-		windows []core.Window
+		windows []window
 		ok      bool
 	}
 	// measured[kind][k] collects durations per phase index. Each trial
@@ -47,7 +130,7 @@ func PhaseStructure(opts Options) Figure {
 			return 0, true
 		},
 		func(_ int, seed uint64) trialR {
-			windows, ok := core.TrackWindows(core.New(n, core.DefaultParams()), seed, int64(n), budget(n, 200))
+			windows, ok := trackWindows(opts, n, seed)
 			return trialR{windows, ok}
 		}) {
 		if !t.ok {
@@ -55,14 +138,14 @@ func PhaseStructure(opts Options) Figure {
 		}
 		converged++
 		for _, w := range t.windows {
-			if w.Phase > kMax {
+			if w.phase > kMax {
 				continue
 			}
-			switch w.Kind {
-			case core.WindowWaiting:
-				waitDur[w.Phase] = append(waitDur[w.Phase], float64(w.Duration()))
-			case core.WindowRanking:
-				rankDur[w.Phase] = append(rankDur[w.Phase], float64(w.Duration()))
+			switch w.kind {
+			case windowWaiting:
+				waitDur[w.phase] = append(waitDur[w.phase], float64(w.duration()))
+			case windowRanking:
+				rankDur[w.phase] = append(rankDur[w.phase], float64(w.duration()))
 			}
 		}
 	}

@@ -30,24 +30,15 @@ func Theorem1Shape(opts Options) Figure {
 	line := plot.Series{Name: "normalized stabilization"}
 	var meds []float64
 	for _, n := range ns {
-		label := fmt.Sprintf("E4 n=%d", n)
-		runOnce := func(seed uint64, cap int64) (int64, bool) {
-			steps, ok, _ := descStabilize(opts, core.Describe(), n, "fresh", 0, seed, cap)
-			return steps, ok
-		}
-		bud := pilotBudget(opts, label, uint64(3*n), budget(n, 200), runOnce)
 		var norms []float64
 		converged := 0
-		res := runTrials(opts, label, uint64(3*n), trials, statSteps, func(_ int, seed uint64) stepsResult {
-			steps, ok := runOnce(seed, bud)
-			return stepsResult{float64(steps), ok}
-		})
+		res := stabilizeSweep(opts, fmt.Sprintf("E4 n=%d", n), uint64(3*n), trials, budget(n, 200), core.Describe(), n, "fresh", 0)
 		for _, t := range res {
 			if !t.ok {
 				continue // w.h.p. caveat: occasional LE failures
 			}
 			converged++
-			norms = append(norms, t.steps/(float64(n)*float64(n)*math.Log2(float64(n))))
+			norms = append(norms, float64(t.steps)/(float64(n)*float64(n)*math.Log2(float64(n))))
 		}
 		mean, ci := stats.MeanCI95(norms)
 		med := stats.Median(norms)
@@ -95,31 +86,14 @@ func Theorem2Shape(opts Options) Figure {
 	}
 	for _, n := range ns {
 		for ii, init := range inits {
-			type trialR struct {
-				stepsResult
-				resets float64
-			}
-			label := fmt.Sprintf("E5 %s n=%d", init.name, n)
-			runOnce := func(seed uint64, cap int64) (int64, bool, int64) {
-				return descStabilize(opts, stable.Describe(), n, init.init, 0x1417, seed, cap)
-			}
-			bud := pilotBudget(opts, label, uint64(n*(ii+1)), budget(n, 3000),
-				func(seed uint64, cap int64) (int64, bool) {
-					steps, ok, _ := runOnce(seed, cap)
-					return steps, ok
-				})
 			var norms, resets []float64
-			for _, t := range runTrials(opts, label, uint64(n*(ii+1)), trials,
-				func(t trialR) (float64, bool) { return t.steps, t.ok },
-				func(_ int, seed uint64) trialR {
-					steps, ok, re := runOnce(seed, bud)
-					return trialR{stepsResult{float64(steps), ok}, float64(re)}
-				}) {
+			for _, t := range stabilizeSweep(opts, fmt.Sprintf("E5 %s n=%d", init.name, n), uint64(n*(ii+1)), trials, budget(n, 3000),
+				stable.Describe(), n, init.init, 0x1417) {
 				if !t.ok {
 					continue
 				}
-				norms = append(norms, t.steps/(float64(n)*float64(n)*math.Log2(float64(n))))
-				resets = append(resets, t.resets)
+				norms = append(norms, float64(t.steps)/(float64(n)*float64(n)*math.Log2(float64(n))))
+				resets = append(resets, float64(t.resets))
 			}
 			med := stats.Median(norms)
 			fig.Rows = append(fig.Rows, []string{init.name, itoa(n), itoa(len(norms)), f4(med), f2(stats.Mean(resets))})
@@ -207,7 +181,7 @@ func FastLESuccess(opts Options) Figure {
 				return 0, true
 			},
 			func(_ int, seed uint64) int {
-				return oneShotFastLE(n, seed)
+				return oneShotFastLE(opts, n, seed)
 			})
 		for _, leaders := range res {
 			switch {
@@ -236,9 +210,8 @@ func FastLESuccess(opts Options) Figure {
 // oneShotFastLE runs FastLeaderElection until every agent has decided
 // and returns the number of elected leaders (agents that transitioned
 // to the waiting state or hold isLeader).
-func oneShotFastLE(n int, seed uint64) int {
-	p := stable.New(n, stable.DefaultParams())
-	r := sim.New[stable.State](p, p.InitialStates(), seed)
+func oneShotFastLE(opts Options, n int, seed uint64) int {
+	r := newEngine(opts, 1, stable.Describe(), n, "fresh", 0, seed)
 	decided := func(_ int64, ss []stable.State) bool {
 		for i := range ss {
 			if ss[i].Mode == stable.ModeLE && !ss[i].LeaderDone() {

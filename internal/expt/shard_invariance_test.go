@@ -9,7 +9,10 @@ import "testing"
 // produce identical CSVs at every worker setting. E1 covers the
 // single-trajectory sim.Poll path, E2 the replicated sim.Poll sweep
 // (shard workers nested inside the trial pool), E4 the pilot-budget
-// derivation through the sharded engine.
+// derivation through the sharded engine, E10 a fault injection (Corrupt
+// plus Resync) on the held sharded exact loop. Each sharded CSV must
+// also differ from the serial engine's, or Shards has stopped reaching
+// that generator's trials.
 func TestShardWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
@@ -21,6 +24,7 @@ func TestShardWorkerCountInvariance(t *testing.T) {
 		{"E1", Figure2},
 		{"E2", Figure3},
 		{"E4", Theorem1Shape},
+		{"E10", FaultRecovery},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			t.Parallel()
@@ -38,6 +42,9 @@ func TestShardWorkerCountInvariance(t *testing.T) {
 			}
 			if len(a.Rows) == 0 {
 				t.Fatalf("%s: no rows produced", tc.id)
+			}
+			if a.CSV() == tc.gen(QuickOptions()).CSV() {
+				t.Fatalf("%s: CSV identical at 4 shards and on the serial engine: sharding is not reaching the trials", tc.id)
 			}
 		})
 	}

@@ -80,7 +80,7 @@ func Resume[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], n int, k Kn
 	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint state: %w", err)
 	}
-	e, err := start(d, p, states, k)
+	e, err := Start(d, p, states, k)
 	if err == nil {
 		err = e.restore(st)
 	}

@@ -93,7 +93,7 @@ func New[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], n int, init st
 	if err != nil {
 		return nil, err
 	}
-	return start(d, p, states, k)
+	return Start(d, p, states, k)
 }
 
 // Init builds the named initial configuration for p, drawing any
@@ -106,8 +106,11 @@ func Init[S any, P any](d proto.Descriptor[S, P], p P, init string, k Knobs) ([]
 	return states, nil
 }
 
-// start puts states on the engine k selects.
-func start[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states []S, k Knobs) (*Engine[S, P], error) {
+// Start puts states, a configuration of p, on the engine k selects;
+// the engine owns states afterwards. New starts a named init here, and
+// the experiment harness starts its hand-built configurations here
+// (custom parameters, dead configurations, fault probes).
+func Start[S any, P sim.TouchReporter[S]](d proto.Descriptor[S, P], p P, states []S, k Knobs) (*Engine[S, P], error) {
 	e := &Engine[S, P]{d: d, p: p}
 	switch s := ResolveShards(k.Shards, len(states)); {
 	case k.Network():

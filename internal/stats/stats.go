@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit the experiment
-// harness uses: summary statistics, quantiles, normal-approximation
+// harness uses: descriptive statistics, quantiles, normal-approximation
 // confidence intervals and log-log regression for growth-exponent
 // estimation.
 package stats
@@ -98,37 +98,6 @@ func Quantile(xs []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// Summary bundles the usual descriptive statistics of a sample.
-type Summary struct {
-	N           int
-	Mean        float64
-	StdDev      float64
-	Min         float64
-	Q25, Median float64
-	Q75         float64
-	Max         float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Q25:    Quantile(xs, 0.25),
-		Median: Median(xs),
-		Q75:    Quantile(xs, 0.75),
-		Max:    Max(xs),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g q25=%.4g med=%.4g q75=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Q25, s.Median, s.Q75, s.Max)
-}
 
 // MeanCI95 returns the mean together with the half-width of its 95%
 // normal-approximation confidence interval.

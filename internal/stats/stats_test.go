@@ -30,9 +30,6 @@ func TestEmptyInputs(t *testing.T) {
 	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
 		t.Fatalf("empty Min/Max = %v/%v, want NaN", Min(nil), Max(nil))
 	}
-	if s := Summarize(nil); !math.IsNaN(s.Min) || !math.IsNaN(s.Max) || s.N != 0 {
-		t.Fatalf("Summarize(nil) = %+v, want NaN extrema", s)
-	}
 	if Quantile(nil, 0.5) != 0 {
 		t.Fatal("Quantile(nil) != 0")
 	}
@@ -75,16 +72,6 @@ func TestQuantilePanics(t *testing.T) {
 		}
 	}()
 	Quantile([]float64{1}, 1.5)
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Median != 3 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String()")
-	}
 }
 
 func TestMeanCI95(t *testing.T) {
