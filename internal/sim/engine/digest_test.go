@@ -12,10 +12,11 @@ import (
 )
 
 // largeRuns are StableRanking runs at populations whose slabs are far
-// larger than any golden's. The 2²⁰-agent runs are past the fetch gate
-// (slab.FetchBytes), so the serial loops, the shard units and the
-// sharded fold all run with each window's agent lines fetched first;
-// the smaller runs pin the runs below it. Each digest covers the
+// larger than any golden's. The 2²¹-agent runs are past the fetch gate
+// (slab.FetchBytes) at any agent size of 4 bytes or more, so the serial
+// loops, the shard units and the sharded fold all run with each
+// window's agent lines fetched first; the smaller runs pin the runs
+// below it. Each digest covers the
 // checkpoint engine section after the run — the step count, every
 // stream position, the agent slab and the reset counters — together
 // with the exact stop's outcome. All were re-recorded when the agent
@@ -52,6 +53,10 @@ var largeRuns = []struct {
 	{"fresh n=2^20 serial", 1 << 20, "fresh", 1, false, "81d28fa4e9b47ad9311d13fefdae6427f8df07a9eef73976363a6a468367be4d"},
 	{"fresh n=2^20 shards=4", 1 << 20, "fresh", 4, false, "e560fd298310c5d653cf191ffcce303dca665538aba58e77c470b5eea27335e6"},
 	{"worst-case n=2^20 shards=4 exact", 1 << 20, "worst-case", 4, true, "93c540a1ae34661d9a8c448a72db46c70daaab5b4c9b99b531b168c8af309bb3"},
+	{"fresh n=2^21 serial", 1 << 21, "fresh", 1, false, "926be73318c4238391d30e49a8626feee85e71e5e7cab33d027adfbb75b1b2d9"},
+	{"fresh n=2^21 shards=4", 1 << 21, "fresh", 4, false, "8efb9caa92f23f68bdb19185f1aeb2cd517886b27f9c94fa750535d03572c7c6"},
+	{"worst-case n=2^21 serial exact", 1 << 21, "worst-case", 1, true, "5c30676405159c2193b6dfe5c01036af01817badc5e81f722ea82683456da344"},
+	{"worst-case n=2^21 shards=4 exact", 1 << 21, "worst-case", 4, true, "cd8abfd53bf3daa66adf27d281587c6f1dd7170a62165d4a5b6632b09c8e5627"},
 }
 
 // largeRunSteps is every large run's interaction budget.
@@ -107,6 +112,10 @@ var largeRunTrajectories = map[string]string{
 	"fresh n=2^20 serial":              "7585ecf45e3b7b2e48657827b2d793b78d66e3e98d55ad0235db87160a0016d3",
 	"fresh n=2^20 shards=4":            "f02810e050303e9fd5f8dd040a49ae469dc292bd5b898ff8af7ddd747a1db87c",
 	"worst-case n=2^20 shards=4 exact": "d333d01897a0ae21c9d63b14031db268424c6138692a383f6ea3da84dd9bc192",
+	"fresh n=2^21 serial":              "190302020bc1c5c46885b2a21734d0851824568cfceb147a6b7f22ee1332917d",
+	"fresh n=2^21 shards=4":            "2e5e09f52f7fd306c38174075c7e3de5d19e024b93763b36db8963d6efa8be2e",
+	"worst-case n=2^21 serial exact":   "263aaa813dc6169e1019c216fc7ee9ac100abce3653c3baa14317acfae62caa9",
+	"worst-case n=2^21 shards=4 exact": "284bf8ce3fe3c717894974ad3efd7e50b5b070caad2bd7ba39c5471da01f4f27",
 }
 
 func TestLargeRunTrajectories(t *testing.T) {
