@@ -49,7 +49,8 @@ import (
 //	    class count uvarint + 4×u64 per class in compact class order
 //	protocol state: the agent slab — n uvarint, then each agent's
 //	  fields in struct declaration order (uvarint, zigzag varint or
-//	  bool byte) — followed by the descriptor's Instr vector elements
+//	  bool byte; a StableRanking agent is one uvarint, its 32-bit
+//	  word) — followed by the descriptor's Instr vector elements
 //	  as varints (none when it registers no Instr); one codec for
 //	  every protocol, derived from the state type's layout,
 //	  proto.Descriptor.WriteState
@@ -63,7 +64,7 @@ import (
 // returns an error for them.
 const (
 	ckptMagic   = "sscp"
-	ckptVersion = 2
+	ckptVersion = 3
 )
 
 // Checkpoint serializes the simulation's complete state into the

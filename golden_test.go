@@ -26,12 +26,14 @@ func goldenConfig() Config { return Config{N: 16, Seed: 1} }
 const goldenSteps = 1037
 
 // checkpointFixture is the committed checkpoint of goldenConfig after
-// goldenSteps interactions; checkpointFixtureV1 is the same run in the
-// version-1 format, which stored a 24-byte StableRanking agent as 12
-// fields.
+// goldenSteps interactions. checkpointFixtureV1 and checkpointFixtureV2
+// are the same run in the retired formats: version 1 stored a 24-byte
+// StableRanking agent as 12 fields, version 2 an 8-byte tagged union
+// as 4.
 var (
 	checkpointFixture   = filepath.Join("testdata", "stable_n16_seed1_step1037.sscp")
 	checkpointFixtureV1 = filepath.Join("testdata", "stable_n16_seed1_step1037_v1.sscp")
+	checkpointFixtureV2 = filepath.Join("testdata", "stable_n16_seed1_step1037_v2.sscp")
 )
 
 // TestGoldenCheckpointBytes pins the on-disk checkpoint format against
@@ -180,16 +182,28 @@ func TestGoldenCheckpointRejectsOverlongVarint(t *testing.T) {
 // 12 fields of the 24-byte state: the committed v1 fixture is refused
 // with an error naming its version, not decoded into another state.
 func TestGoldenCheckpointRefusesV1(t *testing.T) {
-	data, err := os.ReadFile(checkpointFixtureV1)
+	checkRefusedVersion(t, checkpointFixtureV1, 1)
+}
+
+// TestGoldenCheckpointRefusesV2 does the same for version 2, whose slab
+// stored each StableRanking agent as the 4 fields of the 8-byte tagged
+// union.
+func TestGoldenCheckpointRefusesV2(t *testing.T) {
+	checkRefusedVersion(t, checkpointFixtureV2, 2)
+}
+
+func checkRefusedVersion(t *testing.T, fixture string, version byte) {
+	t.Helper()
+	data, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if data[len(ckptMagic)] != 1 {
-		t.Fatalf("v1 fixture version byte %#x", data[len(ckptMagic)])
+	if data[len(ckptMagic)] != version {
+		t.Fatalf("v%d fixture version byte %#x", version, data[len(ckptMagic)])
 	}
 	_, err = ResumeSimulation(goldenConfig(), data)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint version 1,") {
-		t.Fatalf("v1 checkpoint: error %v, want one naming version 1", err)
+	if want := fmt.Sprintf("checkpoint version %d,", version); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v%d checkpoint: error %v, want one naming version %d", version, err, version)
 	}
 }
 

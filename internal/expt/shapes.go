@@ -214,7 +214,7 @@ func oneShotFastLE(opts Options, n int, seed uint64) int {
 	r := newEngine(opts, 1, stable.Describe(), n, "fresh", 0, seed)
 	decided := func(_ int64, ss []stable.State) bool {
 		for i := range ss {
-			if ss[i].Mode == stable.ModeLE && !ss[i].LeaderDone() {
+			if ss[i].Mode() == stable.ModeLE && !ss[i].LeaderDone() {
 				return false
 			}
 		}
@@ -225,9 +225,9 @@ func oneShotFastLE(opts Options, n int, seed uint64) int {
 	}
 	leaders := 0
 	for _, s := range r.States() {
-		if s.Mode == stable.ModeWait ||
-			(s.Mode == stable.ModeLE && s.IsLeader()) ||
-			(s.Mode == stable.ModeRanked && s.Rank() == 1) {
+		if s.Mode() == stable.ModeWait ||
+			(s.Mode() == stable.ModeLE && s.IsLeader()) ||
+			(s.Mode() == stable.ModeRanked && s.Rank() == 1) {
 			// A winner is waiting, still flagged, or already took its
 			// rank-1 seat.
 			leaders++

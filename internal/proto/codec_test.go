@@ -15,17 +15,17 @@ import (
 )
 
 // TestLayoutStable pins the derived layout of StableRanking's state:
-// the 8-byte tagged union {Mode u8, flags u8, a i16, b i32}, with no
-// bool and no padding byte, so its image is its memory as it stands.
+// one 32-bit word {w u32}, with no bool and no padding byte, so its
+// image is its memory as it stands.
 func TestLayoutStable(t *testing.T) {
 	l := proto.LayoutOf[stable.State]()
-	if l.Size != 8 {
-		t.Errorf("size %d, want 8", l.Size)
+	if l.Size != 4 {
+		t.Errorf("size %d, want 4", l.Size)
 	}
 	if len(l.Bools) != 0 || len(l.Pads) != 0 {
 		t.Errorf("bool offsets %v and padding offsets %v, want none", l.Bools, l.Pads)
 	}
-	s := stable.LEState(1, 300, 70000, true, true)
+	s := stable.LEState(1, 300, 7, true, true)
 	img := make([]byte, l.Size)
 	proto.PutImage(l, img, &s)
 	if !l.Valid(img) || !slices.Equal(img, unsafe.Slice((*byte)(unsafe.Pointer(&s)), l.Size)) {
@@ -54,7 +54,7 @@ func readSlab[S, P any](d proto.Descriptor[S, P], b []byte) error {
 }
 
 // TestSlabRejectsFieldValues: the derived decoder rejects, per field
-// kind, a value that does not fit its field (uint8, int16, bool) and an
+// kind, a value that does not fit its field (uint32, int16, bool) and an
 // overlong varint, naming the value as written (a signed field's
 // decoded value, not its zigzag code), and accepts the largest value
 // that fits.
@@ -69,28 +69,22 @@ func TestSlabRejectsFieldValues(t *testing.T) {
 		good   func(w *ckpt.Writer)
 		says   string
 	}{
-		{"stable Mode (uint8)", func(b []byte) error { return readSlab(st, b) }, 4, 0,
-			func(w *ckpt.Writer) { w.Uvarint(256) }, func(w *ckpt.Writer) { w.Uvarint(255) },
-			"stable: agent 0: field value 256 does not fit the field at offset 0"},
+		// 2³² is a valid varint but no uint32: refused, not truncated
+		// (the stable_counter_overflow checkpoint fuzz seed).
+		{"stable word (uint32)", func(b []byte) error { return readSlab(st, b) }, 1, 0,
+			func(w *ckpt.Writer) { w.Uvarint(1 << 32) }, func(w *ckpt.Writer) { w.Uvarint(1<<32 - 1) },
+			"stable: agent 0: field value 4294967296 does not fit the field at offset 0"},
+		{"stable word (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 1, 0,
+			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Uvarint(0) },
+			"stable: agent 0: truncated, overlong or overflowing varint"},
 		{"core LE.Level (int16)", func(b []byte) error { return readSlab(co, b) }, 14, 7,
 			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) }, "field value 32768 "},
+		// A signed field's value is named as written, -32769, not as
+		// its zigzag code 65537.
+		{"core LE.Level (negative int16)", func(b []byte) error { return readSlab(co, b) }, 14, 7,
+			func(w *ckpt.Writer) { w.Varint(-1<<15 - 1) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) }, "field value -32769 "},
 		{"sudo Leader (bool)", func(b []byte) error { return readSlab(su, b) }, 2, 0,
 			func(w *ckpt.Writer) { w.Raw([]byte{2}) }, func(w *ckpt.Writer) { w.Bool(true) }, "field value 2 "},
-		// 2¹⁵ is a valid varint but no int16: refused, not truncated,
-		// and named as 32768, not as its zigzag code 65536 (the
-		// stable_counter_overflow checkpoint fuzz seed).
-		{"stable a (int16)", func(b []byte) error { return readSlab(st, b) }, 4, 2,
-			func(w *ckpt.Writer) { w.Varint(1 << 15) }, func(w *ckpt.Writer) { w.Varint(1<<15 - 1) },
-			"stable: agent 0: field value 32768 does not fit the field at offset 2"},
-		{"stable a (negative int16)", func(b []byte) error { return readSlab(st, b) }, 4, 2,
-			func(w *ckpt.Writer) { w.Varint(-1<<15 - 1) }, func(w *ckpt.Writer) { w.Varint(-1 << 15) },
-			"stable: agent 0: field value -32769 does not fit the field at offset 2"},
-		{"stable b (int32)", func(b []byte) error { return readSlab(st, b) }, 4, 3,
-			func(w *ckpt.Writer) { w.Varint(1 << 31) }, func(w *ckpt.Writer) { w.Varint(1<<31 - 1) },
-			"stable: agent 0: field value 2147483648 does not fit the field at offset 4"},
-		{"stable b (overlong varint)", func(b []byte) error { return readSlab(st, b) }, 4, 3,
-			func(w *ckpt.Writer) { w.Raw([]byte{0x80, 0x00}) }, func(w *ckpt.Writer) { w.Varint(-1 << 31) },
-			"stable: agent 0: truncated, overlong or overflowing varint"},
 	} {
 		if err := tc.read(slab(tc.fields, tc.before, tc.good)); err != nil {
 			t.Errorf("%s: largest fitting value rejected: %v", tc.name, err)

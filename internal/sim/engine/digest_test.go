@@ -20,10 +20,20 @@ import (
 // checkpoint engine section after the run — the step count, every
 // stream position, the agent slab and the reset counters — together
 // with the exact stop's outcome. All were re-recorded when the agent
-// became the 8-byte tagged union, whose slab codec writes 4 fields per
-// agent instead of 12; largeRunTrajectories, recorded before, shows
-// that no trajectory moved. A digest may move only with the slab's
-// bytes, never with the trajectory.
+// became one 32-bit word, which the slab codec writes as one uvarint
+// instead of the 8-byte tagged union's 4 fields, and the checkpoint
+// version went to 3; largeRunTrajectories, recorded before, shows that
+// no trajectory moved. A digest may move only with the slab's bytes,
+// never with the trajectory.
+//
+// No row reaches its exact stop, and at these populations no start
+// can within a budget that a test affords. The interaction that
+// completes a ranking ranks the last unranked agent, and only an
+// initiator whose rank may then change without a clash can do it: the
+// sole holder of rank 1 in the last phase, or one of the two holders
+// of a duplicated rank earlier. At most two ordered pairs qualify, so
+// the wait is at least n(n−1)/2 ≈ 5.5·10¹¹ interactions in expectation
+// at n = 2²⁰.
 var largeRuns = []struct {
 	name   string
 	n      int
@@ -33,30 +43,30 @@ var largeRuns = []struct {
 	exact bool
 	want  string
 }{
-	{"fresh n=2^17 serial", 1 << 17, "fresh", 1, false, "7e6d7c15f1779e175efc34316065448b05a7af8924655bc52b3d6cc7034fcf4d"},
-	{"fresh n=2^17 shards=2", 1 << 17, "fresh", 2, false, "5d9097d8276d76c2388f2ebd86897b5675d10f6a3655d6cdfa84c056967eca54"},
-	{"fresh n=2^17 shards=4", 1 << 17, "fresh", 4, false, "9df86751dccf30818eaa30eb1d3ecf77529847ddc2fd8e304e8ba83d67e52482"},
-	{"worst-case n=2^16 serial exact", 1 << 16, "worst-case", 1, true, "e2953f8e4515f44d47c1f165d158935078894a5ebd57198dfde7aafcf7940dc9"},
-	{"worst-case n=2^16 shards=4 exact", 1 << 16, "worst-case", 4, true, "fdb51d4fe408279ed05163371984dce4b23b16ac751e09e4c678e96d7d9303c3"},
-	{"worst-case n=2^17 serial exact", 1 << 17, "worst-case", 1, true, "118d396b95068a3cc4dec9c0c9119b64be896e7c0c9efcd490f8b03a7ea60792"},
-	{"worst-case n=2^17 shards=2 exact", 1 << 17, "worst-case", 2, true, "f09fe487299fb9024adc79776d69f724aabc3b5a8d28243e00212e7a31c588ad"},
+	{"fresh n=2^17 serial", 1 << 17, "fresh", 1, false, "0fa9ce36d5ae0bf99e5725ce7007d22d41e5f959eede02875c8b332b3d64f749"},
+	{"fresh n=2^17 shards=2", 1 << 17, "fresh", 2, false, "9be1eb3adee7033a57db5497e9c12e7361c5c4b7ff5e3d8beae4d4ec125ec1d6"},
+	{"fresh n=2^17 shards=4", 1 << 17, "fresh", 4, false, "1b40853c61b80a88ef669df0a2b27b58800896cd1a3812279ebce8e7342429fa"},
+	{"worst-case n=2^16 serial exact", 1 << 16, "worst-case", 1, true, "17f4d64cd15e0ce4d6bc5ce39cbbf403bc4d3f2ce723140157f18dd2114f95bd"},
+	{"worst-case n=2^16 shards=4 exact", 1 << 16, "worst-case", 4, true, "be91aecf3bd8267aa2633684364487f64d5eb962ec26b7ee359d10b70fcd5716"},
+	{"worst-case n=2^17 serial exact", 1 << 17, "worst-case", 1, true, "fc85624c0531c97fa670d149360348162622addf9d0522c52308c750a62f9774"},
+	{"worst-case n=2^17 shards=2 exact", 1 << 17, "worst-case", 2, true, "af21af36215b125583d406ca34649a03f943f8156509feb5179f1b78b729f9cd"},
 	// From random states almost every early interaction moves a rank, so
 	// the fold replays records of agents the batch touches again later.
-	{"random n=2^16 shards=4 exact", 1 << 16, "random", 4, true, "2e69b29fe33368d29d2be556d1d990f9ce4914ed26b3478e3eb6e02a36b981b3"},
-	{"random n=2^17 shards=2 exact", 1 << 17, "random", 2, true, "9b5a4ce70f3596b97a8eb737fcf6c2f1b4ce4a38e3199a0f95f54f554437d5c2"},
-	{"fresh n=2^18 serial", 1 << 18, "fresh", 1, false, "e106d165c3bfa475f1baefb099d6e317581da78d59f0e1d747c1e3962c8e556c"},
-	{"fresh n=2^18 shards=2", 1 << 18, "fresh", 2, false, "ec23fcac49cb8c0668c2cc2a2a20e9dbd9c3febe62cf6964fb6a69565c052494"},
-	{"fresh n=2^18 shards=4", 1 << 18, "fresh", 4, false, "c81db23f9c039e26e8f78f3a850d8acde7025038888a03c0f623a0e8d2e9871e"},
-	{"worst-case n=2^18 serial exact", 1 << 18, "worst-case", 1, true, "c965cb0b719db3022f9002b678eed93a748bd25d5942def0e6eac59c4e1952f5"},
-	{"worst-case n=2^18 shards=4 exact", 1 << 18, "worst-case", 4, true, "cd54198aefe68efc258ff16dce25fac23f2f626825d7524565bb823d0d8565ff"},
-	{"random n=2^18 shards=4 exact", 1 << 18, "random", 4, true, "53d5e82de1cb3f51d625584bbbe8a6346a2380746d281cec92e1b8f466769130"},
-	{"fresh n=2^20 serial", 1 << 20, "fresh", 1, false, "81d28fa4e9b47ad9311d13fefdae6427f8df07a9eef73976363a6a468367be4d"},
-	{"fresh n=2^20 shards=4", 1 << 20, "fresh", 4, false, "e560fd298310c5d653cf191ffcce303dca665538aba58e77c470b5eea27335e6"},
-	{"worst-case n=2^20 shards=4 exact", 1 << 20, "worst-case", 4, true, "93c540a1ae34661d9a8c448a72db46c70daaab5b4c9b99b531b168c8af309bb3"},
-	{"fresh n=2^21 serial", 1 << 21, "fresh", 1, false, "926be73318c4238391d30e49a8626feee85e71e5e7cab33d027adfbb75b1b2d9"},
-	{"fresh n=2^21 shards=4", 1 << 21, "fresh", 4, false, "8efb9caa92f23f68bdb19185f1aeb2cd517886b27f9c94fa750535d03572c7c6"},
-	{"worst-case n=2^21 serial exact", 1 << 21, "worst-case", 1, true, "5c30676405159c2193b6dfe5c01036af01817badc5e81f722ea82683456da344"},
-	{"worst-case n=2^21 shards=4 exact", 1 << 21, "worst-case", 4, true, "cd8abfd53bf3daa66adf27d281587c6f1dd7170a62165d4a5b6632b09c8e5627"},
+	{"random n=2^16 shards=4 exact", 1 << 16, "random", 4, true, "7697d3b9c59b13aa79b79584cd901aa648865e11ac5a5072c1c2f138e72227de"},
+	{"random n=2^17 shards=2 exact", 1 << 17, "random", 2, true, "517b0ffc1e0f3a973591375ff8d0d5e3f5b297d32bc677092ae0a4ed11440c5b"},
+	{"fresh n=2^18 serial", 1 << 18, "fresh", 1, false, "7422fcaf036b325d93a5b45ce398b36ef69657ad1c0b104dd1b07ca3ef43839f"},
+	{"fresh n=2^18 shards=2", 1 << 18, "fresh", 2, false, "339b9999f3754f183e22cc0c4ac0963181a0433dd755ab60aabf952e896f724a"},
+	{"fresh n=2^18 shards=4", 1 << 18, "fresh", 4, false, "e397f42823e9d101c43dc254c91fd98f072661e774df6ce9b47d1680a61baf1f"},
+	{"worst-case n=2^18 serial exact", 1 << 18, "worst-case", 1, true, "2575765ace25ba31c45897d7c1adc51223f8780304c246df3e98474ed71c279c"},
+	{"worst-case n=2^18 shards=4 exact", 1 << 18, "worst-case", 4, true, "6601064a9375af6496cc9c4d7197c028fedc61515f64c3380983a57211cea3e5"},
+	{"random n=2^18 shards=4 exact", 1 << 18, "random", 4, true, "85fd3b88537c130912cba82f66f18635b680ba7cec0e6f7d5f6d4593538eb21f"},
+	{"fresh n=2^20 serial", 1 << 20, "fresh", 1, false, "2746107aad806fe2e0d72a667db904c1889e3989c155319e3bec290b85546534"},
+	{"fresh n=2^20 shards=4", 1 << 20, "fresh", 4, false, "72f6f4360a99e3ca914057537d63de12d25d244b55d0a6c3d91925d63a757c24"},
+	{"worst-case n=2^20 shards=4 exact", 1 << 20, "worst-case", 4, true, "59d57cde8b61c2098f5fc1c06b7efc520fba9f6bea347cb6530947d9d86b00e4"},
+	{"fresh n=2^21 serial", 1 << 21, "fresh", 1, false, "cabc995f8a5c6f18dbd51d9557edc6c14330ca970af8020263a62ebd89298d1e"},
+	{"fresh n=2^21 shards=4", 1 << 21, "fresh", 4, false, "9d8d628108df6d6ec3e04035c98a1bf54f663fa97577ae0c9472eb5b54060856"},
+	{"worst-case n=2^21 serial exact", 1 << 21, "worst-case", 1, true, "53b6660dadf9f16b9a47f7b7ec519f2ca6d445c2a80a58d0f0434f0f35a9ca11"},
+	{"worst-case n=2^21 shards=4 exact", 1 << 21, "worst-case", 4, true, "dbef777bde70f4ba4940956749c10e23d3ae2c96aaa7cb82977deb5ff2af37db"},
 }
 
 // largeRunSteps is every large run's interaction budget.
@@ -91,8 +101,9 @@ func TestLargeRunDigests(t *testing.T) {
 // every stream position, the reset counters and each agent's
 // stable.Canonical view, so a change of the state's memory layout or
 // of the slab codec leaves it alone while the byte-level digest of
-// TestLargeRunDigests moves. Recorded with the 24-byte state, and
-// unchanged by the 8-byte one.
+// TestLargeRunDigests moves. Recorded with the 24-byte state (the
+// 2²¹ rows with the 8-byte one), and unchanged by the 8-byte union and
+// the 4-byte word.
 var largeRunTrajectories = map[string]string{
 	"fresh n=2^17 serial":              "9aaf247062e6c296d7b5e0f7d6a77c259ed86987d9c8bc6bfa0fc3b7c515aea7",
 	"fresh n=2^17 shards=2":            "cf826e095338a4c475d84aa5f36379f25f84fc4b8bb5d21537315c6df8eb0d9f",

@@ -8,7 +8,7 @@ func Valid(states []State) bool {
 	seen := make([]bool, len(states)+1)
 	for i := range states {
 		s := &states[i]
-		if s.Mode != ModeRanked || s.Rank() < 1 || int(s.Rank()) > len(states) || seen[s.Rank()] {
+		if !s.IsRanked() || s.Rank() < 1 || int(s.Rank()) > len(states) || seen[s.Rank()] {
 			return false
 		}
 		seen[s.Rank()] = true
@@ -21,7 +21,7 @@ func Valid(states []State) bool {
 // (sim.NewRankCond(0, stable.RankOf) tracks Valid in O(1) per
 // interaction).
 func RankOf(s *State) int {
-	if s.Mode != ModeRanked {
+	if !s.IsRanked() {
 		return 0
 	}
 	return int(s.Rank())
@@ -32,7 +32,7 @@ func RankOf(s *State) int {
 func RankedCount(states []State) int {
 	c := 0
 	for i := range states {
-		if states[i].Mode == ModeRanked {
+		if states[i].IsRanked() {
 			c++
 		}
 	}
@@ -44,7 +44,7 @@ func RankedCount(states []State) int {
 func MeanPhase(states []State) float64 {
 	sum, c := 0.0, 0
 	for i := range states {
-		if states[i].Mode == ModePhase {
+		if states[i].tag() == tagPhase {
 			sum += float64(states[i].Phase())
 			c++
 		}
@@ -59,7 +59,7 @@ func MeanPhase(states []State) float64 {
 func CountModes(states []State) map[Mode]int {
 	m := make(map[Mode]int, 5)
 	for i := range states {
-		m[states[i].Mode]++
+		m[states[i].Mode()]++
 	}
 	return m
 }
@@ -68,7 +68,7 @@ func CountModes(states []State) map[Mode]int {
 // With the paper's output function this is the elected leader.
 func LeaderRank1(states []State) int {
 	for i := range states {
-		if states[i].Mode == ModeRanked && states[i].Rank() == 1 {
+		if states[i].w == 1 {
 			return i
 		}
 	}
@@ -83,22 +83,19 @@ func (p *Protocol) CheckInvariant(states []State) error {
 	n := int32(p.n)
 	for i := range states {
 		s := &states[i]
-		if extra := s.flags &^ modeFlags(s.Mode); extra != 0 {
-			return fmt.Errorf("agent %d: %s agent with flag bits %#x it does not carry", i, s.Mode, extra)
+		if s.tag() != tagLE && s.HasCoin() && s.w&(isLeaderBit|doneBit) != 0 {
+			return fmt.Errorf("agent %d: %s agent with LE flag bits %#x", i, s.Mode(), s.w&(isLeaderBit|doneBit))
 		}
-		switch s.Mode {
+		switch s.Mode() {
 		case ModeRanked:
 			if s.Rank() < 1 || s.Rank() > n {
 				return fmt.Errorf("agent %d: rank %d outside [1, %d]", i, s.Rank(), n)
 			}
-			if s.a != 0 {
-				return fmt.Errorf("agent %d: ranked agent with unused field %d", i, s.a)
-			}
 		case ModeReset:
-			if s.ResetCount() < 0 || s.ResetCount() > p.rMax {
+			if s.ResetCount() > p.rMax {
 				return fmt.Errorf("agent %d: resetCount %d outside [0, %d]", i, s.ResetCount(), p.rMax)
 			}
-			if s.DelayCount() < 0 || s.DelayCount() > p.dMax {
+			if s.DelayCount() > p.dMax {
 				return fmt.Errorf("agent %d: delayCount %d outside [0, %d]", i, s.DelayCount(), p.dMax)
 			}
 			if s.ResetCount() == 0 && s.DelayCount() == 0 {
@@ -108,7 +105,7 @@ func (p *Protocol) CheckInvariant(states []State) error {
 			if s.LECount() < 1 || s.LECount() > p.leBudget {
 				return fmt.Errorf("agent %d: LECount %d outside [1, %d]", i, s.LECount(), p.leBudget)
 			}
-			if s.CoinCount() < 0 || s.CoinCount() > p.coinInit {
+			if s.CoinCount() > p.coinInit {
 				return fmt.Errorf("agent %d: coinCount %d outside [0, %d]", i, s.CoinCount(), p.coinInit)
 			}
 		case ModeWait:
@@ -125,21 +122,7 @@ func (p *Protocol) CheckInvariant(states []State) error {
 			if s.Alive() < 1 || s.Alive() > p.lMax {
 				return fmt.Errorf("agent %d: alive %d outside [1, %d]", i, s.Alive(), p.lMax)
 			}
-		default:
-			return fmt.Errorf("agent %d: invalid mode %d", i, s.Mode)
 		}
 	}
 	return nil
-}
-
-// modeFlags returns the flag bits an agent in mode m carries.
-func modeFlags(m Mode) uint8 {
-	switch m {
-	case ModeRanked:
-		return 0
-	case ModeLE:
-		return flagCoin | flagLeaderDone | flagIsLeader
-	default:
-		return flagCoin
-	}
 }

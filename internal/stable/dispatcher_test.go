@@ -19,7 +19,7 @@ func TestDispatcherPrecedence(t *testing.T) {
 		"wait":   func() State { return WaitState(1, 3, 5) },
 		"phase":  func() State { return PhaseState(1, 2, 5) },
 	}
-	isReset := func(s State) bool { return s.Mode == ModeReset }
+	isReset := func(s State) bool { return s.Mode() == ModeReset }
 
 	for uName, mu := range mk {
 		for vName, mv := range mk {
@@ -38,17 +38,17 @@ func TestDispatcherPrecedence(t *testing.T) {
 						t.Errorf("(%s, %s): propagating pair left non-reset states %v, %v", uName, vName, u, v)
 					}
 				}
-			case uBefore.Mode == ModeLE && vBefore.Mode == ModeLE:
+			case uBefore.Mode() == ModeLE && vBefore.Mode() == ModeLE:
 				// FastLE: the initiator pays budget.
-				if u.Mode == ModeLE && u.LECount() != uBefore.LECount()-1 {
+				if u.Mode() == ModeLE && u.LECount() != uBefore.LECount()-1 {
 					t.Errorf("(%s, %s): initiator did not pay LE budget", uName, vName)
 				}
-			case uBefore.Mode == ModeLE && vBefore.IsMain():
-				if u.Mode != ModePhase || u.Phase() != 1 {
+			case uBefore.Mode() == ModeLE && vBefore.IsMain():
+				if u.Mode() != ModePhase || u.Phase() != 1 {
 					t.Errorf("(%s, %s): LE initiator not converted: %v", uName, vName, u)
 				}
-			case vBefore.Mode == ModeLE && uBefore.IsMain():
-				if v.Mode != ModePhase || v.Phase() != 1 {
+			case vBefore.Mode() == ModeLE && uBefore.IsMain():
+				if v.Mode() != ModePhase || v.Phase() != 1 {
 					t.Errorf("(%s, %s): LE responder not converted: %v", uName, vName, v)
 				}
 			}
@@ -56,8 +56,8 @@ func TestDispatcherPrecedence(t *testing.T) {
 			// Universal rule (Protocol 3 line 9): the responder's coin
 			// toggles whenever it still has one and kept its mode-class
 			// (conversions and resets set their own coin).
-			if v.Mode == vBefore.Mode && v.HasCoin() && vBefore.HasCoin() &&
-				v.Mode != ModePhase && v.Mode != ModeWait {
+			if v.Mode() == vBefore.Mode() && v.HasCoin() && vBefore.HasCoin() &&
+				v.Mode() != ModePhase && v.Mode() != ModeWait {
 				if v.Coin() != vBefore.Coin()^1 {
 					t.Errorf("(%s, %s): responder coin not toggled (%d -> %d)", uName, vName, vBefore.Coin(), v.Coin())
 				}

@@ -14,14 +14,14 @@ package stable
 // event that no leader emerges (Lemma 30 gives success probability
 // ≥ 1/(8e) per attempt, so O(log n) resets suffice w.h.p., Lemma 32).
 func (p *Protocol) fastLE(u, v *State) {
-	// Line 1: every initiator interaction costs budget.
-	u.setLECount(u.LECount() - 1)
-
-	// Lines 13–15: out of budget without having started ranking.
-	if u.LECount() <= 0 {
+	// Line 1: every initiator interaction costs budget. Lines 13–15:
+	// out of budget without having started ranking.
+	c := u.LECount() - 1
+	if c <= 0 {
 		p.triggerReset(u, ReasonLEExpired)
 		return
 	}
+	u.setLECount(c)
 
 	if !u.LeaderDone() {
 		if v.Coin() == 0 {
@@ -32,8 +32,9 @@ func (p *Protocol) fastLE(u, v *State) {
 			u.setCoinCount(0)
 		} else {
 			// Lines 4–8: count consecutive heads.
-			u.setCoinCount(u.CoinCount() - 1)
-			if u.CoinCount() <= 0 {
+			if cc := u.CoinCount() - 1; cc > 0 {
+				u.setCoinCount(cc)
+			} else {
 				u.setCoinCount(0)
 				u.setIsLeader()
 				u.setLeaderDone()

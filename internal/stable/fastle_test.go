@@ -30,13 +30,13 @@ func TestFastLEConsecutiveHeadsElectAndTransition(t *testing.T) {
 	for i := 0; i < need; i++ {
 		v := p.LEInitial(1) // fresh heads partner each time
 		p.Transition(&u, &v)
-		if i < need-1 && u.Mode != ModeLE {
+		if i < need-1 && u.Mode() != ModeLE {
 			t.Fatalf("u left LE after %d heads: %+v", i+1, u)
 		}
 	}
 	// On the final head u becomes leader and, having plenty of budget,
 	// transitions straight to the waiting state of the main protocol.
-	if u.Mode != ModeWait {
+	if u.Mode() != ModeWait {
 		t.Fatalf("after %d heads u = %+v, want waiting", need, u)
 	}
 	if u.Wait() != p.WaitInit() || u.Alive() != p.LMax() {
@@ -67,7 +67,7 @@ func TestFastLEBudgetExpiryTriggersReset(t *testing.T) {
 	u.setLECount(1)
 	v := p.LEInitial(1)
 	p.Transition(&u, &v)
-	if u.Mode != ModeReset || u.ResetCount() != p.RMax() {
+	if u.Mode() != ModeReset || u.ResetCount() != p.RMax() {
 		t.Fatalf("expired agent = %+v, want triggered reset", u)
 	}
 	if p.ResetsFor(ReasonLEExpired) != 1 {
@@ -84,7 +84,7 @@ func TestFastLESlowLeaderDoesNotTransition(t *testing.T) {
 	u.setCoinCount(1)
 	v := p.LEInitial(1) // heads
 	p.Transition(&u, &v)
-	if u.Mode != ModeLE {
+	if u.Mode() != ModeLE {
 		t.Fatalf("slow leader transitioned: %+v", u)
 	}
 	if !u.IsLeader() || !u.LeaderDone() {
@@ -109,7 +109,7 @@ func TestLEAgentJoinsMainAsPhaseOne(t *testing.T) {
 	le := p.LEInitial(1)
 	main := Ranked(42)
 	p.Transition(&le, &main)
-	if le.Mode != ModePhase || le.Phase() != 1 || le.Alive() != p.LMax() || le.Coin() != 1 {
+	if le.Mode() != ModePhase || le.Phase() != 1 || le.Alive() != p.LMax() || le.Coin() != 1 {
 		t.Fatalf("LE initiator joined as %+v", le)
 	}
 
@@ -117,7 +117,7 @@ func TestLEAgentJoinsMainAsPhaseOne(t *testing.T) {
 	main2 := Ranked(42)
 	p.Transition(&main2, &le2)
 	// le2 is the responder: it joins and then its coin is toggled.
-	if le2.Mode != ModePhase || le2.Phase() != 1 || le2.Coin() != 0 {
+	if le2.Mode() != ModePhase || le2.Phase() != 1 || le2.Coin() != 0 {
 		t.Fatalf("LE responder joined as %+v", le2)
 	}
 }
@@ -138,7 +138,7 @@ func TestFastLEUniqueWinnerProbability(t *testing.T) {
 		// reset).
 		decided := func(_ int64, ss []State) bool {
 			for i := range ss {
-				if ss[i].Mode == ModeLE && !ss[i].LeaderDone() {
+				if ss[i].Mode() == ModeLE && !ss[i].LeaderDone() {
 					return false
 				}
 			}
@@ -149,11 +149,11 @@ func TestFastLEUniqueWinnerProbability(t *testing.T) {
 		}
 		leaders := 0
 		for _, s := range r.States() {
-			if (s.Mode == ModeLE && s.IsLeader()) || s.Mode == ModeWait || s.Mode == ModeRanked || s.Mode == ModePhase {
+			if (s.Mode() == ModeLE && s.IsLeader()) || s.Mode() == ModeWait || s.Mode() == ModeRanked || s.Mode() == ModePhase {
 				// Any agent already in the main protocol counts as an
 				// elected leader (it transitioned via line 9–12) —
 				// phase agents arise only from a leader's epidemic.
-				if s.Mode == ModeWait || (s.Mode == ModeLE && s.IsLeader()) {
+				if s.Mode() == ModeWait || (s.Mode() == ModeLE && s.IsLeader()) {
 					leaders++
 				}
 			}

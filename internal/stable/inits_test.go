@@ -15,7 +15,7 @@ func TestWorstCaseInitShape(t *testing.T) {
 	seen := make(map[int32]bool)
 	phaseAgents := 0
 	for _, s := range states {
-		switch s.Mode {
+		switch s.Mode() {
 		case ModeRanked:
 			if s.Rank() < 2 || s.Rank() > 256 || seen[s.Rank()] {
 				t.Fatalf("bad rank %d", s.Rank())
@@ -27,7 +27,7 @@ func TestWorstCaseInitShape(t *testing.T) {
 				t.Fatalf("phase agent = %+v, want (kMax, LMax)", s)
 			}
 		default:
-			t.Fatalf("unexpected mode %v", s.Mode)
+			t.Fatalf("unexpected mode %v", s.Mode())
 		}
 	}
 	if phaseAgents != 1 || len(seen) != 255 {
@@ -107,7 +107,7 @@ func TestFig3InitShape(t *testing.T) {
 		t.Fatalf("agent 0 = %+v, want rank(1)", states[0])
 	}
 	for i := 1; i < 128; i++ {
-		if states[i].Mode != ModeLE {
+		if states[i].Mode() != ModeLE {
 			t.Fatalf("agent %d = %+v, want LE", i, states[i])
 		}
 	}

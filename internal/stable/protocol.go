@@ -121,14 +121,14 @@ func New(n int, params Params) *Protocol {
 		panic(fmt.Sprintf("stable: all parameter factors must be positive: %+v", params))
 	}
 	lg := float64(leaderelect.CeilLog2(n))
-	// bound is ⌈factor·log₂ n⌉. The int16 counters are compared with
-	// some of the bounds, so none may pass the int16 range, where it
-	// would wrap.
+	// bound is ⌈factor·log₂ n⌉. The counters hold 0..MaxCounter (13
+	// bits of the agent's word), so no bound may pass MaxCounter, where
+	// it would spill into the neighbouring field.
 	bound := func(param, name string, factor float64) int16 {
 		v := math.Ceil(factor * lg)
-		if !(v <= math.MaxInt16) {
-			panic(fmt.Sprintf("stable: %s = %g makes %s = ⌈%g·log₂ %d⌉ = %g, beyond the int16 counter range (%d)",
-				param, factor, name, factor, n, v, math.MaxInt16))
+		if !(v <= MaxCounter) {
+			panic(fmt.Sprintf("stable: %s = %g makes %s = ⌈%g·log₂ %d⌉ = %g, beyond the 13-bit counter cap (%d)",
+				param, factor, name, factor, n, v, MaxCounter))
 		}
 		return max(int16(v), 1)
 	}
@@ -251,41 +251,52 @@ func (p *Protocol) Transition(u, v *State) {
 // interaction of a silent configuration, and the vast majority late in
 // a run — report (false, false) so the tracker is never consulted.
 func (p *Protocol) TransitionT(u, v *State) (uTouched, vTouched bool) {
+	// Two ranked agents, almost every interaction late in a run: a
+	// compare of two words. Only a duplicate rank changes anything
+	// (Protocol 4 line 1, u loses its rank and v keeps the duplicate),
+	// and neither agent has a coin to toggle.
+	if u.w|v.w < unranked {
+		if u.w == v.w {
+			p.triggerReset(u, ReasonDuplicateRank)
+			return true, false
+		}
+		return false, false
+	}
+	tu, tv := u.tag(), v.tag()
 	switch {
 	// Line 1: PropagateReset, when either agent participates in it.
 	// PropagateReset recruits computing agents (a ranked one loses its
 	// rank) and awakens reset agents into leader election; it never
 	// creates a ranked agent, so the projection comparison reduces to
 	// "left ModeRanked".
-	case u.Mode == ModeReset || v.Mode == ModeReset:
-		ru, rv := u.Mode == ModeRanked, v.Mode == ModeRanked
+	case tu == tagReset || tv == tagReset:
+		ru, rv := u.IsRanked(), v.IsRanked()
 		p.propagateReset(u, v)
-		uTouched = ru && u.Mode != ModeRanked
-		vTouched = rv && v.Mode != ModeRanked
+		uTouched = ru && !u.IsRanked()
+		vTouched = rv && !v.IsRanked()
 
 	// Lines 2–3: two leader-electing agents. FastLeaderElection moves
 	// agents between ModeLE, ModeWait and ModeReset only — no ranks.
-	case u.Mode == ModeLE && v.Mode == ModeLE:
+	case tu == tagLE && tv == tagLE:
 		p.fastLE(u, v)
 
 	// Lines 4–6: a leader-electing agent meeting a main-protocol agent
-	// forgets its LE state and joins as a phase-1 agent (no ranks).
-	case u.Mode == ModeLE && v.IsMain():
+	// (neither is a reset agent, and only one elects) forgets its LE
+	// state and joins as a phase-1 agent (no ranks).
+	case tu == tagLE:
 		*u = PhaseState(u.Coin(), 1, p.lMax)
-	case v.Mode == ModeLE && u.IsMain():
+	case tv == tagLE:
 		*v = PhaseState(v.Coin(), 1, p.lMax)
 
 	// Lines 7–8: both agents execute the main protocol, where ranks
 	// are assigned, advanced and (on detected errors) dropped;
 	// rankingPlus reports the changes from its mutation sites, so the
-	// no-op majority (e.g. two compatible ranked agents) pays nothing.
-	case u.IsMain() && v.IsMain():
+	// no-op majority pays nothing.
+	default:
 		uTouched, vTouched = p.rankingPlus(u, v)
 	}
 
 	// Lines 9–10: the responder's coin is toggled if it has one.
-	if v.HasCoin() {
-		v.toggleCoin()
-	}
+	v.toggleCoin()
 	return uTouched, vTouched
 }

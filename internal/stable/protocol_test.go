@@ -255,9 +255,10 @@ func TestNewPanics(t *testing.T) {
 	}
 }
 
-// TestNewRejectsOversizedBounds: the counters are int16, so a factor
-// whose bound ⌈factor·log₂ n⌉ leaves that range panics, naming the
-// parameter and the bound, instead of wrapping; the largest factor the
+// TestNewRejectsOversizedBounds: the counters are 13-bit fields of
+// the agent's word, so a factor whose bound ⌈factor·log₂ n⌉ passes
+// MaxCounter (8191) panics, naming the parameter, the bound and the
+// cap, instead of spilling into the next field; the largest factor the
 // experiments use still constructs at every population size.
 func TestNewRejectsOversizedBounds(t *testing.T) {
 	for _, tc := range []struct {
@@ -266,6 +267,9 @@ func TestNewRejectsOversizedBounds(t *testing.T) {
 	}{
 		{Params{CWait: 2, CLive: 2000, RMaxFactor: 4, DMaxFactor: 4, LEBudgetFactor: 8}, []string{"CLive = 2000", "L_max", "40000"}},
 		{Params{CWait: 2, CLive: 4, RMaxFactor: 4, DMaxFactor: 4, LEBudgetFactor: 1700}, []string{"LEBudgetFactor = 1700", "LE budget"}},
+		// 10 000 fitted the int16 counters of earlier layouts; it
+		// passes the 13-bit cap.
+		{Params{CWait: 2, CLive: 4, RMaxFactor: 500, DMaxFactor: 4, LEBudgetFactor: 8}, []string{"RMaxFactor = 500", "R_max", "10000", "13-bit counter cap (8191)"}},
 		{Params{CWait: math.NaN(), CLive: 4, RMaxFactor: 4, DMaxFactor: 4, LEBudgetFactor: 8}, []string{"CWait = NaN", "waitInit"}},
 		{Params{CWait: 2, CLive: 4, RMaxFactor: 4, DMaxFactor: math.Inf(1), LEBudgetFactor: 8}, []string{"DMaxFactor = +Inf", "D_max"}},
 	} {
@@ -280,6 +284,11 @@ func TestNewRejectsOversizedBounds(t *testing.T) {
 			}()
 			New(1<<20, tc.params)
 		}()
+	}
+	// The largest bounds that fit construct: ⌈409.55·20⌉ = 8191 at 2²⁰.
+	edge := Params{CWait: 409.55, CLive: 409.55, RMaxFactor: 409.55, DMaxFactor: 409.55, LEBudgetFactor: 409.55}
+	if p := New(1<<20, edge); p.RMax() != MaxCounter || p.DMax() != MaxCounter || p.LMax() != MaxCounter {
+		t.Errorf("bounds at the cap: R_max %d, D_max %d, L_max %d, want %d", p.RMax(), p.DMax(), p.LMax(), MaxCounter)
 	}
 	big := Params{CWait: 32, CLive: 32, RMaxFactor: 32, DMaxFactor: 32, LEBudgetFactor: 32}
 	for _, n := range []int{2, 3, 1 << 20, math.MaxInt32} {

@@ -11,13 +11,12 @@ package stable
 // the no-op majority (two compatible ranked agents meeting, liveness
 // refreshes, phase adoption) reports at zero cost — the measurement
 // the engine's touch-aware exact stopping relies on.
+//
+// The dispatcher handles two ranked agents itself (TransitionT), line 1
+// included, so at least one of u and v is unranked here.
 func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
-	// Lines 1–4, error detection: duplicate ranks or two waiting agents.
-	if u.Mode == ModeRanked && v.Mode == ModeRanked && u.Rank() == v.Rank() {
-		p.triggerReset(u, ReasonDuplicateRank)
-		return true, false // u lost its rank; v keeps its (duplicate) one
-	}
-	if u.Mode == ModeWait && v.Mode == ModeWait {
+	// Lines 2–4, error detection: two waiting agents.
+	if u.tag() == tagWait && v.tag() == tagWait {
 		p.triggerReset(u, ReasonTwoWaiting)
 		return false, false // waiting agents hold no rank
 	}
@@ -37,7 +36,7 @@ func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 		u.setAlive(m)
 		v.setAlive(m)
 	}
-	if u.Mode == ModeRanked && u.Rank() >= int32(p.n)-1 && v.IsUnrankedMain() {
+	if u.IsRanked() && u.Rank() >= int32(p.n)-1 && v.IsUnrankedMain() {
 		// Lines 7–11: meeting an agent ranked n−1 or n drains the
 		// responder's counter; expiry triggers a reset — on both
 		// agents, as above (the paper's pseudocode resets u; v's
@@ -62,7 +61,7 @@ func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 		// counter if the pair could have made progress (a "productive
 		// pair"): u is waiting, or u is the unaware leader for v's
 		// phase.
-		if u.Mode == ModeWait || p.isUnawareLeaderFor(u, v) {
+		if u.tag() == tagWait || p.isUnawareLeaderFor(u, v) {
 			v.setAlive(p.lMax)
 		}
 		return false, false
@@ -78,7 +77,7 @@ func (p *Protocol) rankingPlus(u, v *State) (uTouched, vTouched bool) {
 // f_k − f_{k+1}; Params.PaperLiteralProductive selects the paper-literal
 // ⌊n·2^{−phase(v)}⌋ (DESIGN.md note 2).
 func (p *Protocol) isUnawareLeaderFor(u, v *State) bool {
-	if u.Mode != ModeRanked || v.Mode != ModePhase {
+	if !u.IsRanked() || v.tag() != tagPhase {
 		return false
 	}
 	if p.literal {
@@ -102,10 +101,10 @@ func (p *Protocol) isUnawareLeaderFor(u, v *State) bool {
 // equivalence is checked by a cross-validation property test.
 func (p *Protocol) baseRanking(u, v *State) (uTouched, vTouched bool) {
 	// Line 1: if v is not a phase agent, do nothing.
-	if v.Mode != ModePhase {
+	if v.tag() != tagPhase {
 		return false, false
 	}
-	switch u.Mode {
+	switch u.Mode() {
 	case ModeRanked:
 		k := int32(v.Phase())
 		width := p.phases.Width(k)
@@ -141,8 +140,9 @@ func (p *Protocol) baseRanking(u, v *State) (uTouched, vTouched bool) {
 	case ModeWait:
 		// The waiting agent counts down against phase agents and
 		// ultimately re-enters with rank 1.
-		u.setWait(u.Wait() - 1)
-		if u.Wait() <= 0 {
+		if w := u.Wait() - 1; w > 0 {
+			u.setWait(w)
+		} else {
 			*u = Ranked(1)
 			uTouched = true
 		}

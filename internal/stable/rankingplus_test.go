@@ -20,7 +20,7 @@ func TestDuplicateRankTriggersReset(t *testing.T) {
 	p := New(64, DefaultParams())
 	u, v := Ranked(5), Ranked(5)
 	p.Transition(&u, &v)
-	if u.Mode != ModeReset {
+	if u.Mode() != ModeReset {
 		t.Fatalf("initiator after duplicate meeting: %+v", u)
 	}
 	if v != Ranked(5) {
@@ -45,7 +45,7 @@ func TestTwoWaitingTriggersReset(t *testing.T) {
 	u := mainWait(0, 3, 5)
 	v := mainWait(1, 2, 5)
 	p.Transition(&u, &v)
-	if u.Mode != ModeReset {
+	if u.Mode() != ModeReset {
 		t.Fatalf("initiator after two-waiting meeting: %+v", u)
 	}
 	if p.ResetsFor(ReasonTwoWaiting) != 1 {
@@ -68,7 +68,7 @@ func TestLivenessMaxMinusOneExpiryResets(t *testing.T) {
 	u := mainPhase(0, 1, 1)
 	v := mainPhase(0, 1, 1)
 	p.Transition(&u, &v)
-	if u.Mode != ModeReset || v.Mode != ModeReset {
+	if u.Mode() != ModeReset || v.Mode() != ModeReset {
 		t.Fatalf("agents after joint expiry: %+v, %+v — both must reset", u, v)
 	}
 	if p.ResetsFor(ReasonAliveExpired) != 2 {
@@ -103,7 +103,7 @@ func TestTopRankedDrainExpiryResets(t *testing.T) {
 	u := Ranked(64)
 	v := mainPhase(1, 3, 1)
 	p.Transition(&u, &v)
-	if u.Mode != ModeReset || v.Mode != ModeReset {
+	if u.Mode() != ModeReset || v.Mode() != ModeReset {
 		t.Fatalf("agents after draining to zero: %+v, %+v — both must reset", u, v)
 	}
 	if p.ResetsFor(ReasonAliveExpired) != 2 {
@@ -136,7 +136,7 @@ func TestCoinZeroRefreshesLivenessForProductivePairs(t *testing.T) {
 	if v2.Alive() != p.LMax() {
 		t.Fatalf("unaware leader did not refresh: alive = %d", v2.Alive())
 	}
-	if v2.Mode != ModePhase {
+	if v2.Mode() != ModePhase {
 		t.Fatalf("tails responder must not be ranked: %+v", v2)
 	}
 
@@ -171,13 +171,13 @@ func TestLeaderBecomingWaitingGetsCoinAndAlive(t *testing.T) {
 	leader := Ranked(width) // last leader rank of phase 1
 	v := mainPhase(1, 1, 5)
 	p.Transition(&leader, &v)
-	if leader.Mode != ModeWait {
+	if leader.Mode() != ModeWait {
 		t.Fatalf("leader = %+v, want waiting", leader)
 	}
 	if leader.Coin() != 0 || leader.Alive() != p.LMax() || leader.Wait() != p.WaitInit() {
 		t.Fatalf("waiting leader counters wrong: %+v", leader)
 	}
-	if v.Mode != ModeRanked || v.Rank() != p.Phases().F(1) {
+	if v.Mode() != ModeRanked || v.Rank() != p.Phases().F(1) {
 		t.Fatalf("last assignment of phase 1: %+v, want rank(%d)", v, p.Phases().F(1))
 	}
 }
@@ -260,7 +260,7 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 	pc := core.New(n, core.DefaultParams())
 
 	toCore := func(s State) core.State {
-		switch s.Mode {
+		switch s.Mode() {
 		case ModeRanked:
 			return core.RankedState(s.Rank())
 		case ModeWait:
@@ -301,7 +301,7 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 
 			su, sv := u, v
 			ps.baseRanking(&su, &sv)
-			becameS := u.Mode == ModeRanked && su.Mode == ModeWait
+			becameS := u.Mode() == ModeRanked && su.Mode() == ModeWait
 			becameC := pc.Ranking(&cu, &cv)
 			if becameS != becameC {
 				t.Logf("became mismatch on (%v, %v)", u, v)
@@ -315,7 +315,7 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 				// full liveness counter; align for comparison.
 				wu = WaitState(su.Coin(), int16(cu.Wait), su.Alive())
 			}
-			if sv.Mode == ModeRanked {
+			if sv.Mode() == ModeRanked {
 				// stable clears coin/alive on ranking; fromCore
 				// preserves orig's — align.
 				wv = Ranked(sv.Rank())
@@ -324,7 +324,7 @@ func TestBaseRankingMatchesCore(t *testing.T) {
 					return false
 				}
 			}
-			if su.Mode == ModeRanked && su.Rank() == 1 && u.Mode == ModeWait {
+			if su.Mode() == ModeRanked && su.Rank() == 1 && u.Mode() == ModeWait {
 				wu = Ranked(1)
 			}
 			if su != wu || sv != wv {

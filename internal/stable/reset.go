@@ -32,7 +32,7 @@ func (p *Protocol) propagateReset(u, v *State) {
 	case uProp:
 		u.setResetCount(u.ResetCount() - 1)
 		if vDorm {
-			v.setDelayCount(v.DelayCount() - 1)
+			v.countDown()
 		} else {
 			// v is computing: it becomes propagating.
 			coin := uint8(0)
@@ -45,7 +45,7 @@ func (p *Protocol) propagateReset(u, v *State) {
 	case vProp:
 		v.setResetCount(v.ResetCount() - 1)
 		if uDorm {
-			u.setDelayCount(u.DelayCount() - 1)
+			u.countDown()
 		} else {
 			coin := uint8(0)
 			if u.HasCoin() {
@@ -57,10 +57,10 @@ func (p *Protocol) propagateReset(u, v *State) {
 	default:
 		// At least one dormant agent, no propagating ones.
 		if uDorm {
-			u.setDelayCount(u.DelayCount() - 1)
+			u.countDown()
 		}
 		if vDorm {
-			v.setDelayCount(v.DelayCount() - 1)
+			v.countDown()
 		}
 	}
 
@@ -68,10 +68,19 @@ func (p *Protocol) propagateReset(u, v *State) {
 	p.awaken(v)
 }
 
+// countDown decrements a dormant agent's delayCount, stopping at 0:
+// the agent awakens at 0 either way (awaken), and the counter holds no
+// negative value.
+func (s *State) countDown() {
+	if d := s.DelayCount(); d > 0 {
+		s.setDelayCount(d - 1)
+	}
+}
+
 // awaken moves a reset agent whose dormancy has run out into the
 // FastLeaderElection initial state, preserving its coin (§V-A).
 func (p *Protocol) awaken(s *State) {
-	if s.Mode == ModeReset && s.ResetCount() <= 0 && s.DelayCount() <= 0 {
+	if s.tag() == tagReset && s.ResetCount() == 0 && s.DelayCount() == 0 {
 		*s = p.LEInitial(s.Coin())
 	}
 }

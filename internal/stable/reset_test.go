@@ -19,7 +19,7 @@ func TestTriggerResetClearsAllButCoin(t *testing.T) {
 	// A ranked agent has no coin; it is initialized to 0.
 	s = Ranked(17)
 	p.TriggerReset(&s)
-	if s.Coin() != 0 || s.Mode != ModeReset {
+	if s.Coin() != 0 || s.Mode() != ModeReset {
 		t.Fatalf("ranked agent after trigger: %+v", s)
 	}
 
@@ -37,7 +37,7 @@ func TestPropagatingInfectsComputing(t *testing.T) {
 	if prop.ResetCount() != 4 {
 		t.Fatalf("propagating agent resetCount = %d, want 4", prop.ResetCount())
 	}
-	if comp.Mode != ModeReset || comp.ResetCount() != 4 || comp.DelayCount() != p.DMax() {
+	if comp.Mode() != ModeReset || comp.ResetCount() != 4 || comp.DelayCount() != p.DMax() {
 		t.Fatalf("computing agent became %+v, want propagating (4, Dmax)", comp)
 	}
 	// The dispatcher toggles the responder's coin after the subprotocol.
@@ -52,7 +52,7 @@ func TestPropagatingInfectsComputingAsResponder(t *testing.T) {
 	comp := Ranked(9)
 	prop := ResetState(0, 3, p.DMax())
 	p.Transition(&comp, &prop)
-	if comp.Mode != ModeReset || comp.ResetCount() != 2 {
+	if comp.Mode() != ModeReset || comp.ResetCount() != 2 {
 		t.Fatalf("initiator computing agent became %+v, want propagating with 2", comp)
 	}
 	if prop.ResetCount() != 2 {

@@ -52,139 +52,183 @@ func (m Mode) String() string {
 	}
 }
 
-// State is the per-agent state of StableRanking: a tagged union of 8
-// bytes. Mode selects the branch of the paper's disjoint state space,
-// and the payload holds only that branch's variables:
+// State is the per-agent state of StableRanking: one 32-bit word.
+// Every variable sits at a constant shift, so no read divides. A
+// ranked agent's word is its rank, with the top bit clear, so two
+// ranked agents compare as two words. Every other agent has the top
+// bit set, a kind selecting its branch of the paper's disjoint state
+// space, the synthetic coin, and two 13-bit counters a and b:
 //
-//	mode     flags                         a           b
-//	ranked   —                             —           rank
-//	reset    coin                          ResetCount  DelayCount
-//	LE       coin, LeaderDone, IsLeader    LECount     CoinCount
-//	wait     coin                          Wait        Alive
-//	phase    coin                          Phase       Alive
+//	bit    31  30–29  28    27        26          25–13       12–0
+//	ranked 0   rank, in bits 30–0
+//	reset  1   0      coin  —         —           ResetCount  DelayCount
+//	LE     1   1      coin  IsLeader  LeaderDone  LECount     CoinCount
+//	wait   1   2      coin  —         —           Wait        Alive
+//	phase  1   3      coin  —         —           Phase       Alive
 //
 // Reads and writes go through the accessors and mode constructors
-// below, which read and write each variable at the width of the field
-// that holds it (an int32 b is read as an int32, never narrowed). The
-// constructors zero every field their mode does not use, so states are
-// comparable with ==.
+// below. The constructors zero every bit their mode does not use, so
+// states are comparable with ==. A counter holds 0..MaxCounter, so the
+// protocol's bounds are capped there (New).
 type State struct {
-	Mode  Mode
-	flags uint8
-	a     int16
-	b     int32
+	w uint32
 }
 
-// The bits of State.flags.
+// MaxCounter is the largest value a counter of an unranked agent
+// holds: the cap on R_max, D_max, L_max, the LE budget and waitInit.
+const MaxCounter = 1<<counterBits - 1
+
+// The word's layout.
 const (
-	flagCoin       uint8 = 1 << iota // the synthetic coin (every mode but ranked)
-	flagLeaderDone                   // ModeLE: the lottery is decided
-	flagIsLeader                     // ModeLE: the lottery was won
+	unranked    uint32 = 1 << 31 // clear in exactly the ranked words
+	tagShift           = 29      // the top three bits: 0–3 ranked, 4 + kind unranked
+	coinBit     uint32 = 1 << 28
+	isLeaderBit uint32 = 1 << 27
+	doneBit     uint32 = 1 << 26
+	counterBits        = 13
+	aShift             = counterBits
+	counterMask uint32 = MaxCounter
 )
 
-// Ranked returns a ranked-agent state.
-func Ranked(rank int32) State { return State{Mode: ModeRanked, b: rank} }
+// The tags of the unranked kinds: the top bit and the kind.
+const (
+	tagReset uint32 = 4 + iota
+	tagLE
+	tagWait
+	tagPhase
+)
+
+// unrankedWord assembles an unranked agent's word; a and b must lie in
+// [0, MaxCounter].
+func unrankedWord(tag uint32, coin uint8, a, b int32) State {
+	return State{tag<<tagShift | uint32(coin&1)<<28 | uint32(a)<<aShift | uint32(b)}
+}
+
+// Ranked returns a ranked-agent state; rank must lie in [0, 2³¹).
+func Ranked(rank int32) State { return State{uint32(rank)} }
 
 // ResetState returns a PropagateReset state (ModeReset).
 func ResetState(coin uint8, resetCount int16, delayCount int32) State {
-	return State{Mode: ModeReset, flags: coin & flagCoin, a: resetCount, b: delayCount}
+	return unrankedWord(tagReset, coin, int32(resetCount), delayCount)
 }
 
 // LEState returns a FastLeaderElection state (ModeLE).
 func LEState(coin uint8, leCount int16, coinCount int32, leaderDone, isLeader bool) State {
-	f := coin & flagCoin
+	s := unrankedWord(tagLE, coin, int32(leCount), coinCount)
 	if leaderDone {
-		f |= flagLeaderDone
+		s.w |= doneBit
 	}
 	if isLeader {
-		f |= flagIsLeader
+		s.w |= isLeaderBit
 	}
-	return State{Mode: ModeLE, flags: f, a: leCount, b: coinCount}
+	return s
 }
 
 // WaitState returns a waiting main-protocol state (ModeWait).
 func WaitState(coin uint8, wait int16, alive int32) State {
-	return State{Mode: ModeWait, flags: coin & flagCoin, a: wait, b: alive}
+	return unrankedWord(tagWait, coin, int32(wait), alive)
 }
 
 // PhaseState returns an unranked main-protocol phase state
 // (ModePhase).
 func PhaseState(coin uint8, phase int16, alive int32) State {
-	return State{Mode: ModePhase, flags: coin & flagCoin, a: phase, b: alive}
+	return unrankedWord(tagPhase, coin, int32(phase), alive)
 }
+
+// tag is the word's top three bits: below 4 for a ranked agent, else
+// one of tagReset, tagLE, tagWait, tagPhase.
+func (s State) tag() uint32 { return s.w >> tagShift }
+
+// Mode returns the branch of the state space the agent is in.
+func (s State) Mode() Mode {
+	if t := s.tag(); t >= tagReset {
+		return Mode(t-tagReset) + ModeReset
+	}
+	return ModeRanked
+}
+
+func (s State) a() int32 { return int32(s.w >> aShift & counterMask) }
+func (s State) b() int32 { return int32(s.w & counterMask) }
 
 // Coin is the synthetic coin, present for every mode except
 // ModeRanked; the dispatcher toggles it whenever the agent is the
 // responder.
-func (s State) Coin() uint8 { return s.flags & flagCoin }
+func (s State) Coin() uint8 { return uint8(s.w >> 28 & 1) }
 
 // Rank ∈ [1, n] — ModeRanked.
-func (s State) Rank() int32 { return s.b }
+func (s State) Rank() int32 { return int32(s.w) }
 
 // ResetCount ∈ [0, R_max] — ModeReset.
-func (s State) ResetCount() int16 { return s.a }
+func (s State) ResetCount() int16 { return int16(s.a()) }
 
 // DelayCount ∈ [0, D_max] — ModeReset.
-func (s State) DelayCount() int32 { return s.b }
+func (s State) DelayCount() int32 { return s.b() }
 
 // LECount ∈ [0, L_max] — ModeLE (Protocol 5).
-func (s State) LECount() int16 { return s.a }
+func (s State) LECount() int16 { return int16(s.a()) }
 
 // CoinCount ∈ [0, ⌈log₂ n⌉] — ModeLE.
-func (s State) CoinCount() int32 { return s.b }
+func (s State) CoinCount() int32 { return s.b() }
 
 // LeaderDone reports that the agent's lottery is decided — ModeLE.
-func (s State) LeaderDone() bool { return s.flags&flagLeaderDone != 0 }
+func (s State) LeaderDone() bool { return s.w&doneBit != 0 }
 
 // IsLeader reports that the agent won its lottery — ModeLE.
-func (s State) IsLeader() bool { return s.flags&flagIsLeader != 0 }
+func (s State) IsLeader() bool { return s.w&isLeaderBit != 0 }
 
 // Wait ∈ [1, ⌈c_wait·log₂ n⌉] — ModeWait.
-func (s State) Wait() int16 { return s.a }
+func (s State) Wait() int16 { return int16(s.a()) }
 
 // Phase ∈ [1, ⌈log₂ n⌉] — ModePhase.
-func (s State) Phase() int16 { return s.a }
+func (s State) Phase() int16 { return int16(s.a()) }
 
 // Alive ∈ [1, L_max] — both unranked main modes.
-func (s State) Alive() int32 { return s.b }
+func (s State) Alive() int32 { return s.b() }
 
-// The setters of the variables transitions change in place, each at
-// its field's width; a change of mode replaces the whole state through
-// a constructor instead.
-func (s *State) setRank(rank int32)    { s.b = rank }
-func (s *State) setResetCount(c int16) { s.a = c }
-func (s *State) setDelayCount(c int32) { s.b = c }
-func (s *State) setLECount(c int16)    { s.a = c }
-func (s *State) setCoinCount(c int32)  { s.b = c }
-func (s *State) setLeaderDone()        { s.flags |= flagLeaderDone }
-func (s *State) setIsLeader()          { s.flags |= flagIsLeader }
-func (s *State) setWait(w int16)       { s.a = w }
-func (s *State) setPhase(phase int16)  { s.a = phase }
-func (s *State) setAlive(alive int32)  { s.b = alive }
-func (s *State) toggleCoin()           { s.flags ^= flagCoin }
+// The setters of the variables transitions change in place; a change
+// of mode replaces the whole state through a constructor instead. A
+// counter setter's value must lie in [0, MaxCounter]: the transitions
+// test a decremented counter before they store it.
+func (s *State) setA(v int32)          { s.w = s.w&^(counterMask<<aShift) | uint32(v)<<aShift }
+func (s *State) setB(v int32)          { s.w = s.w&^counterMask | uint32(v) }
+func (s *State) setRank(rank int32)    { s.w = uint32(rank) }
+func (s *State) setResetCount(c int16) { s.setA(int32(c)) }
+func (s *State) setDelayCount(c int32) { s.setB(c) }
+func (s *State) setLECount(c int16)    { s.setA(int32(c)) }
+func (s *State) setCoinCount(c int32)  { s.setB(c) }
+func (s *State) setLeaderDone()        { s.w |= doneBit }
+func (s *State) setIsLeader()          { s.w |= isLeaderBit }
+func (s *State) setWait(w int16)       { s.setA(int32(w)) }
+func (s *State) setPhase(phase int16)  { s.setA(int32(phase)) }
+func (s *State) setAlive(alive int32)  { s.setB(alive) }
+
+// toggleCoin flips the coin of an agent that has one and leaves a
+// ranked agent alone, without a branch.
+func (s *State) toggleCoin() { s.w ^= s.w >> 31 << 28 }
+
+// IsRanked reports whether the agent holds a rank (ModeRanked).
+func (s *State) IsRanked() bool { return s.w < unranked }
 
 // IsUnrankedMain reports whether the agent is a main-protocol agent
 // without a rank (waiting or phase), i.e. carries coin and aliveCount.
-func (s *State) IsUnrankedMain() bool { return s.Mode == ModeWait || s.Mode == ModePhase }
+func (s *State) IsUnrankedMain() bool { return s.tag() >= tagWait }
 
 // IsMain reports whether the agent executes the main protocol Ranking+
 // (X(v) ∈ Q_Main in the paper's notation).
-func (s *State) IsMain() bool {
-	return s.Mode == ModeRanked || s.Mode == ModeWait || s.Mode == ModePhase
-}
+func (s *State) IsMain() bool { return s.w < unranked || s.tag() >= tagWait }
 
 // IsPropagating reports whether the agent is a propagating reset agent.
-func (s *State) IsPropagating() bool { return s.Mode == ModeReset && s.a > 0 }
+func (s *State) IsPropagating() bool { return s.tag() == tagReset && s.a() > 0 }
 
 // IsDormant reports whether the agent is a dormant reset agent.
-func (s *State) IsDormant() bool { return s.Mode == ModeReset && s.a == 0 }
+func (s *State) IsDormant() bool { return s.tag() == tagReset && s.a() == 0 }
 
 // HasCoin reports whether the state carries a synthetic coin.
-func (s *State) HasCoin() bool { return s.Mode != ModeRanked }
+func (s *State) HasCoin() bool { return s.w >= unranked }
 
 // String renders the state compactly for traces and test failures.
 func (s State) String() string {
-	switch s.Mode {
+	switch s.Mode() {
 	case ModeRanked:
 		return fmt.Sprintf("rank(%d)", s.Rank())
 	case ModeReset:
@@ -193,10 +237,8 @@ func (s State) String() string {
 		return fmt.Sprintf("le(cnt=%d,cc=%d,done=%t,ldr=%t,c=%d)", s.LECount(), s.CoinCount(), s.LeaderDone(), s.IsLeader(), s.Coin())
 	case ModeWait:
 		return fmt.Sprintf("wait(%d,a=%d,c=%d)", s.Wait(), s.Alive(), s.Coin())
-	case ModePhase:
-		return fmt.Sprintf("phase(%d,a=%d,c=%d)", s.Phase(), s.Alive(), s.Coin())
 	default:
-		return fmt.Sprintf("invalid(%d)", uint8(s.Mode))
+		return fmt.Sprintf("phase(%d,a=%d,c=%d)", s.Phase(), s.Alive(), s.Coin())
 	}
 }
 
@@ -207,11 +249,11 @@ func (s State) String() string {
 // trajectory across changes of State's memory layout and of the
 // checkpoint codec that derives from it.
 func Canonical(s *State) [12]int64 {
-	v := [12]int64{0: int64(s.Mode)}
+	v := [12]int64{0: int64(s.Mode())}
 	if s.HasCoin() {
 		v[11] = int64(s.Coin())
 	}
-	switch s.Mode {
+	switch s.Mode() {
 	case ModeRanked:
 		v[1] = int64(s.Rank())
 	case ModeReset:
