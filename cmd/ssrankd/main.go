@@ -55,7 +55,7 @@ func main() {
 	workerAddr := flag.String("workeraddr", "", "listen address for ssrank-worker processes (host:port, or a unix socket path containing '/'); empty disables distributed execution")
 	cacheDir := flag.String("cachedir", "", "directory for the disk-spill result cache; empty keeps the cache memory-only")
 	cacheMax := flag.Int("cachemax", 0, "in-memory result cache capacity in entries (0 = default)")
-	maxSlab := flag.Int64("maxslab", 1<<30, "largest agent slab, in bytes, a job may build (N × the protocol's per-agent state size, 8 B for stable, plus the sharded engine's per-class state: Shards² / 2 × 256, plus the exact stop's state: 4 B per agent and 4 B per rank for the rank tracker, 4 B per agent of serial collision marks, 16 B per identifier for interval; a sharded job's exact stop folds into this one slab, no engine builds a second); larger jobs are refused with 422 (0 = no bound)")
+	maxSlab := flag.Int64("maxslab", 1<<30, "largest agent slab, in bytes, a job may build (N × the protocol's per-agent state size, 4 B for stable, plus the sharded engine's per-class state: Shards² / 2 × 256, plus the exact stop's state: 4 B per agent, 1 B per rank and at most 0.5 B per agent of spilled multiplicities for the rank tracker, at most 32 KiB of serial collision marks, 16 B per identifier for interval; a sharded job's exact stop folds into this one slab, no engine builds a second); larger jobs are refused with 422 (0 = no bound)")
 	flag.Parse()
 
 	jcfg := jobs.Config{Workers: *workers, SliceInteractions: *slice, CacheDir: *cacheDir, CacheMax: *cacheMax, MaxSlabBytes: *maxSlab}

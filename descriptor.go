@@ -48,11 +48,13 @@ type Descriptor struct {
 	AgentBytes int
 	// TrackerBytes returns the whole exact-stop state a run of a
 	// normalized Config holds beside its agent slab: the stop
-	// tracker's arrays (for the rank tracker, 4 B per agent and 4 B per
-	// rank; Interval's takes 16 B per identifier of its (1+Epsilon)·N
-	// space rounded up to a power of two), plus the serial loop's 4 B
-	// per agent of collision marks when Shards is 1. It is 0 on the
-	// message network, which polls Valid and keeps no tracker.
+	// tracker's arrays (for the rank tracker, 4 B per agent, 1 B per
+	// rank and the worst case of its spill map for ranks 255 or more
+	// agents hold; Interval's takes 16 B per identifier of its
+	// (1+Epsilon)·N space rounded up to a power of two), plus the
+	// serial loop's collision marks when Shards is 1 (32 KiB from
+	// 2 048 agents on, less below). It is 0 on the message network,
+	// which polls Valid and keeps no tracker.
 	TrackerBytes func(cfg Config) int64
 
 	// newSim and resume return a nil *driver inside the handle with

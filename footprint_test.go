@@ -9,14 +9,14 @@ import (
 )
 
 // TestRunFootprint bounds what a large sharded Run allocates: one
-// agent slab of 8-byte StableRanking states, the exact stop's
-// per-agent tracker and the Result's ranks, 8 bytes each, and at most
-// 1 MiB beside them. A wider state, or a second population of the
-// slab, fails here rather than only in the benchmark's peak RSS. The
-// least of three measurements discounts what other goroutines
-// allocate.
+// agent slab of 4-byte StableRanking states, the rank tracker's 4 B of
+// cached rank per agent and 1 B of multiplicity per rank, the Result's
+// ranks at 8 B each, and at most 1 MiB beside them. A wider state, a
+// wider tracker, or a second population of the slab, fails here rather
+// than only in the benchmark's peak RSS. The least of three
+// measurements discounts what other goroutines allocate.
 func TestRunFootprint(t *testing.T) {
-	const n, agentBytes = 1 << 18, 8
+	const n, agentBytes = 1 << 18, 4
 	d, _ := Describe(StableRanking)
 	if d.AgentBytes != agentBytes {
 		t.Fatalf("StableRanking agents take %d B, want %d", d.AgentBytes, agentBytes)
@@ -32,7 +32,7 @@ func TestRunFootprint(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if bound := uint64(n*(agentBytes+8+8) + 1<<20); least > bound {
+	if bound := uint64(n*(agentBytes+4+1+8) + 1<<20); least > bound {
 		t.Fatalf("a %d-agent sharded Run allocated %d B, more than the %d B of one slab, tracker and ranks", n, least, bound)
 	}
 }

@@ -239,9 +239,10 @@ type Config struct {
 	// bound covers the one slab a job builds on either in-place engine:
 	// the sharded engine's exact stop folds touch records into the live
 	// slab and keeps no second copy of the population. A StableRanking
-	// job takes 20 B per agent serially (8 B of agent, 12 B of tracker
-	// and marks) and 16 B sharded, so 1 GiB admits about 54 million
-	// agents serially. Zero means no bound.
+	// job takes about 9.5 B per agent on either engine (4 B of agent,
+	// 4 B of cached rank, 1 B of rank multiplicity and at most 0.5 B of
+	// their spill map; the serial loop's marks are 32 KiB whatever N),
+	// so 1 GiB admits about 113 million agents. Zero means no bound.
 	MaxSlabBytes int64
 }
 

@@ -234,12 +234,13 @@ func TestSubmitChargesStopTracker(t *testing.T) {
 
 // TestSubmitChargesPerAgentTracker: admission charges the exact stop's
 // per-agent arrays, not only the slab. A serial StableRanking run of
-// 2²⁰ agents has an 8 MiB slab, but its rank tracker (4 B per agent
-// and per rank) and the serial loop's collision marks (4 B per agent)
-// add 12 MiB, so a 16 MiB bound refuses it. The refusal is asked of a
-// closed manager, as in TestSubmitChargesStopTracker.
+// 2²⁰ agents has a 4 MiB slab, but its rank tracker (4 B per agent, 1 B
+// per rank and the worst case of its spill map) and the serial loop's
+// collision marks add about 5.5 MiB, so an 8 MiB bound refuses it. The
+// refusal is asked of a closed manager, as in
+// TestSubmitChargesStopTracker.
 func TestSubmitChargesPerAgentTracker(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxSlabBytes: 16 << 20})
+	m := NewManager(Config{Workers: 1, MaxSlabBytes: 8 << 20})
 	m.Close()
 	if _, err := m.Submit(ssrank.Config{N: 1 << 20}); !errors.Is(err, ErrSlabTooLarge) {
 		t.Fatalf("Submit: %v, want ErrSlabTooLarge", err)

@@ -28,13 +28,37 @@ type Condition[S any] interface {
 // The zero value is not usable; construct with NewRankCond. A RankCond
 // may be reused across runs — Init resets it.
 type RankCond[S any] struct {
-	rank     func(*S) int
-	m        int     // rank-space size; ranks outside [1, m] count as unranked
-	cur      []int32 // cached rank per agent
-	mult     []int32 // multiplicity per rank value
-	assigned int     // agents whose rank lies in [1, m]
-	dups     int     // rank values held by more than one agent
+	rank func(*S) int
+	m    int     // rank-space size; ranks outside [1, m] count as unranked
+	cur  []int32 // cached rank per agent
+	// mult is the multiplicity of each rank value while below
+	// spilled; a rank that spilled agents or more hold reads spilled
+	// here and keeps its count in spill. Almost every rank is held by
+	// at most one agent, so a byte per rank suffices, and the map
+	// stays empty outside pathological configurations.
+	mult     []uint8
+	spill    map[int32]int32
+	assigned int // agents whose rank lies in [1, m]
+	dups     int // rank values held by more than one agent
 }
+
+// spilled is the mult value of a rank whose count lives in the spill
+// map: 255 or more agents hold it.
+const spilled = 255
+
+// RankCondBytes is what a RankCond over n agents and rank space [1, m]
+// holds once Init has seen them, in the worst case: 4 B of cached rank
+// per agent, a byte of multiplicity per rank in [0, m], and the spill
+// map at its largest, one entry for each of the at most n/255 ranks
+// that 255 or more agents can hold at once.
+func RankCondBytes(n, m int) int64 {
+	return 4*int64(n) + int64(m+1) + spillEntryBytes*int64(min(m, n/spilled))
+}
+
+// spillEntryBytes bounds what one entry of the spill map costs,
+// counting the slack of a table that has just doubled and the tables
+// it outgrew (TestDescCondBytes measures it).
+const spillEntryBytes = 128
 
 // NewRankCond returns a RankCond over rank space [1, m] (m ≤ 0 means
 // "population size", resolved at Init). rank must return an agent's
@@ -55,12 +79,11 @@ func (c *RankCond[S]) Init(states []S) {
 	}
 	c.cur = c.cur[:n]
 	if cap(c.mult) < m+1 {
-		c.mult = make([]int32, m+1)
+		c.mult = make([]uint8, m+1)
 	}
 	c.mult = c.mult[:m+1]
-	for i := range c.mult {
-		c.mult[i] = 0
-	}
+	clear(c.mult)
+	clear(c.spill)
 	c.assigned, c.dups = 0, 0
 	for i := range states {
 		rk := c.rank(&states[i])
@@ -77,8 +100,13 @@ func (c *RankCond[S]) add(rk int) {
 		return
 	}
 	c.assigned++
-	c.mult[rk]++
-	if c.mult[rk] == 2 {
+	k := c.mult[rk]
+	if k >= spilled-1 {
+		c.addSpilled(rk, k)
+		return
+	}
+	c.mult[rk] = k + 1
+	if k == 1 {
 		c.dups++
 	}
 }
@@ -88,9 +116,35 @@ func (c *RankCond[S]) remove(rk int) {
 		return
 	}
 	c.assigned--
-	c.mult[rk]--
-	if c.mult[rk] == 1 {
+	k := c.mult[rk]
+	if k == spilled {
+		c.removeSpilled(rk)
+		return
+	}
+	c.mult[rk] = k - 1
+	if k == 2 {
 		c.dups--
+	}
+}
+
+// addSpilled adds a holder to a rank that 254 or more agents hold.
+func (c *RankCond[S]) addSpilled(rk int, k uint8) {
+	if k == spilled {
+		c.spill[int32(rk)]++
+		return
+	}
+	if c.spill == nil {
+		c.spill = make(map[int32]int32)
+	}
+	c.mult[rk] = spilled
+	c.spill[int32(rk)] = spilled
+}
+
+// removeSpilled removes a holder from a rank whose count is in spill.
+func (c *RankCond[S]) removeSpilled(rk int) {
+	if c.spill[int32(rk)]--; c.spill[int32(rk)] < spilled {
+		delete(c.spill, int32(rk))
+		c.mult[rk] = spilled - 1
 	}
 }
 

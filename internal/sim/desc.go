@@ -22,7 +22,8 @@ func DescCond[S any, P any](d proto.Descriptor[S, P], p P) Condition[S] {
 
 // DescCondBytes is what DescCond(d, p)'s tracker holds once Init has
 // seen n agents: the descriptor's CondBytes for its own tracker, else
-// the RankCond's per-agent and per-rank arrays.
+// the RankCond's per-agent and per-rank arrays and its worst-case
+// spill (RankCondBytes).
 func DescCondBytes[S any, P any](d proto.Descriptor[S, P], p P, n int) int64 {
 	if d.Cond != nil {
 		return d.CondBytes(p)
@@ -34,6 +35,5 @@ func DescCondBytes[S any, P any](d proto.Descriptor[S, P], p P, n int) int64 {
 	if m <= 0 {
 		m = n
 	}
-	// cur holds one rank per agent, mult one count per rank in [0, m].
-	return 4*int64(n) + 4*int64(m+1)
+	return RankCondBytes(n, m)
 }

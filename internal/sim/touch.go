@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // TouchReporter is the optional protocol capability behind cheap exact
 // stopping: TransitionT applies one interaction with semantics
 // identical to Transition and additionally reports which of the two
@@ -43,16 +45,79 @@ type CondLoop[S any, P TouchReporter[S]] struct {
 	cond Condition[S]
 	// synced is set while cond describes r's states.
 	synced bool
-	// marks is the collision scratch: marks[a] == epoch while agent a
-	// has a recorded-but-unfolded touch in the current sub-batch.
-	marks   []uint32
-	epoch   uint32
+	// marks holds the agents with a recorded-but-unfolded touch in the
+	// current sub-batch.
+	marks   markSet
 	pending []touchRec
 }
 
 // CondLoopBytes is the collision scratch a CondLoop over n agents
-// allocates beside its condition: one uint32 mark per agent.
-func CondLoopBytes(n int) int64 { return 4 * int64(n) }
+// allocates beside its condition: the mark set, 8 B a slot.
+func CondLoopBytes(n int) int64 { return 8 * int64(markSlots(n)) }
+
+// markSlots is the size of the mark set over n agents: twice the
+// agents one sub-batch can mark, rounded up to a power of two. A
+// sub-batch lies inside one pair window of at most 512 pairs, so it
+// marks at most min(n, 1 024) agents; from 2 048 agents on the set is
+// 4 096 slots (32 KiB) and at most a quarter full, whatever n.
+func markSlots(n int) int {
+	return min(4096, 1<<bits.Len(uint(2*n-1)))
+}
+
+// markSet is a fixed open-addressing set of agent indices, cleared in
+// O(1) by advancing its epoch: a slot holds epoch<<32 | agent, and a
+// slot of another epoch is empty. Past 2 048 agents its size no longer
+// grows with the population, where an array of one mark per agent
+// would.
+type markSet struct {
+	slots []uint64
+	shift uint // 32 − log₂ len(slots): a hash's top bits pick the slot
+	epoch uint64
+}
+
+// next empties the set, allocating it for n agents on first use.
+func (m *markSet) next(n int) {
+	if m.slots == nil {
+		k := markSlots(n)
+		m.slots = make([]uint64, k)
+		m.shift = uint(33 - bits.Len(uint(k)))
+	}
+	m.epoch++
+	if m.epoch == 1<<32 {
+		// The epoch wrapped: forget every slot rather than let an old
+		// one read as current.
+		clear(m.slots)
+		m.epoch = 1
+	}
+}
+
+// slot returns the index of a's slot: the slot holding a in the
+// current epoch, or the empty slot where a belongs.
+func (m *markSet) slot(a int32) (int, bool) {
+	key := m.epoch<<32 | uint64(uint32(a))
+	i := int(uint32(a) * 0x9e3779b1 >> m.shift) // Fibonacci hashing
+	for {
+		switch s := m.slots[i]; {
+		case s == key:
+			return i, true
+		case s>>32 != m.epoch:
+			return i, false
+		}
+		i = (i + 1) & (len(m.slots) - 1)
+	}
+}
+
+// has reports whether a is in the set.
+func (m *markSet) has(a int32) bool {
+	_, ok := m.slot(a)
+	return ok
+}
+
+// add puts a into the set.
+func (m *markSet) add(a int32) {
+	i, _ := m.slot(a)
+	m.slots[i] = m.epoch<<32 | uint64(uint32(a))
+}
 
 // NewCondLoop returns the exact stop loop of cond over r.
 func NewCondLoop[S any, P TouchReporter[S]](r *Runner[S, P], cond Condition[S]) *CondLoop[S, P] {
@@ -74,9 +139,6 @@ func (e *CondLoop[S, P]) Run(maxSteps int64) (int64, error) {
 		return r.steps, nil
 	}
 	if k := maxSteps - r.steps; k > 0 {
-		if e.marks == nil {
-			e.marks = make([]uint32, len(r.states))
-		}
 		if hit := e.run(k); hit >= 0 {
 			e.synced = false
 			return hit, nil
@@ -125,7 +187,7 @@ func (e *CondLoop[S, P]) run(k int64) int64 {
 	r := e.r
 	states := r.states
 	end := r.steps + k
-	e.epoch++ // a fresh epoch: no earlier call's marks carry over
+	e.marks.next(len(states)) // no earlier call's marks carry over
 	for r.steps < end {
 		as, bs := r.pairs.Window()
 		if remaining := end - r.steps; int64(len(as)) > remaining {
@@ -136,7 +198,7 @@ func (e *CondLoop[S, P]) run(k int64) int64 {
 		np := 0
 		for i, a := range as {
 			b := bs[i]
-			if np != 0 && (e.marks[a] == e.epoch || e.marks[b] == e.epoch) {
+			if np != 0 && (e.marks.has(a) || e.marks.has(b)) {
 				// Collision with a touched agent: close the sub-batch
 				// before interaction i sees (or perturbs) a recorded
 				// projection.
@@ -146,7 +208,7 @@ func (e *CondLoop[S, P]) run(k int64) int64 {
 					r.steps += int64(i)
 					return exact
 				}
-				e.epoch++
+				e.marks.next(len(states))
 				e.pending = e.pending[:0]
 				np = 0
 			}
@@ -154,11 +216,11 @@ func (e *CondLoop[S, P]) run(k int64) int64 {
 			if ut || vt {
 				var m uint8
 				if ut {
-					e.marks[a] = e.epoch
+					e.marks.add(a)
 					m = 1
 				}
 				if vt {
-					e.marks[b] = e.epoch
+					e.marks.add(b)
 					m |= 2
 				}
 				e.pending = append(e.pending, touchRec{slot: int32(i), mask: m})
@@ -167,7 +229,7 @@ func (e *CondLoop[S, P]) run(k int64) int64 {
 		}
 		hit := e.fold(as, bs)
 		exact := r.steps + int64(hit) + 1
-		e.epoch++
+		e.marks.next(len(states))
 		r.pairs.Advance(len(as))
 		r.steps += int64(len(as))
 		if hit >= 0 {
