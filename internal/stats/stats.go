@@ -40,39 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum. Empty input returns NaN: an empty result
-// set has no extrema, and the old convention of returning 0 silently
-// corrupted summaries (a sweep where every trial failed looked like
-// one whose fastest trial took 0 interactions). Callers that want a
-// sentinel must check len or math.IsNaN explicitly.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum (NaN for empty input, for the same reason
-// as Min).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear
 // interpolation between order statistics. It panics on q outside [0,1]
 // and returns 0 for empty input.

@@ -25,23 +25,11 @@ func TestEmptyInputs(t *testing.T) {
 	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Fatal("empty-input conventions violated")
 	}
-	// Min/Max return NaN on empty input: 0 is a plausible extremum and
-	// silently corrupts summaries of empty result sets.
-	if !math.IsNaN(Min(nil)) || !math.IsNaN(Max(nil)) {
-		t.Fatalf("empty Min/Max = %v/%v, want NaN", Min(nil), Max(nil))
-	}
 	if Quantile(nil, 0.5) != 0 {
 		t.Fatal("Quantile(nil) != 0")
 	}
 	if Variance([]float64{3}) != 0 {
 		t.Fatal("single-sample variance != 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min=%v Max=%v", Min(xs), Max(xs))
 	}
 }
 
