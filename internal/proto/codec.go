@@ -57,12 +57,20 @@ func (d *Descriptor[S, P]) ReadSlab(n int, r *ckpt.Reader) ([]S, error) {
 	return states, nil
 }
 
-// appendAgents appends the fields of every state to b.
+// appendAgents appends the fields of every state to b. When b runs
+// out of room it grows for the remaining agents at the mean size of
+// those written so far, and at least a byte per field, so a slab whose
+// agents encode long is not regrown again and again.
 func appendAgents[S any](l *Layout, b []byte, states []S) []byte {
 	fields, most := l.fields, l.maxAgent
+	start := len(b)
 	for i := range states {
 		if cap(b)-len(b) < most {
-			b = slices.Grow(b, most+(len(states)-i)*len(fields))
+			per := len(fields)
+			if i > 0 {
+				per = max(per, (len(b)-start)/i+1)
+			}
+			b = slices.Grow(b, most+(len(states)-i)*per)
 		}
 		out := b[len(b) : len(b)+most]
 		k := 0
